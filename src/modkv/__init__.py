@@ -24,6 +24,7 @@ from .policy import (
     EvictionMask,
     PolicyConfig,
     PolicyMode,
+    TraceTables,
     build_masks,
     coverage_counts,
     layer_budget_deviation,

@@ -16,7 +16,8 @@ import numpy as np
 
 from .allocation import round_half_up
 from .errors import ParameterError
-from .policy import EvictionMask, _top_by_importance
+from .importance import ProxyConfig, proxy_importance_matrix
+from .policy import EvictionMask, TraceTables
 from .trace import AttentionTrace
 
 
@@ -73,15 +74,21 @@ class BaselineConfig:
 def window_scores(trace: AttentionTrace, observation_window: int) -> np.ndarray:
     """Attention mass each token received over the trailing prefill rows.
 
-    Shape (L, H, n), float64, fixed accumulation order.
+    Shape (L, H, n), float64, fixed accumulation order. The same computation
+    as proxy importance over as many rows.
     """
-    n = trace.header.prompt_len
-    w = min(observation_window, n)
-    return trace.prefill[:, :, n - w:, :].astype(np.float64).sum(axis=2)
+    return proxy_importance_matrix(trace, ProxyConfig(observation_window))
 
 
-def baseline_mask(trace: AttentionTrace, cfg: BaselineConfig) -> EvictionMask:
-    """Build the keep-vectors for one baseline policy."""
+def baseline_mask(
+    trace: AttentionTrace, cfg: BaselineConfig, *, tables: TraceTables | None = None
+) -> EvictionMask:
+    """Build the keep-vectors for one baseline policy.
+
+    The score-driven baselines keep prefixes of rankings from `tables`,
+    shared with other policies run on the same trace; without it they are
+    computed for this call.
+    """
     h = trace.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
     budget = cfg.kept_per_head(n)
@@ -92,31 +99,28 @@ def baseline_mask(trace: AttentionTrace, cfg: BaselineConfig) -> EvictionMask:
         return EvictionMask(policy=cfg.name, keep=keep)
 
     if cfg.kind is BaselineKind.SINK_WINDOW:
-        if cfg.sink_count >= budget:
+        if cfg.sink_count > budget:
             raise ParameterError(
-                f"sink_count {cfg.sink_count} must be smaller than the "
-                f"budget {budget}"
+                f"sink_count {cfg.sink_count} must not exceed the budget {budget}"
             )
+        # sink_count == budget leaves an empty recent window.
         keep[:, :, : cfg.sink_count] = True
         keep[:, :, n - (budget - cfg.sink_count):] = True
         return EvictionMask(policy=cfg.name, keep=keep)
 
-    scores = window_scores(trace, cfg.observation_window)
-    all_idx = np.arange(n)
-    vis_idx = np.flatnonzero(h.modality_labels)
-    txt_idx = np.flatnonzero(h.text_mask)
+    if tables is None:
+        tables = TraceTables(trace)
+    if cfg.kind is BaselineKind.CUMULATIVE_TOPK:
+        keep = tables.token_ranks(cfg.observation_window) < budget
+        return EvictionMask(policy=cfg.name, keep=keep)
 
-    for l in range(L):
-        for hd in range(H):
-            s = scores[l, hd]
-            if cfg.kind is BaselineKind.CUMULATIVE_TOPK:
-                keep[l, hd, _top_by_importance(s, all_idx, budget)] = True
-                continue
-            # FixedModalityPriority: text tokens first, visual with the rest,
-            # spill back to text if visual runs short.
-            want_text = min(round_half_up(cfg.text_priority_frac * budget), txt_idx.size)
-            want_vis = min(budget - want_text, vis_idx.size)
-            want_text = min(budget - want_vis, txt_idx.size)
-            keep[l, hd, _top_by_importance(s, txt_idx, want_text)] = True
-            keep[l, hd, _top_by_importance(s, vis_idx, want_vis)] = True
+    # FixedModalityPriority: text tokens first, visual with the rest, spill
+    # back to text if visual runs short.
+    vis = h.modality_labels
+    n_vis = int(vis.sum())
+    want_text = min(round_half_up(cfg.text_priority_frac * budget), n - n_vis)
+    want_vis = min(budget - want_text, n_vis)
+    want_text = min(budget - want_vis, n - n_vis)
+    ranks = tables.modality_ranks(cfg.observation_window)
+    keep = ranks < np.where(vis, want_vis, want_text)
     return EvictionMask(policy=cfg.name, keep=keep)

@@ -24,7 +24,16 @@ import numpy as np
 from .baselines import BaselineConfig, BaselineKind, baseline_mask
 from .errors import FormatError, ModkvError, ParameterError, ValidationError
 from .importance import ProxyConfig, head_text_share, sparsity_curve
-from .policy import PolicyConfig, PolicyMode, build_masks, plan_budgets, save_mask, save_plan
+from .files import write_atomic
+from .policy import (
+    PolicyConfig,
+    PolicyMode,
+    TraceTables,
+    build_masks,
+    plan_budgets,
+    save_mask,
+    save_plan,
+)
 from .report import write_table
 from .simulate import (
     SimReport,
@@ -258,9 +267,7 @@ def _echo_config(out_dir: Path, command: str, opts: dict, traces: list[str]) -> 
         "traces": traces,
     }
     body = json.dumps(payload, separators=(",", ":"), sort_keys=False).encode("utf-8") + b"\n"
-    tmp = out_dir / "effective_config.json.tmp"
-    tmp.write_bytes(body)
-    os.replace(tmp, out_dir / "effective_config.json")
+    write_atomic(out_dir / "effective_config.json", body)
 
 
 def _prepare_out(opts: dict) -> Path:
@@ -386,17 +393,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows = []
     for trace_name, trace in traces:
         spec = build_policy_spec(name, params, opts, budget)
+        tables = TraceTables(trace)
         warnings: list[str] = []
         if isinstance(spec, PolicyConfig):
-            plan = plan_budgets(trace, spec)
-            mask = build_masks(trace, plan, spec)
+            plan = plan_budgets(trace, spec, tables=tables)
+            mask = build_masks(trace, plan, spec, tables=tables)
             warnings = plan.warnings + mask.warnings
             save_plan(plan, out_dir / f"{trace_name}__{name}_plan.json")
         else:
-            mask = baseline_mask(trace, spec)
+            mask = baseline_mask(trace, spec, tables=tables)
             warnings = list(mask.warnings)
         save_mask(mask, out_dir / f"{trace_name}__{name}_mask.json")
-        per_step = replay(trace, mask)
+        per_step = replay(trace, mask, tables=tables)
         kept = mask.kept_counts()
         rep = SimReport(
             policy=spec.name,
@@ -425,6 +433,9 @@ def _run_grid(args: argparse.Namespace, thetas: list[float] | None) -> int:
 
     rows, series = [], []
     for trace_name, trace in traces:
+        # Every cell on this trace reuses one set of rankings; rebinding on
+        # the next trace frees them.
+        tables = TraceTables(trace)
         for budget in budgets:
             for grid_index, theta in enumerate(theta_grid):
                 shared = dict(opts)
@@ -438,7 +449,7 @@ def _run_grid(args: argparse.Namespace, thetas: list[float] | None) -> int:
                 if not cell:
                     continue
                 specs = [build_policy_spec(n, p, shared, budget) for n, p in cell]
-                for rep in compare(trace, specs):
+                for rep in compare(trace, specs, tables=tables):
                     spec_theta = next(
                         (_theta_of(s) for s in specs if s.name == rep.policy), None
                     )

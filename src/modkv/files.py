@@ -1,0 +1,40 @@
+"""Atomic file output shared by every writer in the package.
+
+A file is written under a unique temporary name in its target directory and
+renamed over the target, so readers see the old file or the whole new one,
+and two runs writing into one directory never share a temporary file.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+def write_atomic(path: str | os.PathLike, payload: bytes) -> None:
+    """Write `payload` to `path` atomically.
+
+    The file gets the mode a plain open() would give it (0o666 less the
+    umask). On any error the temporary file is removed and the target is
+    left as it was.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=f".{name}.", suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(payload)
+        os.chmod(tmp, 0o666 & ~_umask())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise

@@ -25,8 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import largest_remainder_split, round_half_up
+from .allocation import round_half_up
 from .errors import FormatError, ParameterError, ValidationError
+from .files import write_atomic
 from .importance import ProxyConfig, proxy_importance_matrix
 from .trace import FORMAT_VERSION, AttentionTrace
 
@@ -129,10 +130,133 @@ class EvictionMask:
 
 
 # ---------------------------------------------------------------------------
+# rank-prefix kernel
+
+
+def pool_ranks(scores: np.ndarray, pools) -> np.ndarray:
+    """Rank of every position within its pool, per (layer, head).
+
+    Rank 0 is the highest score; ties go to the more recent (larger)
+    position, so keeping a prefix `rank < k` of a pool keeps its top k tokens
+    under the same order everywhere. `pools` is a sequence of disjoint
+    position-index arrays; a position in no pool gets rank n, which no quota
+    reaches.
+    """
+    n = scores.shape[-1]
+    ranks = np.full(scores.shape, n, dtype=np.int64)
+    for idx in pools:
+        if idx.size == 0:
+            continue
+        # A stable ascending sort of the negated, reversed pool orders by
+        # score descending with the later position first among equals.
+        order = idx.size - 1 - np.argsort(-scores[..., idx[::-1]], axis=-1, kind="stable")
+        sub = np.empty(order.shape, dtype=np.int64)
+        np.put_along_axis(sub, order, np.arange(idx.size), axis=-1)
+        ranks[..., idx] = sub
+    return ranks
+
+
+class TraceTables:
+    """The tables every policy evaluated on one trace shares.
+
+    Importance, rankings and coverage counts depend on the trace and a few
+    knobs (proxy or observation row count, pinned tail, threshold), never on
+    the budget, so a grid of cells needs each of them once. Each table is
+    built on first use and lives as long as this object: make one per trace,
+    pass it down to `compare` and the planners, and drop it to free them. The
+    trace must not change while its tables are in use.
+    """
+
+    def __init__(self, trace: AttentionTrace):
+        self.trace = trace
+        self._tables: dict = {}
+
+    def _get(self, key, build):
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
+
+    def _rows(self, count: int) -> int:
+        return min(count, self.trace.header.prompt_len)
+
+    def importance(self, count: int) -> np.ndarray:
+        """Column sums over the last `count` prefill rows, (L, H, n) float64.
+
+        Proxy importance and the baselines' window scores are this one table.
+        """
+        rows = self._rows(count)
+        return self._get(
+            ("importance", rows),
+            lambda: proxy_importance_matrix(self.trace, ProxyConfig(rows)),
+        )
+
+    def needs(self, count: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-head coverage counts (visual, text), each (L, H) int64."""
+        rows = self._rows(count)
+        vis = self.trace.header.modality_labels
+        return self._get(
+            ("needs", rows, threshold),
+            lambda: coverage_counts(self.importance(rows), vis, threshold),
+        )
+
+    def pool_mass(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-head importance mass (visual, text), each (L, H) float64."""
+        rows = self._rows(count)
+        vis = self.trace.header.modality_labels
+
+        def build():
+            scores = self.importance(rows)
+            # Contiguous pools sum row by row exactly as a 1-d sum would.
+            return tuple(
+                np.ascontiguousarray(scores[..., pool]).sum(axis=-1) for pool in (vis, ~vis)
+            )
+
+        return self._get(("pool_mass", rows), build)
+
+    def modality_ranks(self, count: int, pinned: int = 0) -> np.ndarray:
+        """Ranks within the visual and the text pool, (L, H, n).
+
+        The last `pinned` positions belong to neither pool.
+        """
+        rows = self._rows(count)
+        vis = self.trace.header.modality_labels
+        head = vis[: vis.size - pinned]
+        return self._get(
+            ("modality_ranks", rows, pinned),
+            lambda: pool_ranks(
+                self.importance(rows), (np.flatnonzero(head), np.flatnonzero(~head))
+            ),
+        )
+
+    def token_ranks(self, count: int) -> np.ndarray:
+        """Ranks over all prompt positions as one pool, (L, H, n)."""
+        rows = self._rows(count)
+        n = self.trace.header.prompt_len
+        return self._get(
+            ("token_ranks", rows),
+            lambda: pool_ranks(self.importance(rows), (np.arange(n),)),
+        )
+
+    def decode(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per decode step: the float64 vector (L, H, n + s), its mass on
+        decode tokens and its total, both (L, H)."""
+        n = self.trace.header.prompt_len
+
+        def build():
+            steps = []
+            for vec in self.trace.decode:
+                v = vec.astype(np.float64)
+                steps.append((v, v[:, :, n:].sum(axis=2), v.sum(axis=2)))
+            return steps
+
+        return self._get(("decode",), build)
+
+
+# ---------------------------------------------------------------------------
 # planning primitives
 
 
-def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold: float) -> tuple[int, int]:
+def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold: float):
     """Minimum token counts covering `threshold` of each modality's mass.
 
     Tokens are taken in descending importance order; the count is the
@@ -140,20 +264,30 @@ def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold: float) ->
     with no mass needs 0 tokens. Scale-invariant: rescaling all scores leaves
     the counts unchanged.
 
+    `scores` has shape (..., n); the counts are taken along the last axis.
+
     Returns:
-        (visual_count, text_count)
+        (visual_count, text_count): two ints for a 1-d input, else two int64
+        arrays of shape scores.shape[:-1].
     """
     if not 0.0 < threshold <= 1.0:
         raise ParameterError(f"threshold must be in (0, 1], got {threshold}")
+    scores = np.asarray(scores)
+    visual = np.asarray(visual, dtype=bool)
     out = []
     for mask in (visual, ~visual):
-        vals = np.sort(scores[mask])[::-1]
-        cum = np.cumsum(vals)
-        if cum.size == 0 or cum[-1] <= 0:
-            out.append(0)
+        vals = np.sort(scores[..., mask], axis=-1)[..., ::-1]
+        cum = np.cumsum(vals, axis=-1)
+        if cum.shape[-1] == 0:
+            out.append(np.zeros(cum.shape[:-1], dtype=np.int64))
             continue
-        target = threshold * cum[-1]
-        out.append(int(np.searchsorted(cum, target, side="left")) + 1)
+        total = cum[..., -1:]
+        # On a non-decreasing cumsum, the count of entries below the target
+        # is the left insertion point of the target.
+        count = (cum < threshold * total).sum(axis=-1, dtype=np.int64) + 1
+        out.append(np.where(total[..., 0] > 0, count, 0))
+    if scores.ndim == 1:
+        return int(out[0]), int(out[1])
     return out[0], out[1]
 
 
@@ -223,19 +357,52 @@ def update_layer_budget(
     return max(layer_budget - step, floor)
 
 
+def _split_by_preference(
+    wv: np.ndarray, wt: np.ndarray, n_vis: int, n_txt: int, total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per head, largest_remainder_split([wv, wt], total), falling back to
+    the token counts where a head has no mass.
+
+    Same arithmetic as the scalar split: shares (w / w.sum()) * total,
+    floored, and the 0-2 leftover units go by larger remainder, then larger
+    weight, then visual first.
+    """
+    has_mass = wv + wt > 0
+    w0 = np.where(has_mass, wv, float(n_vis))
+    w1 = np.where(has_mass, wt, float(n_txt))
+    s = w0 + w1
+    e0 = (w0 / s) * total
+    e1 = (w1 / s) * total
+    b0 = np.floor(e0).astype(np.int64)
+    b1 = np.floor(e1).astype(np.int64)
+    leftover = total - (b0 + b1)
+    f0 = e0 - b0
+    f1 = e1 - b1
+    visual_first = (f0 > f1) | ((f0 == f1) & (w0 >= w1))
+    b0 += (leftover == 2) | ((leftover == 1) & visual_first)
+    b1 += (leftover == 2) | ((leftover == 1) & ~visual_first)
+    return b0, b1
+
+
 # ---------------------------------------------------------------------------
 # planner
 
 
-def plan_budgets(trace: AttentionTrace, cfg: PolicyConfig) -> BudgetPlan:
-    """Plan per-(layer, head, modality) retention for a whole trace."""
+def plan_budgets(
+    trace: AttentionTrace, cfg: PolicyConfig, *, tables: TraceTables | None = None
+) -> BudgetPlan:
+    """Plan per-(layer, head, modality) retention for a whole trace.
+
+    `tables` shares importance and coverage counts with other policies run
+    on the same trace; without it they are computed for this call.
+    """
+    if tables is None:
+        tables = TraceTables(trace)
     h = trace.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
     vis = h.modality_labels
     n_vis = int(vis.sum())
     n_txt = n - n_vis
-    min_keep_v = min(cfg.min_keep_per_modality, n_vis)
-    min_keep_t = min(cfg.min_keep_per_modality, n_txt)
     warnings: list[str] = []
 
     budget0 = round_half_up(cfg.budget_frac * n)
@@ -244,50 +411,49 @@ def plan_budgets(trace: AttentionTrace, cfg: PolicyConfig) -> BudgetPlan:
         budget0 = 1
     floor = 2.0 * cfg.min_keep_per_modality
 
-    scores = proxy_importance_matrix(trace, cfg.proxy)
+    # Copies: the plan owns its arrays, the tables serve every plan.
+    need_v, need_t = (
+        a.copy() for a in tables.needs(cfg.proxy.proxy_count, cfg.coverage_threshold)
+    )
+    proportional = cfg.budget_frac < 1.0 and cfg.mode is PolicyMode.PROPORTIONAL
+    if cfg.budget_frac >= 1.0:
+        # A full budget evicts nothing, whatever the coverage needs.
+        alloc_v = np.full((L, H), n_vis, dtype=np.int64)
+        alloc_t = np.full((L, H), n_txt, dtype=np.int64)
+    elif proportional:
+        alloc_v = np.zeros((L, H), dtype=np.int64)
+        alloc_t = np.zeros((L, H), dtype=np.int64)
+        mass_v, mass_t = tables.pool_mass(cfg.proxy.proxy_count)
+    else:
+        alloc_v, alloc_t = need_v, need_t
     layer_budget = np.zeros(L, dtype=np.float64)
     deviation = np.zeros(L, dtype=np.float64)
-    need_v = np.zeros((L, H), dtype=np.int64)
-    need_t = np.zeros((L, H), dtype=np.int64)
-    alloc_v = np.zeros((L, H), dtype=np.int64)
-    alloc_t = np.zeros((L, H), dtype=np.int64)
 
     budget = float(budget0)
     for l in range(L):
         layer_budget[l] = budget
-        for hd in range(H):
-            s = scores[l, hd]
-            kv, kt = coverage_counts(s, vis, cfg.coverage_threshold)
-            need_v[l, hd], need_t[l, hd] = kv, kt
-            if cfg.budget_frac >= 1.0:
-                # A full budget evicts nothing, whatever the coverage needs.
-                av, at = n_vis, n_txt
-            elif cfg.mode is PolicyMode.ADAPTIVE:
-                av, at = kv, kt
-            else:
-                total = min(round_half_up(budget), n)
-                wv = float(s[vis].sum())
-                wt = float(s[~vis].sum())
-                if wv + wt > 0:
-                    av, at = (int(x) for x in largest_remainder_split([wv, wt], total))
-                else:
-                    av, at = (int(x) for x in largest_remainder_split([n_vis, n_txt], total))
-                if av > n_vis:
-                    spill = av - n_vis
-                    av, at = n_vis, min(at + spill, n_txt)
+        if proportional:
+            total = min(round_half_up(budget), n)
+            av, at = _split_by_preference(mass_v[l], mass_t[l], n_vis, n_txt, total)
+            over_v = av > n_vis
+            over_t = ~over_v & (at > n_txt)
+            for hd in np.flatnonzero(over_v | over_t):
+                if over_v[hd]:
                     warnings.append(
                         f"layer {l} head {hd}: visual allocation exceeded "
-                        f"{n_vis} visual tokens, spilled {spill} to text"
+                        f"{n_vis} visual tokens, spilled {av[hd] - n_vis} to text"
                     )
-                elif at > n_txt:
-                    spill = at - n_txt
-                    at, av = n_txt, min(av + spill, n_vis)
+                else:
                     warnings.append(
                         f"layer {l} head {hd}: text allocation exceeded "
-                        f"{n_txt} text tokens, spilled {spill} to visual"
+                        f"{n_txt} text tokens, spilled {at[hd] - n_txt} to visual"
                     )
-            alloc_v[l, hd] = max(av, min_keep_v)
-            alloc_t[l, hd] = max(at, min_keep_t)
+            alloc_v[l] = np.where(
+                over_v, n_vis, np.where(over_t, np.minimum(av + at - n_txt, n_vis), av)
+            )
+            alloc_t[l] = np.where(
+                over_t, n_txt, np.where(over_v, np.minimum(at + av - n_vis, n_txt), at)
+            )
         deviation[l] = layer_budget_deviation(need_v[l], need_t[l], budget)
         if l + 1 < L:
             raw = update_layer_budget(
@@ -312,8 +478,8 @@ def plan_budgets(trace: AttentionTrace, cfg: PolicyConfig) -> BudgetPlan:
         prompt_len=n,
         layer_budget=layer_budget,
         deviation=deviation,
-        alloc_visual=alloc_v,
-        alloc_text=alloc_t,
+        alloc_visual=np.maximum(alloc_v, min(cfg.min_keep_per_modality, n_vis)),
+        alloc_text=np.maximum(alloc_t, min(cfg.min_keep_per_modality, n_txt)),
         need_visual=need_v,
         need_text=need_t,
         warnings=warnings,
@@ -324,21 +490,19 @@ def plan_budgets(trace: AttentionTrace, cfg: PolicyConfig) -> BudgetPlan:
 # masks
 
 
-def _top_by_importance(scores: np.ndarray, candidates: np.ndarray, quota: int) -> np.ndarray:
-    """Indices of the `quota` highest-importance candidates; ties go to the
-    more recent (larger) position."""
-    if quota <= 0 or candidates.size == 0:
-        return candidates[:0]
-    order = np.lexsort((-candidates, -scores[candidates]))
-    return candidates[order[:quota]]
-
-
-def build_masks(trace: AttentionTrace, plan: BudgetPlan, cfg: PolicyConfig) -> EvictionMask:
+def build_masks(
+    trace: AttentionTrace,
+    plan: BudgetPlan,
+    cfg: PolicyConfig,
+    *,
+    tables: TraceTables | None = None,
+) -> EvictionMask:
     """Materialize the plan into keep-vectors.
 
     Per (layer, head) and per modality the kept set is the top tokens by
-    importance, sized by the plan's allocation. Pinned proxy tokens are kept
-    first and charged against the text allocation.
+    importance, sized by the plan's allocation: a prefix of that modality's
+    ranking. Pinned proxy tokens are kept first and charged against the text
+    allocation.
     """
     h = trace.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
@@ -347,38 +511,30 @@ def build_masks(trace: AttentionTrace, plan: BudgetPlan, cfg: PolicyConfig) -> E
             f"plan shape {plan.alloc_visual.shape}/{plan.prompt_len} does not "
             f"match trace ({L}, {H})/{n}"
         )
+    if tables is None:
+        tables = TraceTables(trace)
     vis = h.modality_labels
     n_vis = int(vis.sum())
     n_txt = n - n_vis
-    scores = proxy_importance_matrix(trace, cfg.proxy)
     p_eff = cfg.proxy.effective(n) if cfg.pin_proxy_tokens else 0
-    pinned = np.arange(n - p_eff, n)
-    vis_idx = np.flatnonzero(vis[: n - p_eff] if p_eff else vis)
-    txt_idx = np.flatnonzero(~vis[: n - p_eff] if p_eff else ~vis)
+    quota_v = plan.alloc_visual
+    quota_t = plan.alloc_text
+    # An allocation covering every token evicts nothing, and gets no
+    # proxy-pinning arithmetic.
+    full = (quota_v >= n_vis) & (quota_t >= n_txt)
 
-    keep = np.zeros((L, H, n), dtype=bool)
     warnings: list[str] = []
-    for l in range(L):
-        for hd in range(H):
-            quota_v = int(plan.alloc_visual[l, hd])
-            quota_t = int(plan.alloc_text[l, hd])
-            if quota_v >= n_vis and quota_t >= n_txt:
-                # Allocation covers every token: nothing to evict, and no
-                # proxy-pinning arithmetic to apply.
-                keep[l, hd] = True
-                continue
-            if p_eff:
-                if quota_t < p_eff:
-                    warnings.append(
-                        f"layer {l} head {hd}: {p_eff} pinned proxy tokens "
-                        f"exceed text allocation {quota_t}"
-                    )
-                quota_t = max(quota_t - p_eff, 0)
-                quota_v = min(quota_v, vis_idx.size)
-            row = keep[l, hd]
-            row[pinned] = True
-            row[_top_by_importance(scores[l, hd], vis_idx, quota_v)] = True
-            row[_top_by_importance(scores[l, hd], txt_idx, quota_t)] = True
+    if p_eff:
+        for l, hd in np.argwhere(~full & (quota_t < p_eff)):
+            warnings.append(
+                f"layer {l} head {hd}: {p_eff} pinned proxy tokens "
+                f"exceed text allocation {quota_t[l, hd]}"
+            )
+        quota_t = np.maximum(quota_t - p_eff, 0)
+    ranks = tables.modality_ranks(cfg.proxy.proxy_count, p_eff)
+    keep = ranks < np.where(vis, quota_v[..., None], quota_t[..., None])
+    keep[:, :, n - p_eff:] = True
+    keep[full] = True
     return EvictionMask(policy=cfg.name, keep=keep, warnings=warnings)
 
 
@@ -388,14 +544,6 @@ def build_masks(trace: AttentionTrace, plan: BudgetPlan, cfg: PolicyConfig) -> E
 
 def _dump_canonical(obj: dict) -> bytes:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii") + b"\n"
-
-
-def _atomic_write(path: str | os.PathLike, payload: bytes) -> None:
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
 
 
 def plan_to_obj(plan: BudgetPlan) -> dict:
@@ -416,7 +564,7 @@ def plan_to_obj(plan: BudgetPlan) -> dict:
 
 
 def save_plan(plan: BudgetPlan, path: str | os.PathLike) -> None:
-    _atomic_write(path, _dump_canonical(plan_to_obj(plan)))
+    write_atomic(path, _dump_canonical(plan_to_obj(plan)))
 
 
 def load_plan(path: str | os.PathLike) -> BudgetPlan:
@@ -457,7 +605,7 @@ def mask_to_obj(mask: EvictionMask) -> dict:
 
 
 def save_mask(mask: EvictionMask, path: str | os.PathLike) -> None:
-    _atomic_write(path, _dump_canonical(mask_to_obj(mask)))
+    write_atomic(path, _dump_canonical(mask_to_obj(mask)))
 
 
 def load_mask(path: str | os.PathLike) -> EvictionMask:

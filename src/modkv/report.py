@@ -13,6 +13,7 @@ import json
 import os
 
 from .errors import ParameterError
+from .files import write_atomic
 from .trace import FORMAT_VERSION
 
 FORMATS = ("csv", "json")
@@ -50,15 +51,6 @@ def render_table(rows: list[dict], columns: list[str], fmt: str) -> bytes:
         for row in rows
     ]
     return json.dumps(out, separators=(",", ":"), ensure_ascii=True).encode("ascii") + b"\n"
-
-
-def write_atomic(path: str | os.PathLike, payload: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
 
 
 def write_table(path: str | os.PathLike, rows: list[dict], columns: list[str], fmt: str) -> None:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import BaselineConfig, baseline_mask
-from .errors import ValidationError
-from .policy import EvictionMask, PolicyConfig, build_masks, plan_budgets
+from .errors import ModkvError, ValidationError
+from .policy import EvictionMask, PolicyConfig, TraceTables, build_masks, plan_budgets
 from .trace import AttentionTrace
 
 # Bytes of KV cache per retained token, per layer, per head: K and V vectors
@@ -44,7 +44,9 @@ class SimReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def replay(trace: AttentionTrace, mask: EvictionMask) -> list[float]:
+def replay(
+    trace: AttentionTrace, mask: EvictionMask, *, tables: TraceTables | None = None
+) -> list[float]:
     """Retained attention mass per decode step, averaged over (layer, head).
 
     A step's retained mass for one (layer, head) is the share of the recorded
@@ -52,6 +54,9 @@ def replay(trace: AttentionTrace, mask: EvictionMask) -> list[float]:
     decode token generated so far (decode tokens are never evicted). Each
     share is normalized by the vector's own recorded total, so keeping
     everything yields exactly 1.0 regardless of float32 storage noise.
+
+    `tables` shares the float64 decode vectors and their totals with other
+    replays of the same trace.
     """
     h = trace.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
@@ -59,16 +64,14 @@ def replay(trace: AttentionTrace, mask: EvictionMask) -> list[float]:
         raise ValidationError(
             f"mask shape {mask.keep.shape} does not match trace ({L}, {H}, {n})"
         )
+    if mask.keep.all():
+        return [1.0] * len(trace.decode)
+    if tables is None:
+        tables = TraceTables(trace)
     keep_f = mask.keep.astype(np.float64)
-    full = bool(mask.keep.all())
     out = []
-    for vec in trace.decode:
-        v = vec.astype(np.float64)
-        if full:
-            out.append(1.0)
-            continue
-        numer = np.einsum("lhn,lhn->lh", v[:, :, :n], keep_f) + v[:, :, n:].sum(axis=2)
-        denom = v.sum(axis=2)
+    for v, tail, denom in tables.decode():
+        numer = np.einsum("lhn,lhn->lh", v[:, :, :n], keep_f) + tail
         ratio = np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
         out.append(float(np.mean(np.clip(ratio, 0.0, 1.0))))
     return out
@@ -88,20 +91,26 @@ def memory_model_rows(budget_fracs) -> list[tuple[float, float, float | None]]:
     return rows
 
 
-def make_mask(trace: AttentionTrace, spec: PolicySpec) -> tuple[EvictionMask, list[str]]:
+def make_mask(
+    trace: AttentionTrace, spec: PolicySpec, *, tables: TraceTables | None = None
+) -> tuple[EvictionMask, list[str]]:
     """Build the keep-vectors for any policy spec; returns (mask, warnings)."""
     if isinstance(spec, PolicyConfig):
-        plan = plan_budgets(trace, spec)
-        mask = build_masks(trace, plan, spec)
+        plan = plan_budgets(trace, spec, tables=tables)
+        mask = build_masks(trace, plan, spec, tables=tables)
         return mask, plan.warnings + mask.warnings
-    mask = baseline_mask(trace, spec)
+    mask = baseline_mask(trace, spec, tables=tables)
     return mask, list(mask.warnings)
 
 
-def simulate(trace: AttentionTrace, spec: PolicySpec) -> SimReport:
+def simulate(
+    trace: AttentionTrace, spec: PolicySpec, *, tables: TraceTables | None = None
+) -> SimReport:
     """Plan, mask, and replay one policy against one trace."""
-    mask, warnings = make_mask(trace, spec)
-    per_step = replay(trace, mask)
+    if tables is None:
+        tables = TraceTables(trace)
+    mask, warnings = make_mask(trace, spec, tables=tables)
+    per_step = replay(trace, mask, tables=tables)
     mean = float(np.mean(per_step)) if per_step else 1.0
     kept = mask.kept_counts()
     return SimReport(
@@ -115,19 +124,23 @@ def simulate(trace: AttentionTrace, spec: PolicySpec) -> SimReport:
     )
 
 
-def compare(trace: AttentionTrace, specs) -> list[SimReport]:
+def compare(trace: AttentionTrace, specs, *, tables: TraceTables | None = None) -> list[SimReport]:
     """Run several policies on one trace.
 
     Reports come back sorted by mean retained mass (descending), name as the
-    tie-break. A policy that raises is reported with zero mass and the error
-    in its warnings; it does not abort the batch.
+    tie-break. A policy that raises a ModkvError (a bad parameter for this
+    trace, say) is reported with zero mass and the error in its warnings; it
+    does not abort the batch. Any other exception is a bug and propagates.
+    The policies share `tables`, or one set built for this call.
     """
     h = trace.header
+    if tables is None:
+        tables = TraceTables(trace)
     reports = []
     for spec in specs:
         try:
-            reports.append(simulate(trace, spec))
-        except Exception as exc:  # noqa: BLE001 - isolate policy failures
+            reports.append(simulate(trace, spec, tables=tables))
+        except ModkvError as exc:
             reports.append(
                 SimReport(
                     policy=spec.name,

@@ -7,15 +7,17 @@ recorded.
 
 Two interchangeable containers are supported and sniffed by magic bytes:
 
-* a text container (JSON, canonical field order, shortest round-trip decimal
-  rendering of each score), and
+* a text container (JSON, canonical field order, each score rendered as
+  the shortest decimal of its float64 value), and
 * a binary container (magic ``MKVT``, little-endian u32 header, modality
   labels packed as bits, scores as little-endian float32).
 
 Scores are canonically float32: the binary container stores float32 anyway,
-and the text writer renders the shortest decimal that round-trips through
-float32, so saving a loaded trace reproduces the file byte for byte in either
-format. Text input written with higher precision is quantized on load.
+and the text writer renders each float32 score widened to float64, as the
+shortest decimal that round-trips through float64 (0.1f is written
+0.10000000149011612). Reading such a decimal back to float32 is exact, so
+saving a loaded trace reproduces the file byte for byte in either format.
+Text input written with higher precision is quantized on load.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ValidationError
+from .files import write_atomic
 
 FORMAT_VERSION = 1
 BINARY_MAGIC = b"MKVT"
@@ -213,11 +216,6 @@ class AttentionTrace:
 # text container
 
 
-def _render_f32(x: np.float32) -> str:
-    """Shortest decimal string that parses back to the same float32."""
-    return repr(float(x))
-
-
 def _trace_to_json_obj(trace: AttentionTrace) -> dict:
     h = trace.header
     n = h.prompt_len
@@ -244,8 +242,8 @@ def _trace_to_json_obj(trace: AttentionTrace) -> dict:
 
 
 def trace_to_text(trace: AttentionTrace) -> bytes:
-    """Render the canonical text container (fixed field order, shortest
-    round-trip decimals, single trailing newline)."""
+    """Render the canonical text container (fixed field order, each score as
+    the shortest float64 round-trip decimal, single trailing newline)."""
     obj = _trace_to_json_obj(trace)
     body = json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
     return body.encode("ascii") + b"\n"
@@ -412,11 +410,7 @@ def save_trace(trace: AttentionTrace, path: str | os.PathLike, *, binary: bool |
     path = os.fspath(path)
     if binary is None:
         binary = path.endswith(".mkvt")
-    payload = trace_to_binary(trace) if binary else trace_to_text(trace)
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    write_atomic(path, trace_to_binary(trace) if binary else trace_to_text(trace))
 
 
 def load_trace(path: str | os.PathLike) -> AttentionTrace:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from modkv import AttentionTrace, SyntheticTraceSpec, TraceHeader, generate_synthetic
+from modkv.policy import pool_ranks
 
 
 def labels_from(spec, n):
@@ -37,6 +38,13 @@ def make_trace(rows, labels=None, decode=(), tile=(1, 1), validate=True):
     if validate:
         trace.validate()
     return trace
+
+
+def top_by_rank(scores, candidates, quota):
+    """The candidates the library's rank-prefix kernel keeps at `quota`, in
+    position order."""
+    ranks = pool_ranks(np.asarray(scores), [candidates])
+    return candidates[ranks[candidates] < quota]
 
 
 def uniform_rows(n):

@@ -2,13 +2,34 @@
 
 Everything here trades speed for obviousness: plain Python loops, explicit
 prefix scans, exhaustive subset search, and exact rational arithmetic where
-the property under test is an algebraic identity. None of it shares code with
-the library.
+the property under test is an algebraic identity. The brute-force oracles
+share no code with the library. The per-head reference path at the end
+reuses the library's scalar primitives (rounding, the largest-remainder
+split, the budget update), which have tests of their own, so that it pins
+down exactly the arithmetic the vectorised kernel must reproduce.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
+
+from modkv import (
+    BaselineKind,
+    BudgetPlan,
+    EvictionMask,
+    PolicyConfig,
+    PolicyMode,
+    SimReport,
+    baseline_mask,
+    estimate_memory,
+    largest_remainder_split,
+    layer_budget_deviation,
+    proxy_importance_matrix,
+    round_half_up,
+    update_layer_budget,
+)
 
 
 def brute_importance(trace, layer, head, proxy_count):
@@ -122,3 +143,218 @@ def exact_topk_share(values, frac):
     vals = sorted((Fraction(float(v)) for v in values), reverse=True)
     k = math.ceil(frac * len(vals))
     return sum(vals[:k]) / sum(vals)
+
+
+# ---------------------------------------------------------------------------
+# Per-head reference path: the planner, mask and baseline loops as they were
+# before the library vectorised them over (layer, head). The vectorised code
+# must match these exactly: same arrays, same warnings in the same order.
+
+
+def top_by_importance(scores, candidates, quota):
+    """Indices of the `quota` highest-importance candidates; ties go to the
+    more recent (larger) position."""
+    if quota <= 0 or candidates.size == 0:
+        return candidates[:0]
+    order = np.lexsort((-candidates, -scores[candidates]))
+    return candidates[order[:quota]]
+
+
+def reference_coverage_counts(scores, visual, threshold):
+    """Per-pool sort, sequential cumsum and left insertion point of the target."""
+    out = []
+    for mask in (visual, ~visual):
+        vals = np.sort(scores[mask])[::-1]
+        cum = np.cumsum(vals)
+        if cum.size == 0 or cum[-1] <= 0:
+            out.append(0)
+            continue
+        out.append(int(np.searchsorted(cum, threshold * cum[-1], side="left")) + 1)
+    return out[0], out[1]
+
+
+def reference_plan(trace, cfg):
+    """The per-(layer, head) planner loop; returns a BudgetPlan."""
+    h = trace.header
+    L, H, n = h.num_layers, h.num_heads, h.prompt_len
+    vis = h.modality_labels
+    n_vis = int(vis.sum())
+    n_txt = n - n_vis
+    min_keep_v = min(cfg.min_keep_per_modality, n_vis)
+    min_keep_t = min(cfg.min_keep_per_modality, n_txt)
+    warnings = []
+
+    budget0 = round_half_up(cfg.budget_frac * n)
+    if budget0 < 1:
+        warnings.append(f"initial budget {budget0} clamped up to 1")
+        budget0 = 1
+    floor = 2.0 * cfg.min_keep_per_modality
+
+    scores = proxy_importance_matrix(trace, cfg.proxy)
+    layer_budget = np.zeros(L, dtype=np.float64)
+    deviation = np.zeros(L, dtype=np.float64)
+    need_v = np.zeros((L, H), dtype=np.int64)
+    need_t = np.zeros((L, H), dtype=np.int64)
+    alloc_v = np.zeros((L, H), dtype=np.int64)
+    alloc_t = np.zeros((L, H), dtype=np.int64)
+
+    budget = float(budget0)
+    for l in range(L):
+        layer_budget[l] = budget
+        for hd in range(H):
+            s = scores[l, hd]
+            kv, kt = reference_coverage_counts(s, vis, cfg.coverage_threshold)
+            need_v[l, hd], need_t[l, hd] = kv, kt
+            if cfg.budget_frac >= 1.0:
+                av, at = n_vis, n_txt
+            elif cfg.mode is PolicyMode.ADAPTIVE:
+                av, at = kv, kt
+            else:
+                total = min(round_half_up(budget), n)
+                wv = float(s[vis].sum())
+                wt = float(s[~vis].sum())
+                if wv + wt > 0:
+                    av, at = (int(x) for x in largest_remainder_split([wv, wt], total))
+                else:
+                    av, at = (int(x) for x in largest_remainder_split([n_vis, n_txt], total))
+                if av > n_vis:
+                    spill = av - n_vis
+                    av, at = n_vis, min(at + spill, n_txt)
+                    warnings.append(
+                        f"layer {l} head {hd}: visual allocation exceeded "
+                        f"{n_vis} visual tokens, spilled {spill} to text"
+                    )
+                elif at > n_txt:
+                    spill = at - n_txt
+                    at, av = n_txt, min(av + spill, n_vis)
+                    warnings.append(
+                        f"layer {l} head {hd}: text allocation exceeded "
+                        f"{n_txt} text tokens, spilled {spill} to visual"
+                    )
+            alloc_v[l, hd] = max(av, min_keep_v)
+            alloc_t[l, hd] = max(at, min_keep_t)
+        deviation[l] = layer_budget_deviation(need_v[l], need_t[l], budget)
+        if l + 1 < L:
+            raw = update_layer_budget(
+                budget, deviation[l], l, L, H,
+                head_normalize=cfg.head_normalize_compensation, floor=-np.inf,
+            )
+            if raw < floor:
+                warnings.append(
+                    f"layer {l + 1}: budget {raw:.3f} clamped up to floor {floor:.3f}"
+                )
+                raw = floor
+            budget = raw
+
+    return BudgetPlan(
+        mode=cfg.mode, budget_frac=cfg.budget_frac, prompt_len=n,
+        layer_budget=layer_budget, deviation=deviation,
+        alloc_visual=alloc_v, alloc_text=alloc_t,
+        need_visual=need_v, need_text=need_t, warnings=warnings,
+    )
+
+
+def reference_masks(trace, plan, cfg):
+    """The per-(layer, head) mask loop; returns an EvictionMask."""
+    h = trace.header
+    L, H, n = h.num_layers, h.num_heads, h.prompt_len
+    vis = h.modality_labels
+    n_vis = int(vis.sum())
+    n_txt = n - n_vis
+    scores = proxy_importance_matrix(trace, cfg.proxy)
+    p_eff = cfg.proxy.effective(n) if cfg.pin_proxy_tokens else 0
+    pinned = np.arange(n - p_eff, n)
+    vis_idx = np.flatnonzero(vis[: n - p_eff] if p_eff else vis)
+    txt_idx = np.flatnonzero(~vis[: n - p_eff] if p_eff else ~vis)
+
+    keep = np.zeros((L, H, n), dtype=bool)
+    warnings = []
+    for l in range(L):
+        for hd in range(H):
+            quota_v = int(plan.alloc_visual[l, hd])
+            quota_t = int(plan.alloc_text[l, hd])
+            if quota_v >= n_vis and quota_t >= n_txt:
+                keep[l, hd] = True
+                continue
+            if p_eff:
+                if quota_t < p_eff:
+                    warnings.append(
+                        f"layer {l} head {hd}: {p_eff} pinned proxy tokens "
+                        f"exceed text allocation {quota_t}"
+                    )
+                quota_t = max(quota_t - p_eff, 0)
+                quota_v = min(quota_v, vis_idx.size)
+            row = keep[l, hd]
+            row[pinned] = True
+            row[top_by_importance(scores[l, hd], vis_idx, quota_v)] = True
+            row[top_by_importance(scores[l, hd], txt_idx, quota_t)] = True
+    return EvictionMask(policy=cfg.name, keep=keep, warnings=warnings)
+
+
+def reference_baseline_mask(trace, cfg):
+    """The per-(layer, head) loop of the score-driven baselines (the window
+    ones have no loop and are unchanged)."""
+    h = trace.header
+    L, H, n = h.num_layers, h.num_heads, h.prompt_len
+    budget = cfg.kept_per_head(n)
+    w = min(cfg.observation_window, n)
+    scores = trace.prefill[:, :, n - w:, :].astype(np.float64).sum(axis=2)
+    all_idx = np.arange(n)
+    vis_idx = np.flatnonzero(h.modality_labels)
+    txt_idx = np.flatnonzero(h.text_mask)
+    keep = np.zeros((L, H, n), dtype=bool)
+    for l in range(L):
+        for hd in range(H):
+            s = scores[l, hd]
+            if cfg.kind is BaselineKind.CUMULATIVE_TOPK:
+                keep[l, hd, top_by_importance(s, all_idx, budget)] = True
+                continue
+            want_text = min(round_half_up(cfg.text_priority_frac * budget), txt_idx.size)
+            want_vis = min(budget - want_text, vis_idx.size)
+            want_text = min(budget - want_vis, txt_idx.size)
+            keep[l, hd, top_by_importance(s, txt_idx, want_text)] = True
+            keep[l, hd, top_by_importance(s, vis_idx, want_vis)] = True
+    return EvictionMask(policy=cfg.name, keep=keep)
+
+
+def reference_replay(trace, mask):
+    """Replay converting each decode step to float64 on every call."""
+    n = trace.header.prompt_len
+    keep_f = mask.keep.astype(np.float64)
+    full = bool(mask.keep.all())
+    out = []
+    for vec in trace.decode:
+        v = vec.astype(np.float64)
+        if full:
+            out.append(1.0)
+            continue
+        numer = np.einsum("lhn,lhn->lh", v[:, :, :n], keep_f) + v[:, :, n:].sum(axis=2)
+        denom = v.sum(axis=2)
+        ratio = np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
+        out.append(float(np.mean(np.clip(ratio, 0.0, 1.0))))
+    return out
+
+
+def reference_simulate(trace, spec):
+    """plan -> mask -> replay along the per-head reference path."""
+    if isinstance(spec, PolicyConfig):
+        plan = reference_plan(trace, spec)
+        mask = reference_masks(trace, plan, spec)
+        warnings = plan.warnings + mask.warnings
+    elif spec.kind in (BaselineKind.CUMULATIVE_TOPK, BaselineKind.FIXED_PRIORITY):
+        mask = reference_baseline_mask(trace, spec)
+        warnings = []
+    else:
+        mask = baseline_mask(trace, spec)
+        warnings = list(mask.warnings)
+    per_step = reference_replay(trace, mask)
+    kept = mask.kept_counts()
+    return SimReport(
+        policy=spec.name,
+        budget_frac=spec.budget_frac,
+        per_step_retained_mass=per_step,
+        mean_retained_mass=float(np.mean(per_step)) if per_step else 1.0,
+        kept_counts=kept,
+        memory_bytes_est=estimate_memory(kept),
+        warnings=warnings,
+    )

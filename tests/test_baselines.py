@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import make_trace, small_spec, uniform_rows
+from conftest import make_trace, small_spec, top_by_rank, uniform_rows
 from modkv import (
     BaselineConfig,
     BaselineKind,
@@ -14,7 +14,6 @@ from modkv import (
     generate_synthetic,
     window_scores,
 )
-from modkv.policy import _top_by_importance
 
 
 def kept_indices(mask, layer=0, head=0):
@@ -49,6 +48,11 @@ class TestSinkWindow:
         t = make_trace(uniform_rows(10))
         cfg = BaselineConfig(BaselineKind.SINK_WINDOW, 0.4, sink_count=2)
         assert kept_indices(baseline_mask(t, cfg)) == {0, 1, 8, 9}
+
+    def test_sink_count_equal_to_budget_keeps_only_the_sinks(self):
+        t = make_trace(uniform_rows(10))
+        cfg = BaselineConfig(BaselineKind.SINK_WINDOW, 0.3, sink_count=3)
+        assert kept_indices(baseline_mask(t, cfg)) == {0, 1, 2}
 
     def test_sink_count_must_leave_window_room(self):
         t = make_trace(uniform_rows(10))
@@ -87,8 +91,8 @@ class TestCumulativeTopK:
         rng = np.random.default_rng(seed)
         scores = rng.permutation(16).astype(np.float64)
         perm = rng.permutation(16)
-        base = _top_by_importance(scores, np.arange(16), quota)
-        permuted = _top_by_importance(scores[perm], np.arange(16), quota)
+        base = top_by_rank(scores, np.arange(16), quota)
+        permuted = top_by_rank(scores[perm], np.arange(16), quota)
         assert {int(perm[i]) for i in permuted} == set(base.tolist())
 
 
@@ -104,7 +108,7 @@ class TestFixedPriority:
                 kept = mask.keep[l, hd]
                 assert (kept & ~vis).sum() == 0
                 ws = window_scores(t, cfg.observation_window)[l, hd]
-                want = _top_by_importance(ws, np.flatnonzero(vis), 6)
+                want = top_by_rank(ws, np.flatnonzero(vis), 6)
                 assert kept_indices(mask, l, hd) == set(want.tolist())
 
     def test_full_text_priority_degenerates_to_text_topk(self):

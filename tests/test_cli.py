@@ -1,11 +1,14 @@
 """Command-line interface tests, driven through main()."""
 
 import csv
+import importlib
 import json
+import sys
 
 import pytest
 
 from conftest import make_trace, uniform_rows
+import modkv
 from modkv import load_trace, save_trace
 from modkv.cli import build_policy_spec, effective_options, main, make_parser
 
@@ -184,6 +187,16 @@ class TestCompare:
         rows = read_csv(out / "compare.csv")
         assert rows[0]["theta"] == "0.5"
 
+    def test_a_bug_in_a_policy_exits_4(self, demo_trace, tmp_path, monkeypatch, capsys):
+        def broken(trace, spec, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(importlib.import_module("modkv.simulate"), "baseline_mask", broken)
+        assert run("compare", "--trace", str(demo_trace), "--policy", "recent_window",
+                   "--budget", "0.5", "--out", str(tmp_path / "bug")) == 4
+        assert "internal error: ValueError" in capsys.readouterr().err
+        assert not (tmp_path / "bug" / "compare.csv").exists()
+
     def test_bad_policy_parameter_is_a_parameter_error(self, demo_trace, tmp_path):
         assert run("compare", "--trace", str(demo_trace),
                    "--policy", "adaptive:junk", "--out", str(tmp_path)) == 2
@@ -202,6 +215,45 @@ class TestSweep:
         assert sorted(r["theta"] for r in adaptive) == ["0.5", "0.7", "0.9"]
         assert len(recents) == 1
         assert recents[0]["theta"] == ""
+
+    def test_importance_is_computed_once_per_trace_and_row_count(self, tmp_path, monkeypatch):
+        """Every cell of a sweep reuses its trace's importance tables: one
+        computation per trace per distinct proxy count or observation window,
+        whichever function computes it."""
+        traces = []
+        for n in (24, 20):
+            assert run("generate", "--name", f"t{n}", "--prompt-len", str(n),
+                       "--decode-steps", "2", "--out", str(tmp_path)) == 0
+            traces.append(str(tmp_path / f"t{n}.json"))
+        calls = []
+
+        def counting(fn, rows_of):
+            def wrapper(trace, *args):
+                calls.append((trace.header.prompt_len, rows_of(trace, *args)))
+                return fn(trace, *args)
+            return wrapper
+
+        targets = {
+            "proxy_importance_matrix": lambda t, proxy: proxy.effective(t.header.prompt_len),
+            "window_scores": lambda t, w: min(w, t.header.prompt_len),
+        }
+        for name, rows_of in targets.items():
+            original = getattr(modkv, name)
+            wrapper = counting(original, rows_of)
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("modkv") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+
+        argv = ["sweep", "--proxy-count", "8", "--budget", "0.1,0.3",
+                "--thetas", "0.5,0.7,0.9", "--out", str(tmp_path / "sw")]
+        for t in traces:
+            argv += ["--trace", t]
+        for policy in ("adaptive", "proportional", "recent_window", "fixed_priority",
+                       "cumulative_topk:observation_window=5",
+                       "sink_window:sink_count=1"):
+            argv += ["--policy", policy]
+        assert run(*argv) == 0
+        assert sorted(calls) == [(20, 5), (20, 8), (24, 5), (24, 8)]
 
 
 class TestConfigPrecedence:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from conftest import make_trace, small_spec, uniform_rows
+from conftest import make_trace, small_spec, top_by_rank, uniform_rows
 from modkv import (
     BudgetPlan,
     EvictionMask,
@@ -28,7 +28,6 @@ from modkv import (
     update_layer_budget,
 )
 from modkv.allocation import round_half_up
-from modkv.policy import _top_by_importance
 
 ALL_TEXT = np.zeros(3, dtype=bool)
 
@@ -260,11 +259,11 @@ class TestPlanBudgets:
 
 class TestTopByImportance:
     def test_tie_breaks_toward_recent_token(self):
-        got = _top_by_importance(np.array([0.1, 0.4, 0.4]), np.arange(3), 1)
+        got = top_by_rank(np.array([0.1, 0.4, 0.4]), np.arange(3), 1)
         assert got.tolist() == [2]
 
     def test_zero_quota_selects_nothing(self):
-        got = _top_by_importance(np.array([0.5, 0.5]), np.arange(2), 0)
+        got = top_by_rank(np.array([0.5, 0.5]), np.arange(2), 0)
         assert got.size == 0
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 64.0])
@@ -272,8 +271,8 @@ class TestTopByImportance:
         rng = np.random.default_rng(5)
         scores = rng.random(30)
         cand = np.arange(30)
-        a = _top_by_importance(scores, cand, 7)
-        b = _top_by_importance(scores * scale, cand, 7)
+        a = top_by_rank(scores, cand, 7)
+        b = top_by_rank(scores * scale, cand, 7)
         assert np.array_equal(a, b)
 
 

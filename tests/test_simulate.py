@@ -1,5 +1,6 @@
 """Replay, memory model, and policy comparison tests."""
 
+import importlib
 import math
 
 import numpy as np
@@ -179,6 +180,16 @@ class TestSimulateAndCompare:
         assert by_name["sink_window"].mean_retained_mass == 0.0
         assert any("policy failed" in w for w in by_name["sink_window"].warnings)
         assert by_name["recent_window"].warnings == []
+
+    def test_a_bug_in_a_policy_is_not_swallowed(self, mixed_trace, monkeypatch):
+        """Only package errors become failure rows; anything else is a bug."""
+        def broken(trace, spec, **kwargs):
+            raise IndexError("index 99 is out of bounds")
+
+        # The package re-exports a function named simulate; patch the module.
+        monkeypatch.setattr(importlib.import_module("modkv.simulate"), "baseline_mask", broken)
+        with pytest.raises(IndexError):
+            compare(mixed_trace, [BaselineConfig(BaselineKind.RECENT_WINDOW, 0.5)])
 
     def test_report_carries_memory_estimate(self, mixed_trace):
         rep = simulate(mixed_trace, BaselineConfig(BaselineKind.RECENT_WINDOW, 0.25))
