@@ -67,6 +67,14 @@ class BaselineConfig:
     def name(self) -> str:
         return self.kind.value
 
+    @property
+    def prefill_rows(self) -> int:
+        """Trailing prefill rows this baseline reads: the observation window
+        for the score-driven ones, none for the window ones."""
+        if self.kind in (BaselineKind.CUMULATIVE_TOPK, BaselineKind.FIXED_PRIORITY):
+            return self.observation_window
+        return 0
+
     def kept_per_head(self, prompt_len: int) -> int:
         return min(max(round_half_up(self.budget_frac * prompt_len), 1), prompt_len)
 

@@ -279,14 +279,21 @@ def _prepare_out(opts: dict) -> Path:
     return out_dir
 
 
-def _load_traces(paths: list[str]) -> list[tuple[str, AttentionTrace]]:
+def _load_traces(paths: list[str], rows: int | None = None) -> list[tuple[str, AttentionTrace]]:
+    """Load every trace, keeping the last `rows` prefill rows (None: all)."""
     loaded = []
     for p in paths:
         try:
-            loaded.append((Path(p).stem, load_trace(p)))
+            loaded.append((Path(p).stem, load_trace(p, rows=rows)))
         except OSError as exc:
             raise FormatError(f"cannot read trace {p}: {exc}") from None
     return loaded
+
+
+def _rows_read(specs) -> int:
+    """Prefill rows the specs read between them: the most proxy or
+    observation-window rows any of them uses, and at least one."""
+    return max([1, *(spec.prefill_rows for spec in specs)])
 
 
 def _policy_list(opts: dict) -> list[tuple[str, dict]]:
@@ -385,14 +392,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     opts = effective_options(args)
     out_dir = _prepare_out(opts)
-    traces = _load_traces(args.trace)
-    budget = _parse_float_list(str(opts["budget"]))[0]
-    name, params = _policy_list(opts)[0]
+    budgets = _parse_float_list(str(opts["budget"]))
+    if len(budgets) != 1:
+        raise ParameterError(
+            f"run takes exactly one --budget value, got {len(budgets)}: {opts['budget']}"
+        )
+    policies = opts["policy"] or [opts["mode"]]
+    if len(policies) != 1:
+        raise ParameterError(f"run takes exactly one --policy, got {len(policies)}")
+    budget = budgets[0]
+    name, params = _parse_policy_arg(policies[0])
+    spec = build_policy_spec(name, params, opts, budget)
+    traces = _load_traces(args.trace, _rows_read([spec]))
     fmt = opts["format"]
 
     rows = []
     for trace_name, trace in traces:
-        spec = build_policy_spec(name, params, opts, budget)
         tables = TraceTables(trace)
         warnings: list[str] = []
         if isinstance(spec, PolicyConfig):
@@ -425,46 +440,48 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _run_grid(args: argparse.Namespace, thetas: list[float] | None) -> int:
     opts = effective_options(args)
     out_dir = _prepare_out(opts)
-    traces = _load_traces(args.trace)
     budgets = _parse_float_list(str(opts["budget"]))
     theta_grid = thetas if thetas is not None else [None]
     policies = _policy_list(opts)
     fmt = opts["format"]
+
+    cells = []
+    for budget in budgets:
+        for grid_index, theta in enumerate(theta_grid):
+            shared = dict(opts)
+            if theta is not None:
+                shared["theta"] = theta
+            # Baselines ignore the coverage threshold, so evaluate them
+            # only at the first grid point.
+            cell = policies if grid_index == 0 else [
+                (n, p) for n, p in policies if n not in BASELINE_NAMES
+            ]
+            if cell:
+                cells.append([build_policy_spec(n, p, shared, budget) for n, p in cell])
+    traces = _load_traces(args.trace, _rows_read(s for specs in cells for s in specs))
 
     rows, series = [], []
     for trace_name, trace in traces:
         # Every cell on this trace reuses one set of rankings; rebinding on
         # the next trace frees them.
         tables = TraceTables(trace)
-        for budget in budgets:
-            for grid_index, theta in enumerate(theta_grid):
-                shared = dict(opts)
-                if theta is not None:
-                    shared["theta"] = theta
-                # Baselines ignore the coverage threshold, so evaluate them
-                # only at the first grid point.
-                cell = policies if grid_index == 0 else [
-                    (n, p) for n, p in policies if n not in BASELINE_NAMES
-                ]
-                if not cell:
-                    continue
-                specs = [build_policy_spec(n, p, shared, budget) for n, p in cell]
-                for rep in compare(trace, specs, tables=tables):
-                    spec_theta = next(
-                        (_theta_of(s) for s in specs if s.name == rep.policy), None
+        for specs in cells:
+            for rep in compare(trace, specs, tables=tables):
+                spec_theta = next(
+                    (_theta_of(s) for s in specs if s.name == rep.policy), None
+                )
+                rows.append(_report_rows(trace_name, rep, spec_theta))
+                for step, mass in enumerate(rep.per_step_retained_mass):
+                    series.append(
+                        {
+                            "trace": trace_name,
+                            "policy": rep.policy,
+                            "budget_frac": rep.budget_frac,
+                            "theta": spec_theta,
+                            "step": step + 1,
+                            "retained_mass": mass,
+                        }
                     )
-                    rows.append(_report_rows(trace_name, rep, spec_theta))
-                    for step, mass in enumerate(rep.per_step_retained_mass):
-                        series.append(
-                            {
-                                "trace": trace_name,
-                                "policy": rep.policy,
-                                "budget_frac": rep.budget_frac,
-                                "theta": spec_theta,
-                                "step": step + 1,
-                                "retained_mass": mass,
-                            }
-                        )
     rows.sort(
         key=lambda r: (
             r["trace"], r["budget_frac"], -r["mean_retained_mass"], r["policy"],

@@ -70,16 +70,27 @@ class PreferenceWeights:
         return self.visual + self.text
 
 
+def _proxy_start(trace: AttentionTrace, proxy: ProxyConfig) -> int:
+    """Index, into the rows `trace.prefill` holds, of the first proxy row."""
+    n = trace.header.prompt_len
+    p = proxy.effective(n)
+    held = n - trace.first_row
+    if p > held:
+        raise ParameterError(
+            f"{p} proxy rows requested, but the trace holds only the last {held} "
+            f"prefill rows"
+        )
+    return held - p
+
+
 def proxy_importance_matrix(trace: AttentionTrace, proxy: ProxyConfig | None = None) -> np.ndarray:
     """Importance for every (layer, head) at once; shape (L, H, n), float64.
 
     Column sums over the proxy rows, accumulated in float64 in ascending row
     order (a fixed order keeps results bit-stable between runs).
     """
-    proxy = proxy or ProxyConfig()
-    n = trace.header.prompt_len
-    p = proxy.effective(n)
-    block = trace.prefill[:, :, n - p:, :].astype(np.float64)
+    start = _proxy_start(trace, proxy or ProxyConfig())
+    block = trace.prefill[:, :, start:, :].astype(np.float64)
     return block.sum(axis=2)
 
 
@@ -93,10 +104,8 @@ def proxy_importance(
             f"(layer, head) = ({layer}, {head}) out of range for "
             f"({h.num_layers}, {h.num_heads})"
         )
-    proxy = proxy or ProxyConfig()
-    n = h.prompt_len
-    p = proxy.effective(n)
-    scores = trace.prefill[layer, head, n - p:, :].astype(np.float64).sum(axis=0)
+    start = _proxy_start(trace, proxy or ProxyConfig())
+    scores = trace.prefill[layer, head, start:, :].astype(np.float64).sum(axis=0)
     return ImportanceVector(layer, head, scores)
 
 
@@ -128,6 +137,7 @@ def head_text_share(trace: AttentionTrace, layer: int, head: int) -> float:
             f"(layer, head) = ({layer}, {head}) out of range for "
             f"({h.num_layers}, {h.num_heads})"
         )
+    trace.require_full("head_text_share")
     block = trace.prefill[layer, head].astype(np.float64)
     total = block.sum()
     if total <= 0:

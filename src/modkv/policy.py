@@ -81,6 +81,11 @@ class PolicyConfig:
     def name(self) -> str:
         return self.mode.value
 
+    @property
+    def prefill_rows(self) -> int:
+        """Trailing prefill rows this policy reads: its proxy rows."""
+        return self.proxy.proxy_count
+
 
 @dataclass
 class BudgetPlan:

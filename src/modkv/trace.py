@@ -1,9 +1,16 @@
 """Attention trace model and on-disk containers.
 
 A trace is a recording of post-softmax attention scores from one multimodal
-inference: a dense causal prefill cube plus one score vector per decode step.
+inference: causal prefill rows plus one score vector per decode step.
 Nothing here recomputes attention; the simulator only ever replays what was
 recorded.
+
+A trace holds prompt rows ``first_row..n-1`` of each (layer, head). With the
+default ``first_row = 0`` that is the whole causal prefill cube. The loaders
+can keep only the last rows, which are all that importance and the
+score-driven baselines read: they stream the file one head at a time, check
+every row of every head, and keep the tail. Statistics over the whole prompt
+pass (``head_text_share``) and the writers need every row.
 
 Two interchangeable containers are supported and sniffed by magic bytes:
 
@@ -23,13 +30,15 @@ Text input written with higher precision is quantized on load.
 from __future__ import annotations
 
 import enum
+import io
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ParameterError, ValidationError
 from .files import write_atomic
 
 FORMAT_VERSION = 1
@@ -136,16 +145,20 @@ class AttentionTrace:
 
     Attributes:
         header: shape metadata and modality labels.
-        prefill: float32 array (L, H, n, n); row i of each (layer, head) is a
-            causal probability vector over positions 0..i (upper triangle 0).
+        prefill: float32 array (L, H, n - first_row, n); row j of each
+            (layer, head) holds prompt row i = first_row + j, a causal
+            probability vector over positions 0..i (zero beyond i).
         decode: list of float32 arrays, one per decode step; step s (0-based)
             has shape (L, H, n + s), a probability vector over the prompt plus
             the s decode tokens generated before it.
+        first_row: the first prompt row held; 0 (the default) holds the dense
+            causal cube.
     """
 
     header: TraceHeader
     prefill: np.ndarray
     decode: list[np.ndarray]
+    first_row: int = 0
 
     def __post_init__(self):
         self.prefill = np.ascontiguousarray(self.prefill, dtype=np.float32)
@@ -153,35 +166,40 @@ class AttentionTrace:
 
     def validate(self) -> None:
         """Check every structural invariant, raising ValidationError with the
-        offending (layer, head, row) coordinates on the first failure."""
+        offending (layer, head, row) coordinates on the first failure. Rows
+        are reported as prompt rows, whatever `first_row` is."""
         h = self.header
         L, H, n = h.num_layers, h.num_heads, h.prompt_len
-        if self.prefill.shape != (L, H, n, n):
+        first = self.first_row
+        if not 0 <= first < n:
+            raise ValidationError(f"first_row {first} out of range for prompt length {n}")
+        if self.prefill.shape != (L, H, n - first, n):
             raise ValidationError(
                 f"prefill shape {self.prefill.shape} does not match header "
-                f"({L}, {H}, {n}, {n})"
+                f"({L}, {H}, {n - first}, {n})"
             )
         if len(self.decode) != h.num_decode_steps:
             raise ValidationError(
                 f"decode has {len(self.decode)} steps, header says {h.num_decode_steps}"
             )
         if np.any(self.prefill < 0):
-            l, hd, i, _ = np.argwhere(self.prefill < 0)[0]
-            raise ValidationError(f"negative score at ({l}, {hd}, {i})")
-        upper = np.triu_indices(n, k=1)
-        if n > 1 and np.any(self.prefill[:, :, upper[0], upper[1]] != 0):
-            bad = np.argwhere(self.prefill[:, :, upper[0], upper[1]] != 0)[0]
-            l, hd, flat = bad
+            l, hd, j, _ = np.argwhere(self.prefill < 0)[0]
+            raise ValidationError(f"negative score at ({l}, {hd}, {first + j})")
+        # future[j, c]: column c lies after prompt row first + j.
+        future = np.arange(n) > np.arange(first, n)[:, None]
+        if np.any(self.prefill[:, :, future] != 0):
+            l, hd, flat = np.argwhere(self.prefill[:, :, future] != 0)[0]
+            j = np.nonzero(future)[0][flat]
             raise ValidationError(
-                f"causality violated at ({l}, {hd}, {upper[0][flat]}): "
+                f"causality violated at ({l}, {hd}, {first + j}): "
                 f"mass on a future position"
             )
         sums = self.prefill.sum(axis=3, dtype=np.float64)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL
         if np.any(bad):
-            l, hd, i = np.argwhere(bad)[0]
+            l, hd, j = np.argwhere(bad)[0]
             raise ValidationError(
-                f"row sum {sums[l, hd, i]:.6g} at ({l}, {hd}, {i})"
+                f"row sum {sums[l, hd, j]:.6g} at ({l}, {hd}, {first + j})"
             )
         for s, vec in enumerate(self.decode):
             if vec.shape != (L, H, n + s):
@@ -201,15 +219,67 @@ class AttentionTrace:
                     f"row sum {dsums[l, hd]:.6g} at decode step {s}, ({l}, {hd})"
                 )
 
+    def require_full(self, what: str) -> None:
+        """Raise ParameterError, naming `what`, unless every prefill row is held."""
+        if self.first_row:
+            raise ParameterError(
+                f"{what} needs every prefill row; this trace holds rows "
+                f"{self.first_row}..{self.header.prompt_len - 1} only"
+            )
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
             return NotImplemented
         return (
             self.header == other.header
+            and self.first_row == other.first_row
             and np.array_equal(self.prefill, other.prefill)
             and len(self.decode) == len(other.decode)
             and all(np.array_equal(a, b) for a, b in zip(self.decode, other.decode))
         )
+
+
+# ---------------------------------------------------------------------------
+# streamed prefill rows
+
+
+class _PrefillTail:
+    """Checks one head's packed causal triangle at a time and keeps its
+    last rows.
+
+    A packed triangle holds row i's i + 1 scores right after rows 0..i-1, as
+    the binary container stores them. Every row of every head is checked, the
+    dropped ones included: no negative score, and a float64 row sum within
+    ROW_SUM_TOL of one. Failures name the same (layer, head, row) that
+    AttentionTrace.validate would on the dense cube.
+    """
+
+    def __init__(self, L: int, H: int, n: int, rows: int | None):
+        if rows is not None and int(rows) < 1:
+            raise ParameterError(f"rows must be >= 1, got {rows}")
+        kept = n if rows is None else min(int(rows), n)
+        self.first_row = n - kept
+        i = np.arange(n, dtype=np.int64)
+        self.starts = i * (i + 1) // 2
+        self.size = n * (n + 1) // 2
+        self._wide = np.empty(self.size, dtype=np.float64)
+        # The kept rows' entries in a (kept, n) block, in packed order.
+        self._tail_mask = np.tri(kept, n, self.first_row, dtype=bool)
+        self.prefill = np.zeros((L, H, kept, n), dtype=np.float32)
+
+    def add(self, layer: int, head: int, tri: np.ndarray) -> None:
+        negative = tri < 0
+        if negative.any():
+            pos = int(np.argmax(negative))
+            row = int(np.searchsorted(self.starts, pos, side="right")) - 1
+            raise ValidationError(f"negative score at ({layer}, {head}, {row})")
+        np.copyto(self._wide, tri)
+        sums = np.add.reduceat(self._wide, self.starts)
+        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValidationError(f"row sum {sums[row]:.6g} at ({layer}, {head}, {row})")
+        self.prefill[layer, head][self._tail_mask] = tri[self.starts[self.first_row]:]
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +314,7 @@ def _trace_to_json_obj(trace: AttentionTrace) -> dict:
 def trace_to_text(trace: AttentionTrace) -> bytes:
     """Render the canonical text container (fixed field order, each score as
     the shortest float64 round-trip decimal, single trailing newline)."""
+    trace.require_full("the text writer")
     obj = _trace_to_json_obj(trace)
     body = json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
     return body.encode("ascii") + b"\n"
@@ -255,11 +326,22 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def trace_from_text(data: bytes) -> AttentionTrace:
+def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
+    """Parse a text container from bytes or an open binary file.
+
+    `rows` keeps only the last `rows` prompt rows of each (layer, head); None
+    keeps all of them. Every row is checked either way. Read from a file, the
+    raw bytes are dropped once decoded, before the JSON is parsed.
+    """
+    if not isinstance(data, (bytes, bytearray)):
+        data = data.read()
     try:
-        obj = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        del data
+        obj = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"not a valid text trace: {exc}") from None
+    del text
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     version = _require(obj, "format_version", "")
@@ -287,22 +369,28 @@ def trace_from_text(data: bytes) -> AttentionTrace:
     except ValidationError as exc:
         raise FormatError(f"bad header: {exc}") from None
 
-    prefill = np.zeros((L, H, n, n), dtype=np.float32)
+    tail = _PrefillTail(L, H, n, rows)
     if not isinstance(prefill_obj, list) or len(prefill_obj) != L:
         raise FormatError(f"prefill must be a list of {L} layers")
     for l, layer in enumerate(prefill_obj):
         if not isinstance(layer, list) or len(layer) != H:
             raise FormatError(f"prefill[{l}] must be a list of {H} heads")
-        for hd, rows in enumerate(layer):
-            if not isinstance(rows, list) or len(rows) != n:
+        for hd, head_rows in enumerate(layer):
+            if not isinstance(head_rows, list) or len(head_rows) != n:
                 raise FormatError(f"prefill[{l}][{hd}] must be a list of {n} rows")
-            for i, row in enumerate(rows):
+            for i, row in enumerate(head_rows):
                 if not isinstance(row, list) or len(row) != i + 1:
                     raise FormatError(
                         f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
                         f"got {len(row) if isinstance(row, list) else type(row).__name__}"
                     )
-                prefill[l, hd, i, : i + 1] = row
+            try:
+                tri = np.fromiter(
+                    itertools.chain.from_iterable(head_rows), dtype=np.float32, count=tail.size
+                )
+            except (TypeError, ValueError):
+                raise FormatError(f"prefill[{l}][{hd}]: scores must be numbers") from None
+            tail.add(l, hd, tri)
 
     decode = []
     if not isinstance(decode_obj, list) or len(decode_obj) != T:
@@ -324,7 +412,7 @@ def trace_from_text(data: bytes) -> AttentionTrace:
                 arr[l, hd] = vec
         decode.append(arr)
 
-    trace = AttentionTrace(header, prefill, decode)
+    trace = AttentionTrace(header, tail.prefill, decode, tail.first_row)
     trace.validate()
     return trace
 
@@ -339,6 +427,7 @@ def trace_from_text(data: bytes) -> AttentionTrace:
 
 
 def trace_to_binary(trace: AttentionTrace) -> bytes:
+    trace.require_full("the binary writer")
     h = trace.header
     L, H, n, T = h.num_layers, h.num_heads, h.prompt_len, h.num_decode_steps
     out = bytearray()
@@ -353,49 +442,71 @@ def trace_to_binary(trace: AttentionTrace) -> bytes:
     return bytes(out)
 
 
-def trace_from_binary(data: bytes) -> AttentionTrace:
-    if data[:4] != BINARY_MAGIC:
+def _fill(fh, buf: np.ndarray, what: str) -> None:
+    """Read exactly buf.nbytes bytes from fh into buf."""
+    view = memoryview(buf.reshape(-1).view(np.uint8))
+    got = 0
+    while got < len(view):
+        count = fh.readinto(view[got:])
+        if not count:
+            raise FormatError(f"truncated file: {what}")
+        got += count
+
+
+def trace_from_binary(data, rows: int | None = None) -> AttentionTrace:
+    """Parse a binary container from bytes or an open binary file.
+
+    `rows` keeps only the last `rows` prompt rows of each (layer, head); None
+    keeps all of them. The length is checked against the header first; the
+    prefill is then read one head's packed triangle at a time into one
+    reused buffer, and every row of every head is checked.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        fh, size = io.BytesIO(data), len(data)
+    else:
+        fh, size = data, os.fstat(data.fileno()).st_size - data.tell()
+    head = fh.read(4 + 5 * 4)
+    if head[:4] != BINARY_MAGIC:
         raise FormatError("bad magic: not a binary trace")
-    if len(data) < 4 + 5 * 4:
+    if len(head) < 4 + 5 * 4:
         raise FormatError("truncated file: header")
-    head = np.frombuffer(data, dtype="<u4", count=5, offset=4)
-    version, L, H, n, T = (int(x) for x in head)
+    version, L, H, n, T = (int(x) for x in np.frombuffer(head, dtype="<u4", offset=4))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {version}")
     if min(L, H, n) < 1:
         raise FormatError(f"bad header dimensions L={L} H={H} n={n}")
     pos = 4 + 5 * 4
     label_bytes = (n + 7) // 8
-    if len(data) < pos + label_bytes:
+    if size < pos + label_bytes:
         raise FormatError("truncated file: modality labels")
-    bits = np.unpackbits(
-        np.frombuffer(data, dtype=np.uint8, count=label_bytes, offset=pos),
-        bitorder="little",
-    )[:n].astype(bool)
-    pos += label_bytes
-
     tri_count = L * H * (n * (n + 1) // 2)
-    decode_counts = [L * H * (n + s) for s in range(T)]
-    want = pos + 4 * (tri_count + sum(decode_counts))
-    if len(data) != want:
+    decode_count = L * H * (T * n + T * (T - 1) // 2)
+    want = pos + label_bytes + 4 * (tri_count + decode_count)
+    if size != want:
         raise FormatError(
-            f"file length {len(data)} does not match header (expected {want})"
+            f"file length {size} does not match header (expected {want})"
         )
 
-    flat = np.frombuffer(data, dtype="<f4", count=tri_count, offset=pos)
-    pos += 4 * tri_count
-    rows, cols = np.tril_indices(n)
-    prefill = np.zeros((L, H, n, n), dtype=np.float32)
-    prefill[:, :, rows, cols] = flat.reshape(L * H, -1).reshape(L, H, -1)
+    packed = np.empty(label_bytes, dtype=np.uint8)
+    _fill(fh, packed, "modality labels")
+    bits = np.unpackbits(packed, bitorder="little")[:n].astype(bool)
+    header = TraceHeader(L, H, n, T, bits)
+
+    tail = _PrefillTail(L, H, n, rows)
+    tri = np.empty(tail.size, dtype="<f4")
+    for l in range(L):
+        for hd in range(H):
+            _fill(fh, tri, "prefill scores")
+            tail.add(l, hd, tri)
     decode = []
     for s in range(T):
-        cnt = decode_counts[s]
-        vec = np.frombuffer(data, dtype="<f4", count=cnt, offset=pos)
-        pos += 4 * cnt
-        decode.append(vec.reshape(L, H, n + s).copy())
+        vec = np.empty((L, H, n + s), dtype="<f4")
+        _fill(fh, vec, "decode scores")
+        decode.append(vec)
+    if fh.read(1):
+        raise FormatError(f"file grew while it was read (expected {want} bytes)")
 
-    header = TraceHeader(L, H, n, T, bits)
-    trace = AttentionTrace(header, prefill, decode)
+    trace = AttentionTrace(header, tail.prefill, decode, tail.first_row)
     trace.validate()
     return trace
 
@@ -413,10 +524,17 @@ def save_trace(trace: AttentionTrace, path: str | os.PathLike, *, binary: bool |
     write_atomic(path, trace_to_binary(trace) if binary else trace_to_text(trace))
 
 
-def load_trace(path: str | os.PathLike) -> AttentionTrace:
-    """Read a trace, sniffing the container by magic bytes, and validate it."""
+def load_trace(path: str | os.PathLike, rows: int | None = None) -> AttentionTrace:
+    """Read a trace, sniffing the container by magic bytes, and validate it.
+
+    `rows` keeps only the last `rows` prompt rows of each (layer, head), as
+    many as importance or a baseline's observation window reads; None keeps
+    the dense cube. Every row is checked either way, and a binary file is
+    streamed one head at a time rather than read whole.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] == BINARY_MAGIC:
-        return trace_from_binary(data)
-    return trace_from_text(data)
+        binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC
+        fh.seek(0)
+        if binary:
+            return trace_from_binary(fh, rows)
+        return trace_from_text(fh, rows)

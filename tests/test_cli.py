@@ -121,9 +121,35 @@ class TestRun:
         assert not (out / "demo__recent_window_plan.json").exists()
         assert (out / "demo__recent_window_mask.json").exists()
 
-    def test_unknown_policy_is_a_parameter_error(self, demo_trace, tmp_path):
+    def test_unknown_policy_is_a_parameter_error(self, demo_trace, tmp_path, capsys):
         assert run("run", "--trace", str(demo_trace), "--policy", "magic",
-                   "--out", str(tmp_path)) == 2
+                   "--budget", "0.25", "--out", str(tmp_path)) == 2
+        assert "unknown policy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (("--policy", "adaptive", "--budget", "0.1,0.2"), "--budget"),
+            (("--policy", "adaptive"), "--budget"),
+            (("--policy", "adaptive", "--policy", "recent_window", "--budget", "0.2"),
+             "--policy"),
+        ],
+        ids=["two_budgets", "default_budget_list", "two_policies"],
+    )
+    def test_more_than_one_value_is_rejected(self, demo_trace, tmp_path, capsys,
+                                             extra, flag):
+        out = tmp_path / "many"
+        assert run("run", "--trace", str(demo_trace), *extra, "--out", str(out)) == 2
+        assert flag in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_policies_from_a_config_file_are_counted(self, demo_trace, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": ["adaptive", "recent_window"],
+                                   "budget": "0.2"}))
+        assert run("run", "--trace", str(demo_trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "cfg_out")) == 2
+        assert "--policy" in capsys.readouterr().err
 
 
 class TestCompare:
@@ -200,6 +226,61 @@ class TestCompare:
     def test_bad_policy_parameter_is_a_parameter_error(self, demo_trace, tmp_path):
         assert run("compare", "--trace", str(demo_trace),
                    "--policy", "adaptive:junk", "--out", str(tmp_path)) == 2
+
+
+class TestPrefillRows:
+    POLICIES = ("--policy", "adaptive:proxy_count=16",
+                "--policy", "cumulative_topk:observation_window=32",
+                "--policy", "recent_window")
+
+    @pytest.mark.parametrize("trace_format", ["binary", "text"])
+    def test_compare_loads_only_the_rows_policies_read(self, tmp_path, monkeypatch,
+                                                      trace_format):
+        assert run("generate", "--name", "t", "--trace-format", trace_format,
+                   "--prompt-len", "64", "--decode-steps", "3", "--head-bias",
+                   "0.3,0.7", "--seed", "4", "--out", str(tmp_path)) == 0
+        trace = str(tmp_path / ("t.mkvt" if trace_format == "binary" else "t.json"))
+        cli = importlib.import_module("modkv.cli")
+        original = cli.load_trace
+        seen = []
+
+        def spy(path, rows=None):
+            seen.append(rows)
+            return original(path, rows=rows)
+
+        def full(path, rows=None):
+            return original(path)
+
+        outputs = {}
+        for name, loader in (("partial", spy), ("full", full)):
+            monkeypatch.setattr(cli, "load_trace", loader)
+            outputs[name] = tmp_path / name
+            assert run("compare", "--trace", trace, *self.POLICIES,
+                       "--budget", "0.1,0.3", "--out", str(outputs[name])) == 0
+        assert seen == [32]
+        for table in ("compare.csv", "series.csv", "memory_model.csv"):
+            assert (outputs["partial"] / table).read_bytes() == (
+                outputs["full"] / table
+            ).read_bytes()
+
+    def test_window_baselines_alone_load_one_row(self, demo_trace, tmp_path, monkeypatch):
+        cli = importlib.import_module("modkv.cli")
+        original = cli.load_trace
+        seen = []
+
+        def spy(path, rows=None):
+            seen.append(rows)
+            return original(path, rows=rows)
+
+        monkeypatch.setattr(cli, "load_trace", spy)
+        assert run("sweep", "--trace", str(demo_trace), "--policy", "recent_window",
+                   "--policy", "sink_window:sink_count=1", "--budget", "0.2",
+                   "--out", str(tmp_path / "sw1")) == 0
+        assert run("run", "--trace", str(demo_trace),
+                   "--policy", "fixed_priority:observation_window=12",
+                   "--budget", "0.2", "--out", str(tmp_path / "run1")) == 0
+        assert run("analyze", "--trace", str(demo_trace), "--out", str(tmp_path / "an")) == 0
+        assert seen == [1, 12, None]
 
 
 class TestSweep:

@@ -1,20 +1,27 @@
 """Trace model and container tests: validation, round-trips, error reporting."""
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_trace, uniform_rows
+from conftest import make_trace, small_spec, uniform_rows
 from modkv import (
     AttentionTrace,
     FormatError,
     Modality,
+    ParameterError,
+    ProxyConfig,
     SyntheticTraceSpec,
     TraceHeader,
     ValidationError,
     generate_synthetic,
+    head_text_share,
     load_trace,
+    proxy_importance,
+    proxy_importance_matrix,
     save_trace,
 )
 from modkv.trace import (
@@ -233,3 +240,284 @@ def test_equality_notices_score_changes(mixed_trace):
 
 def test_uniform_rows_helper_is_row_stochastic():
     make_trace(uniform_rows(9), labels=None)
+
+
+# ---------------------------------------------------------------------------
+# partial loads: only the last prefill rows kept
+
+
+def tail_of(trace, rows):
+    """The trace with only its last `rows` prefill rows, as a partial load
+    should return it."""
+    n = trace.header.prompt_len
+    kept = min(rows, n)
+    return AttentionTrace(
+        trace.header, trace.prefill[:, :, n - kept:].copy(), trace.decode,
+        first_row=n - kept,
+    )
+
+
+@pytest.fixture
+def saved(tmp_path, mixed_trace):
+    """mixed_trace (2 layers, 2 heads, n = 24, 2 decode steps) in both
+    containers."""
+    paths = {"text": tmp_path / "t.json", "binary": tmp_path / "t.mkvt"}
+    for kind, path in paths.items():
+        save_trace(mixed_trace, path, binary=kind == "binary")
+    return paths
+
+
+def binary_offset(trace, layer, head, row, col):
+    """Byte offset of one prefill score in the binary container."""
+    h = trace.header
+    n = h.prompt_len
+    per_head = n * (n + 1) // 2
+    index = (layer * h.num_heads + head) * per_head + row * (row + 1) // 2 + col
+    return 4 + 5 * 4 + (n + 7) // 8 + 4 * index
+
+
+def write_corrupted(trace, kind, path, layer, head, row, col, value):
+    """Save `trace` with one prefill score replaced by `value`."""
+    if kind == "binary":
+        blob = bytearray(trace_to_binary(trace))
+        at = binary_offset(trace, layer, head, row, col)
+        blob[at:at + 4] = np.array([value], dtype="<f4").tobytes()
+        path.write_bytes(bytes(blob))
+    else:
+        doc = json.loads(trace_to_text(trace))
+        doc["prefill"][layer][head][row][col] = value
+        path.write_text(json.dumps(doc))
+
+
+class TestPartialLoad:
+    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("rows", [1, 8, 23, 24, 29])
+    def test_keeps_the_full_loads_last_rows(self, saved, kind, rows):
+        full = load_trace(saved[kind])
+        part = load_trace(saved[kind], rows=rows)
+        assert part == tail_of(full, rows)
+        assert part.prefill.shape == (2, 2, min(rows, 24), 24)
+        assert len(part.decode) == 2
+        part.validate()
+
+    def test_container_functions_take_rows(self, mixed_trace):
+        want = tail_of(mixed_trace, 8)
+        assert trace_from_binary(trace_to_binary(mixed_trace), rows=8) == want
+        assert trace_from_text(trace_to_text(mixed_trace), rows=8) == want
+
+    def test_rows_below_one_rejected(self, saved):
+        with pytest.raises(ParameterError, match="rows"):
+            load_trace(saved["binary"], rows=0)
+
+    def test_first_row_takes_part_in_equality(self, mixed_trace):
+        part = tail_of(mixed_trace, 8)
+        shifted = AttentionTrace(part.header, part.prefill, part.decode, first_row=15)
+        assert part != shifted
+
+    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("row", [5, 20], ids=["dropped_row", "kept_row"])
+    @pytest.mark.parametrize("fault", ["negative", "row_sum"])
+    def test_corruption_reported_alike_in_full_and_partial_loads(
+        self, tmp_path, mixed_trace, kind, row, fault
+    ):
+        layer, head = 1, 0
+        old = float(mixed_trace.prefill[layer, head, row, 0])
+        value = -0.25 if fault == "negative" else old + 0.5
+        path = tmp_path / f"bad.{'mkvt' if kind == 'binary' else 'json'}"
+        write_corrupted(mixed_trace, kind, path, layer, head, row, 0, value)
+
+        dense = AttentionTrace(
+            mixed_trace.header, mixed_trace.prefill.copy(), mixed_trace.decode
+        )
+        dense.prefill[layer, head, row, 0] = value
+        with pytest.raises(ValidationError) as by_validate:
+            dense.validate()
+        with pytest.raises(ValidationError) as full:
+            load_trace(path)
+        with pytest.raises(ValidationError) as partial:
+            load_trace(path, rows=8)
+        message = str(full.value)
+        assert f"({layer}, {head}, {row})" in message
+        assert ("negative" if fault == "negative" else "row sum") in message
+        assert str(partial.value) == message
+        assert str(by_validate.value) == message
+
+    def test_validate_reports_absolute_rows(self):
+        t = make_trace(uniform_rows(5), labels="tvtvt")
+        part = tail_of(t, 3)
+        part.validate()
+        part.prefill[0, 0, 0, 3] = 0.25
+        part.prefill[0, 0, 0, 0] -= np.float32(0.25)
+        with pytest.raises(ValidationError, match=r"causality violated at \(0, 0, 2\)"):
+            part.validate()
+        part = tail_of(t, 3)
+        part.prefill[0, 0, 1, 0] += np.float32(0.5)
+        with pytest.raises(ValidationError, match=r"row sum 1\.5 at \(0, 0, 3\)"):
+            part.validate()
+        part.prefill[0, 0, 1, 0] = -0.5
+        with pytest.raises(ValidationError, match=r"negative score at \(0, 0, 3\)"):
+            part.validate()
+
+    def test_validate_checks_first_row_against_shape(self):
+        t = make_trace(uniform_rows(5), labels=None)
+        part = tail_of(t, 3)
+        part.first_row = 1
+        with pytest.raises(ValidationError, match="shape"):
+            part.validate()
+        part.first_row = 5
+        with pytest.raises(ValidationError, match="first_row"):
+            part.validate()
+
+
+class TestStreamedBinaryFile:
+    def test_truncated_and_padded_files_rejected(self, tmp_path, mixed_trace):
+        blob = trace_to_binary(mixed_trace)
+        p = tmp_path / "t.mkvt"
+        for bad, fragment in ((blob[:-4], "length"), (blob + b"\0" * 4, "length"),
+                              (blob[:22], "truncated")):
+            p.write_bytes(bad)
+            for rows in (None, 8):
+                with pytest.raises(FormatError, match=fragment):
+                    load_trace(p, rows=rows)
+
+    @pytest.mark.parametrize("change", ["shrinks", "grows"])
+    def test_file_changing_while_read_rejected(self, tmp_path, mixed_trace, change):
+        blob = trace_to_binary(mixed_trace)
+        p = tmp_path / "t.mkvt"
+        p.write_bytes(blob)
+
+        class Changing:
+            """An unbuffered file that shrinks or grows after the header."""
+
+            def __init__(self, raw):
+                self.raw = raw
+                self.changed = False
+
+            def fileno(self):
+                return self.raw.fileno()
+
+            def tell(self):
+                return self.raw.tell()
+
+            def read(self, size):
+                return self.raw.read(size)
+
+            def readinto(self, buf):
+                if not self.changed:
+                    self.changed = True
+                    if change == "shrinks":
+                        os.truncate(p, len(blob) // 2)
+                    else:
+                        with open(p, "ab") as fh:
+                            fh.write(b"\0" * 8)
+                return self.raw.readinto(buf)
+
+        fragment = "truncated" if change == "shrinks" else "grew"
+        with open(p, "rb", buffering=0) as raw:
+            with pytest.raises(FormatError, match=fragment):
+                trace_from_binary(Changing(raw), rows=8)
+
+    def test_text_file_truncated(self, tmp_path, mixed_trace):
+        p = tmp_path / "t.json"
+        p.write_bytes(trace_to_text(mixed_trace)[:-100])
+        with pytest.raises(FormatError):
+            load_trace(p, rows=8)
+
+    def test_non_numeric_text_score_is_a_format_error(self, tmp_path, mixed_trace):
+        doc = json.loads(trace_to_text(mixed_trace))
+        doc["prefill"][0][1][3][2] = [0.5]
+        with pytest.raises(FormatError, match=r"prefill\[0\]\[1\]"):
+            trace_from_text(json.dumps(doc).encode(), rows=8)
+
+
+class TestPartialTraceConsumers:
+    def test_whole_cube_consumers_refuse_a_partial_trace(self, mixed_trace):
+        part = tail_of(mixed_trace, 8)
+        for consumer in (trace_to_binary, trace_to_text,
+                         lambda t: head_text_share(t, 0, 0)):
+            with pytest.raises(ParameterError, match="every prefill row"):
+                consumer(part)
+
+    def test_importance_needs_no_more_rows_than_held(self, mixed_trace):
+        part = tail_of(mixed_trace, 8)
+        assert np.array_equal(
+            proxy_importance_matrix(part, ProxyConfig(8)),
+            proxy_importance_matrix(mixed_trace, ProxyConfig(8)),
+        )
+        assert proxy_importance(part, 1, 1, ProxyConfig(5)) == proxy_importance(
+            mixed_trace, 1, 1, ProxyConfig(5)
+        )
+        with pytest.raises(ParameterError, match="9 proxy rows"):
+            proxy_importance_matrix(part, ProxyConfig(9))
+        with pytest.raises(ParameterError, match="9 proxy rows"):
+            proxy_importance(part, 0, 0, ProxyConfig(9))
+
+
+# ---------------------------------------------------------------------------
+# bounded memory
+
+
+@pytest.fixture(scope="module")
+def big_diagonal(tmp_path_factory):
+    """A 4x4x1024 trace, every prompt row on its own position, as a binary
+    file and a text twin, with the twin's parsed JSON document. The twin
+    writes scores as the integers 0 and 1, which the text container accepts,
+    and its heads share one list, so the document stays small."""
+    L, H, n = 4, 4, 1024
+    prefill = np.zeros((L, H, n, n), dtype=np.float32)
+    idx = np.arange(n)
+    prefill[:, :, idx, idx] = 1.0
+    decode = [np.full((L, H, n + s), 1.0 / (n + s), dtype=np.float32) for s in range(2)]
+    labels = np.arange(n) % 3 == 0
+    trace = AttentionTrace(TraceHeader(L, H, n, 2, labels), prefill, decode)
+    folder = tmp_path_factory.mktemp("big")
+    binary = folder / "big.mkvt"
+    save_trace(trace, binary)
+    del prefill, trace
+    head = [[0] * i + [1] for i in range(n)]
+    doc = {
+        "format_version": 1,
+        "header": {"L": L, "H": H, "n": n, "T": 2,
+                   "modality_labels": ["visual" if v else "text" for v in labels]},
+        "prefill": [[head] * H] * L,
+        "decode": [d.tolist() for d in decode],
+    }
+    text = folder / "big.json"
+    text.write_text(json.dumps(doc, separators=(",", ":")))
+    return binary, text, doc
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MIB = 1 << 20
+
+
+class TestBoundedMemory:
+    CUBE = 4 * 4 * 1024 * 1024 * 4  # the dense float32 cube: 64 MiB
+
+    def test_binary_partial_load_stays_small(self, big_diagonal):
+        binary, _, _ = big_diagonal
+        trace, peak = traced_peak(lambda: load_trace(binary, rows=8))
+        assert trace.prefill.shape == (4, 4, 8, 1024)
+        # One head's float64 triangle is 4 MiB; the file is 32 MiB and the
+        # dense cube 64 MiB.
+        assert peak < 16 * MIB
+
+    def test_text_partial_load_builds_no_dense_cube(self, big_diagonal, monkeypatch):
+        binary, text, doc = big_diagonal
+        data = text.read_bytes()
+        assert trace_from_text(data, rows=8) == load_trace(binary, rows=8)
+        # Tracing every object the JSON parser makes takes minutes, so the
+        # traced load gets the parsed document and only the loader's own
+        # allocations count: the decoded text (16 MiB) and one head at a time.
+        monkeypatch.setattr(json, "loads", lambda text: doc)
+        trace, peak = traced_peak(lambda: trace_from_text(data, rows=8))
+        assert trace.prefill.shape == (4, 4, 8, 1024)
+        assert peak < self.CUBE // 2
