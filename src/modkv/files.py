@@ -7,8 +7,11 @@ and two runs writing into one directory never share a temporary file.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
+from collections.abc import Iterator
+from typing import BinaryIO
 
 
 def _umask() -> int:
@@ -17,19 +20,20 @@ def _umask() -> int:
     return mask
 
 
-def write_atomic(path: str | os.PathLike, payload: bytes) -> None:
-    """Write `payload` to `path` atomically.
+@contextlib.contextmanager
+def atomic_file(path: str | os.PathLike) -> Iterator[BinaryIO]:
+    """Yield a binary file whose contents replace `path` when the block ends.
 
     The file gets the mode a plain open() would give it (0o666 less the
-    umask). On any error the temporary file is removed and the target is
-    left as it was.
+    umask). If the block or the rename raises, the temporary file is removed
+    and the target is left as it was.
     """
     path = os.fspath(path)
     directory, name = os.path.split(path)
     fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=f".{name}.", suffix=".tmp")
     try:
         with open(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
@@ -38,3 +42,9 @@ def write_atomic(path: str | os.PathLike, payload: bytes) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def write_atomic(path: str | os.PathLike, payload: bytes) -> None:
+    """Write `payload` to `path` atomically (see atomic_file)."""
+    with atomic_file(path) as fh:
+        fh.write(payload)

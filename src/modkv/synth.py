@@ -104,8 +104,72 @@ def _rebalance_scales(sum_v: float, sum_t: float, bias: float) -> tuple[float, f
     return bias / sum_v, (1.0 - bias) / sum_t
 
 
+class _SyntheticTrace(AttentionTrace):
+    """A generated trace whose prefill blocks are computed on demand.
+
+    Prefill row i of head (l, h) is a closed-form function of the head's
+    weight vector, so only the weights `(L, H, n)` are kept. `head_rows`
+    computes one head's block; the writers stream those. The dense cube is
+    built, and then kept, only when `prefill` is first read.
+    """
+
+    def __init__(self, header: TraceHeader, weights: np.ndarray,
+                 bias: tuple[float, ...], decode: list[np.ndarray]):
+        self.header = header
+        self.decode = decode
+        self.first_row = 0
+        self._weights = weights
+        self._bias = bias
+        self._lower = np.tri(header.prompt_len, dtype=bool)
+        self._cube: np.ndarray | None = None
+
+    @property
+    def prefill(self) -> np.ndarray:
+        if self._cube is None:
+            h = self.header
+            n = h.prompt_len
+            cube = np.empty((h.num_layers, h.num_heads, n, n), dtype=np.float32)
+            for l in range(h.num_layers):
+                for hd in range(h.num_heads):
+                    cube[l, hd] = self._block(l, hd)
+            self._cube = cube
+        return self._cube
+
+    @prefill.setter
+    def prefill(self, value: np.ndarray) -> None:
+        self._cube = np.ascontiguousarray(value, dtype=np.float32)
+
+    def head_rows(self, layer: int, head: int) -> np.ndarray:
+        if self._cube is not None:
+            return self._cube[layer, head]
+        return self._block(layer, head)
+
+    def _block(self, layer: int, head: int) -> np.ndarray:
+        """Prefill rows of one head: row i is the causal prefix 0..i of the
+        weights, each modality scaled so the visual share is the head bias."""
+        u = self._weights[layer, head]
+        vis = self.header.modality_labels
+        bias = self._bias[head]
+        uv = np.where(vis, u, 0.0)
+        ut = np.where(vis, 0.0, u)
+        cum_v = np.cumsum(uv)
+        cum_t = np.cumsum(ut)
+        both = (cum_v > 0) & (cum_t > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale_v = np.where(both, bias / cum_v, np.where(cum_v > 0, 1.0 / cum_v, 0.0))
+            scale_t = np.where(both, (1.0 - bias) / cum_t, np.where(cum_t > 0, 1.0 / cum_t, 0.0))
+        m = np.multiply(scale_v[:, None].astype(np.float32), uv.astype(np.float32))
+        m += scale_t[:, None].astype(np.float32) * ut.astype(np.float32)
+        m *= self._lower
+        return m
+
+
 def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:
-    """Generate a trace satisfying every AttentionTrace invariant."""
+    """Generate a trace satisfying every AttentionTrace invariant.
+
+    The returned trace keeps each head's weight vector and computes prefill
+    blocks when they are read, so saving it never holds the dense cube.
+    """
     L, H = spec.num_layers, spec.num_heads
     n, T = spec.prompt_len, spec.num_decode_steps
     rng = np.random.default_rng(spec.seed)
@@ -116,33 +180,18 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:
     txt = ~vis
     header = TraceHeader(L, H, n, T, vis)
 
-    tril = np.tril(np.ones((n, n), dtype=np.float32))
     anchor_width = min(QUESTION_ANCHOR_WIDTH, n)
-    prefill = np.empty((L, H, n, n), dtype=np.float32)
+    weights = np.empty((L, H, n), dtype=np.float64)
     decode = [np.empty((L, H, n + s), dtype=np.float32) for s in range(T)]
 
     for l in range(L):
         for h in range(H):
             bias = spec.head_preference_bias[h]
-            u = np.empty(n, dtype=np.float64)
+            u = weights[l, h]
             if count_v:
                 u[vis] = (rng.permutation(count_v) + 1.0) ** -spec.skew
             if count_v < n:
                 u[txt] = (rng.permutation(n - count_v) + 1.0) ** -spec.skew
-
-            uv = np.where(vis, u, 0.0)
-            ut = np.where(txt, u, 0.0)
-            cum_v = np.cumsum(uv)
-            cum_t = np.cumsum(ut)
-            both = (cum_v > 0) & (cum_t > 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scale_v = np.where(both, bias / cum_v, np.where(cum_v > 0, 1.0 / cum_v, 0.0))
-                scale_t = np.where(both, (1.0 - bias) / cum_t, np.where(cum_t > 0, 1.0 / cum_t, 0.0))
-
-            m = prefill[l, h]
-            np.multiply(scale_v[:, None].astype(np.float32), uv.astype(np.float32), out=m)
-            m += scale_t[:, None].astype(np.float32) * ut.astype(np.float32)
-            m *= tril
 
             if T:
                 bulk = u.sum()
@@ -158,4 +207,4 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:
                     row[:n] = np.where(vis, sv * w_prompt, st * w_prompt)
                     row[n:] = st * hist
 
-    return AttentionTrace(header, prefill, decode)
+    return _SyntheticTrace(header, weights, spec.head_preference_bias, decode)

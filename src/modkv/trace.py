@@ -10,7 +10,11 @@ default ``first_row = 0`` that is the whole causal prefill cube. The loaders
 can keep only the last rows, which are all that importance and the
 score-driven baselines read: they stream the file one head at a time, check
 every row of every head, and keep the tail. Statistics over the whole prompt
-pass (``head_text_share``) and the writers need every row.
+pass (``head_text_share``) and the writers need every row. The writers take
+one (layer, head) block at a time from ``AttentionTrace.head_rows`` and stream
+it to the file, so a trace that computes its blocks on demand, as the
+synthetic generator's does, is written without its dense cube ever being
+built.
 
 Two interchangeable containers are supported and sniffed by magic bytes:
 
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ParameterError, ValidationError
-from .files import write_atomic
+from .files import atomic_file
 
 FORMAT_VERSION = 1
 BINARY_MAGIC = b"MKVT"
@@ -182,9 +186,12 @@ class AttentionTrace:
             raise ValidationError(
                 f"decode has {len(self.decode)} steps, header says {h.num_decode_steps}"
             )
-        if np.any(self.prefill < 0):
-            l, hd, j, _ = np.argwhere(self.prefill < 0)[0]
-            raise ValidationError(f"negative score at ({l}, {hd}, {first + j})")
+        # Each check tests what a valid score satisfies (>= 0, within the
+        # tolerance), so that NaN fails it.
+        ok = self.prefill >= 0
+        if not ok.all():
+            l, hd, j, c = np.argwhere(~ok)[0]
+            raise _bad_score(self.prefill[l, hd, j, c], f"({l}, {hd}, {first + j})")
         # future[j, c]: column c lies after prompt row first + j.
         future = np.arange(n) > np.arange(first, n)[:, None]
         if np.any(self.prefill[:, :, future] != 0):
@@ -195,9 +202,9 @@ class AttentionTrace:
                 f"mass on a future position"
             )
         sums = self.prefill.sum(axis=3, dtype=np.float64)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if np.any(bad):
-            l, hd, j = np.argwhere(bad)[0]
+        ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
+        if not ok.all():
+            l, hd, j = np.argwhere(~ok)[0]
             raise ValidationError(
                 f"row sum {sums[l, hd, j]:.6g} at ({l}, {hd}, {first + j})"
             )
@@ -206,18 +213,21 @@ class AttentionTrace:
                 raise ValidationError(
                     f"decode step {s} has shape {vec.shape}, expected ({L}, {H}, {n + s})"
                 )
-            if np.any(vec < 0):
-                l, hd, _ = np.argwhere(vec < 0)[0]
-                raise ValidationError(
-                    f"negative score at decode step {s}, ({l}, {hd})"
-                )
+            ok = vec >= 0
+            if not ok.all():
+                l, hd, c = np.argwhere(~ok)[0]
+                raise _bad_score(vec[l, hd, c], f"decode step {s}, ({l}, {hd})")
             dsums = vec.sum(axis=2, dtype=np.float64)
-            dbad = np.abs(dsums - 1.0) > ROW_SUM_TOL
-            if np.any(dbad):
-                l, hd = np.argwhere(dbad)[0]
+            ok = np.abs(dsums - 1.0) <= ROW_SUM_TOL
+            if not ok.all():
+                l, hd = np.argwhere(~ok)[0]
                 raise ValidationError(
                     f"row sum {dsums[l, hd]:.6g} at decode step {s}, ({l}, {hd})"
                 )
+
+    def head_rows(self, layer: int, head: int) -> np.ndarray:
+        """The prefill rows held for one (layer, head), (n - first_row, n)."""
+        return self.prefill[layer, head]
 
     def require_full(self, what: str) -> None:
         """Raise ParameterError, naming `what`, unless every prefill row is held."""
@@ -239,6 +249,12 @@ class AttentionTrace:
         )
 
 
+def _bad_score(value, where: str) -> ValidationError:
+    """The error for a score that is not >= 0: negative or NaN."""
+    kind = "NaN" if np.isnan(value) else "negative"
+    return ValidationError(f"{kind} score at {where}")
+
+
 # ---------------------------------------------------------------------------
 # streamed prefill rows
 
@@ -249,8 +265,8 @@ class _PrefillTail:
 
     A packed triangle holds row i's i + 1 scores right after rows 0..i-1, as
     the binary container stores them. Every row of every head is checked, the
-    dropped ones included: no negative score, and a float64 row sum within
-    ROW_SUM_TOL of one. Failures name the same (layer, head, row) that
+    dropped ones included: no negative or NaN score, and a float64 row sum
+    within ROW_SUM_TOL of one. Failures name the same (layer, head, row) that
     AttentionTrace.validate would on the dense cube.
     """
 
@@ -268,16 +284,16 @@ class _PrefillTail:
         self.prefill = np.zeros((L, H, kept, n), dtype=np.float32)
 
     def add(self, layer: int, head: int, tri: np.ndarray) -> None:
-        negative = tri < 0
-        if negative.any():
-            pos = int(np.argmax(negative))
+        ok = tri >= 0
+        if not ok.all():
+            pos = int(np.argmin(ok))
             row = int(np.searchsorted(self.starts, pos, side="right")) - 1
-            raise ValidationError(f"negative score at ({layer}, {head}, {row})")
+            raise _bad_score(tri[pos], f"({layer}, {head}, {row})")
         np.copyto(self._wide, tri)
         sums = np.add.reduceat(self._wide, self.starts)
-        bad = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if bad.any():
-            row = int(np.argmax(bad))
+        ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
+        if not ok.all():
+            row = int(np.argmin(ok))
             raise ValidationError(f"row sum {sums[row]:.6g} at ({layer}, {head}, {row})")
         self.prefill[layer, head][self._tail_mask] = tri[self.starts[self.first_row]:]
 
@@ -286,38 +302,47 @@ class _PrefillTail:
 # text container
 
 
-def _trace_to_json_obj(trace: AttentionTrace) -> dict:
+def _json(obj) -> bytes:
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+
+
+def _write_text(trace: AttentionTrace, fh) -> None:
+    """Write the canonical text container (fixed field order, each score as
+    the shortest float64 round-trip decimal, single trailing newline), one
+    (layer, head) block and one decode step at a time."""
+    trace.require_full("the text writer")
     h = trace.header
     n = h.prompt_len
-    prefill = [
-        [
-            [trace.prefill[l, hd, i, : i + 1].tolist() for i in range(n)]
-            for hd in range(h.num_heads)
-        ]
-        for l in range(h.num_layers)
-    ]
-    decode = [vec.tolist() for vec in trace.decode]
-    return {
-        "format_version": FORMAT_VERSION,
-        "header": {
-            "L": h.num_layers,
-            "H": h.num_heads,
-            "n": h.prompt_len,
-            "T": h.num_decode_steps,
-            "modality_labels": h.label_strings(),
-        },
-        "prefill": prefill,
-        "decode": decode,
+    header = {
+        "L": h.num_layers,
+        "H": h.num_heads,
+        "n": h.prompt_len,
+        "T": h.num_decode_steps,
+        "modality_labels": h.label_strings(),
     }
+    fh.write(b'{"format_version":' + _json(FORMAT_VERSION) + b',"header":' + _json(header))
+    fh.write(b',"prefill":[')
+    for l in range(h.num_layers):
+        fh.write(b"[" if l == 0 else b",[")
+        for hd in range(h.num_heads):
+            block = trace.head_rows(l, hd)
+            if hd:
+                fh.write(b",")
+            fh.write(_json([block[i, : i + 1].tolist() for i in range(n)]))
+        fh.write(b"]")
+    fh.write(b'],"decode":[')
+    for s, vec in enumerate(trace.decode):
+        if s:
+            fh.write(b",")
+        fh.write(_json(vec.tolist()))
+    fh.write(b"]}\n")
 
 
 def trace_to_text(trace: AttentionTrace) -> bytes:
-    """Render the canonical text container (fixed field order, each score as
-    the shortest float64 round-trip decimal, single trailing newline)."""
-    trace.require_full("the text writer")
-    obj = _trace_to_json_obj(trace)
-    body = json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
-    return body.encode("ascii") + b"\n"
+    """The canonical text container as bytes."""
+    buf = io.BytesIO()
+    _write_text(trace, buf)
+    return buf.getvalue()
 
 
 def _require(obj: dict, key: str, where: str):
@@ -426,20 +451,28 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
 #         | decode scores, f32le, [step][layer][head][position]
 
 
-def trace_to_binary(trace: AttentionTrace) -> bytes:
+def _write_binary(trace: AttentionTrace, fh) -> None:
+    """Write the binary container, one (layer, head) packed triangle at a time."""
     trace.require_full("the binary writer")
     h = trace.header
     L, H, n, T = h.num_layers, h.num_heads, h.prompt_len, h.num_decode_steps
-    out = bytearray()
-    out += BINARY_MAGIC
-    out += np.array([FORMAT_VERSION, L, H, n, T], dtype="<u4").tobytes()
-    out += np.packbits(h.modality_labels, bitorder="little").tobytes()
-    rows, cols = np.tril_indices(n)
-    tri = np.ascontiguousarray(trace.prefill[:, :, rows, cols], dtype="<f4")
-    out += tri.tobytes()
+    fh.write(BINARY_MAGIC)
+    fh.write(np.array([FORMAT_VERSION, L, H, n, T], dtype="<u4").tobytes())
+    fh.write(np.packbits(h.modality_labels, bitorder="little").tobytes())
+    # Boolean indexing reads row-major, so this is the packed triangle.
+    lower = np.tri(n, dtype=bool)
+    for l in range(L):
+        for hd in range(H):
+            fh.write(np.ascontiguousarray(trace.head_rows(l, hd)[lower], dtype="<f4").data)
     for vec in trace.decode:
-        out += np.ascontiguousarray(vec, dtype="<f4").tobytes()
-    return bytes(out)
+        fh.write(np.ascontiguousarray(vec, dtype="<f4").data)
+
+
+def trace_to_binary(trace: AttentionTrace) -> bytes:
+    """The binary container as bytes."""
+    buf = io.BytesIO()
+    _write_binary(trace, buf)
+    return buf.getvalue()
 
 
 def _fill(fh, buf: np.ndarray, what: str) -> None:
@@ -517,11 +550,13 @@ def trace_from_binary(data, rows: int | None = None) -> AttentionTrace:
 
 def save_trace(trace: AttentionTrace, path: str | os.PathLike, *, binary: bool | None = None) -> None:
     """Write a trace. Format comes from `binary` or, when None, the suffix
-    (``.mkvt`` means binary, anything else text). The write is atomic."""
+    (``.mkvt`` means binary, anything else text). The write is atomic and
+    streams one (layer, head) block at a time from `trace.head_rows`."""
     path = os.fspath(path)
     if binary is None:
         binary = path.endswith(".mkvt")
-    write_atomic(path, trace_to_binary(trace) if binary else trace_to_text(trace))
+    with atomic_file(path) as fh:
+        (_write_binary if binary else _write_text)(trace, fh)
 
 
 def load_trace(path: str | os.PathLike, rows: int | None = None) -> AttentionTrace:

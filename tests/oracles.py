@@ -9,6 +9,7 @@ split, the budget update), which have tests of their own, so that it pins
 down exactly the arithmetic the vectorised kernel must reproduce.
 """
 
+import json
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from modkv import (
+    AttentionTrace,
     BaselineKind,
     BudgetPlan,
     EvictionMask,
@@ -30,6 +32,14 @@ from modkv import (
     round_half_up,
     update_layer_budget,
 )
+from modkv.synth import (
+    DECODE_HISTORY_DECAY,
+    DECODE_HISTORY_WEIGHT,
+    QUESTION_ANCHOR_WEIGHT,
+    QUESTION_ANCHOR_WIDTH,
+    _rebalance_scales,
+)
+from modkv.trace import BINARY_MAGIC, FORMAT_VERSION, TraceHeader
 
 
 def brute_importance(trace, layer, head, proxy_count):
@@ -358,3 +368,110 @@ def reference_simulate(trace, spec):
         memory_bytes_est=estimate_memory(kept),
         warnings=warnings,
     )
+
+
+# ---------------------------------------------------------------------------
+# Dense reference generator and whole-object writers: the synthetic generator
+# and both containers' renderers as they were before the library streamed
+# them one (layer, head) block at a time. Generated traces and written files
+# must match these exactly.
+
+
+def reference_generate_synthetic(spec):
+    """Build the dense (L, H, n, n) prefill cube head by head, with the same
+    RNG draws and float32 arithmetic as the library."""
+    L, H = spec.num_layers, spec.num_heads
+    n, T = spec.prompt_len, spec.num_decode_steps
+    rng = np.random.default_rng(spec.seed)
+
+    count_v = round_half_up(spec.modality_mix * n)
+    vis = np.zeros(n, dtype=bool)
+    vis[rng.permutation(n)[:count_v]] = True
+    txt = ~vis
+    header = TraceHeader(L, H, n, T, vis)
+
+    tril = np.tril(np.ones((n, n), dtype=np.float32))
+    anchor_width = min(QUESTION_ANCHOR_WIDTH, n)
+    prefill = np.empty((L, H, n, n), dtype=np.float32)
+    decode = [np.empty((L, H, n + s), dtype=np.float32) for s in range(T)]
+
+    for l in range(L):
+        for h in range(H):
+            bias = spec.head_preference_bias[h]
+            u = np.empty(n, dtype=np.float64)
+            if count_v:
+                u[vis] = (rng.permutation(count_v) + 1.0) ** -spec.skew
+            if count_v < n:
+                u[txt] = (rng.permutation(n - count_v) + 1.0) ** -spec.skew
+
+            uv = np.where(vis, u, 0.0)
+            ut = np.where(txt, u, 0.0)
+            cum_v = np.cumsum(uv)
+            cum_t = np.cumsum(ut)
+            both = (cum_v > 0) & (cum_t > 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                scale_v = np.where(both, bias / cum_v, np.where(cum_v > 0, 1.0 / cum_v, 0.0))
+                scale_t = np.where(both, (1.0 - bias) / cum_t, np.where(cum_t > 0, 1.0 / cum_t, 0.0))
+
+            m = prefill[l, h]
+            np.multiply(scale_v[:, None].astype(np.float32), uv.astype(np.float32), out=m)
+            m += scale_t[:, None].astype(np.float32) * ut.astype(np.float32)
+            m *= tril
+
+            if T:
+                bulk = u.sum()
+                w_prompt = u.copy()
+                w_prompt[n - anchor_width:] += QUESTION_ANCHOR_WEIGHT * bulk / anchor_width
+                sum_v = float(w_prompt[vis].sum())
+                sum_t_prompt = float(w_prompt[txt].sum())
+                for s in range(T):
+                    ages = np.arange(s - 1, -1, -1, dtype=np.float64)
+                    hist = DECODE_HISTORY_WEIGHT * bulk * DECODE_HISTORY_DECAY**ages
+                    sv, st = _rebalance_scales(sum_v, sum_t_prompt + float(hist.sum()), bias)
+                    row = decode[s][l, h]
+                    row[:n] = np.where(vis, sv * w_prompt, st * w_prompt)
+                    row[n:] = st * hist
+
+    return AttentionTrace(header, prefill, decode)
+
+
+def reference_trace_to_text(trace):
+    """The text container from one JSON document holding the whole trace."""
+    h = trace.header
+    n = h.prompt_len
+    obj = {
+        "format_version": FORMAT_VERSION,
+        "header": {
+            "L": h.num_layers,
+            "H": h.num_heads,
+            "n": h.prompt_len,
+            "T": h.num_decode_steps,
+            "modality_labels": h.label_strings(),
+        },
+        "prefill": [
+            [
+                [trace.prefill[l, hd, i, : i + 1].tolist() for i in range(n)]
+                for hd in range(h.num_heads)
+            ]
+            for l in range(h.num_layers)
+        ],
+        "decode": [vec.tolist() for vec in trace.decode],
+    }
+    body = json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+    return body.encode("ascii") + b"\n"
+
+
+def reference_trace_to_binary(trace):
+    """The binary container from the whole cube's lower triangle at once."""
+    h = trace.header
+    out = bytearray(BINARY_MAGIC)
+    out += np.array(
+        [FORMAT_VERSION, h.num_layers, h.num_heads, h.prompt_len, h.num_decode_steps],
+        dtype="<u4",
+    ).tobytes()
+    out += np.packbits(h.modality_labels, bitorder="little").tobytes()
+    rows, cols = np.tril_indices(h.prompt_len)
+    out += np.ascontiguousarray(trace.prefill[:, :, rows, cols], dtype="<f4").tobytes()
+    for vec in trace.decode:
+        out += np.ascontiguousarray(vec, dtype="<f4").tobytes()
+    return bytes(out)

@@ -91,6 +91,16 @@ class TestAnalyze:
         assert run("analyze", "--trace", str(p), "--out", str(tmp_path)) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["nan.json", "nan.mkvt"])
+    def test_nan_score_is_a_data_error(self, demo_trace, tmp_path, capsys, name):
+        trace = load_trace(demo_trace)
+        trace.prefill[1, 0, 20, 3] = float("nan")
+        p = tmp_path / name
+        save_trace(trace, p)
+        for cmd in ("analyze", "compare"):
+            assert run(cmd, "--trace", str(p), "--out", str(tmp_path / cmd)) == 3
+            assert "NaN score at (1, 0, 20)" in capsys.readouterr().err
+
     def test_missing_trace_is_a_data_error(self, tmp_path):
         assert run("analyze", "--trace", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)) == 3

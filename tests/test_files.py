@@ -4,7 +4,9 @@ import os
 
 import pytest
 
-from modkv.files import write_atomic
+from conftest import small_spec
+from modkv import AttentionTrace, ParameterError, generate_synthetic, save_trace
+from modkv.files import atomic_file, write_atomic
 
 
 def test_writes_the_payload_and_leaves_no_temporary(tmp_path):
@@ -55,3 +57,53 @@ def test_two_writers_into_one_directory_use_distinct_temporaries(tmp_path, monke
     write_atomic(tmp_path / "a.csv", b"2")
     assert len(set(seen)) == 2
     assert all(os.path.dirname(p) == str(tmp_path) for p in seen)
+
+
+def test_streamed_writes_appear_only_when_the_block_ends(tmp_path):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+    with atomic_file(target) as fh:
+        fh.write(b"new ")
+        fh.write(b"bytes")
+        assert target.read_bytes() == b"old"
+    assert target.read_bytes() == b"new bytes"
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_exception_inside_the_block_keeps_the_target(tmp_path):
+    target = tmp_path / "out.bin"
+    target.write_bytes(b"old")
+    with pytest.raises(RuntimeError, match="writer failed"):
+        with atomic_file(target) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("writer failed")
+    assert target.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+
+class _FailsAtLastHead(AttentionTrace):
+    """A trace whose last (layer, head) block cannot be produced."""
+
+    def head_rows(self, layer, head):
+        h = self.header
+        if (layer, head) == (h.num_layers - 1, h.num_heads - 1):
+            raise RuntimeError("block unavailable")
+        return super().head_rows(layer, head)
+
+
+@pytest.mark.parametrize("name", ["t.mkvt", "t.json"])
+def test_failed_trace_saves_keep_the_old_file(tmp_path, name):
+    trace = generate_synthetic(small_spec(3))
+    n = trace.header.prompt_len
+    partial = AttentionTrace(
+        trace.header, trace.prefill[:, :, n - 8:].copy(), trace.decode, first_row=n - 8
+    )
+    failing = _FailsAtLastHead(trace.header, trace.prefill, trace.decode)
+    target = tmp_path / name
+    target.write_bytes(b"old")
+    with pytest.raises(ParameterError, match="every prefill row"):
+        save_trace(partial, target)
+    with pytest.raises(RuntimeError, match="block unavailable"):
+        save_trace(failing, target)
+    assert target.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == [name]

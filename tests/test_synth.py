@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import small_spec
-from modkv import ParameterError, SyntheticTraceSpec, generate_synthetic
-from modkv.trace import trace_to_text
+from modkv import ParameterError, SyntheticTraceSpec, generate_synthetic, save_trace
+from modkv.trace import trace_to_binary, trace_to_text
+from oracles import (
+    reference_generate_synthetic,
+    reference_trace_to_binary,
+    reference_trace_to_text,
+)
 
 
 def visual_mass_share(trace, layer, head):
@@ -140,3 +145,87 @@ def test_every_generated_trace_validates(layers, heads, n, steps, skew, mix, bia
     spec = SyntheticTraceSpec(layers, heads, n, steps, skew=skew,
                               modality_mix=mix, head_preference_bias=bias, seed=seed)
     generate_synthetic(spec).validate()
+
+
+# ---------------------------------------------------------------------------
+# on-demand prefill blocks against the dense reference generator
+
+EDGE_SPECS = {
+    "general": small_spec(3, bias=(0.1, 0.9)),
+    "n1": small_spec(4, prompt_len=1),
+    "n1_no_decode": small_spec(4, prompt_len=1, steps=0),
+    "no_decode": small_spec(5, steps=0),
+    "all_text": small_spec(6, mix=0.0, bias=0.0),
+    "all_visual": small_spec(6, mix=1.0, bias=1.0),
+    "bias_0_and_1": small_spec(7, bias=(0.0, 1.0)),
+    "tiny_skew": small_spec(8, skew=1e-9),
+    "one_visual_token": small_spec(9, prompt_len=3, mix=0.34, bias=0.6),
+}
+
+
+def cube_built(trace):
+    """Whether the generated trace has built its dense prefill cube."""
+    return trace._cube is not None
+
+
+@pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
+class TestMatchesDenseReference:
+    def test_trace_equals_reference(self, spec):
+        assert generate_synthetic(spec) == reference_generate_synthetic(spec)
+
+    def test_head_rows_equal_reference_blocks_without_the_cube(self, spec):
+        trace = generate_synthetic(spec)
+        ref = reference_generate_synthetic(spec)
+        for l in range(spec.num_layers):
+            for h in range(spec.num_heads):
+                block = trace.head_rows(l, h)
+                assert block.dtype == np.float32
+                assert np.array_equal(block, ref.prefill[l, h])
+        assert not cube_built(trace)
+
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
+    def test_saved_files_equal_reference(self, tmp_path, spec, binary):
+        trace = generate_synthetic(spec)
+        ref = reference_generate_synthetic(spec)
+        ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+        save_trace(trace, ours, binary=binary)
+        save_trace(ref, theirs, binary=binary)
+        assert not cube_built(trace)
+        render = reference_trace_to_binary if binary else reference_trace_to_text
+        assert ours.read_bytes() == theirs.read_bytes() == render(ref)
+
+
+def test_head_rows_follow_edits_to_the_built_cube():
+    trace = generate_synthetic(small_spec(10, steps=0))
+    ref = reference_generate_synthetic(small_spec(10, steps=0))
+    trace.prefill[1, 0, 5, :2] = [0.25, 0.75]
+    ref.prefill[1, 0, 5, :2] = [0.25, 0.75]
+    assert cube_built(trace)
+    assert np.array_equal(trace.head_rows(1, 0), ref.prefill[1, 0])
+    assert trace_to_binary(trace) == reference_trace_to_binary(ref)
+    assert trace_to_text(trace) == reference_trace_to_text(ref)
+
+    fresh = generate_synthetic(small_spec(10, steps=0))
+    fresh.prefill = ref.prefill
+    assert np.array_equal(fresh.head_rows(1, 0), ref.prefill[1, 0])
+    assert trace_to_binary(fresh) == reference_trace_to_binary(ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.integers(1, 3),
+    n=st.integers(1, 12),
+    steps=st.integers(0, 2),
+    skew=st.floats(0.05, 2.5),
+    mix=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    bias=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_generated_trace_equals_reference(layers, heads, n, steps, skew, mix, bias, seed):
+    spec = SyntheticTraceSpec(layers, heads, n, steps, skew=skew,
+                              modality_mix=mix, head_preference_bias=bias, seed=seed)
+    trace = generate_synthetic(spec)
+    ref = reference_generate_synthetic(spec)
+    assert trace_to_binary(trace) == reference_trace_to_binary(ref)
+    assert trace == ref

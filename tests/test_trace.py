@@ -49,6 +49,20 @@ class TestValidation:
         with pytest.raises(ValidationError, match="negative"):
             t.validate()
 
+    def test_nan_score_rejected(self):
+        t = make_trace([[1.0], [0.5, 0.5], [0.25, 0.25, 0.5]], labels="ttt",
+                       tile=(2, 2), validate=False)
+        t.prefill[1, 0, 2, 1] = np.nan
+        with pytest.raises(ValidationError, match=r"NaN score at \(1, 0, 2\)"):
+            t.validate()
+
+    def test_nan_decode_score_rejected(self):
+        t = make_trace([[1.0], [0.5, 0.5]], labels="tt", tile=(1, 2),
+                       decode=[[0.5, 0.5], [0.5, 0.25, 0.25]], validate=False)
+        t.decode[1][0, 1, 2] = np.nan
+        with pytest.raises(ValidationError, match=r"NaN score at decode step 1, \(0, 1\)"):
+            t.validate()
+
     def test_causality_violation_rejected(self):
         t = make_trace([[1.0], [0.5, 0.5]], labels="tt", validate=False)
         t.prefill[0, 0, 0, 1] = 0.25
@@ -316,13 +330,13 @@ class TestPartialLoad:
 
     @pytest.mark.parametrize("kind", ["text", "binary"])
     @pytest.mark.parametrize("row", [5, 20], ids=["dropped_row", "kept_row"])
-    @pytest.mark.parametrize("fault", ["negative", "row_sum"])
+    @pytest.mark.parametrize("fault", ["negative", "row_sum", "NaN"])
     def test_corruption_reported_alike_in_full_and_partial_loads(
         self, tmp_path, mixed_trace, kind, row, fault
     ):
         layer, head = 1, 0
         old = float(mixed_trace.prefill[layer, head, row, 0])
-        value = -0.25 if fault == "negative" else old + 0.5
+        value = {"negative": -0.25, "row_sum": old + 0.5, "NaN": float("nan")}[fault]
         path = tmp_path / f"bad.{'mkvt' if kind == 'binary' else 'json'}"
         write_corrupted(mixed_trace, kind, path, layer, head, row, 0, value)
 
@@ -338,7 +352,8 @@ class TestPartialLoad:
             load_trace(path, rows=8)
         message = str(full.value)
         assert f"({layer}, {head}, {row})" in message
-        assert ("negative" if fault == "negative" else "row sum") in message
+        assert {"negative": "negative score", "row_sum": "row sum",
+                "NaN": "NaN score"}[fault] in message
         assert str(partial.value) == message
         assert str(by_validate.value) == message
 
@@ -416,6 +431,17 @@ class TestStreamedBinaryFile:
         with open(p, "rb", buffering=0) as raw:
             with pytest.raises(FormatError, match=fragment):
                 trace_from_binary(Changing(raw), rows=8)
+
+    @pytest.mark.parametrize("kind", ["text", "binary"])
+    def test_nan_decode_score_rejected_on_load(self, tmp_path, mixed_trace, kind):
+        decode = [vec.copy() for vec in mixed_trace.decode]
+        decode[1][0, 1, 3] = np.nan
+        bad = AttentionTrace(mixed_trace.header, mixed_trace.prefill, decode)
+        path = tmp_path / f"bad.{'mkvt' if kind == 'binary' else 'json'}"
+        save_trace(bad, path)
+        for rows in (None, 8):
+            with pytest.raises(ValidationError, match=r"NaN score at decode step 1, \(0, 1\)"):
+                load_trace(path, rows=rows)
 
     def test_text_file_truncated(self, tmp_path, mixed_trace):
         p = tmp_path / "t.json"
@@ -508,6 +534,25 @@ class TestBoundedMemory:
         assert trace.prefill.shape == (4, 4, 8, 1024)
         # One head's float64 triangle is 4 MiB; the file is 32 MiB and the
         # dense cube 64 MiB.
+        assert peak < 16 * MIB
+
+    def test_generated_binary_save_builds_no_dense_cube(self, tmp_path):
+        spec = SyntheticTraceSpec(4, 4, 1024, 2, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=(0.1, 0.9, 0.1, 0.9), seed=3)
+        path = tmp_path / "gen.mkvt"
+
+        def generate_and_save():
+            trace = generate_synthetic(spec)
+            save_trace(trace, path)
+            return trace
+
+        trace, peak = traced_peak(generate_and_save)
+        assert trace._cube is None
+        assert path.stat().st_size == 4 + 5 * 4 + 128 + 4 * 16 * (
+            1024 * 1025 // 2 + 1024 + 1025
+        )
+        # One head's (n, n) float32 block is 4 MiB; the file is 32 MiB and
+        # the dense cube 64 MiB.
         assert peak < 16 * MIB
 
     def test_text_partial_load_builds_no_dense_cube(self, big_diagonal, monkeypatch):
