@@ -109,8 +109,9 @@ class _SyntheticTrace(AttentionTrace):
 
     Prefill row i of head (l, h) is a closed-form function of the head's
     weight vector, so only the weights `(L, H, n)` are kept. `head_rows`
-    computes one head's block; the writers stream those. The dense cube is
-    built, and then kept, only when `prefill` is first read.
+    computes the rows asked for of one head; the writers stream those a few
+    rows at a time. The dense cube is built, and then kept, only when
+    `prefill` is first read.
     """
 
     def __init__(self, header: TraceHeader, weights: np.ndarray,
@@ -120,7 +121,6 @@ class _SyntheticTrace(AttentionTrace):
         self.first_row = 0
         self._weights = weights
         self._bias = bias
-        self._lower = np.tri(header.prompt_len, dtype=bool)
         self._cube: np.ndarray | None = None
 
     @property
@@ -131,7 +131,7 @@ class _SyntheticTrace(AttentionTrace):
             cube = np.empty((h.num_layers, h.num_heads, n, n), dtype=np.float32)
             for l in range(h.num_layers):
                 for hd in range(h.num_heads):
-                    cube[l, hd] = self._block(l, hd)
+                    cube[l, hd] = self._block(l, hd, 0, n)
             self._cube = cube
         return self._cube
 
@@ -139,28 +139,31 @@ class _SyntheticTrace(AttentionTrace):
     def prefill(self, value: np.ndarray) -> None:
         self._cube = np.ascontiguousarray(value, dtype=np.float32)
 
-    def head_rows(self, layer: int, head: int) -> np.ndarray:
+    def head_rows(self, layer: int, head: int, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
         if self._cube is not None:
-            return self._cube[layer, head]
-        return self._block(layer, head)
+            return super().head_rows(layer, head, start, stop)
+        return self._block(layer, head, start,
+                           self.header.prompt_len if stop is None else stop)
 
-    def _block(self, layer: int, head: int) -> np.ndarray:
-        """Prefill rows of one head: row i is the causal prefix 0..i of the
-        weights, each modality scaled so the visual share is the head bias."""
+    def _block(self, layer: int, head: int, start: int, stop: int) -> np.ndarray:
+        """Prefill rows start..stop-1 of one head: row i is the causal prefix
+        0..i of the weights, each modality scaled so the visual share is the
+        head bias."""
         u = self._weights[layer, head]
         vis = self.header.modality_labels
         bias = self._bias[head]
         uv = np.where(vis, u, 0.0)
         ut = np.where(vis, 0.0, u)
-        cum_v = np.cumsum(uv)
-        cum_t = np.cumsum(ut)
+        cum_v = np.cumsum(uv)[start:stop]
+        cum_t = np.cumsum(ut)[start:stop]
         both = (cum_v > 0) & (cum_t > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale_v = np.where(both, bias / cum_v, np.where(cum_v > 0, 1.0 / cum_v, 0.0))
             scale_t = np.where(both, (1.0 - bias) / cum_t, np.where(cum_t > 0, 1.0 / cum_t, 0.0))
         m = np.multiply(scale_v[:, None].astype(np.float32), uv.astype(np.float32))
         m += scale_t[:, None].astype(np.float32) * ut.astype(np.float32)
-        m *= self._lower
+        m *= np.tri(stop - start, len(u), start, dtype=bool)
         return m
 
 

@@ -11,10 +11,10 @@ can keep only the last rows, which are all that importance and the
 score-driven baselines read: they stream the file one head at a time, check
 every row of every head, and keep the tail. Statistics over the whole prompt
 pass (``head_text_share``) and the writers need every row. The writers take
-one (layer, head) block at a time from ``AttentionTrace.head_rows`` and stream
-it to the file, so a trace that computes its blocks on demand, as the
-synthetic generator's does, is written without its dense cube ever being
-built.
+about 1 MiB of rows at a time from ``AttentionTrace.head_rows`` and stream
+them to the file, so a trace that computes its rows on demand, as the
+synthetic generator's does, is written without its dense cube, or even one
+whole (n, n) block, ever being built.
 
 Two interchangeable containers are supported and sniffed by magic bytes:
 
@@ -22,6 +22,13 @@ Two interchangeable containers are supported and sniffed by magic bytes:
   the shortest decimal of its float64 value), and
 * a binary container (magic ``MKVT``, little-endian u32 header, modality
   labels packed as bits, scores as little-endian float32).
+
+The text container is streamed too: the loader reads it in chunks and parses
+one prefill row and one decode step at a time with the stdlib JSON scanner,
+so no whole-document object is built. It is therefore stricter than a
+whole-document parse: ``header`` must come before ``prefill`` and ``decode``
+(the writer always puts it there), and a field that appears twice in an
+object is an error rather than silently replaced.
 
 Scores are canonically float32: the binary container stores float32 anyway,
 and the text writer renders each float32 score widened to float64, as the
@@ -33,11 +40,12 @@ Text input written with higher precision is quantized on load.
 
 from __future__ import annotations
 
+import codecs
 import enum
 import io
-import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +59,10 @@ BINARY_MAGIC = b"MKVT"
 # Every attention row must sum to one within this tolerance. Row sums are
 # always accumulated in float64 so float32 storage noise stays far below it.
 ROW_SUM_TOL = 1e-6
+
+# The text loader reads this many bytes at a time.
+_TEXT_CHUNK = 1 << 20
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
 
 
 class Modality(enum.Enum):
@@ -225,9 +237,18 @@ class AttentionTrace:
                     f"row sum {dsums[l, hd]:.6g} at decode step {s}, ({l}, {hd})"
                 )
 
-    def head_rows(self, layer: int, head: int) -> np.ndarray:
-        """The prefill rows held for one (layer, head), (n - first_row, n)."""
-        return self.prefill[layer, head]
+    def head_rows(self, layer: int, head: int, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
+        """Prompt rows start..stop-1 of one (layer, head), (stop - start, n);
+        `stop` defaults to n. Rows are absolute: asking for a row below
+        `first_row` raises ParameterError."""
+        if start < self.first_row:
+            raise ParameterError(
+                f"prompt row {start} requested; this trace holds rows "
+                f"{self.first_row}..{self.header.prompt_len - 1} only"
+            )
+        stop = self.header.prompt_len if stop is None else stop
+        return self.prefill[layer, head, start - self.first_row:stop - self.first_row]
 
     def require_full(self, what: str) -> None:
         """Raise ParameterError, naming `what`, unless every prefill row is held."""
@@ -298,6 +319,14 @@ class _PrefillTail:
         self.prefill[layer, head][self._tail_mask] = tri[self.starts[self.first_row]:]
 
 
+def _row_chunks(n: int):
+    """(start, stop) pairs that cover prompt rows 0..n-1, each chunk about
+    1 MiB of float32, so that a writer never holds a whole (n, n) block."""
+    step = max(1, 2**18 // n)
+    for start in range(0, n, step):
+        yield start, min(start + step, n)
+
+
 # ---------------------------------------------------------------------------
 # text container
 
@@ -306,10 +335,17 @@ def _json(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii")
 
 
+def _json_rows(block: np.ndarray, start: int) -> memoryview:
+    """Prompt rows start.. of one head, given as the (rows, n) `block`, as
+    comma-separated JSON lists of each row's causal prefix."""
+    rows = [block[j, : start + j + 1].tolist() for j in range(len(block))]
+    return memoryview(_json(rows))[1:-1]
+
+
 def _write_text(trace: AttentionTrace, fh) -> None:
     """Write the canonical text container (fixed field order, each score as
-    the shortest float64 round-trip decimal, single trailing newline), one
-    (layer, head) block and one decode step at a time."""
+    the shortest float64 round-trip decimal, single trailing newline), a
+    chunk of one (layer, head)'s rows and one decode step at a time."""
     trace.require_full("the text writer")
     h = trace.header
     n = h.prompt_len
@@ -325,10 +361,12 @@ def _write_text(trace: AttentionTrace, fh) -> None:
     for l in range(h.num_layers):
         fh.write(b"[" if l == 0 else b",[")
         for hd in range(h.num_heads):
-            block = trace.head_rows(l, hd)
-            if hd:
-                fh.write(b",")
-            fh.write(_json([block[i, : i + 1].tolist() for i in range(n)]))
+            fh.write(b"[" if hd == 0 else b",[")
+            for start, stop in _row_chunks(n):
+                if start:
+                    fh.write(b",")
+                fh.write(_json_rows(trace.head_rows(l, hd, start, stop), start))
+            fh.write(b"]")
         fh.write(b"]")
     fh.write(b'],"decode":[')
     for s, vec in enumerate(trace.decode):
@@ -345,97 +383,265 @@ def trace_to_text(trace: AttentionTrace) -> bytes:
     return buf.getvalue()
 
 
+def _unique_fields(pairs: list) -> dict:
+    """object_pairs_hook for the leaf decoder: a dict, or FormatError for a
+    field that appears twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"duplicate field {key}")
+        obj[key] = value
+    return obj
+
+
+class _JsonReader:
+    """Reads one JSON document from a binary file, _TEXT_CHUNK bytes at a time.
+
+    The caller walks the structure (`fields`, `items`) and asks for each leaf
+    with `value`, which the stdlib scanner parses: numbers, strings and
+    literals are accepted or rejected as `json.loads` would. Only the pending
+    text is held. A value whose parse stops at the end of the buffer is
+    accepted only at the end of the file, since a number may go on in the next
+    chunk; a parse that fails is retried after a refill and becomes a
+    FormatError only once the file is exhausted.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._utf8 = codecs.getincrementaldecoder("utf-8")()
+        self._decoder = json.JSONDecoder(object_pairs_hook=_unique_fields)
+        self._buf = ""
+        self._pos = 0
+        self._dropped = 0  # characters consumed before _buf[0]
+        self._eof = False
+
+    def _refill(self) -> bool:
+        """Append more text to the pending text, reading at least as many
+        bytes as are pending so that a retried parse at least doubles its
+        input. False, with the buffer untouched, at the end of the file."""
+        size = max(_TEXT_CHUNK, len(self._buf) - self._pos)
+        text = ""
+        while not text and not self._eof:
+            chunk = self._fh.read(size)
+            self._eof = not chunk
+            try:
+                text = self._utf8.decode(chunk, final=self._eof)
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"not a valid text trace: {exc}") from None
+        if not text:
+            return False
+        self._dropped += self._pos
+        self._buf = self._buf[self._pos:] + text
+        self._pos = 0
+        return True
+
+    def _error(self, what: str) -> FormatError:
+        return FormatError(
+            f"not a valid text trace: {what} at character {self._dropped + self._pos}"
+        )
+
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end of the file."""
+        while True:
+            self._pos = _WHITESPACE.match(self._buf, self._pos).end()
+            if self._pos < len(self._buf):
+                return self._buf[self._pos]
+            if not self._refill():
+                return ""
+
+    def _take(self, chars: str) -> str:
+        """Consume the next character, one of `chars`."""
+        char = self.peek()
+        if not char or char not in chars:
+            raise self._error(" or ".join(repr(c) for c in chars) + " expected")
+        self._pos += 1
+        return char
+
+    def value(self):
+        """Parse the next value."""
+        self.peek()
+        # Top up a buffer that is running low, so that most values parse at
+        # the first try: a failed parse also scans the buffer to build its
+        # error.
+        if len(self._buf) - self._pos < _TEXT_CHUNK // 2:
+            self._refill()
+        while True:
+            try:
+                obj, end = self._decoder.raw_decode(self._buf, self._pos)
+            except json.JSONDecodeError as exc:
+                if self._refill():
+                    continue
+                raise FormatError(
+                    f"not a valid text trace: {exc.msg} at character "
+                    f"{self._dropped + exc.pos}"
+                ) from None
+            if end < len(self._buf) or not self._refill():
+                self._pos = end
+                return obj
+
+    def items(self, count: int, what: str):
+        """Yield 0..count-1 before each item of the array that comes next,
+        for the caller to parse; FormatError(what) unless the value is an
+        array of `count` items."""
+        if self.peek() != "[":
+            raise FormatError(what)
+        self._pos += 1
+        size = 0
+        if self.peek() == "]":
+            self._pos += 1
+        else:
+            while True:
+                if size == count:
+                    raise FormatError(what)
+                yield size
+                size += 1
+                if self._take(",]") == "]":
+                    break
+        if size != count:
+            raise FormatError(what)
+
+    def fields(self, what: str):
+        """Yield the name of each field of the object that comes next, for
+        the caller to parse its value; FormatError(what) unless the value is
+        an object, and FormatError for a duplicate field."""
+        if self.peek() != "{":
+            raise FormatError(what)
+        self._pos += 1
+        if self.peek() == "}":
+            self._pos += 1
+            return
+        seen = set()
+        while True:
+            if self.peek() != '"':
+                raise self._error("field name expected")
+            key = self.value()
+            if key in seen:
+                raise FormatError(f"duplicate field {key}")
+            seen.add(key)
+            self._take(":")
+            yield key
+            if self._take(",}") == "}":
+                return
+
+    def end(self) -> None:
+        """FormatError unless only whitespace is left."""
+        if self.peek():
+            raise self._error("data after the top-level object")
+
+
 def _require(obj: dict, key: str, where: str):
     if key not in obj:
         raise FormatError(f"missing field {where}{key}")
     return obj[key]
 
 
-def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
-    """Parse a text container from bytes or an open binary file.
-
-    `rows` keeps only the last `rows` prompt rows of each (layer, head); None
-    keeps all of them. Every row is checked either way. Read from a file, the
-    raw bytes are dropped once decoded, before the JSON is parsed.
-    """
-    if not isinstance(data, (bytes, bytearray)):
-        data = data.read()
-    try:
-        text = data.decode("utf-8")
-        del data
-        obj = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"not a valid text trace: {exc}") from None
-    del text
+def _text_header(obj) -> TraceHeader:
+    """The header, from its parsed JSON object."""
     if not isinstance(obj, dict):
-        raise FormatError("top-level value must be an object")
-    version = _require(obj, "format_version", "")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {version!r}")
-    header_obj = _require(obj, "header", "")
-    if not isinstance(header_obj, dict):
         raise FormatError("header must be an object")
-    L = _require(header_obj, "L", "header.")
-    H = _require(header_obj, "H", "header.")
-    n = _require(header_obj, "n", "header.")
-    T = _require(header_obj, "T", "header.")
-    labels_raw = _require(header_obj, "modality_labels", "header.")
+    L = _require(obj, "L", "header.")
+    H = _require(obj, "H", "header.")
+    n = _require(obj, "n", "header.")
+    T = _require(obj, "T", "header.")
+    labels_raw = _require(obj, "modality_labels", "header.")
     for name, val in (("L", L), ("H", H), ("n", n), ("T", T)):
         if not isinstance(val, int) or isinstance(val, bool):
             raise FormatError(f"header.{name} must be an integer, got {val!r}")
     if not isinstance(labels_raw, list) or len(labels_raw) != n:
         raise FormatError(f"header.modality_labels must be a list of length {n}")
     labels = np.array([Modality.from_str(s) is Modality.VISUAL for s in labels_raw])
-
-    prefill_obj = _require(obj, "prefill", "")
-    decode_obj = _require(obj, "decode", "")
     try:
-        header = TraceHeader(L, H, n, T, labels)
+        return TraceHeader(L, H, n, T, labels)
     except ValidationError as exc:
         raise FormatError(f"bad header: {exc}") from None
 
-    tail = _PrefillTail(L, H, n, rows)
-    if not isinstance(prefill_obj, list) or len(prefill_obj) != L:
-        raise FormatError(f"prefill must be a list of {L} layers")
-    for l, layer in enumerate(prefill_obj):
-        if not isinstance(layer, list) or len(layer) != H:
-            raise FormatError(f"prefill[{l}] must be a list of {H} heads")
-        for hd, head_rows in enumerate(layer):
-            if not isinstance(head_rows, list) or len(head_rows) != n:
-                raise FormatError(f"prefill[{l}][{hd}] must be a list of {n} rows")
-            for i, row in enumerate(head_rows):
+
+def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) -> None:
+    """Parse the prefill one row at a time, passing each head to `tail`."""
+    L, H, n = header.num_layers, header.num_heads, header.prompt_len
+    tri = np.empty(tail.size, dtype=np.float32)
+    for l in reader.items(L, f"prefill must be a list of {L} layers"):
+        for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
+            numeric = True
+            for i in reader.items(n, f"prefill[{l}][{hd}] must be a list of {n} rows"):
+                row = reader.value()
                 if not isinstance(row, list) or len(row) != i + 1:
                     raise FormatError(
                         f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
                         f"got {len(row) if isinstance(row, list) else type(row).__name__}"
                     )
-            try:
-                tri = np.fromiter(
-                    itertools.chain.from_iterable(head_rows), dtype=np.float32, count=tail.size
-                )
-            except (TypeError, ValueError):
-                raise FormatError(f"prefill[{l}][{hd}]: scores must be numbers") from None
+                # A bad score is reported once every row's length is checked.
+                if numeric:
+                    start = i * (i + 1) // 2
+                    try:
+                        tri[start:start + i + 1] = np.fromiter(row, dtype=np.float32, count=i + 1)
+                    except (TypeError, ValueError):
+                        numeric = False
+            if not numeric:
+                raise FormatError(f"prefill[{l}][{hd}]: scores must be numbers")
             tail.add(l, hd, tri)
 
-    decode = []
-    if not isinstance(decode_obj, list) or len(decode_obj) != T:
-        raise FormatError(f"decode must be a list of {T} steps")
-    for s, step in enumerate(decode_obj):
-        want = n + s
-        arr = np.zeros((L, H, want), dtype=np.float32)
-        if not isinstance(step, list) or len(step) != L:
-            raise FormatError(f"decode[{s}] must be a list of {L} layers")
-        for l, layer in enumerate(step):
-            if not isinstance(layer, list) or len(layer) != H:
-                raise FormatError(f"decode[{s}][{l}] must be a list of {H} heads")
-            for hd, vec in enumerate(layer):
-                if not isinstance(vec, list) or len(vec) != want:
-                    raise FormatError(
-                        f"decode[{s}][{l}][{hd}]: expected {want} entries, "
-                        f"got {len(vec) if isinstance(vec, list) else type(vec).__name__}"
-                    )
+
+def _decode_step(step, s: int, header: TraceHeader) -> np.ndarray:
+    """Check decode step `s`, parsed as one value, and convert it."""
+    L, H, want = header.num_layers, header.num_heads, header.prompt_len + s
+    arr = np.zeros((L, H, want), dtype=np.float32)
+    if not isinstance(step, list) or len(step) != L:
+        raise FormatError(f"decode[{s}] must be a list of {L} layers")
+    for l, layer in enumerate(step):
+        if not isinstance(layer, list) or len(layer) != H:
+            raise FormatError(f"decode[{s}][{l}] must be a list of {H} heads")
+        for hd, vec in enumerate(layer):
+            if not isinstance(vec, list) or len(vec) != want:
+                raise FormatError(
+                    f"decode[{s}][{l}][{hd}]: expected {want} entries, "
+                    f"got {len(vec) if isinstance(vec, list) else type(vec).__name__}"
+                )
+            try:
                 arr[l, hd] = vec
-        decode.append(arr)
+            except (TypeError, ValueError):
+                raise FormatError(f"decode[{s}][{l}][{hd}]: scores must be numbers") from None
+    return arr
+
+
+def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
+    """Parse a text container from bytes or an open binary file.
+
+    `rows` keeps only the last `rows` prompt rows of each (layer, head); None
+    keeps all of them. Every row is checked either way. The document is read
+    in chunks and parsed one prefill row and one decode step at a time, so no
+    whole-document object is built; `header` must therefore come before
+    `prefill` and `decode`.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        data = io.BytesIO(data)
+    reader = _JsonReader(data)
+    header = tail = None
+    seen = set()
+    decode = []
+    for key in reader.fields("top-level value must be an object"):
+        if key in ("prefill", "decode") and header is None:
+            raise FormatError(f"header must come before {key}")
+        if key == "format_version":
+            version = reader.value()
+            if version != FORMAT_VERSION:
+                raise FormatError(f"unsupported format_version {version!r}")
+        elif key == "header":
+            header = _text_header(reader.value())
+            tail = _PrefillTail(header.num_layers, header.num_heads, header.prompt_len, rows)
+        elif key == "prefill":
+            _read_prefill(reader, header, tail)
+        elif key == "decode":
+            T = header.num_decode_steps
+            for s in reader.items(T, f"decode must be a list of {T} steps"):
+                decode.append(_decode_step(reader.value(), s, header))
+        else:
+            reader.value()  # an unknown field is ignored
+        seen.add(key)
+    reader.end()
+    for key in ("format_version", "header", "prefill", "decode"):
+        if key not in seen:
+            raise FormatError(f"missing field {key}")
 
     trace = AttentionTrace(header, tail.prefill, decode, tail.first_row)
     trace.validate()
@@ -459,11 +665,14 @@ def _write_binary(trace: AttentionTrace, fh) -> None:
     fh.write(BINARY_MAGIC)
     fh.write(np.array([FORMAT_VERSION, L, H, n, T], dtype="<u4").tobytes())
     fh.write(np.packbits(h.modality_labels, bitorder="little").tobytes())
-    # Boolean indexing reads row-major, so this is the packed triangle.
-    lower = np.tri(n, dtype=bool)
     for l in range(L):
         for hd in range(H):
-            fh.write(np.ascontiguousarray(trace.head_rows(l, hd)[lower], dtype="<f4").data)
+            for start, stop in _row_chunks(n):
+                # Boolean indexing reads row-major, so the chunks' lower
+                # triangles make up the packed triangle.
+                lower = np.tri(stop - start, n, start, dtype=bool)
+                block = trace.head_rows(l, hd, start, stop)
+                fh.write(np.ascontiguousarray(block[lower], dtype="<f4").data)
     for vec in trace.decode:
         fh.write(np.ascontiguousarray(vec, dtype="<f4").data)
 

@@ -12,7 +12,7 @@ down exactly the arithmetic the vectorised kernel must reproduce.
 import json
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -21,9 +21,12 @@ from modkv import (
     BaselineKind,
     BudgetPlan,
     EvictionMask,
+    FormatError,
+    Modality,
     PolicyConfig,
     PolicyMode,
     SimReport,
+    ValidationError,
     baseline_mask,
     estimate_memory,
     largest_remainder_split,
@@ -39,7 +42,7 @@ from modkv.synth import (
     QUESTION_ANCHOR_WIDTH,
     _rebalance_scales,
 )
-from modkv.trace import BINARY_MAGIC, FORMAT_VERSION, TraceHeader
+from modkv.trace import BINARY_MAGIC, FORMAT_VERSION, TraceHeader, _PrefillTail
 
 
 def brute_importance(trace, layer, head, proxy_count):
@@ -475,3 +478,97 @@ def reference_trace_to_binary(trace):
     for vec in trace.decode:
         out += np.ascontiguousarray(vec, dtype="<f4").tobytes()
     return bytes(out)
+
+
+def _require(obj, key, where):
+    if key not in obj:
+        raise FormatError(f"missing field {where}{key}")
+    return obj[key]
+
+
+def reference_trace_from_text(data, rows=None):
+    """The text container parsed as one whole JSON document, then checked
+    field by field, as the loader did before it streamed. Like `json.loads`,
+    it takes the fields in any order and keeps the last of a duplicate."""
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"not a valid text trace: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError("top-level value must be an object")
+    version = _require(obj, "format_version", "")
+    if version != FORMAT_VERSION:
+        raise FormatError(f"unsupported format_version {version!r}")
+    header_obj = _require(obj, "header", "")
+    if not isinstance(header_obj, dict):
+        raise FormatError("header must be an object")
+    L = _require(header_obj, "L", "header.")
+    H = _require(header_obj, "H", "header.")
+    n = _require(header_obj, "n", "header.")
+    T = _require(header_obj, "T", "header.")
+    labels_raw = _require(header_obj, "modality_labels", "header.")
+    for name, val in (("L", L), ("H", H), ("n", n), ("T", T)):
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise FormatError(f"header.{name} must be an integer, got {val!r}")
+    if not isinstance(labels_raw, list) or len(labels_raw) != n:
+        raise FormatError(f"header.modality_labels must be a list of length {n}")
+    labels = np.array([Modality.from_str(s) is Modality.VISUAL for s in labels_raw])
+
+    prefill_obj = _require(obj, "prefill", "")
+    decode_obj = _require(obj, "decode", "")
+    try:
+        header = TraceHeader(L, H, n, T, labels)
+    except ValidationError as exc:
+        raise FormatError(f"bad header: {exc}") from None
+
+    tail = _PrefillTail(L, H, n, rows)
+    if not isinstance(prefill_obj, list) or len(prefill_obj) != L:
+        raise FormatError(f"prefill must be a list of {L} layers")
+    for l, layer in enumerate(prefill_obj):
+        if not isinstance(layer, list) or len(layer) != H:
+            raise FormatError(f"prefill[{l}] must be a list of {H} heads")
+        for hd, head_rows in enumerate(layer):
+            if not isinstance(head_rows, list) or len(head_rows) != n:
+                raise FormatError(f"prefill[{l}][{hd}] must be a list of {n} rows")
+            for i, row in enumerate(head_rows):
+                if not isinstance(row, list) or len(row) != i + 1:
+                    raise FormatError(
+                        f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
+                        f"got {len(row) if isinstance(row, list) else type(row).__name__}"
+                    )
+            try:
+                tri = np.fromiter(
+                    chain.from_iterable(head_rows), dtype=np.float32, count=tail.size
+                )
+            except (TypeError, ValueError):
+                raise FormatError(f"prefill[{l}][{hd}]: scores must be numbers") from None
+            tail.add(l, hd, tri)
+
+    decode = []
+    if not isinstance(decode_obj, list) or len(decode_obj) != T:
+        raise FormatError(f"decode must be a list of {T} steps")
+    for s, step in enumerate(decode_obj):
+        want = n + s
+        arr = np.zeros((L, H, want), dtype=np.float32)
+        if not isinstance(step, list) or len(step) != L:
+            raise FormatError(f"decode[{s}] must be a list of {L} layers")
+        for l, layer in enumerate(step):
+            if not isinstance(layer, list) or len(layer) != H:
+                raise FormatError(f"decode[{s}][{l}] must be a list of {H} heads")
+            for hd, vec in enumerate(layer):
+                if not isinstance(vec, list) or len(vec) != want:
+                    raise FormatError(
+                        f"decode[{s}][{l}][{hd}]: expected {want} entries, "
+                        f"got {len(vec) if isinstance(vec, list) else type(vec).__name__}"
+                    )
+                try:
+                    arr[l, hd] = vec
+                except (TypeError, ValueError):
+                    raise FormatError(
+                        f"decode[{s}][{l}][{hd}]: scores must be numbers"
+                    ) from None
+        decode.append(arr)
+
+    trace = AttentionTrace(header, tail.prefill, decode, tail.first_row)
+    trace.validate()
+    return trace

@@ -101,6 +101,18 @@ class TestAnalyze:
             assert run(cmd, "--trace", str(p), "--out", str(tmp_path / cmd)) == 3
             assert "NaN score at (1, 0, 20)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["x", [0.5]])
+    def test_non_numeric_decode_score_is_a_data_error(self, demo_trace, tmp_path, capsys,
+                                                      value):
+        doc = json.loads(demo_trace.read_text())
+        doc["decode"][1][0][0][2] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert run("analyze", "--trace", str(p), "--out", str(tmp_path / "an")) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert "decode[1][0][0]: scores must be numbers" in err
+
     def test_missing_trace_is_a_data_error(self, tmp_path):
         assert run("analyze", "--trace", str(tmp_path / "nope.json"),
                    "--out", str(tmp_path)) == 3

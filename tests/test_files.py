@@ -84,11 +84,11 @@ def test_exception_inside_the_block_keeps_the_target(tmp_path):
 class _FailsAtLastHead(AttentionTrace):
     """A trace whose last (layer, head) block cannot be produced."""
 
-    def head_rows(self, layer, head):
+    def head_rows(self, layer, head, start=0, stop=None):
         h = self.header
         if (layer, head) == (h.num_layers - 1, h.num_heads - 1):
             raise RuntimeError("block unavailable")
-        return super().head_rows(layer, head)
+        return super().head_rows(layer, head, start, stop)
 
 
 @pytest.mark.parametrize("name", ["t.mkvt", "t.json"])

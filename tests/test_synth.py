@@ -211,6 +211,21 @@ def test_head_rows_follow_edits_to_the_built_cube():
     assert trace_to_binary(fresh) == reference_trace_to_binary(ref)
 
 
+def test_row_chunked_blocks_and_files_equal_reference():
+    # 2**18 // 700 = 374 rows a chunk, so the writers take each head in two.
+    spec = small_spec(11, layers=1, prompt_len=700, steps=1)
+    trace = generate_synthetic(spec)
+    ref = reference_generate_synthetic(spec)
+    for start, stop in ((0, 700), (0, 1), (100, 375), (374, 700), (699, 700)):
+        block = trace.head_rows(0, 1, start, stop)
+        assert np.array_equal(block, ref.prefill[0, 1, start:stop])
+    assert np.array_equal(trace.head_rows(0, 1, 600), ref.prefill[0, 1, 600:])
+    assert not cube_built(trace)
+    assert trace_to_binary(trace) == reference_trace_to_binary(ref)
+    assert trace_to_text(trace) == reference_trace_to_text(ref)
+    assert not cube_built(trace)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     layers=st.integers(1, 2),

@@ -3,15 +3,19 @@
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import modkv.trace as trace_module
 from conftest import make_trace, small_spec, uniform_rows
 from modkv import (
     AttentionTrace,
     FormatError,
     Modality,
+    ModkvError,
     ParameterError,
     ProxyConfig,
     SyntheticTraceSpec,
@@ -32,6 +36,7 @@ from modkv.trace import (
     trace_to_text,
     visual_mask,
 )
+from oracles import reference_trace_from_text
 
 
 class TestValidation:
@@ -116,6 +121,31 @@ class TestVisualMask:
         assert np.array_equal(visual_mask(want), want)
 
 
+def tiny_document():
+    return {
+        "format_version": 1,
+        "header": {"L": 1, "H": 1, "n": 2, "T": 0,
+                   "modality_labels": ["text", "text"]},
+        "prefill": [[[[1.0], [0.5, 0.5]]]],
+        "decode": [],
+    }
+
+
+# Mutations of tiny_document() and a fragment of the error each must raise.
+MALFORMED = [
+    (lambda o: o.pop("format_version"), "format_version"),
+    (lambda o: o.update(format_version=99), "format_version"),
+    (lambda o: o["header"].pop("n"), "header.n"),
+    (lambda o: o["header"].update(n="2"), "header.n"),
+    (lambda o: o["header"].update(modality_labels=["text"]), "modality_labels"),
+    (lambda o: o["header"].update(modality_labels=["text", "image"]), "image"),
+    (lambda o: o["header"].update(modality_labels=["text", "visu\u00e9l"]), "visu\u00e9l"),
+    (lambda o: o["prefill"][0][0].__setitem__(1, [0.5]), "row 1: expected 2"),
+    (lambda o: o["prefill"].pop(), "prefill"),
+    (lambda o: o.update(decode=[[]]), "decode"),
+]
+
+
 class TestTextContainer:
     def test_save_load_structural_equality(self, tmp_path, mixed_trace):
         p = tmp_path / "t.json"
@@ -157,28 +187,9 @@ class TestTextContainer:
         assert [d.shape[2] for d in rt.decode] == [5, 6, 7]
         assert rt == t
 
-    @pytest.mark.parametrize(
-        "mutate, fragment",
-        [
-            (lambda o: o.pop("format_version"), "format_version"),
-            (lambda o: o.update(format_version=99), "format_version"),
-            (lambda o: o["header"].pop("n"), "header.n"),
-            (lambda o: o["header"].update(n="2"), "header.n"),
-            (lambda o: o["header"].update(modality_labels=["text"]), "modality_labels"),
-            (lambda o: o["header"].update(modality_labels=["text", "image"]), "image"),
-            (lambda o: o["prefill"][0][0].__setitem__(1, [0.5]), "row 1: expected 2"),
-            (lambda o: o["prefill"].pop(), "prefill"),
-            (lambda o: o.update(decode=[[]]), "decode"),
-        ],
-    )
+    @pytest.mark.parametrize("mutate, fragment", MALFORMED)
     def test_malformed_documents_name_the_field(self, mutate, fragment):
-        doc = {
-            "format_version": 1,
-            "header": {"L": 1, "H": 1, "n": 2, "T": 0,
-                       "modality_labels": ["text", "text"]},
-            "prefill": [[[[1.0], [0.5, 0.5]]]],
-            "decode": [],
-        }
+        doc = tiny_document()
         mutate(doc)
         with pytest.raises(FormatError) as err:
             trace_from_text(json.dumps(doc).encode())
@@ -189,6 +200,146 @@ class TestTextContainer:
             trace_from_text(b"not json at all")
         with pytest.raises(FormatError):
             trace_from_text(b"[1, 2, 3]")
+
+
+# ---------------------------------------------------------------------------
+# the streamed text loader against the whole-document parse
+
+
+def render(doc, style):
+    """A document as UTF-8 bytes: compact, indented or with spaced separators."""
+    if style == "compact":
+        text = json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
+    elif style == "indented":
+        text = json.dumps(doc, indent=2, ensure_ascii=False)
+    else:
+        text = json.dumps(doc, separators=(", ", ": "), ensure_ascii=False)
+    return text.encode("utf-8")
+
+
+def outcome(load, data, rows):
+    """The trace `load` returns, or the class of the modkv error it raises."""
+    try:
+        return load(data, rows=rows)
+    except ModkvError as exc:
+        return type(exc)
+
+
+@pytest.fixture(params=[None, 1, 7], ids=["default_chunk", "chunk1", "chunk7"])
+def chunk(request, monkeypatch):
+    """The text loader's read size: its default, or sizes that split numbers,
+    field names and multi-byte characters."""
+    if request.param is not None:
+        monkeypatch.setattr(trace_module, "_TEXT_CHUNK", request.param)
+    return request.param
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.integers(1, 2),
+    n=st.integers(1, 6),
+    steps=st.integers(0, 2),
+    seed=st.integers(0, 2 ** 32 - 1),
+    style=st.sampled_from(["compact", "indented", "spaced"]),
+    target=st.sampled_from(["none", "prefill", "decode"]),
+    value=st.sampled_from([-0.5, 2.0, float("nan"), "x", [0.5], None, True, 0.25]),
+    where=st.integers(0, 2 ** 16),
+)
+def test_streamed_load_matches_whole_document_parse(layers, heads, n, steps, seed, style,
+                                                    target, value, where):
+    spec = SyntheticTraceSpec(layers, heads, n, steps, skew=1.2, modality_mix=0.5,
+                              head_preference_bias=0.3, seed=seed)
+    doc = json.loads(trace_to_text(generate_synthetic(spec)))
+    l, hd = where % layers, where // layers % heads
+    if target == "prefill":
+        row = doc["prefill"][l][hd][where % n]
+        row[where % len(row)] = value
+    elif target == "decode" and steps:
+        vec = doc["decode"][where % steps][l][hd]
+        vec[where % len(vec)] = value
+    data = render(doc, style)
+    for rows in (None, 1, n):
+        want = outcome(reference_trace_from_text, data, rows)
+        for chunk in (trace_module._TEXT_CHUNK, 7):
+            with mock.patch.object(trace_module, "_TEXT_CHUNK", chunk):
+                got = outcome(trace_from_text, data, rows)
+            if isinstance(want, AttentionTrace):
+                assert isinstance(got, AttentionTrace) and got == want
+            else:
+                assert got is want
+
+
+class TestStreamedTextFile:
+    def test_canonical_and_indented_documents_load(self, chunk, mixed_trace):
+        canonical = trace_to_text(mixed_trace)
+        doc = json.loads(canonical)
+        # Unknown fields are skipped: a number that a chunk can split, and
+        # multi-byte characters.
+        doc["count"] = 1234567
+        doc["note"] = "na\u00efve \u2713 \u89c6\u89c9"
+        for data in (canonical, render(doc, "indented")):
+            assert trace_from_text(data) == mixed_trace
+            assert trace_from_text(data, rows=8) == tail_of(mixed_trace, 8)
+
+    def test_a_number_split_by_a_chunk_is_read_whole(self, chunk):
+        trace = make_trace([[1.0], [0.5, 0.5]], labels="tv")
+        body = trace_to_text(trace).rstrip(b"\n}")
+        for pad in range(32):
+            # Padding moves the number across the chunk boundaries.
+            data = body + b"," + b" " * pad + b'"count":1234567}'
+            assert trace_from_text(data) == trace
+
+    @pytest.mark.parametrize("mutate, fragment", MALFORMED)
+    def test_malformed_documents_fail_alike_at_any_chunk_size(self, chunk, mutate, fragment):
+        doc = tiny_document()
+        mutate(doc)
+        with pytest.raises(FormatError) as err:
+            trace_from_text(render(doc, "compact"))
+        assert fragment in str(err.value)
+
+    def test_every_truncation_is_a_format_error(self, chunk):
+        trace = make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]])
+        # The document is complete without its trailing newline.
+        body = trace_to_text(trace).rstrip(b"\n")
+        assert trace_from_text(body) == trace
+        for end in range(len(body)):
+            with pytest.raises(FormatError):
+                trace_from_text(body[:end])
+
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda d: {k: d[k] for k in ("format_version", "prefill", "header", "decode")},
+         "header must come before prefill"),
+        (lambda d: {k: d[k] for k in ("format_version", "decode", "header", "prefill")},
+         "header must come before decode"),
+    ])
+    def test_header_must_come_first(self, edit, fragment):
+        data = render(edit(tiny_document()), "compact")
+        assert isinstance(reference_trace_from_text(data), AttentionTrace)
+        with pytest.raises(FormatError, match=fragment):
+            trace_from_text(data)
+
+    @pytest.mark.parametrize("old, new, fragment", [
+        (b'"decode":[]', b'"decode":[],"decode":[]', "duplicate field decode"),
+        (b'"n":2,', b'"n":2,"n":2,', "duplicate field n"),
+        (b"]]]],", b"]]]],\"prefill\":[],", "duplicate field prefill"),
+    ])
+    def test_duplicate_fields_rejected(self, old, new, fragment):
+        data = render(tiny_document(), "compact")
+        assert old in data
+        with pytest.raises(FormatError, match=fragment):
+            trace_from_text(data.replace(old, new, 1))
+
+    @pytest.mark.parametrize("extra", [b"x", b"{}", b"\n}", b" 1"])
+    def test_trailing_data_rejected(self, extra):
+        data = trace_to_text(make_trace([[1.0], [0.5, 0.5]], labels="tv"))
+        with pytest.raises(FormatError, match="after the top-level object"):
+            trace_from_text(data + extra)
+
+    def test_byte_order_mark_rejected(self):
+        data = trace_to_text(make_trace([[1.0], [0.5, 0.5]], labels="tv"))
+        with pytest.raises(FormatError):
+            trace_from_text(b"\xef\xbb\xbf" + data)
 
 
 class TestBinaryContainer:
@@ -455,6 +606,26 @@ class TestStreamedBinaryFile:
         with pytest.raises(FormatError, match=r"prefill\[0\]\[1\]"):
             trace_from_text(json.dumps(doc).encode(), rows=8)
 
+    @pytest.mark.parametrize("value", ["x", [0.5]])
+    def test_non_numeric_decode_score_is_a_format_error(self, mixed_trace, value):
+        doc = json.loads(trace_to_text(mixed_trace))
+        doc["decode"][1][0][0][2] = value
+        for rows in (None, 8):
+            with pytest.raises(FormatError,
+                               match=r"decode\[1\]\[0\]\[0\]: scores must be numbers"):
+                trace_from_text(json.dumps(doc).encode(), rows=rows)
+
+    def test_head_rows_take_absolute_prompt_rows(self, mixed_trace):
+        dense = AttentionTrace(mixed_trace.header, mixed_trace.prefill, mixed_trace.decode)
+        part = tail_of(dense, 8)
+        assert np.array_equal(dense.head_rows(1, 0), dense.prefill[1, 0])
+        assert np.array_equal(dense.head_rows(1, 0, 3, 9), dense.prefill[1, 0, 3:9])
+        assert np.array_equal(part.head_rows(1, 0, 16), dense.prefill[1, 0, 16:])
+        assert np.array_equal(part.head_rows(1, 0, 18, 20), dense.prefill[1, 0, 18:20])
+        for start in (0, 15):
+            with pytest.raises(ParameterError, match=f"prompt row {start} requested"):
+                part.head_rows(1, 0, start)
+
 
 class TestPartialTraceConsumers:
     def test_whole_cube_consumers_refuse_a_partial_trace(self, mixed_trace):
@@ -486,9 +657,9 @@ class TestPartialTraceConsumers:
 @pytest.fixture(scope="module")
 def big_diagonal(tmp_path_factory):
     """A 4x4x1024 trace, every prompt row on its own position, as a binary
-    file and a text twin, with the twin's parsed JSON document. The twin
-    writes scores as the integers 0 and 1, which the text container accepts,
-    and its heads share one list, so the document stays small."""
+    file and a text twin. The twin writes scores as the integers 0 and 1,
+    which the text container accepts, and its heads share one list, so the
+    document stays small to build."""
     L, H, n = 4, 4, 1024
     prefill = np.zeros((L, H, n, n), dtype=np.float32)
     idx = np.arange(n)
@@ -510,7 +681,7 @@ def big_diagonal(tmp_path_factory):
     }
     text = folder / "big.json"
     text.write_text(json.dumps(doc, separators=(",", ":")))
-    return binary, text, doc
+    return binary, text
 
 
 def traced_peak(fn):
@@ -526,10 +697,8 @@ MIB = 1 << 20
 
 
 class TestBoundedMemory:
-    CUBE = 4 * 4 * 1024 * 1024 * 4  # the dense float32 cube: 64 MiB
-
     def test_binary_partial_load_stays_small(self, big_diagonal):
-        binary, _, _ = big_diagonal
+        binary, _ = big_diagonal
         trace, peak = traced_peak(lambda: load_trace(binary, rows=8))
         assert trace.prefill.shape == (4, 4, 8, 1024)
         # One head's float64 triangle is 4 MiB; the file is 32 MiB and the
@@ -551,18 +720,20 @@ class TestBoundedMemory:
         assert path.stat().st_size == 4 + 5 * 4 + 128 + 4 * 16 * (
             1024 * 1025 // 2 + 1024 + 1025
         )
-        # One head's (n, n) float32 block is 4 MiB; the file is 32 MiB and
-        # the dense cube 64 MiB.
-        assert peak < 16 * MIB
+        # The writers take about 1 MiB of float32 rows at a time; one head's
+        # (n, n) float32 block is 4 MiB, the file 32 MiB and the dense cube
+        # 64 MiB.
+        assert peak < 6 * MIB
 
     def test_text_partial_load_builds_no_dense_cube(self, big_diagonal, monkeypatch):
-        binary, text, doc = big_diagonal
-        data = text.read_bytes()
-        assert trace_from_text(data, rows=8) == load_trace(binary, rows=8)
-        # Tracing every object the JSON parser makes takes minutes, so the
-        # traced load gets the parsed document and only the loader's own
-        # allocations count: the decoded text (16 MiB) and one head at a time.
-        monkeypatch.setattr(json, "loads", lambda text: doc)
-        trace, peak = traced_peak(lambda: trace_from_text(data, rows=8))
-        assert trace.prefill.shape == (4, 4, 8, 1024)
-        assert peak < self.CUBE // 2
+        binary, text = big_diagonal
+
+        def whole_document(*args, **kwargs):
+            raise AssertionError("the text loader parsed the whole document")
+
+        monkeypatch.setattr(json, "loads", whole_document)
+        trace, peak = traced_peak(lambda: load_trace(text, rows=8))
+        assert trace == load_trace(binary, rows=8)
+        # One head's float64 triangle is 4 MiB and the text held at a time
+        # up to 2 MiB; the file is 16 MiB and the dense cube 64 MiB.
+        assert peak < 16 * MIB
