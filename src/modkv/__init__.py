@@ -6,8 +6,8 @@ materializes eviction masks, and replays decode steps to measure how much
 attention mass each policy would have preserved.
 """
 
-from .allocation import largest_remainder_split, round_half_up
-from .baselines import BaselineConfig, BaselineKind, baseline_mask, window_scores
+from .allocation import round_half_up
+from .baselines import BaselineConfig, BaselineKind, baseline_mask
 from .errors import FormatError, ModkvError, ParameterError, ValidationError
 from .importance import (
     ImportanceVector,
@@ -31,7 +31,6 @@ from .policy import (
     load_mask,
     load_plan,
     plan_budgets,
-    preference_budget_split,
     save_mask,
     save_plan,
     update_layer_budget,

@@ -1,13 +1,9 @@
-"""Integer allocation helpers: deterministic rounding and largest-remainder
-splits. Kept separate so the budget planner and the baselines share one
-implementation of the fiddly parts."""
+"""Deterministic rounding, kept separate so the budget planner, the
+baselines and the generator share one implementation of it."""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-
-import numpy as np
 
 from .errors import ParameterError
 
@@ -21,40 +17,3 @@ def round_half_up(x: float) -> int:
     if x < 0:
         raise ParameterError(f"round_half_up expects a non-negative value, got {x}")
     return int(math.floor(x + 0.5))
-
-
-def largest_remainder_split(
-    weights: Sequence[float], total: int, tie_order: Sequence[int] | None = None
-) -> np.ndarray:
-    """Split `total` units across parts proportionally to `weights`.
-
-    Each part first gets the floor of its exact share; leftover units go to
-    the parts with the largest fractional remainders. Remainder ties are
-    broken by `tie_order` (earlier index wins) or, by default, by larger
-    weight and then lower index, so the result is deterministic.
-
-    Returns:
-        Integer array summing to `total` exactly. Weights must be
-        non-negative with a positive sum.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if total < 0:
-        raise ParameterError(f"cannot split a negative total {total}")
-    if w.ndim != 1 or w.size == 0:
-        raise ParameterError("weights must be a non-empty 1-d sequence")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ParameterError("weights must be non-negative and sum to > 0")
-
-    # Normalize before scaling: shares are <= 1, so a subnormal weight sum
-    # cannot overflow the quotient.
-    exact = (w / w.sum()) * total
-    base = np.floor(exact).astype(np.int64)
-    leftover = int(total - base.sum())
-    if leftover > 0:
-        frac = exact - base
-        if tie_order is None:
-            order = np.lexsort((np.arange(w.size), -w, -frac))
-        else:
-            order = np.lexsort((np.asarray(tie_order), -frac))
-        base[order[:leftover]] += 1
-    return base

@@ -16,7 +16,6 @@ import numpy as np
 
 from .allocation import round_half_up
 from .errors import ParameterError
-from .importance import ProxyConfig, proxy_importance_matrix
 from .policy import EvictionMask, TraceTables
 from .trace import AttentionTrace
 
@@ -77,15 +76,6 @@ class BaselineConfig:
 
     def kept_per_head(self, prompt_len: int) -> int:
         return min(max(round_half_up(self.budget_frac * prompt_len), 1), prompt_len)
-
-
-def window_scores(trace: AttentionTrace, observation_window: int) -> np.ndarray:
-    """Attention mass each token received over the trailing prefill rows.
-
-    Shape (L, H, n), float64, fixed accumulation order. The same computation
-    as proxy importance over as many rows.
-    """
-    return proxy_importance_matrix(trace, ProxyConfig(observation_window))
 
 
 def baseline_mask(

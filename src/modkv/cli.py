@@ -19,9 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .baselines import BaselineConfig, BaselineKind, baseline_mask
+from .baselines import BaselineConfig, BaselineKind
 from .errors import FormatError, ModkvError, ParameterError, ValidationError
 from .importance import ProxyConfig, head_text_share, sparsity_curve
 from .files import write_atomic
@@ -29,19 +27,11 @@ from .policy import (
     PolicyConfig,
     PolicyMode,
     TraceTables,
-    build_masks,
-    plan_budgets,
     save_mask,
     save_plan,
 )
 from .report import write_table
-from .simulate import (
-    SimReport,
-    compare,
-    estimate_memory,
-    memory_model_rows,
-    replay,
-)
+from .simulate import SimReport, _report, compare, make_mask, memory_model_rows, replay
 from .synth import SyntheticTraceSpec, generate_synthetic
 from .trace import AttentionTrace, load_trace, save_trace
 
@@ -409,27 +399,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows = []
     for trace_name, trace in traces:
         tables = TraceTables(trace)
-        warnings: list[str] = []
-        if isinstance(spec, PolicyConfig):
-            plan = plan_budgets(trace, spec, tables=tables)
-            mask = build_masks(trace, plan, spec, tables=tables)
-            warnings = plan.warnings + mask.warnings
+        mask, plan, warnings = make_mask(trace, spec, tables=tables)
+        if plan is not None:
             save_plan(plan, out_dir / f"{trace_name}__{name}_plan.json")
-        else:
-            mask = baseline_mask(trace, spec, tables=tables)
-            warnings = list(mask.warnings)
         save_mask(mask, out_dir / f"{trace_name}__{name}_mask.json")
-        per_step = replay(trace, mask, tables=tables)
-        kept = mask.kept_counts()
-        rep = SimReport(
-            policy=spec.name,
-            budget_frac=budget,
-            per_step_retained_mass=per_step,
-            mean_retained_mass=float(np.mean(per_step)) if per_step else 1.0,
-            kept_counts=kept,
-            memory_bytes_est=estimate_memory(kept),
-            warnings=warnings,
-        )
+        rep = _report(spec, mask, warnings, replay(trace, mask, tables=tables))
         rows.append(_report_rows(trace_name, rep, _theta_of(spec)))
     write_table(out_dir / f"report.{fmt}", rows, COMPARE_COLUMNS, fmt)
     _echo_config(out_dir, "run", opts, args.trace)

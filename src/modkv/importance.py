@@ -71,7 +71,7 @@ class PreferenceWeights:
 
 
 def _proxy_start(trace: AttentionTrace, proxy: ProxyConfig) -> int:
-    """Index, into the rows `trace.prefill` holds, of the first proxy row."""
+    """The first proxy row, as a prompt row."""
     n = trace.header.prompt_len
     p = proxy.effective(n)
     held = n - trace.first_row
@@ -80,18 +80,22 @@ def _proxy_start(trace: AttentionTrace, proxy: ProxyConfig) -> int:
             f"{p} proxy rows requested, but the trace holds only the last {held} "
             f"prefill rows"
         )
-    return held - p
+    return n - p
 
 
 def proxy_importance_matrix(trace: AttentionTrace, proxy: ProxyConfig | None = None) -> np.ndarray:
-    """Importance for every (layer, head) at once; shape (L, H, n), float64.
+    """Importance for every (layer, head); shape (L, H, n), float64.
 
     Column sums over the proxy rows, accumulated in float64 in ascending row
-    order (a fixed order keeps results bit-stable between runs).
+    order (a fixed order keeps results bit-stable between runs). Only the
+    proxy rows of one head are read at a time.
     """
     start = _proxy_start(trace, proxy or ProxyConfig())
-    block = trace.prefill[:, :, start:, :].astype(np.float64)
-    return block.sum(axis=2)
+    h = trace.header
+    out = np.empty((h.num_layers, h.num_heads, h.prompt_len), dtype=np.float64)
+    for l, hd in np.ndindex(h.num_layers, h.num_heads):
+        out[l, hd] = trace.head_rows(l, hd, start).astype(np.float64).sum(axis=0)
+    return out
 
 
 def proxy_importance(
@@ -105,7 +109,7 @@ def proxy_importance(
             f"({h.num_layers}, {h.num_heads})"
         )
     start = _proxy_start(trace, proxy or ProxyConfig())
-    scores = trace.prefill[layer, head, start:, :].astype(np.float64).sum(axis=0)
+    scores = trace.head_rows(layer, head, start).astype(np.float64).sum(axis=0)
     return ImportanceVector(layer, head, scores)
 
 
@@ -137,8 +141,7 @@ def head_text_share(trace: AttentionTrace, layer: int, head: int) -> float:
             f"(layer, head) = ({layer}, {head}) out of range for "
             f"({h.num_layers}, {h.num_heads})"
         )
-    trace.require_full("head_text_share")
-    block = trace.prefill[layer, head].astype(np.float64)
+    block = trace.head_rows(layer, head).astype(np.float64)
     total = block.sum()
     if total <= 0:
         raise ValidationError(f"head ({layer}, {head}) carries no attention mass")

@@ -296,36 +296,6 @@ def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold: float):
     return out[0], out[1]
 
 
-def preference_budget_split(
-    visual_weight: float,
-    text_weight: float,
-    layer_budget: float,
-    num_visual: int,
-    num_text: int,
-) -> tuple[float, float]:
-    """Split a head's layer budget proportionally to modality preference.
-
-    Real-valued on purpose; integer rounding happens only where allocations
-    are materialized. With no importance mass at all the split falls back to
-    modality token counts.
-    """
-    if visual_weight < 0 or text_weight < 0:
-        raise ParameterError("preference weights must be non-negative")
-    total = visual_weight + text_weight
-    if total <= 0:
-        total_count = num_visual + num_text
-        if total_count <= 0:
-            raise ParameterError("cannot split a budget with no tokens")
-        return (
-            layer_budget * num_visual / total_count,
-            layer_budget * num_text / total_count,
-        )
-    return (
-        layer_budget * visual_weight / total,
-        layer_budget * text_weight / total,
-    )
-
-
 def layer_budget_deviation(
     need_visual: np.ndarray, need_text: np.ndarray, layer_budget: float
 ) -> float:
@@ -365,10 +335,11 @@ def update_layer_budget(
 def _split_by_preference(
     wv: np.ndarray, wt: np.ndarray, n_vis: int, n_txt: int, total: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per head, largest_remainder_split([wv, wt], total), falling back to
-    the token counts where a head has no mass.
+    """Per head, the largest-remainder split of `total` in proportion to
+    [wv, wt], falling back to the token counts where a head has no mass.
 
-    Same arithmetic as the scalar split: shares (w / w.sum()) * total,
+    Same arithmetic as the scalar split kept as the reference in
+    tests/oracles.py: shares (w / w.sum()) * total,
     floored, and the 0-2 leftover units go by larger remainder, then larger
     weight, then visual first.
     """

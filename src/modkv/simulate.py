@@ -14,7 +14,14 @@ import numpy as np
 
 from .baselines import BaselineConfig, baseline_mask
 from .errors import ModkvError, ValidationError
-from .policy import EvictionMask, PolicyConfig, TraceTables, build_masks, plan_budgets
+from .policy import (
+    BudgetPlan,
+    EvictionMask,
+    PolicyConfig,
+    TraceTables,
+    build_masks,
+    plan_budgets,
+)
 from .trace import AttentionTrace
 
 # Bytes of KV cache per retained token, per layer, per head: K and V vectors
@@ -93,14 +100,30 @@ def memory_model_rows(budget_fracs) -> list[tuple[float, float, float | None]]:
 
 def make_mask(
     trace: AttentionTrace, spec: PolicySpec, *, tables: TraceTables | None = None
-) -> tuple[EvictionMask, list[str]]:
-    """Build the keep-vectors for any policy spec; returns (mask, warnings)."""
+) -> tuple[EvictionMask, BudgetPlan | None, list[str]]:
+    """Build the keep-vectors for any policy spec; returns (mask, plan,
+    warnings), where plan is None for a baseline."""
     if isinstance(spec, PolicyConfig):
         plan = plan_budgets(trace, spec, tables=tables)
         mask = build_masks(trace, plan, spec, tables=tables)
-        return mask, plan.warnings + mask.warnings
+        return mask, plan, plan.warnings + mask.warnings
     mask = baseline_mask(trace, spec, tables=tables)
-    return mask, list(mask.warnings)
+    return mask, None, list(mask.warnings)
+
+
+def _report(spec: PolicySpec, mask: EvictionMask, warnings: list[str],
+            per_step: list[float]) -> SimReport:
+    """The SimReport of `spec`, given its mask and its replayed masses."""
+    kept = mask.kept_counts()
+    return SimReport(
+        policy=spec.name,
+        budget_frac=spec.budget_frac,
+        per_step_retained_mass=per_step,
+        mean_retained_mass=float(np.mean(per_step)) if per_step else 1.0,
+        kept_counts=kept,
+        memory_bytes_est=estimate_memory(kept),
+        warnings=warnings,
+    )
 
 
 def simulate(
@@ -109,19 +132,8 @@ def simulate(
     """Plan, mask, and replay one policy against one trace."""
     if tables is None:
         tables = TraceTables(trace)
-    mask, warnings = make_mask(trace, spec, tables=tables)
-    per_step = replay(trace, mask, tables=tables)
-    mean = float(np.mean(per_step)) if per_step else 1.0
-    kept = mask.kept_counts()
-    return SimReport(
-        policy=spec.name,
-        budget_frac=spec.budget_frac,
-        per_step_retained_mass=per_step,
-        mean_retained_mass=mean,
-        kept_counts=kept,
-        memory_bytes_est=estimate_memory(kept),
-        warnings=warnings,
-    )
+    mask, _, warnings = make_mask(trace, spec, tables=tables)
+    return _report(spec, mask, warnings, replay(trace, mask, tables=tables))
 
 
 def compare(trace: AttentionTrace, specs, *, tables: TraceTables | None = None) -> list[SimReport]:

@@ -18,7 +18,9 @@ previously generated tokens. The same exact modality rebalance is applied, so
 the bias contract holds for decode rows too.
 
 Everything is a pure function of the SyntheticTraceSpec fields (including
-the 64-bit seed): equal specs yield bit-identical traces.
+the 64-bit seed): equal specs yield bit-identical traces. A generated trace
+stores per-head weight vectors, not prefill rows: `head_rows` computes the
+rows each reader asks for, so its memory is O(L·H·n) however it is used.
 """
 
 from __future__ import annotations
@@ -105,13 +107,11 @@ def _rebalance_scales(sum_v: float, sum_t: float, bias: float) -> tuple[float, f
 
 
 class _SyntheticTrace(AttentionTrace):
-    """A generated trace whose prefill blocks are computed on demand.
+    """A generated trace whose prefill rows are computed on demand.
 
     Prefill row i of head (l, h) is a closed-form function of the head's
-    weight vector, so only the weights `(L, H, n)` are kept. `head_rows`
-    computes the rows asked for of one head; the writers stream those a few
-    rows at a time. The dense cube is built, and then kept, only when
-    `prefill` is first read.
+    weight vector, so only the weights `(L, H, n)` are kept and no prefill
+    array is stored: `head_rows` computes the rows asked for of one head.
     """
 
     def __init__(self, header: TraceHeader, weights: np.ndarray,
@@ -121,35 +121,13 @@ class _SyntheticTrace(AttentionTrace):
         self.first_row = 0
         self._weights = weights
         self._bias = bias
-        self._cube: np.ndarray | None = None
-
-    @property
-    def prefill(self) -> np.ndarray:
-        if self._cube is None:
-            h = self.header
-            n = h.prompt_len
-            cube = np.empty((h.num_layers, h.num_heads, n, n), dtype=np.float32)
-            for l in range(h.num_layers):
-                for hd in range(h.num_heads):
-                    cube[l, hd] = self._block(l, hd, 0, n)
-            self._cube = cube
-        return self._cube
-
-    @prefill.setter
-    def prefill(self, value: np.ndarray) -> None:
-        self._cube = np.ascontiguousarray(value, dtype=np.float32)
 
     def head_rows(self, layer: int, head: int, start: int = 0,
                   stop: int | None = None) -> np.ndarray:
-        if self._cube is not None:
-            return super().head_rows(layer, head, start, stop)
-        return self._block(layer, head, start,
-                           self.header.prompt_len if stop is None else stop)
-
-    def _block(self, layer: int, head: int, start: int, stop: int) -> np.ndarray:
         """Prefill rows start..stop-1 of one head: row i is the causal prefix
         0..i of the weights, each modality scaled so the visual share is the
         head bias."""
+        stop = self.header.prompt_len if stop is None else stop
         u = self._weights[layer, head]
         vis = self.header.modality_labels
         bias = self._bias[head]
@@ -171,7 +149,8 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:
     """Generate a trace satisfying every AttentionTrace invariant.
 
     The returned trace keeps each head's weight vector and computes prefill
-    blocks when they are read, so saving it never holds the dense cube.
+    rows when they are read, so neither saving nor simulating it builds the
+    dense cube.
     """
     L, H = spec.num_layers, spec.num_heads
     n, T = spec.prompt_len, spec.num_decode_steps

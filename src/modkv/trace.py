@@ -9,12 +9,14 @@ A trace holds prompt rows ``first_row..n-1`` of each (layer, head). With the
 default ``first_row = 0`` that is the whole causal prefill cube. The loaders
 can keep only the last rows, which are all that importance and the
 score-driven baselines read: they stream the file one head at a time, check
-every row of every head, and keep the tail. Statistics over the whole prompt
-pass (``head_text_share``) and the writers need every row. The writers take
-about 1 MiB of rows at a time from ``AttentionTrace.head_rows`` and stream
-them to the file, so a trace that computes its rows on demand, as the
-synthetic generator's does, is written without its dense cube, or even one
-whole (n, n) block, ever being built.
+every row of every head, and keep the tail. Every reader of prefill rows,
+here and in the rest of the package, asks ``AttentionTrace.head_rows`` for
+one head's rows at a time: importance for the proxy rows, validation and
+equality for the rows held, ``head_text_share`` and the writers for every
+row (the writers about 1 MiB at a time). A row below ``first_row`` is a
+ParameterError. So a trace that computes its rows on demand, as the
+synthetic generator's does, is simulated, compared and written without its
+dense cube, or even one whole (n, n) block, ever being built.
 
 Two interchangeable containers are supported and sniffed by magic bytes:
 
@@ -63,6 +65,16 @@ ROW_SUM_TOL = 1e-6
 # The text loader reads this many bytes at a time.
 _TEXT_CHUNK = 1 << 20
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
+# The scanner parses strings and true and false inside a list of scores, but
+# a score must be a number (null is NaN, which validation rejects). A list of
+# numbers holds none of the characters '"tf' unless it holds Infinity, so
+# finding none of them, a fast scan, settles almost every list.
+_NOT_NUMBER = re.compile(r'"|true|false')
+# Outside a string, the scanner reads at most this many characters past the
+# point where a parse fails ("-Infinity", or the escapes of a surrogate pair,
+# are the longest reads), so a failure further than this from the end of the
+# text is not one that more text could mend.
+_LOOKAHEAD = 16
 
 
 class Modality(enum.Enum):
@@ -169,10 +181,13 @@ class AttentionTrace:
             the s decode tokens generated before it.
         first_row: the first prompt row held; 0 (the default) holds the dense
             causal cube.
+
+    Read prefill rows through `head_rows`, never `prefill`: a generated trace
+    computes its rows and stores no prefill array.
     """
 
     header: TraceHeader
-    prefill: np.ndarray
+    prefill: np.ndarray = field(repr=False)
     decode: list[np.ndarray]
     first_row: int = 0
 
@@ -189,37 +204,41 @@ class AttentionTrace:
         first = self.first_row
         if not 0 <= first < n:
             raise ValidationError(f"first_row {first} out of range for prompt length {n}")
-        if self.prefill.shape != (L, H, n - first, n):
+        # A generated trace computes its rows and stores no prefill array.
+        stored = getattr(self, "prefill", None)
+        if stored is not None and stored.shape != (L, H, n - first, n):
             raise ValidationError(
-                f"prefill shape {self.prefill.shape} does not match header "
+                f"prefill shape {stored.shape} does not match header "
                 f"({L}, {H}, {n - first}, {n})"
             )
         if len(self.decode) != h.num_decode_steps:
             raise ValidationError(
                 f"decode has {len(self.decode)} steps, header says {h.num_decode_steps}"
             )
-        # Each check tests what a valid score satisfies (>= 0, within the
-        # tolerance), so that NaN fails it.
-        ok = self.prefill >= 0
-        if not ok.all():
-            l, hd, j, c = np.argwhere(~ok)[0]
-            raise _bad_score(self.prefill[l, hd, j, c], f"({l}, {hd}, {first + j})")
         # future[j, c]: column c lies after prompt row first + j.
         future = np.arange(n) > np.arange(first, n)[:, None]
-        if np.any(self.prefill[:, :, future] != 0):
-            l, hd, flat = np.argwhere(self.prefill[:, :, future] != 0)[0]
-            j = np.nonzero(future)[0][flat]
-            raise ValidationError(
-                f"causality violated at ({l}, {hd}, {first + j}): "
-                f"mass on a future position"
-            )
-        sums = self.prefill.sum(axis=3, dtype=np.float64)
-        ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
-        if not ok.all():
-            l, hd, j = np.argwhere(~ok)[0]
-            raise ValidationError(
-                f"row sum {sums[l, hd, j]:.6g} at ({l}, {hd}, {first + j})"
-            )
+        for l, hd in np.ndindex(L, H):
+            rows = self.head_rows(l, hd, first)
+            # Each check tests what a valid score satisfies (>= 0, within the
+            # tolerance), so that NaN fails it.
+            ok = rows >= 0
+            if not ok.all():
+                j, c = np.argwhere(~ok)[0]
+                raise _bad_score(rows[j, c], f"({l}, {hd}, {first + j})")
+            ahead = rows[future] != 0
+            if ahead.any():
+                j = np.nonzero(future)[0][np.argmax(ahead)]
+                raise ValidationError(
+                    f"causality violated at ({l}, {hd}, {first + j}): "
+                    f"mass on a future position"
+                )
+            sums = rows.sum(axis=1, dtype=np.float64)
+            ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
+            if not ok.all():
+                j = np.argmin(ok)
+                raise ValidationError(
+                    f"row sum {sums[j]:.6g} at ({l}, {hd}, {first + j})"
+                )
         for s, vec in enumerate(self.decode):
             if vec.shape != (L, H, n + s):
                 raise ValidationError(
@@ -250,21 +269,18 @@ class AttentionTrace:
         stop = self.header.prompt_len if stop is None else stop
         return self.prefill[layer, head, start - self.first_row:stop - self.first_row]
 
-    def require_full(self, what: str) -> None:
-        """Raise ParameterError, naming `what`, unless every prefill row is held."""
-        if self.first_row:
-            raise ParameterError(
-                f"{what} needs every prefill row; this trace holds rows "
-                f"{self.first_row}..{self.header.prompt_len - 1} only"
-            )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
             return NotImplemented
+        h = self.header
         return (
-            self.header == other.header
+            h == other.header
             and self.first_row == other.first_row
-            and np.array_equal(self.prefill, other.prefill)
+            and all(
+                np.array_equal(self.head_rows(l, hd, self.first_row),
+                               other.head_rows(l, hd, other.first_row))
+                for l, hd in np.ndindex(h.num_layers, h.num_heads)
+            )
             and len(self.decode) == len(other.decode)
             and all(np.array_equal(a, b) for a, b in zip(self.decode, other.decode))
         )
@@ -346,7 +362,6 @@ def _write_text(trace: AttentionTrace, fh) -> None:
     """Write the canonical text container (fixed field order, each score as
     the shortest float64 round-trip decimal, single trailing newline), a
     chunk of one (layer, head)'s rows and one decode step at a time."""
-    trace.require_full("the text writer")
     h = trace.header
     n = h.prompt_len
     header = {
@@ -402,8 +417,10 @@ class _JsonReader:
     literals are accepted or rejected as `json.loads` would. Only the pending
     text is held. A value whose parse stops at the end of the buffer is
     accepted only at the end of the file, since a number may go on in the next
-    chunk; a parse that fails is retried after a refill and becomes a
-    FormatError only once the file is exhausted.
+    chunk. A parse that fails near the end of the buffer, or in a string that
+    the buffer ends before closing, is retried after a refill; any other
+    failure, or one at the end of the file, is a FormatError at once. So a
+    malformed value costs no more reading than a good one.
     """
 
     def __init__(self, fh):
@@ -412,6 +429,7 @@ class _JsonReader:
         self._decoder = json.JSONDecoder(object_pairs_hook=_unique_fields)
         self._buf = ""
         self._pos = 0
+        self._start = 0  # where the value last parsed starts in _buf
         self._dropped = 0  # characters consumed before _buf[0]
         self._eof = False
 
@@ -469,15 +487,26 @@ class _JsonReader:
             try:
                 obj, end = self._decoder.raw_decode(self._buf, self._pos)
             except json.JSONDecodeError as exc:
-                if self._refill():
+                truncated = (len(self._buf) - exc.pos < _LOOKAHEAD
+                             or exc.msg.startswith("Unterminated string"))
+                if truncated and self._refill():
                     continue
                 raise FormatError(
                     f"not a valid text trace: {exc.msg} at character "
                     f"{self._dropped + exc.pos}"
                 ) from None
             if end < len(self._buf) or not self._refill():
-                self._pos = end
+                self._start, self._pos = self._pos, end
                 return obj
+
+    def scores(self) -> tuple[object, bool]:
+        """Parse the next value, which should hold scores; return it and
+        whether its text holds nothing but numbers."""
+        obj = self.value()
+        start, end = self._start, self._pos
+        numeric = (all(self._buf.find(c, start, end) < 0 for c in '"tf')
+                   or not _NOT_NUMBER.search(self._buf, start, end))
+        return obj, numeric
 
     def items(self, count: int, what: str):
         """Yield 0..count-1 before each item of the array that comes next,
@@ -564,13 +593,14 @@ def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) 
         for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
             numeric = True
             for i in reader.items(n, f"prefill[{l}][{hd}] must be a list of {n} rows"):
-                row = reader.value()
+                row, plain = reader.scores()
                 if not isinstance(row, list) or len(row) != i + 1:
                     raise FormatError(
                         f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
                         f"got {len(row) if isinstance(row, list) else type(row).__name__}"
                     )
                 # A bad score is reported once every row's length is checked.
+                numeric = numeric and plain
                 if numeric:
                     start = i * (i + 1) // 2
                     try:
@@ -582,8 +612,10 @@ def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) 
             tail.add(l, hd, tri)
 
 
-def _decode_step(step, s: int, header: TraceHeader) -> np.ndarray:
-    """Check decode step `s`, parsed as one value, and convert it."""
+def _decode_step(step, plain: bool, s: int, header: TraceHeader) -> np.ndarray:
+    """Check decode step `s`, parsed as one value, and convert it. `plain`
+    says whether its text holds nothing but numbers; if not, the vectors are
+    searched for the score that is not one."""
     L, H, want = header.num_layers, header.num_heads, header.prompt_len + s
     arr = np.zeros((L, H, want), dtype=np.float32)
     if not isinstance(step, list) or len(step) != L:
@@ -597,10 +629,13 @@ def _decode_step(step, s: int, header: TraceHeader) -> np.ndarray:
                     f"decode[{s}][{l}][{hd}]: expected {want} entries, "
                     f"got {len(vec) if isinstance(vec, list) else type(vec).__name__}"
                 )
+            numbers = plain or all(type(x) in (int, float) for x in vec)
             try:
                 arr[l, hd] = vec
             except (TypeError, ValueError):
-                raise FormatError(f"decode[{s}][{l}][{hd}]: scores must be numbers") from None
+                numbers = False
+            if not numbers:
+                raise FormatError(f"decode[{s}][{l}][{hd}]: scores must be numbers")
     return arr
 
 
@@ -634,7 +669,7 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
         elif key == "decode":
             T = header.num_decode_steps
             for s in reader.items(T, f"decode must be a list of {T} steps"):
-                decode.append(_decode_step(reader.value(), s, header))
+                decode.append(_decode_step(*reader.scores(), s, header))
         else:
             reader.value()  # an unknown field is ignored
         seen.add(key)
@@ -659,7 +694,6 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
 
 def _write_binary(trace: AttentionTrace, fh) -> None:
     """Write the binary container, one (layer, head) packed triangle at a time."""
-    trace.require_full("the binary writer")
     h = trace.header
     L, H, n, T = h.num_layers, h.num_heads, h.prompt_len, h.num_decode_steps
     fh.write(BINARY_MAGIC)

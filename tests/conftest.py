@@ -40,6 +40,19 @@ def make_trace(rows, labels=None, decode=(), tile=(1, 1), validate=True):
     return trace
 
 
+def dense(trace, rows=None):
+    """`trace` as a plain AttentionTrace that stores its prefill rows, stacked
+    from `head_rows`: the last `rows` of them, as a partial load keeps, or
+    every row `trace` holds. A generated trace stores none of its own."""
+    h = trace.header
+    n = h.prompt_len
+    first = trace.first_row if rows is None else n - min(rows, n)
+    prefill = np.empty((h.num_layers, h.num_heads, n - first, n), dtype=np.float32)
+    for l, hd in np.ndindex(h.num_layers, h.num_heads):
+        prefill[l, hd] = trace.head_rows(l, hd, first)
+    return AttentionTrace(h, prefill, trace.decode, first)
+
+
 def top_by_rank(scores, candidates, quota):
     """The candidates the library's rank-prefix kernel keeps at `quota`, in
     position order."""
@@ -69,9 +82,9 @@ def small_spec(seed, layers=2, heads=2, prompt_len=24, steps=2, skew=1.2,
 @pytest.fixture
 def mixed_trace():
     """A small two-layer trace with one visual-leaning and one text-leaning head."""
-    return generate_synthetic(small_spec(9, bias=(0.8, 0.2)))
+    return dense(generate_synthetic(small_spec(9, bias=(0.8, 0.2))))
 
 
 @pytest.fixture
 def text_only_trace():
-    return generate_synthetic(small_spec(5, mix=0.0, bias=0.0))
+    return dense(generate_synthetic(small_spec(5, mix=0.0, bias=0.0)))

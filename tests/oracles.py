@@ -4,9 +4,10 @@ Everything here trades speed for obviousness: plain Python loops, explicit
 prefix scans, exhaustive subset search, and exact rational arithmetic where
 the property under test is an algebraic identity. The brute-force oracles
 share no code with the library. The per-head reference path at the end
-reuses the library's scalar primitives (rounding, the largest-remainder
-split, the budget update), which have tests of their own, so that it pins
-down exactly the arithmetic the vectorised kernel must reproduce.
+reuses the library's scalar primitives (rounding, the budget update) and the
+scalar largest-remainder split defined here, which have tests of their own,
+so that it pins down exactly the arithmetic the vectorised kernel must
+reproduce.
 """
 
 import json
@@ -16,6 +17,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from conftest import dense
 from modkv import (
     AttentionTrace,
     BaselineKind,
@@ -23,13 +25,13 @@ from modkv import (
     EvictionMask,
     FormatError,
     Modality,
+    ParameterError,
     PolicyConfig,
     PolicyMode,
     SimReport,
     ValidationError,
     baseline_mask,
     estimate_memory,
-    largest_remainder_split,
     layer_budget_deviation,
     proxy_importance_matrix,
     round_half_up,
@@ -49,10 +51,11 @@ def brute_importance(trace, layer, head, proxy_count):
     """Column sums over the last proxy_count prefill rows, one entry at a time."""
     n = trace.header.prompt_len
     p = min(proxy_count, n)
+    rows = trace.head_rows(layer, head, n - p)
     psi = [0.0] * n
-    for i in range(n - p, n):
+    for i in range(p):
         for j in range(n):
-            psi[j] += float(trace.prefill[layer, head, i, j])
+            psi[j] += float(rows[i, j])
     return psi
 
 
@@ -140,10 +143,11 @@ def brute_window_scores(trace, layer, head, window):
     """Column sums over the trailing `window` prefill rows."""
     n = trace.header.prompt_len
     w = min(window, n)
+    rows = trace.head_rows(layer, head, n - w)
     out = [0.0] * n
-    for i in range(n - w, n):
+    for i in range(w):
         for j in range(n):
-            out[j] += float(trace.prefill[layer, head, i, j])
+            out[j] += float(rows[i, j])
     return out
 
 
@@ -162,6 +166,58 @@ def exact_topk_share(values, frac):
 # Per-head reference path: the planner, mask and baseline loops as they were
 # before the library vectorised them over (layer, head). The vectorised code
 # must match these exactly: same arrays, same warnings in the same order.
+
+
+def largest_remainder_split(weights, total):
+    """Split `total` units across parts proportionally to `weights`.
+
+    Each part first gets the floor of its exact share; leftover units go to
+    the parts with the largest fractional remainders. Remainder ties go to
+    the larger weight and then the lower index, so the result is
+    deterministic. Returns an integer array summing to `total` exactly.
+    Weights must be non-negative with a positive sum.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    if total < 0:
+        raise ParameterError(f"cannot split a negative total {total}")
+    if w.ndim != 1 or w.size == 0:
+        raise ParameterError("weights must be a non-empty 1-d sequence")
+    if np.any(w < 0) or w.sum() <= 0:
+        raise ParameterError("weights must be non-negative and sum to > 0")
+
+    # Normalize before scaling: shares are <= 1, so a subnormal weight sum
+    # cannot overflow the quotient.
+    exact = (w / w.sum()) * total
+    base = np.floor(exact).astype(np.int64)
+    leftover = int(total - base.sum())
+    if leftover > 0:
+        order = np.lexsort((np.arange(w.size), -w, -(exact - base)))
+        base[order[:leftover]] += 1
+    return base
+
+
+def preference_budget_split(visual_weight, text_weight, layer_budget, num_visual, num_text):
+    """Split a head's layer budget proportionally to modality preference.
+
+    Real-valued on purpose; integer rounding happens only where allocations
+    are materialized. With no importance mass at all the split falls back to
+    modality token counts.
+    """
+    if visual_weight < 0 or text_weight < 0:
+        raise ParameterError("preference weights must be non-negative")
+    total = visual_weight + text_weight
+    if total <= 0:
+        total_count = num_visual + num_text
+        if total_count <= 0:
+            raise ParameterError("cannot split a budget with no tokens")
+        return (
+            layer_budget * num_visual / total_count,
+            layer_budget * num_text / total_count,
+        )
+    return (
+        layer_budget * visual_weight / total,
+        layer_budget * text_weight / total,
+    )
 
 
 def top_by_importance(scores, candidates, quota):
@@ -311,7 +367,8 @@ def reference_baseline_mask(trace, cfg):
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
     budget = cfg.kept_per_head(n)
     w = min(cfg.observation_window, n)
-    scores = trace.prefill[:, :, n - w:, :].astype(np.float64).sum(axis=2)
+    window = np.array([[trace.head_rows(l, hd, n - w) for hd in range(H)] for l in range(L)])
+    scores = window.astype(np.float64).sum(axis=2)
     all_idx = np.arange(n)
     vis_idx = np.flatnonzero(h.modality_labels)
     txt_idx = np.flatnonzero(h.text_mask)
@@ -442,6 +499,7 @@ def reference_trace_to_text(trace):
     """The text container from one JSON document holding the whole trace."""
     h = trace.header
     n = h.prompt_len
+    prefill = dense(trace).prefill
     obj = {
         "format_version": FORMAT_VERSION,
         "header": {
@@ -453,7 +511,7 @@ def reference_trace_to_text(trace):
         },
         "prefill": [
             [
-                [trace.prefill[l, hd, i, : i + 1].tolist() for i in range(n)]
+                [prefill[l, hd, i, : i + 1].tolist() for i in range(n)]
                 for hd in range(h.num_heads)
             ]
             for l in range(h.num_layers)
@@ -474,7 +532,7 @@ def reference_trace_to_binary(trace):
     ).tobytes()
     out += np.packbits(h.modality_labels, bitorder="little").tobytes()
     rows, cols = np.tril_indices(h.prompt_len)
-    out += np.ascontiguousarray(trace.prefill[:, :, rows, cols], dtype="<f4").tobytes()
+    out += np.ascontiguousarray(dense(trace).prefill[:, :, rows, cols], dtype="<f4").tobytes()
     for vec in trace.decode:
         out += np.ascontiguousarray(vec, dtype="<f4").tobytes()
     return bytes(out)
@@ -484,6 +542,13 @@ def _require(obj, key, where):
     if key not in obj:
         raise FormatError(f"missing field {where}{key}")
     return obj[key]
+
+
+def is_number(value):
+    """Whether a parsed JSON value loads as a score: a number, or null, which
+    loads as NaN for validation to reject; not a string, a list or a boolean
+    (which Python counts as an int)."""
+    return value is None or type(value) in (int, float)
 
 
 def reference_trace_from_text(data, rows=None):
@@ -536,12 +601,10 @@ def reference_trace_from_text(data, rows=None):
                         f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
                         f"got {len(row) if isinstance(row, list) else type(row).__name__}"
                     )
-            try:
-                tri = np.fromiter(
-                    chain.from_iterable(head_rows), dtype=np.float32, count=tail.size
-                )
-            except (TypeError, ValueError):
-                raise FormatError(f"prefill[{l}][{hd}]: scores must be numbers") from None
+            scores = list(chain.from_iterable(head_rows))
+            if not all(is_number(x) for x in scores):
+                raise FormatError(f"prefill[{l}][{hd}]: scores must be numbers")
+            tri = np.array(scores, dtype=np.float32)
             tail.add(l, hd, tri)
 
     decode = []
@@ -561,12 +624,9 @@ def reference_trace_from_text(data, rows=None):
                         f"decode[{s}][{l}][{hd}]: expected {want} entries, "
                         f"got {len(vec) if isinstance(vec, list) else type(vec).__name__}"
                     )
-                try:
-                    arr[l, hd] = vec
-                except (TypeError, ValueError):
-                    raise FormatError(
-                        f"decode[{s}][{l}][{hd}]: scores must be numbers"
-                    ) from None
+                if not all(is_number(x) for x in vec):
+                    raise FormatError(f"decode[{s}][{l}][{hd}]: scores must be numbers")
+                arr[l, hd] = vec
         decode.append(arr)
 
     trace = AttentionTrace(header, tail.prefill, decode, tail.first_row)

@@ -10,9 +10,10 @@ from modkv import (
     BaselineConfig,
     BaselineKind,
     ParameterError,
+    ProxyConfig,
     baseline_mask,
     generate_synthetic,
-    window_scores,
+    proxy_importance_matrix,
 )
 
 
@@ -77,7 +78,7 @@ class TestCumulativeTopK:
                     assert kept_indices(mask, l, hd) == set(order[:B])
 
     def test_window_scores_match_oracle(self, mixed_trace):
-        ws = window_scores(mixed_trace, 6)
+        ws = proxy_importance_matrix(mixed_trace, ProxyConfig(6))
         for l in range(2):
             for hd in range(2):
                 assert ws[l, hd].tolist() == oracles.brute_window_scores(
@@ -107,7 +108,7 @@ class TestFixedPriority:
             for hd in range(2):
                 kept = mask.keep[l, hd]
                 assert (kept & ~vis).sum() == 0
-                ws = window_scores(t, cfg.observation_window)[l, hd]
+                ws = proxy_importance_matrix(t, ProxyConfig(cfg.observation_window))[l, hd]
                 want = top_by_rank(ws, np.flatnonzero(vis), 6)
                 assert kept_indices(mask, l, hd) == set(want.tolist())
 

@@ -101,7 +101,7 @@ class TestAnalyze:
             assert run(cmd, "--trace", str(p), "--out", str(tmp_path / cmd)) == 3
             assert "NaN score at (1, 0, 20)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["x", [0.5]])
+    @pytest.mark.parametrize("value", ["x", "0.25", True, [0.5]])
     def test_non_numeric_decode_score_is_a_data_error(self, demo_trace, tmp_path, capsys,
                                                       value):
         doc = json.loads(demo_trace.read_text())
@@ -321,8 +321,8 @@ class TestSweep:
 
     def test_importance_is_computed_once_per_trace_and_row_count(self, tmp_path, monkeypatch):
         """Every cell of a sweep reuses its trace's importance tables: one
-        computation per trace per distinct proxy count or observation window,
-        whichever function computes it."""
+        computation per trace per distinct proxy count or observation
+        window."""
         traces = []
         for n in (24, 20):
             assert run("generate", "--name", f"t{n}", "--prompt-len", str(n),
@@ -330,22 +330,16 @@ class TestSweep:
             traces.append(str(tmp_path / f"t{n}.json"))
         calls = []
 
-        def counting(fn, rows_of):
-            def wrapper(trace, *args):
-                calls.append((trace.header.prompt_len, rows_of(trace, *args)))
-                return fn(trace, *args)
-            return wrapper
+        original = modkv.proxy_importance_matrix
 
-        targets = {
-            "proxy_importance_matrix": lambda t, proxy: proxy.effective(t.header.prompt_len),
-            "window_scores": lambda t, w: min(w, t.header.prompt_len),
-        }
-        for name, rows_of in targets.items():
-            original = getattr(modkv, name)
-            wrapper = counting(original, rows_of)
-            for module in list(sys.modules.values()):
-                if module.__name__.startswith("modkv") and getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, wrapper)
+        def counting(trace, proxy):
+            calls.append((trace.header.prompt_len, proxy.effective(trace.header.prompt_len)))
+            return original(trace, proxy)
+
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("modkv")
+                    and getattr(module, "proxy_importance_matrix", None) is original):
+                monkeypatch.setattr(module, "proxy_importance_matrix", counting)
 
         argv = ["sweep", "--proxy-count", "8", "--budget", "0.1,0.3",
                 "--thetas", "0.5,0.7,0.9", "--out", str(tmp_path / "sw")]

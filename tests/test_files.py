@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from conftest import small_spec
+from conftest import dense, small_spec
 from modkv import AttentionTrace, ParameterError, generate_synthetic, save_trace
 from modkv.files import atomic_file, write_atomic
 
@@ -93,7 +93,7 @@ class _FailsAtLastHead(AttentionTrace):
 
 @pytest.mark.parametrize("name", ["t.mkvt", "t.json"])
 def test_failed_trace_saves_keep_the_old_file(tmp_path, name):
-    trace = generate_synthetic(small_spec(3))
+    trace = dense(generate_synthetic(small_spec(3)))
     n = trace.header.prompt_len
     partial = AttentionTrace(
         trace.header, trace.prefill[:, :, n - 8:].copy(), trace.decode, first_row=n - 8
@@ -101,7 +101,7 @@ def test_failed_trace_saves_keep_the_old_file(tmp_path, name):
     failing = _FailsAtLastHead(trace.header, trace.prefill, trace.decode)
     target = tmp_path / name
     target.write_bytes(b"old")
-    with pytest.raises(ParameterError, match="every prefill row"):
+    with pytest.raises(ParameterError, match="prompt row 0 requested"):
         save_trace(partial, target)
     with pytest.raises(RuntimeError, match="block unavailable"):
         save_trace(failing, target)

@@ -25,7 +25,6 @@ from modkv import (
     build_masks,
     compare,
     coverage_counts,
-    largest_remainder_split,
     plan_budgets,
     simulate,
 )
@@ -255,7 +254,7 @@ def test_vectorised_split_matches_largest_remainder_split():
         got_v, got_t = _split_by_preference(wv, wt, n_vis, n_txt, total)
         for i in range(wv.size):
             weights = [wv[i], wt[i]] if wv[i] + wt[i] > 0 else [n_vis, n_txt]
-            want = largest_remainder_split(weights, total)
+            want = oracles.largest_remainder_split(weights, total)
             assert (got_v[i], got_t[i]) == (want[0], want[1])
             exact = (np.asarray(weights, dtype=np.float64) / sum(weights)) * total
             leftovers.add(int(total - np.floor(exact).sum()))

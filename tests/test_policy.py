@@ -22,7 +22,6 @@ from modkv import (
     load_mask,
     load_plan,
     plan_budgets,
-    preference_budget_split,
     save_mask,
     save_plan,
     update_layer_budget,
@@ -89,35 +88,6 @@ class TestCoverageCounts:
         assert coverage_counts(scores, visual, 0.8) == coverage_counts(
             scores * scale, visual, 0.8
         )
-
-
-class TestPreferenceBudgetSplit:
-    def test_equal_weights_halve_the_budget(self):
-        assert preference_budget_split(2.0, 2.0, 8.0, 4, 4) == (4.0, 4.0)
-
-    def test_three_to_one_weights(self):
-        assert preference_budget_split(3.0, 1.0, 8.0, 10, 10) == (6.0, 2.0)
-
-    def test_empty_preference_gives_whole_budget_to_other_side(self):
-        assert preference_budget_split(0.0, 5.0, 10.0, 4, 4) == (0.0, 10.0)
-
-    def test_no_mass_falls_back_to_token_counts(self):
-        v, t = preference_budget_split(0.0, 0.0, 10.0, 1, 3)
-        assert (v, t) == (2.5, 7.5)
-
-    def test_no_mass_no_tokens_rejected(self):
-        with pytest.raises(ParameterError):
-            preference_budget_split(0.0, 0.0, 10.0, 0, 0)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ParameterError):
-            preference_budget_split(-1.0, 2.0, 8.0, 4, 4)
-
-    @pytest.mark.parametrize("scale", [0.5, 2.0, 256.0])
-    def test_ratio_is_scale_invariant(self, scale):
-        a = preference_budget_split(1.3, 1.7, 12.0, 5, 5)
-        b = preference_budget_split(1.3 * scale, 1.7 * scale, 12.0, 5, 5)
-        assert a == b
 
 
 class TestLayerBudgetDeviation:

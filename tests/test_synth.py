@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import small_spec
+from conftest import dense, small_spec
 from modkv import ParameterError, SyntheticTraceSpec, generate_synthetic, save_trace
 from modkv.trace import trace_to_binary, trace_to_text
 from oracles import (
@@ -15,7 +15,7 @@ from oracles import (
 
 
 def visual_mass_share(trace, layer, head):
-    block = trace.prefill[layer, head].astype(np.float64)
+    block = trace.head_rows(layer, head).astype(np.float64)
     return block[:, trace.header.modality_labels].sum() / block.sum()
 
 
@@ -63,7 +63,7 @@ class TestDeterminism:
     def test_decode_steps_do_not_disturb_prefill(self):
         short = generate_synthetic(small_spec(7, steps=0))
         long = generate_synthetic(small_spec(7, steps=3))
-        assert np.array_equal(short.prefill, long.prefill)
+        assert np.array_equal(dense(short).prefill, dense(long).prefill)
         assert np.array_equal(
             short.header.modality_labels, long.header.modality_labels
         )
@@ -96,7 +96,7 @@ class TestBiasContract:
                 prefix_vis = vis[: i + 1]
                 if not (prefix_vis.any() and (~prefix_vis).any()):
                     continue
-                row = t.prefill[0, head, i].astype(np.float64)
+                row = t.head_rows(0, head, i, i + 1)[0].astype(np.float64)
                 assert row[vis].sum() == pytest.approx(bias, abs=1e-6)
 
     def test_decode_rows_hit_bias_exactly(self):
@@ -119,14 +119,14 @@ class TestBiasContract:
 
 def test_vanishing_skew_approaches_uniform_rows():
     t = generate_synthetic(small_spec(2, prompt_len=16, skew=1e-9, mix=0.0, bias=0.0))
-    last = t.prefill[0, 0, 15].astype(np.float64)
+    last = t.head_rows(0, 0, 15)[0].astype(np.float64)
     assert last.max() - last.min() < 1e-7
     assert last.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_strong_skew_concentrates_mass():
     t = generate_synthetic(small_spec(2, prompt_len=64, skew=2.5, mix=0.0, bias=0.0))
-    last = np.sort(t.prefill[0, 0, 63].astype(np.float64))[::-1]
+    last = np.sort(t.head_rows(0, 0, 63)[0].astype(np.float64))[::-1]
     assert last[:4].sum() > 0.8
 
 
@@ -163,11 +163,6 @@ EDGE_SPECS = {
 }
 
 
-def cube_built(trace):
-    """Whether the generated trace has built its dense prefill cube."""
-    return trace._cube is not None
-
-
 @pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
 class TestMatchesDenseReference:
     def test_trace_equals_reference(self, spec):
@@ -181,7 +176,6 @@ class TestMatchesDenseReference:
                 block = trace.head_rows(l, h)
                 assert block.dtype == np.float32
                 assert np.array_equal(block, ref.prefill[l, h])
-        assert not cube_built(trace)
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
     def test_saved_files_equal_reference(self, tmp_path, spec, binary):
@@ -190,25 +184,8 @@ class TestMatchesDenseReference:
         ours, theirs = tmp_path / "ours", tmp_path / "theirs"
         save_trace(trace, ours, binary=binary)
         save_trace(ref, theirs, binary=binary)
-        assert not cube_built(trace)
         render = reference_trace_to_binary if binary else reference_trace_to_text
         assert ours.read_bytes() == theirs.read_bytes() == render(ref)
-
-
-def test_head_rows_follow_edits_to_the_built_cube():
-    trace = generate_synthetic(small_spec(10, steps=0))
-    ref = reference_generate_synthetic(small_spec(10, steps=0))
-    trace.prefill[1, 0, 5, :2] = [0.25, 0.75]
-    ref.prefill[1, 0, 5, :2] = [0.25, 0.75]
-    assert cube_built(trace)
-    assert np.array_equal(trace.head_rows(1, 0), ref.prefill[1, 0])
-    assert trace_to_binary(trace) == reference_trace_to_binary(ref)
-    assert trace_to_text(trace) == reference_trace_to_text(ref)
-
-    fresh = generate_synthetic(small_spec(10, steps=0))
-    fresh.prefill = ref.prefill
-    assert np.array_equal(fresh.head_rows(1, 0), ref.prefill[1, 0])
-    assert trace_to_binary(fresh) == reference_trace_to_binary(ref)
 
 
 def test_row_chunked_blocks_and_files_equal_reference():
@@ -220,10 +197,8 @@ def test_row_chunked_blocks_and_files_equal_reference():
         block = trace.head_rows(0, 1, start, stop)
         assert np.array_equal(block, ref.prefill[0, 1, start:stop])
     assert np.array_equal(trace.head_rows(0, 1, 600), ref.prefill[0, 1, 600:])
-    assert not cube_built(trace)
     assert trace_to_binary(trace) == reference_trace_to_binary(ref)
     assert trace_to_text(trace) == reference_trace_to_text(ref)
-    assert not cube_built(trace)
 
 
 @settings(max_examples=25, deadline=None)

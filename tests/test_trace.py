@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modkv.trace as trace_module
-from conftest import make_trace, small_spec, uniform_rows
+from conftest import dense, make_trace, uniform_rows
 from modkv import (
     AttentionTrace,
+    BaselineConfig,
+    BaselineKind,
     FormatError,
     Modality,
     ModkvError,
     ParameterError,
+    PolicyConfig,
     ProxyConfig,
     SyntheticTraceSpec,
     TraceHeader,
@@ -27,6 +30,7 @@ from modkv import (
     proxy_importance,
     proxy_importance_matrix,
     save_trace,
+    simulate,
 )
 from modkv.trace import (
     BINARY_MAGIC,
@@ -141,6 +145,11 @@ MALFORMED = [
     (lambda o: o["header"].update(modality_labels=["text", "image"]), "image"),
     (lambda o: o["header"].update(modality_labels=["text", "visu\u00e9l"]), "visu\u00e9l"),
     (lambda o: o["prefill"][0][0].__setitem__(1, [0.5]), "row 1: expected 2"),
+    (lambda o: o["prefill"][0][0].__setitem__(0, ["1.0"]), "prefill[0][0]: scores must be numbers"),
+    (lambda o: o["prefill"][0][0][1].__setitem__(1, "0.5"), "prefill[0][0]: scores must be numbers"),
+    (lambda o: o["prefill"][0][0].__setitem__(0, [True]), "prefill[0][0]: scores must be numbers"),
+    (lambda o: (o["header"].update(T=1), o.update(decode=[[[[True, 0]]]])),
+     "decode[0][0][0]: scores must be numbers"),
     (lambda o: o["prefill"].pop(), "prefill"),
     (lambda o: o.update(decode=[[]]), "decode"),
 ]
@@ -243,7 +252,8 @@ def chunk(request, monkeypatch):
     seed=st.integers(0, 2 ** 32 - 1),
     style=st.sampled_from(["compact", "indented", "spaced"]),
     target=st.sampled_from(["none", "prefill", "decode"]),
-    value=st.sampled_from([-0.5, 2.0, float("nan"), "x", [0.5], None, True, 0.25]),
+    value=st.sampled_from([-0.5, 2.0, float("nan"), float("-inf"), "x", "0.25", [0.5], None,
+                           True, False, 0.25]),
     where=st.integers(0, 2 ** 16),
 )
 def test_streamed_load_matches_whole_document_parse(layers, heads, n, steps, seed, style,
@@ -280,7 +290,7 @@ class TestStreamedTextFile:
         doc["note"] = "na\u00efve \u2713 \u89c6\u89c9"
         for data in (canonical, render(doc, "indented")):
             assert trace_from_text(data) == mixed_trace
-            assert trace_from_text(data, rows=8) == tail_of(mixed_trace, 8)
+            assert trace_from_text(data, rows=8) == dense(mixed_trace, 8)
 
     def test_a_number_split_by_a_chunk_is_read_whole(self, chunk):
         trace = make_trace([[1.0], [0.5, 0.5]], labels="tv")
@@ -411,17 +421,6 @@ def test_uniform_rows_helper_is_row_stochastic():
 # partial loads: only the last prefill rows kept
 
 
-def tail_of(trace, rows):
-    """The trace with only its last `rows` prefill rows, as a partial load
-    should return it."""
-    n = trace.header.prompt_len
-    kept = min(rows, n)
-    return AttentionTrace(
-        trace.header, trace.prefill[:, :, n - kept:].copy(), trace.decode,
-        first_row=n - kept,
-    )
-
-
 @pytest.fixture
 def saved(tmp_path, mixed_trace):
     """mixed_trace (2 layers, 2 heads, n = 24, 2 decode steps) in both
@@ -460,13 +459,13 @@ class TestPartialLoad:
     def test_keeps_the_full_loads_last_rows(self, saved, kind, rows):
         full = load_trace(saved[kind])
         part = load_trace(saved[kind], rows=rows)
-        assert part == tail_of(full, rows)
+        assert part == dense(full, rows)
         assert part.prefill.shape == (2, 2, min(rows, 24), 24)
         assert len(part.decode) == 2
         part.validate()
 
     def test_container_functions_take_rows(self, mixed_trace):
-        want = tail_of(mixed_trace, 8)
+        want = dense(mixed_trace, 8)
         assert trace_from_binary(trace_to_binary(mixed_trace), rows=8) == want
         assert trace_from_text(trace_to_text(mixed_trace), rows=8) == want
 
@@ -475,7 +474,7 @@ class TestPartialLoad:
             load_trace(saved["binary"], rows=0)
 
     def test_first_row_takes_part_in_equality(self, mixed_trace):
-        part = tail_of(mixed_trace, 8)
+        part = dense(mixed_trace, 8)
         shifted = AttentionTrace(part.header, part.prefill, part.decode, first_row=15)
         assert part != shifted
 
@@ -491,12 +490,12 @@ class TestPartialLoad:
         path = tmp_path / f"bad.{'mkvt' if kind == 'binary' else 'json'}"
         write_corrupted(mixed_trace, kind, path, layer, head, row, 0, value)
 
-        dense = AttentionTrace(
+        edited = AttentionTrace(
             mixed_trace.header, mixed_trace.prefill.copy(), mixed_trace.decode
         )
-        dense.prefill[layer, head, row, 0] = value
+        edited.prefill[layer, head, row, 0] = value
         with pytest.raises(ValidationError) as by_validate:
-            dense.validate()
+            edited.validate()
         with pytest.raises(ValidationError) as full:
             load_trace(path)
         with pytest.raises(ValidationError) as partial:
@@ -510,13 +509,13 @@ class TestPartialLoad:
 
     def test_validate_reports_absolute_rows(self):
         t = make_trace(uniform_rows(5), labels="tvtvt")
-        part = tail_of(t, 3)
+        part = dense(t, 3)
         part.validate()
         part.prefill[0, 0, 0, 3] = 0.25
         part.prefill[0, 0, 0, 0] -= np.float32(0.25)
         with pytest.raises(ValidationError, match=r"causality violated at \(0, 0, 2\)"):
             part.validate()
-        part = tail_of(t, 3)
+        part = dense(t, 3)
         part.prefill[0, 0, 1, 0] += np.float32(0.5)
         with pytest.raises(ValidationError, match=r"row sum 1\.5 at \(0, 0, 3\)"):
             part.validate()
@@ -526,7 +525,7 @@ class TestPartialLoad:
 
     def test_validate_checks_first_row_against_shape(self):
         t = make_trace(uniform_rows(5), labels=None)
-        part = tail_of(t, 3)
+        part = dense(t, 3)
         part.first_row = 1
         with pytest.raises(ValidationError, match="shape"):
             part.validate()
@@ -606,7 +605,7 @@ class TestStreamedBinaryFile:
         with pytest.raises(FormatError, match=r"prefill\[0\]\[1\]"):
             trace_from_text(json.dumps(doc).encode(), rows=8)
 
-    @pytest.mark.parametrize("value", ["x", [0.5]])
+    @pytest.mark.parametrize("value", ["x", "0.25", True, [0.5]])
     def test_non_numeric_decode_score_is_a_format_error(self, mixed_trace, value):
         doc = json.loads(trace_to_text(mixed_trace))
         doc["decode"][1][0][0][2] = value
@@ -616,12 +615,12 @@ class TestStreamedBinaryFile:
                 trace_from_text(json.dumps(doc).encode(), rows=rows)
 
     def test_head_rows_take_absolute_prompt_rows(self, mixed_trace):
-        dense = AttentionTrace(mixed_trace.header, mixed_trace.prefill, mixed_trace.decode)
-        part = tail_of(dense, 8)
-        assert np.array_equal(dense.head_rows(1, 0), dense.prefill[1, 0])
-        assert np.array_equal(dense.head_rows(1, 0, 3, 9), dense.prefill[1, 0, 3:9])
-        assert np.array_equal(part.head_rows(1, 0, 16), dense.prefill[1, 0, 16:])
-        assert np.array_equal(part.head_rows(1, 0, 18, 20), dense.prefill[1, 0, 18:20])
+        full = mixed_trace
+        part = dense(full, 8)
+        assert np.array_equal(full.head_rows(1, 0), full.prefill[1, 0])
+        assert np.array_equal(full.head_rows(1, 0, 3, 9), full.prefill[1, 0, 3:9])
+        assert np.array_equal(part.head_rows(1, 0, 16), full.prefill[1, 0, 16:])
+        assert np.array_equal(part.head_rows(1, 0, 18, 20), full.prefill[1, 0, 18:20])
         for start in (0, 15):
             with pytest.raises(ParameterError, match=f"prompt row {start} requested"):
                 part.head_rows(1, 0, start)
@@ -629,14 +628,14 @@ class TestStreamedBinaryFile:
 
 class TestPartialTraceConsumers:
     def test_whole_cube_consumers_refuse_a_partial_trace(self, mixed_trace):
-        part = tail_of(mixed_trace, 8)
+        part = dense(mixed_trace, 8)
         for consumer in (trace_to_binary, trace_to_text,
                          lambda t: head_text_share(t, 0, 0)):
-            with pytest.raises(ParameterError, match="every prefill row"):
+            with pytest.raises(ParameterError, match="prompt row 0 requested"):
                 consumer(part)
 
     def test_importance_needs_no_more_rows_than_held(self, mixed_trace):
-        part = tail_of(mixed_trace, 8)
+        part = dense(mixed_trace, 8)
         assert np.array_equal(
             proxy_importance_matrix(part, ProxyConfig(8)),
             proxy_importance_matrix(mixed_trace, ProxyConfig(8)),
@@ -716,7 +715,6 @@ class TestBoundedMemory:
             return trace
 
         trace, peak = traced_peak(generate_and_save)
-        assert trace._cube is None
         assert path.stat().st_size == 4 + 5 * 4 + 128 + 4 * 16 * (
             1024 * 1025 // 2 + 1024 + 1025
         )
@@ -737,3 +735,45 @@ class TestBoundedMemory:
         # One head's float64 triangle is 4 MiB and the text held at a time
         # up to 2 MiB; the file is 16 MiB and the dense cube 64 MiB.
         assert peak < 16 * MIB
+
+    def test_generated_trace_simulates_without_its_dense_cube(self):
+        bias = (0.1, 0.9, 0.9, 0.1, 0.1, 0.1, 0.9, 0.9)
+        spec = SyntheticTraceSpec(8, 8, 2048, 4, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=bias, seed=101)
+        policies = [PolicyConfig(budget_frac=0.2)] + [
+            BaselineConfig(kind, budget_frac=0.2) for kind in BaselineKind
+        ]
+
+        def generate_and_simulate():
+            trace = generate_synthetic(spec)
+            return trace, [simulate(trace, p).mean_retained_mass for p in policies]
+
+        (trace, masses), peak = traced_peak(generate_and_simulate)
+        # The policies read the last 8 prompt rows; a trace that stores just
+        # those must score the same.
+        stored = dense(trace, 8)
+        assert masses == [simulate(stored, p).mean_retained_mass for p in policies]
+        # The dense cube is 1 GiB; one head's 8 rows are 64 KiB.
+        assert peak < 64 * MIB
+
+    def test_malformed_first_score_fails_without_reading_on(self, big_diagonal, tmp_path):
+        _, text = big_diagonal
+        data = text.read_bytes()
+        start = b'"prefill":[[[[1]'
+        assert data.count(start) == 1
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data.replace(start, b'"prefill":[[[[1.0x]'))
+        at = data.index(start) + len(start) + 1  # the x
+        del data
+
+        def load():
+            with pytest.raises(FormatError) as err:
+                load_trace(bad, rows=8)
+            return str(err.value)
+
+        message, peak = traced_peak(load)
+        assert message == f"not a valid text trace: Expecting ',' delimiter at character {at}"
+        # One head's float64 and float32 triangles take 6 MiB and a chunk of
+        # text 1 MiB. The file is 16 MiB: reading on to its end to retry the
+        # parse peaked at 46 MiB.
+        assert peak < 12 * MIB
