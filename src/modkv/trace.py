@@ -13,10 +13,11 @@ every row of every head, and keep the tail. Every reader of prefill rows,
 here and in the rest of the package, asks ``AttentionTrace.head_rows`` for
 one head's rows at a time: importance for the proxy rows, validation and
 equality for the rows held, ``head_text_share`` and the writers for every
-row (the writers about 1 MiB at a time). A row below ``first_row`` is a
-ParameterError. So a trace that computes its rows on demand, as the
-synthetic generator's does, is simulated, compared and written without its
-dense cube, or even one whole (n, n) block, ever being built.
+row (the binary writer about 1 MiB at a time, the text writer about 2**16
+scores at a time). A row below ``first_row`` is a ParameterError. So a trace
+that computes its rows on demand, as the synthetic generator's does, is
+simulated, compared and written without its dense cube, or even one whole
+(n, n) block, ever being built.
 
 Two interchangeable containers are supported and sniffed by magic bytes:
 
@@ -38,11 +39,18 @@ shortest decimal that round-trips through float64 (0.1f is written
 0.10000000149011612). Reading such a decimal back to float32 is exact, so
 saving a loaded trace reproduces the file byte for byte in either format.
 Text input written with higher precision is quantized on load.
+
+Rendering those decimals is nearly all the work of writing text, so the text
+writer spells each distinct score of a task once (a synthetic row repeats
+about half of the row before it) and, given two CPUs or more, renders the
+tasks in a pool of forked worker processes, one per CPU, which inherit the
+trace. The file is the same, byte for byte, however many CPUs render it.
 """
 
 from __future__ import annotations
 
 import codecs
+import contextlib
 import enum
 import io
 import json
@@ -335,10 +343,11 @@ class _PrefillTail:
         self.prefill[layer, head][self._tail_mask] = tri[self.starts[self.first_row]:]
 
 
-def _row_chunks(n: int):
+def _row_chunks(n: int, scores: int = 2**18):
     """(start, stop) pairs that cover prompt rows 0..n-1, each chunk about
-    1 MiB of float32, so that a writer never holds a whole (n, n) block."""
-    step = max(1, 2**18 // n)
+    `scores` scores (by default 1 MiB of float32), so that a writer never
+    holds a whole (n, n) block."""
+    step = max(1, scores // n)
     for start in range(0, n, step):
         yield start, min(start + step, n)
 
@@ -351,17 +360,96 @@ def _json(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii")
 
 
-def _json_rows(block: np.ndarray, start: int) -> memoryview:
-    """Prompt rows start.. of one head, given as the (rows, n) `block`, as
-    comma-separated JSON lists of each row's causal prefix."""
-    rows = [block[j, : start + j + 1].tolist() for j in range(len(block))]
-    return memoryview(_json(rows))[1:-1]
+def _json_lists(values: np.ndarray, lengths) -> bytes:
+    """The float32 `values`, cut into consecutive runs of the given lengths,
+    as comma-separated JSON lists, each score spelled as `_json` spells it.
+
+    Each distinct score is rendered once. Scores are told apart by their
+    bits, so -0.0 and 0.0 stay distinct and every NaN is still a NaN.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float32).reshape(-1).view(np.uint32)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    spelled = _json(distinct.view(np.float32).tolist())[1:-1].split(b",")
+    words = list(map(spelled.__getitem__, inverse.tolist()))
+    begin = 0
+    for length in lengths:
+        end = begin + length
+        words[begin] = b"[" + words[begin]
+        words[end - 1] += b"]"
+        begin = end
+    return b",".join(words)
+
+
+def _prefill_text(trace: AttentionTrace, layer: int, head: int, start: int,
+                  stop: int) -> bytes:
+    """Prompt rows start..stop-1 of one head as comma-separated JSON lists of
+    each row's causal prefix."""
+    block = trace.head_rows(layer, head, start, stop)
+    causal = np.tri(stop - start, block.shape[1], start, dtype=bool)
+    return _json_lists(block[causal], range(start + 1, stop + 1))
+
+
+# A text-writer task renders about this many scores. A task's scores, their
+# text and its joined rows are all held at once, so larger tasks raise the
+# writer's peak memory.
+_TEXT_TASK_SCORES = 2**16
+
+# The trace a text writer's pool renders; set in the pool's workers only.
+_worker_trace = None
+
+
+def _start_worker(trace: AttentionTrace) -> None:
+    import signal  # already loaded by multiprocessing
+
+    global _worker_trace
+    _worker_trace = trace
+    # An interrupt is the writing process's to handle: it stops the pool.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _worker_prefill_text(piece: tuple[int, int, int, int]) -> bytes:
+    """`_prefill_text` of one (layer, head, start, stop) chunk, in a worker."""
+    return _prefill_text(_worker_trace, *piece)
+
+
+@contextlib.contextmanager
+def _rendered_prefill(trace: AttentionTrace, chunks: list):
+    """Yield an iterator over the `_prefill_text` of each (start, stop) row
+    chunk of each (layer, head), in file order.
+
+    Chunks are rendered in tasks of about _TEXT_TASK_SCORES scores: one chunk,
+    or several heads' when heads are smaller. With at least two tasks and two
+    CPUs, the tasks run in a pool of forked workers, one per CPU up to one per
+    task. The workers inherit the trace, so only chunk coordinates and the
+    rendered bytes are pickled, and the pool is shut down when the block
+    ends, whether or not it raised. Otherwise, and where the platform cannot
+    report the CPUs this process may use, the chunks are rendered here.
+    """
+    h = trace.header
+    pieces = ((l, hd, start, stop) for l, hd in np.ndindex(h.num_layers, h.num_heads)
+              for start, stop in chunks)
+    per_task = max(1, _TEXT_TASK_SCORES // ((chunks[0][1] - chunks[0][0]) * h.prompt_len))
+    tasks = -(-h.num_layers * h.num_heads * len(chunks) // per_task)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = 1
+    if min(cpus, tasks) < 2:
+        yield map(lambda piece: _prefill_text(trace, *piece), pieces)
+        return
+    # Imported here: it adds about 20 ms to every start of the package.
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    with context.Pool(min(cpus, tasks), _start_worker, (trace,)) as pool:
+        yield pool.imap(_worker_prefill_text, pieces, chunksize=per_task)
 
 
 def _write_text(trace: AttentionTrace, fh) -> None:
     """Write the canonical text container (fixed field order, each score as
-    the shortest float64 round-trip decimal, single trailing newline), a
-    chunk of one (layer, head)'s rows and one decode step at a time."""
+    the shortest float64 round-trip decimal, single trailing newline): the
+    prefill a chunk of one (layer, head)'s rows at a time, rendered on every
+    CPU, then the decode one (step, layer) at a time."""
     h = trace.header
     n = h.prompt_len
     header = {
@@ -373,21 +461,26 @@ def _write_text(trace: AttentionTrace, fh) -> None:
     }
     fh.write(b'{"format_version":' + _json(FORMAT_VERSION) + b',"header":' + _json(header))
     fh.write(b',"prefill":[')
-    for l in range(h.num_layers):
-        fh.write(b"[" if l == 0 else b",[")
-        for hd in range(h.num_heads):
-            fh.write(b"[" if hd == 0 else b",[")
-            for start, stop in _row_chunks(n):
-                if start:
-                    fh.write(b",")
-                fh.write(_json_rows(trace.head_rows(l, hd, start, stop), start))
+    chunks = list(_row_chunks(n, _TEXT_TASK_SCORES))
+    with _rendered_prefill(trace, chunks) as texts:
+        for l in range(h.num_layers):
+            fh.write(b"[" if l == 0 else b",[")
+            for hd in range(h.num_heads):
+                fh.write(b"[" if hd == 0 else b",[")
+                for start, _ in chunks:
+                    if start:
+                        fh.write(b",")
+                    fh.write(next(texts))
+                fh.write(b"]")
             fh.write(b"]")
-        fh.write(b"]")
     fh.write(b'],"decode":[')
     for s, vec in enumerate(trace.decode):
-        if s:
-            fh.write(b",")
-        fh.write(_json(vec.tolist()))
+        fh.write(b"[" if s == 0 else b",[")
+        for l, layer in enumerate(vec):
+            if l:
+                fh.write(b",")
+            fh.write(b"[" + _json_lists(layer, [layer.shape[1]] * len(layer)) + b"]")
+        fh.write(b"]")
     fh.write(b"]}\n")
 
 
@@ -585,13 +678,20 @@ def _text_header(obj) -> TraceHeader:
         raise FormatError(f"bad header: {exc}") from None
 
 
+# Why a list of scores cannot be read. An integer too large for a float64
+# (JSON integers have no limit) is out of range.
+_NOT_NUMBERS = "scores must be numbers"
+_OUT_OF_RANGE = "score out of range"
+
+
 def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) -> None:
     """Parse the prefill one row at a time, passing each head to `tail`."""
     L, H, n = header.num_layers, header.num_heads, header.prompt_len
     tri = np.empty(tail.size, dtype=np.float32)
     for l in reader.items(L, f"prefill must be a list of {L} layers"):
         for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
-            numeric = True
+            # A bad score is reported once every row's length is checked.
+            bad = None
             for i in reader.items(n, f"prefill[{l}][{hd}] must be a list of {n} rows"):
                 row, plain = reader.scores()
                 if not isinstance(row, list) or len(row) != i + 1:
@@ -599,16 +699,18 @@ def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) 
                         f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
                         f"got {len(row) if isinstance(row, list) else type(row).__name__}"
                     )
-                # A bad score is reported once every row's length is checked.
-                numeric = numeric and plain
-                if numeric:
+                if bad is None and not plain:
+                    bad = _NOT_NUMBERS
+                if bad is None:
                     start = i * (i + 1) // 2
                     try:
                         tri[start:start + i + 1] = np.fromiter(row, dtype=np.float32, count=i + 1)
                     except (TypeError, ValueError):
-                        numeric = False
-            if not numeric:
-                raise FormatError(f"prefill[{l}][{hd}]: scores must be numbers")
+                        bad = _NOT_NUMBERS
+                    except OverflowError:
+                        bad = _OUT_OF_RANGE
+            if bad is not None:
+                raise FormatError(f"prefill[{l}][{hd}]: {bad}")
             tail.add(l, hd, tri)
 
 
@@ -634,8 +736,11 @@ def _decode_step(step, plain: bool, s: int, header: TraceHeader) -> np.ndarray:
                 arr[l, hd] = vec
             except (TypeError, ValueError):
                 numbers = False
+            except OverflowError:
+                if numbers:
+                    raise FormatError(f"decode[{s}][{l}][{hd}]: {_OUT_OF_RANGE}") from None
             if not numbers:
-                raise FormatError(f"decode[{s}][{l}][{hd}]: scores must be numbers")
+                raise FormatError(f"decode[{s}][{l}][{hd}]: {_NOT_NUMBERS}")
     return arr
 
 

@@ -3,6 +3,8 @@
 import csv
 import importlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -30,6 +32,17 @@ def demo_trace(tmp_path):
                "--prompt-len", "32", "--decode-steps", "2", "--head-bias",
                "0.2,0.8", "--seed", "11", "--out", str(tmp_path)) == 0
     return p
+
+
+def test_importing_the_package_leaves_multiprocessing_unimported():
+    """The text writer imports it only when it starts a pool: the import
+    would add tens of milliseconds to every command."""
+    src = os.path.dirname(os.path.dirname(modkv.__file__))
+    code = "import sys, modkv, modkv.cli; print('multiprocessing' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestGenerate:
@@ -112,6 +125,24 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "data error" in err
         assert "decode[1][0][0]: scores must be numbers" in err
+
+    @pytest.mark.parametrize("field, fragment", [
+        ("prefill", "prefill[1][0]: score out of range"),
+        ("decode", "decode[1][0][0]: score out of range"),
+    ])
+    def test_score_too_large_for_a_float_is_a_data_error(self, demo_trace, tmp_path,
+                                                         capsys, field, fragment):
+        doc = json.loads(demo_trace.read_text())
+        if field == "prefill":
+            doc["prefill"][1][0][5][2] = 10 ** 400
+        else:
+            doc["decode"][1][0][0][2] = 10 ** 400
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        assert run("analyze", "--trace", str(p), "--out", str(tmp_path / "an")) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert fragment in err
 
     def test_missing_trace_is_a_data_error(self, tmp_path):
         assert run("analyze", "--trace", str(tmp_path / "nope.json"),

@@ -1,5 +1,6 @@
 """Atomic writer tests."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -92,8 +93,18 @@ class _FailsAtLastHead(AttentionTrace):
 
 
 @pytest.mark.parametrize("name", ["t.mkvt", "t.json"])
-def test_failed_trace_saves_keep_the_old_file(tmp_path, name):
-    trace = dense(generate_synthetic(small_spec(3)))
+def test_failed_trace_saves_keep_the_old_file(tmp_path, monkeypatch, name):
+    # Eight text tasks a head, rendered by two forked workers.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    contexts = []
+    real_get_context = multiprocessing.get_context
+
+    def spy(method):
+        contexts.append(method)
+        return real_get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    trace = dense(generate_synthetic(small_spec(3, layers=1, prompt_len=700)))
     n = trace.header.prompt_len
     partial = AttentionTrace(
         trace.header, trace.prefill[:, :, n - 8:].copy(), trace.decode, first_row=n - 8
@@ -107,3 +118,5 @@ def test_failed_trace_saves_keep_the_old_file(tmp_path, name):
         save_trace(failing, target)
     assert target.read_bytes() == b"old"
     assert os.listdir(tmp_path) == [name]
+    assert contexts == ([] if name.endswith(".mkvt") else ["fork", "fork"])
+    assert not multiprocessing.active_children()

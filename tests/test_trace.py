@@ -1,6 +1,7 @@
 """Trace model and container tests: validation, round-trips, error reporting."""
 
 import json
+import multiprocessing
 import os
 import tracemalloc
 from unittest import mock
@@ -40,7 +41,7 @@ from modkv.trace import (
     trace_to_text,
     visual_mask,
 )
-from oracles import reference_trace_from_text
+from oracles import reference_trace_from_text, reference_trace_to_text
 
 
 class TestValidation:
@@ -150,6 +151,10 @@ MALFORMED = [
     (lambda o: o["prefill"][0][0].__setitem__(0, [True]), "prefill[0][0]: scores must be numbers"),
     (lambda o: (o["header"].update(T=1), o.update(decode=[[[[True, 0]]]])),
      "decode[0][0][0]: scores must be numbers"),
+    # JSON integers have no limit; this one is too large for any float.
+    (lambda o: o["prefill"][0][0][1].__setitem__(1, 10 ** 400), "prefill[0][0]: score out of range"),
+    (lambda o: (o["header"].update(T=1), o.update(decode=[[[[10 ** 400, 0]]]])),
+     "decode[0][0][0]: score out of range"),
     (lambda o: o["prefill"].pop(), "prefill"),
     (lambda o: o.update(decode=[[]]), "decode"),
 ]
@@ -350,6 +355,89 @@ class TestStreamedTextFile:
         data = trace_to_text(make_trace([[1.0], [0.5, 0.5]], labels="tv"))
         with pytest.raises(FormatError):
             trace_from_text(b"\xef\xbb\xbf" + data)
+
+
+# ---------------------------------------------------------------------------
+# the text writer against the whole-document render
+
+
+def see_cpus(monkeypatch, count):
+    """Make the text writer see `count` CPUs: with one it renders every score
+    in this process, with two in a pool of forked workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def spelling_trace(n):
+    """A valid n-row trace whose rows hold -0.0 beside 0.0, the smallest
+    subnormal and 1.0, each repeated across rows, beside per-row values."""
+    tiny = np.float32(1e-45)
+    rows = [[1.0], [-0.0, 1.0], [0.0, -0.0, 1.0]]
+    for i in range(3, n):
+        if i % 2:
+            rows.append([-0.0, 0.0, tiny] + [1.0 / (i - 2)] * (i - 2))
+        else:
+            rows.append([0.0, tiny, -0.0] + [0.0] * (i - 3) + [1.0])
+    decode = [rows[-1], [tiny, -0.0] + [1.0 / (n - 1)] * (n - 1)]
+    return make_trace(rows, labels="tv" * (n // 2) + "t" * (n % 2), decode=decode,
+                      tile=(1, 2))
+
+
+class TestTextWriter:
+    @pytest.mark.parametrize("count", [1, 2], ids=["serial", "pool"])
+    def test_heads_split_into_tasks_equal_the_whole_document(self, monkeypatch, count):
+        see_cpus(monkeypatch, count)
+        # 2**16 // 700 = 93 rows a task: eight tasks a head.
+        trace = spelling_trace(700)
+        text = trace_to_text(trace)
+        assert text == reference_trace_to_text(trace)
+        assert b"[-0.0,0.0,1.401298464324817e-45," in text and b",1.0]" in text
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("count", [1, 2], ids=["serial", "pool"])
+    def test_generated_trace_equals_the_whole_document(self, monkeypatch, count):
+        see_cpus(monkeypatch, count)
+        spec = SyntheticTraceSpec(1, 1, 700, 2, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=0.3, seed=5)
+        trace = generate_synthetic(spec)
+        assert trace_to_text(trace) == reference_trace_to_text(trace)
+
+    def test_small_traces_start_no_pool(self, monkeypatch, mixed_trace):
+        see_cpus(monkeypatch, 2)
+        started = []
+        monkeypatch.setattr(multiprocessing, "get_context", started.append)
+        assert trace_to_text(mixed_trace) == reference_trace_to_text(mixed_trace)
+        assert started == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.integers(1, 2),
+    n=st.integers(1, 9),
+    steps=st.integers(0, 2),
+    special=st.sampled_from([0.0, 0.1, 0.5, float("nan"), float("inf"), 3.4e38]),
+    seed=st.integers(0, 2 ** 32 - 1),
+    task_scores=st.sampled_from([1, 5, 2 ** 16]),
+    count=st.integers(1, 2),
+)
+def test_text_writer_equals_the_whole_document(layers, heads, n, steps, special, seed,
+                                               task_scores, count):
+    """Any scores, spelled alike whatever the task size and CPU count. The
+    rows mix a few special values, each repeated, with random float32 values."""
+    rng = np.random.default_rng(seed)
+    spellings = np.array([special, -0.0, 1e-45, 1.0], dtype=np.float32)
+
+    def scores(*shape):
+        random = rng.random(shape, dtype=np.float32)
+        return np.where(rng.random(shape) < 0.5, rng.choice(spellings, shape), random)
+
+    header = TraceHeader(layers, heads, n, steps, rng.random(n) < 0.5)
+    prefill = np.where(np.tri(n, dtype=bool), scores(layers, heads, n, n), 0)
+    decode = [scores(layers, heads, n + s) for s in range(steps)]
+    trace = AttentionTrace(header, prefill, decode)
+    with mock.patch.object(trace_module, "_TEXT_TASK_SCORES", task_scores), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count))):
+        assert trace_to_text(trace) == reference_trace_to_text(trace)
 
 
 class TestBinaryContainer:
