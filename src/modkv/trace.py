@@ -31,7 +31,14 @@ one prefill row and one decode step at a time with the stdlib JSON scanner,
 so no whole-document object is built. It is therefore stricter than a
 whole-document parse: ``header`` must come before ``prefill`` and ``decode``
 (the writer always puts it there), and a field that appears twice in an
-object is an error rather than silently replaced.
+object is an error rather than silently replaced. Turning decimals into
+floats is nearly all the work of loading text, so, from a regular file and
+given two CPUs or more, the prefill's heads are parsed in a pool of forked
+workers, one per CPU: the loading process only searches the text for where
+each head ends, and each worker reads its heads' bytes itself and runs the
+same per-head parse and checks. A load that fails in the pool is parsed
+again in the loading process, so the trace, or the error and its message, is
+the same however many CPUs parse it.
 
 Scores are canonically float32: the binary container stores float32 anyway,
 and the text writer renders each float32 score widened to float64, as the
@@ -50,12 +57,14 @@ trace. The file is the same, byte for byte, however many CPUs render it.
 from __future__ import annotations
 
 import codecs
+import collections
 import contextlib
 import enum
 import io
 import json
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,6 +92,9 @@ _NOT_NUMBER = re.compile(r'"|true|false')
 # are the longest reads), so a failure further than this from the end of the
 # text is not one that more text could mend.
 _LOOKAHEAD = 16
+# A list of lists of numbers ends at its first "]" followed by "]": numbers
+# hold no brackets.
+_LIST_END = re.compile(r"\][ \t\n\r]*\]")
 
 
 class Modality(enum.Enum):
@@ -328,7 +340,9 @@ class _PrefillTail:
         self._tail_mask = np.tri(kept, n, self.first_row, dtype=bool)
         self.prefill = np.zeros((L, H, kept, n), dtype=np.float32)
 
-    def add(self, layer: int, head: int, tri: np.ndarray) -> None:
+    def keep(self, layer: int, head: int, tri: np.ndarray, out: np.ndarray) -> None:
+        """Check one head's packed triangle and write its kept rows into
+        `out`, a zeroed (kept, n) block."""
         ok = tri >= 0
         if not ok.all():
             pos = int(np.argmin(ok))
@@ -340,7 +354,11 @@ class _PrefillTail:
         if not ok.all():
             row = int(np.argmin(ok))
             raise ValidationError(f"row sum {sums[row]:.6g} at ({layer}, {head}, {row})")
-        self.prefill[layer, head][self._tail_mask] = tri[self.starts[self.first_row]:]
+        out[self._tail_mask] = tri[self.starts[self.first_row]:]
+
+    def add(self, layer: int, head: int, tri: np.ndarray) -> None:
+        """Check one head's packed triangle and keep its last rows."""
+        self.keep(layer, head, tri, self.prefill[layer, head])
 
 
 def _row_chunks(n: int, scores: int = 2**18):
@@ -350,6 +368,46 @@ def _row_chunks(n: int, scores: int = 2**18):
     step = max(1, scores // n)
     for start in range(0, n, step):
         yield start, min(start + step, n)
+
+
+# ---------------------------------------------------------------------------
+# pools of forked workers
+
+
+def _cpus() -> int:
+    """How many CPUs this process may run on; 1 where the platform cannot
+    say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+# What a pool's tasks read: the trace a text writer renders, or the file
+# descriptor, header and `rows` of a text load. Set in the pool's workers only.
+_worker_state = None
+
+
+def _start_worker(state) -> None:
+    import signal  # already loaded by multiprocessing
+
+    global _worker_state
+    _worker_state = state
+    # An interrupt is the parent process's to handle: it stops the pool.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+@contextlib.contextmanager
+def _fork_pool(workers: int, state):
+    """A pool of `workers` forked processes. Each inherits `state` rather
+    than unpickling it, so tasks pickle only their coordinates and results.
+    The pool is terminated when the block ends, whether or not it raised."""
+    # Imported here: it adds about 20 ms to every start of the package.
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    with context.Pool(workers, _start_worker, (state,)) as pool:
+        yield pool
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +447,16 @@ def _prefill_text(trace: AttentionTrace, layer: int, head: int, start: int,
     return _json_lists(block[causal], range(start + 1, stop + 1))
 
 
-# A text-writer task renders about this many scores. A task's scores, their
-# text and its joined rows are all held at once, so larger tasks raise the
-# writer's peak memory.
+# A text task renders or parses about this many scores: a chunk of one
+# head's rows, or several whole heads where heads are smaller. A task's
+# scores, their text and its result are all held at once, so larger tasks
+# raise peak memory.
 _TEXT_TASK_SCORES = 2**16
-
-# The trace a text writer's pool renders; set in the pool's workers only.
-_worker_trace = None
-
-
-def _start_worker(trace: AttentionTrace) -> None:
-    import signal  # already loaded by multiprocessing
-
-    global _worker_trace
-    _worker_trace = trace
-    # An interrupt is the writing process's to handle: it stops the pool.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _worker_prefill_text(piece: tuple[int, int, int, int]) -> bytes:
     """`_prefill_text` of one (layer, head, start, stop) chunk, in a worker."""
-    return _prefill_text(_worker_trace, *piece)
+    return _prefill_text(_worker_state, *piece)
 
 
 @contextlib.contextmanager
@@ -420,28 +467,18 @@ def _rendered_prefill(trace: AttentionTrace, chunks: list):
     Chunks are rendered in tasks of about _TEXT_TASK_SCORES scores: one chunk,
     or several heads' when heads are smaller. With at least two tasks and two
     CPUs, the tasks run in a pool of forked workers, one per CPU up to one per
-    task. The workers inherit the trace, so only chunk coordinates and the
-    rendered bytes are pickled, and the pool is shut down when the block
-    ends, whether or not it raised. Otherwise, and where the platform cannot
+    task, which inherit the trace. Otherwise, and where the platform cannot
     report the CPUs this process may use, the chunks are rendered here.
     """
     h = trace.header
     pieces = ((l, hd, start, stop) for l, hd in np.ndindex(h.num_layers, h.num_heads)
               for start, stop in chunks)
     per_task = max(1, _TEXT_TASK_SCORES // ((chunks[0][1] - chunks[0][0]) * h.prompt_len))
-    tasks = -(-h.num_layers * h.num_heads * len(chunks) // per_task)
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = 1
-    if min(cpus, tasks) < 2:
+    workers = min(_cpus(), -(-h.num_layers * h.num_heads * len(chunks) // per_task))
+    if workers < 2:
         yield map(lambda piece: _prefill_text(trace, *piece), pieces)
         return
-    # Imported here: it adds about 20 ms to every start of the package.
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    with context.Pool(min(cpus, tasks), _start_worker, (trace,)) as pool:
+    with _fork_pool(workers, trace) as pool:
         yield pool.imap(_worker_prefill_text, pieces, chunksize=per_task)
 
 
@@ -601,6 +638,39 @@ class _JsonReader:
                    or not _NOT_NUMBER.search(self._buf, start, end))
         return obj, numeric
 
+    def position(self) -> int:
+        """How many characters come before the next one."""
+        return self._dropped + self._pos
+
+    def offset(self) -> int:
+        """The file offset of the next character: the bytes read, less those
+        of the pending text and those the UTF-8 decoder holds back."""
+        held, _ = self._utf8.getstate()
+        return self._fh.tell() - len(held) - len(self._buf[self._pos:].encode("utf-8"))
+
+    def skip_list(self) -> bool:
+        """Move past the next "]", whitespace and "]", where a list of lists
+        of numbers ends, by searching the text: nothing is parsed. False, at
+        no defined position, if the file ends first or the text passed over
+        is not all ASCII."""
+        while True:
+            found = _LIST_END.search(self._buf, self._pos)
+            if found:
+                end = found.end()
+            else:
+                # Keep a last "]" that the next chunk may complete.
+                end = self._buf.rfind("]", self._pos)
+                if end < 0 or _WHITESPACE.match(self._buf, end + 1).end() < len(self._buf):
+                    end = len(self._buf)
+            # isascii() of the whole buffer is a flag lookup.
+            if not (self._buf.isascii() or self._buf[self._pos:end].isascii()):
+                return False
+            self._pos = end
+            if found:
+                return True
+            if not self._refill():
+                return False
+
     def items(self, count: int, what: str):
         """Yield 0..count-1 before each item of the array that comes next,
         for the caller to parse; FormatError(what) unless the value is an
@@ -684,34 +754,143 @@ _NOT_NUMBERS = "scores must be numbers"
 _OUT_OF_RANGE = "score out of range"
 
 
+def _read_head(reader: _JsonReader, l: int, hd: int, n: int, tri: np.ndarray) -> None:
+    """Parse prefill[l][hd], a list of n rows, one row at a time into the
+    packed triangle `tri`. A bad score is reported once every row's length is
+    checked."""
+    bad = None
+    # A score too large for a float32 overflows its cast.
+    with np.errstate(over="raise"):
+        for i in reader.items(n, f"prefill[{l}][{hd}] must be a list of {n} rows"):
+            row, plain = reader.scores()
+            if not isinstance(row, list) or len(row) != i + 1:
+                raise FormatError(
+                    f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
+                    f"got {len(row) if isinstance(row, list) else type(row).__name__}"
+                )
+            if bad is None and not plain:
+                bad = _NOT_NUMBERS
+            if bad is None:
+                start = i * (i + 1) // 2
+                try:
+                    tri[start:start + i + 1] = np.fromiter(row, dtype=np.float32, count=i + 1)
+                except (TypeError, ValueError):
+                    bad = _NOT_NUMBERS
+                except (OverflowError, FloatingPointError):
+                    bad = _OUT_OF_RANGE
+    if bad is not None:
+        raise FormatError(f"prefill[{l}][{hd}]: {bad}")
+
+
 def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) -> None:
-    """Parse the prefill one row at a time, passing each head to `tail`."""
+    """Parse the prefill one head at a time, passing each head to `tail`."""
     L, H, n = header.num_layers, header.num_heads, header.prompt_len
     tri = np.empty(tail.size, dtype=np.float32)
     for l in reader.items(L, f"prefill must be a list of {L} layers"):
         for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
-            # A bad score is reported once every row's length is checked.
-            bad = None
-            for i in reader.items(n, f"prefill[{l}][{hd}] must be a list of {n} rows"):
-                row, plain = reader.scores()
-                if not isinstance(row, list) or len(row) != i + 1:
-                    raise FormatError(
-                        f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
-                        f"got {len(row) if isinstance(row, list) else type(row).__name__}"
-                    )
-                if bad is None and not plain:
-                    bad = _NOT_NUMBERS
-                if bad is None:
-                    start = i * (i + 1) // 2
-                    try:
-                        tri[start:start + i + 1] = np.fromiter(row, dtype=np.float32, count=i + 1)
-                    except (TypeError, ValueError):
-                        bad = _NOT_NUMBERS
-                    except OverflowError:
-                        bad = _OUT_OF_RANGE
-            if bad is not None:
-                raise FormatError(f"prefill[{l}][{hd}]: {bad}")
+            _read_head(reader, l, hd, n, tri)
             tail.add(l, hd, tri)
+
+
+class _FileSpan(io.RawIOBase):
+    """`size` bytes of an open file from `offset`, read with os.pread, so
+    that the offset the file's other readers share never moves."""
+
+    def __init__(self, fd: int, offset: int, size: int):
+        super().__init__()
+        self._fd, self._at, self._end = fd, offset, offset + size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        data = os.pread(self._fd, min(len(buf), self._end - self._at), self._at)
+        buf[:len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+def _worker_heads(first: int, spans: list) -> np.ndarray:
+    """Heads first, first + 1, ... of the prefill, each read from its
+    (offset, size) byte span of the file, parsed and checked as the serial
+    loader does; their kept rows, (heads, kept, n) float32. A span must hold
+    its head and nothing else."""
+    fd, header, rows = _worker_state
+    n = header.prompt_len
+    tail = _PrefillTail(header.num_layers, header.num_heads, n, rows)
+    kept = np.zeros((len(spans), n - tail.first_row, n), dtype=np.float32)
+    tri = np.empty(tail.size, dtype=np.float32)
+    for j, (offset, size) in enumerate(spans):
+        l, hd = divmod(first + j, header.num_heads)
+        reader = _JsonReader(_FileSpan(fd, offset, size))
+        _read_head(reader, l, hd, n, tri)
+        reader.end()
+        tail.keep(l, hd, tri, kept[j])
+    return kept
+
+
+class _SerialRetry(Exception):
+    """The pool did not parse the prefill; the serial parse names why."""
+
+
+def _read_prefill_in_pool(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail,
+                          rows: int | None, fd: int) -> bool:
+    """Parse the prefill of the file `fd` in a pool of forked workers, one
+    per CPU, into `tail.prefill`. False, having read nothing, unless
+    this process may use two CPUs and the prefill makes two tasks or more.
+
+    A task is consecutive whole heads of about _TEXT_TASK_SCORES scores, at
+    least one. This process only walks the layer and head lists and finds
+    where each head ends (`_JsonReader.skip_list`); its workers parse the
+    heads (`_worker_heads`). Tasks are submitted in file order, at most two a
+    worker in flight, and their kept rows stored as they arrive. Raises
+    _SerialRetry once anything fails: a worker, a head end not found, or
+    text in a head that is not ASCII, where characters stop being bytes.
+    """
+    L, H, n = header.num_layers, header.num_heads, header.prompt_len
+    per_task = max(1, _TEXT_TASK_SCORES // tail.size)
+    workers = min(_cpus(), -(-L * H // per_task))
+    if workers < 2:
+        return False
+    prefill = tail.prefill.reshape(L * H, n - tail.first_row, n)
+    pending = collections.deque()
+
+    def collect(limit: int) -> None:
+        # Results are stored in file order. A worker's error is not raised
+        # here: its traceback would tie this frame, and the parse state with
+        # it, into a cycle that outlives the serial retry.
+        while pending and (len(pending) > limit or pending[0][1].ready()):
+            first, result = pending.popleft()
+            result.wait()
+            if not result.successful():
+                raise _SerialRetry
+            heads = result.get()
+            prefill[first:first + len(heads)] = heads
+
+    try:
+        # From here on a character is a byte: the walk takes only ASCII
+        # punctuation and whitespace, and skip_list gives up on anything else.
+        base = reader.offset() - reader.position()
+        with _fork_pool(workers, (fd, header, rows)) as pool:
+            spans = []
+            for l in reader.items(L, f"prefill must be a list of {L} layers"):
+                for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
+                    reader.peek()
+                    start = reader.position()
+                    if not reader.skip_list():
+                        raise _SerialRetry
+                    spans.append((base + start, reader.position() - start))
+                    if len(spans) == per_task or l * H + hd == L * H - 1:
+                        first = l * H + hd + 1 - len(spans)
+                        pending.append((first, pool.apply_async(_worker_heads, (first, spans))))
+                        spans = []
+                        collect(2 * workers)
+            collect(0)
+    except (FormatError, OSError) as exc:
+        # The walk met malformed text (which a worker may have met earlier
+        # in the file), or the pool could not start.
+        raise _SerialRetry from exc
+    return True
 
 
 def _decode_step(step, plain: bool, s: int, header: TraceHeader) -> np.ndarray:
@@ -733,15 +912,26 @@ def _decode_step(step, plain: bool, s: int, header: TraceHeader) -> np.ndarray:
                 )
             numbers = plain or all(type(x) in (int, float) for x in vec)
             try:
-                arr[l, hd] = vec
+                # A score too large for a float32 overflows its cast.
+                with np.errstate(over="raise"):
+                    arr[l, hd] = vec
             except (TypeError, ValueError):
                 numbers = False
-            except OverflowError:
+            except (OverflowError, FloatingPointError):
                 if numbers:
                     raise FormatError(f"decode[{s}][{l}][{hd}]: {_OUT_OF_RANGE}") from None
             if not numbers:
                 raise FormatError(f"decode[{s}][{l}][{hd}]: {_NOT_NUMBERS}")
     return arr
+
+
+def _regular_file(fh) -> int | None:
+    """The descriptor of `fh` if it is a regular file, else None."""
+    try:
+        fd = fh.fileno()
+    except (AttributeError, OSError, ValueError):
+        return None
+    return fd if stat.S_ISREG(os.fstat(fd).st_mode) else None
 
 
 def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
@@ -752,10 +942,29 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
     in chunks and parsed one prefill row and one decode step at a time, so no
     whole-document object is built; `header` must therefore come before
     `prefill` and `decode`.
+
+    From a regular file, given two CPUs and a prefill of two tasks or more,
+    the prefill's heads are parsed in a pool of forked workers
+    (`_read_prefill_in_pool`). If that fails, the file is read again from
+    where it started and parsed here, so the result, or the error and its
+    message, is the same either way.
     """
     if isinstance(data, (bytes, bytearray)):
         data = io.BytesIO(data)
-    reader = _JsonReader(data)
+    fd = _regular_file(data)
+    if fd is not None:
+        origin = data.tell()
+        try:
+            return _parse_text(data, rows, fd)
+        except _SerialRetry:
+            data.seek(origin)
+    return _parse_text(data, rows, None)
+
+
+def _parse_text(fh, rows: int | None, fd: int | None) -> AttentionTrace:
+    """`trace_from_text` of a binary file; `fd`, if not None, is its
+    descriptor, for a pool to parse the prefill from."""
+    reader = _JsonReader(fh)
     header = tail = None
     seen = set()
     decode = []
@@ -770,7 +979,8 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
             header = _text_header(reader.value())
             tail = _PrefillTail(header.num_layers, header.num_heads, header.prompt_len, rows)
         elif key == "prefill":
-            _read_prefill(reader, header, tail)
+            if fd is None or not _read_prefill_in_pool(reader, header, tail, rows, fd):
+                _read_prefill(reader, header, tail)
         elif key == "decode":
             T = header.num_decode_steps
             for s in reader.items(T, f"decode must be a list of {T} steps"):

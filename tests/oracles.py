@@ -551,6 +551,16 @@ def is_number(value):
     return value is None or type(value) in (int, float)
 
 
+def _scores_to_float32(scores, where):
+    """Numeric scores as float32; FormatError for one too large for a float32
+    (Infinity is not: it casts, and fails the row sum)."""
+    try:
+        with np.errstate(over="raise"):
+            return np.array(scores, dtype=np.float32)
+    except (OverflowError, FloatingPointError):
+        raise FormatError(f"{where}: score out of range") from None
+
+
 def reference_trace_from_text(data, rows=None):
     """The text container parsed as one whole JSON document, then checked
     field by field, as the loader did before it streamed. Like `json.loads`,
@@ -604,7 +614,7 @@ def reference_trace_from_text(data, rows=None):
             scores = list(chain.from_iterable(head_rows))
             if not all(is_number(x) for x in scores):
                 raise FormatError(f"prefill[{l}][{hd}]: scores must be numbers")
-            tri = np.array(scores, dtype=np.float32)
+            tri = _scores_to_float32(scores, f"prefill[{l}][{hd}]")
             tail.add(l, hd, tri)
 
     decode = []
@@ -626,7 +636,7 @@ def reference_trace_from_text(data, rows=None):
                     )
                 if not all(is_number(x) for x in vec):
                     raise FormatError(f"decode[{s}][{l}][{hd}]: scores must be numbers")
-                arr[l, hd] = vec
+                arr[l, hd] = _scores_to_float32(vec, f"decode[{s}][{l}][{hd}]")
         decode.append(arr)
 
     trace = AttentionTrace(header, tail.prefill, decode, tail.first_row)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -143,6 +144,30 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "data error" in err
         assert fragment in err
+
+    @pytest.mark.parametrize("field, fragment", [
+        ("prefill", "prefill[1][0]: score out of range"),
+        ("decode", "decode[1][0][0]: score out of range"),
+    ])
+    def test_score_too_large_for_a_float32_is_a_data_error(self, demo_trace, tmp_path,
+                                                           capsys, field, fragment):
+        """1e39 fits a float64 but not a float32: named as the score it is,
+        with no numpy overflow warning on the way."""
+        doc = json.loads(demo_trace.read_text())
+        if field == "prefill":
+            doc["prefill"][1][0][5][2] = 1e39
+        else:
+            doc["decode"][1][0][0][2] = 1e39
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("analyze", "--trace", str(p), "--out", str(tmp_path / "an")) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert fragment in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_missing_trace_is_a_data_error(self, tmp_path):
         assert run("analyze", "--trace", str(tmp_path / "nope.json"),

@@ -1,5 +1,7 @@
 """Trace model and container tests: validation, round-trips, error reporting."""
 
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -157,6 +159,11 @@ MALFORMED = [
      "decode[0][0][0]: score out of range"),
     (lambda o: o["prefill"].pop(), "prefill"),
     (lambda o: o.update(decode=[[]]), "decode"),
+    # This one fits a float64 but not a float32.
+    (lambda o: (o["header"].update(H=2), o["prefill"][0].append([[1.0], [1e39, 0.5]])),
+     "prefill[0][1]: score out of range"),
+    (lambda o: (o["header"].update(T=2), o.update(decode=[[[[0.5, 0.5]]], [[[1e39, 0, 0]]]])),
+     "decode[1][0][0]: score out of range"),
 ]
 
 
@@ -201,6 +208,7 @@ class TestTextContainer:
         assert [d.shape[2] for d in rt.decode] == [5, 6, 7]
         assert rt == t
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mutate, fragment", MALFORMED)
     def test_malformed_documents_name_the_field(self, mutate, fragment):
         doc = tiny_document()
@@ -362,8 +370,9 @@ class TestStreamedTextFile:
 
 
 def see_cpus(monkeypatch, count):
-    """Make the text writer see `count` CPUs: with one it renders every score
-    in this process, with two in a pool of forked workers."""
+    """Make the text writer and loader see `count` CPUs: with one they render
+    or parse every score in this process, with two in a pool of forked
+    workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
@@ -438,6 +447,256 @@ def test_text_writer_equals_the_whole_document(layers, heads, n, steps, special,
     with mock.patch.object(trace_module, "_TEXT_TASK_SCORES", task_scores), \
             mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count))):
         assert trace_to_text(trace) == reference_trace_to_text(trace)
+
+
+# ---------------------------------------------------------------------------
+# the text loader's pool against its serial parse
+
+
+@pytest.fixture(params=[1, 2], ids=["serial", "pool"])
+def loader_cpus(request, monkeypatch):
+    """The CPUs the text loader sees, with tasks of one head each, so that a
+    file of two heads or more loads in a pool when it sees two."""
+    see_cpus(monkeypatch, request.param)
+    monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
+    return request.param
+
+
+@contextlib.contextmanager
+def heads_parsed_here():
+    """Yield a list of the (layer, head) of each prefill head parsed in this
+    process. A pool's workers parse theirs in their own."""
+    parsed = []
+    read_head = trace_module._read_head
+
+    def spy(reader, l, hd, n, tri):
+        parsed.append((l, hd))
+        return read_head(reader, l, hd, n, tri)
+
+    with mock.patch.object(trace_module, "_read_head", spy):
+        yield parsed
+
+
+def file_outcome(path, rows, cpus):
+    """What loading `path` gives when the loader sees `cpus` CPUs: the trace,
+    or the class and message of the modkv error it raises."""
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+        try:
+            return load_trace(path, rows=rows)
+        except ModkvError as exc:
+            return type(exc), str(exc)
+
+
+def two_head_document():
+    """tiny_document() with a second head: two tasks of one head each."""
+    doc = tiny_document()
+    doc["header"]["H"] = 2
+    doc["prefill"][0].append([[1.0], [0.25, 0.75]])
+    return doc
+
+
+# Faults put in the last head of mixed_trace, each as an edit of its rows.
+LAST_HEAD_FAULTS = {
+    "negative": lambda rows: rows[20].__setitem__(0, -0.25),
+    "row_sum": lambda rows: rows[20].__setitem__(0, rows[20][0] + 0.5),
+    "nan": lambda rows: rows[20].__setitem__(0, float("nan")),
+    "string": lambda rows: rows[20].__setitem__(3, "0.5"),
+    "non_ascii": lambda rows: rows[20].__setitem__(3, "\u00e9"),
+    "list": lambda rows: rows[20].__setitem__(3, [0.5]),
+    "float32_overflow": lambda rows: rows[20].__setitem__(3, 1e39),
+    "short_row": lambda rows: rows[20].pop(),
+    "missing_row": lambda rows: rows.pop(),
+}
+
+
+class TestPooledTextLoad:
+    def test_documents_load_alike(self, tmp_path, chunk, loader_cpus, mixed_trace):
+        canonical = trace_to_text(mixed_trace)
+        doc = json.loads(canonical)
+        # Multi-byte text before the prefill: its file offset counts bytes.
+        doc = {"format_version": 1, "header": doc["header"],
+               "note": "na\u00efve \u2713 \u89c6\u89c9", "count": 1234567,
+               "prefill": doc["prefill"], "decode": doc["decode"]}
+        path = tmp_path / "t.json"
+        with heads_parsed_here() as parsed:
+            for data in (canonical, render(doc, "compact"), render(doc, "indented")):
+                path.write_bytes(data)
+                assert load_trace(path) == mixed_trace
+                assert load_trace(path, rows=8) == dense(mixed_trace, 8)
+        assert len(parsed) == (0 if loader_cpus == 2 else 6 * 4)
+
+    @pytest.mark.parametrize("mutate", [mutate for mutate, _ in MALFORMED])
+    def test_malformed_documents_fail_alike(self, tmp_path, chunk, monkeypatch, mutate):
+        monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
+        doc = two_head_document()
+        mutate(doc)
+        path = tmp_path / "bad.json"
+        path.write_bytes(render(doc, "compact"))
+        for rows in (None, 1):
+            serial = file_outcome(path, rows, 1)
+            assert serial[0] is FormatError
+            assert file_outcome(path, rows, 2) == serial
+
+    @pytest.mark.parametrize("style", ["compact", "indented"])
+    @pytest.mark.parametrize("fault", list(LAST_HEAD_FAULTS))
+    def test_a_fault_in_the_last_head_fails_alike(self, tmp_path, monkeypatch, mixed_trace,
+                                                  fault, style):
+        monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
+        doc = json.loads(trace_to_text(mixed_trace))
+        LAST_HEAD_FAULTS[fault](doc["prefill"][1][1])
+        path = tmp_path / "bad.json"
+        path.write_bytes(render(doc, style))
+        for rows in (None, 8):
+            serial = file_outcome(path, rows, 1)
+            assert isinstance(serial, tuple)
+            assert "(1, 1, " in serial[1] or "prefill[1][1]" in serial[1]
+            assert file_outcome(path, rows, 2) == serial
+
+    def test_the_first_of_two_faults_is_the_one_reported(self, tmp_path, monkeypatch,
+                                                          mixed_trace):
+        """A bad score in the first head, which a worker parses, comes before
+        a head too many in the last layer, which this process walks past."""
+        monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
+        doc = json.loads(trace_to_text(mixed_trace))
+        doc["prefill"][0][0][5][1] = -0.5
+        doc["prefill"][1].append(doc["prefill"][1][0])
+        path = tmp_path / "bad.json"
+        path.write_bytes(render(doc, "compact"))
+        for cpus in (1, 2):
+            assert file_outcome(path, 8, cpus) == (
+                ValidationError, "negative score at (0, 0, 5)")
+
+    def test_a_file_cut_in_its_last_head_fails_alike(self, tmp_path, monkeypatch,
+                                                     mixed_trace):
+        monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
+        data = trace_to_text(mixed_trace)
+        end = data.index(b"]]]]") + 4  # the end of the prefill
+        path = tmp_path / "cut.json"
+        for cut in (end - 1, end - 3, end - 40):
+            path.write_bytes(data[:cut])
+            serial = file_outcome(path, 8, 1)
+            assert serial[0] is FormatError
+            assert file_outcome(path, 8, 2) == serial
+
+
+def test_reader_offsets_count_bytes_at_any_chunk_size(monkeypatch):
+    """The byte offset the pool's spans start from: the bytes read, less the
+    pending text's and those the UTF-8 decoder holds back."""
+    text = '{"\u00e9t\u00e9": 1, "prefill": [[1]], "\u2713": "\u89c6\u89c9", "x": []}'
+    data = text.encode("utf-8")
+    for size in range(1, len(data) + 1):
+        monkeypatch.setattr(trace_module, "_TEXT_CHUNK", size)
+        reader = trace_module._JsonReader(io.BytesIO(data))
+        for _ in reader.fields("object expected"):
+            reader.peek()
+            at = reader.position()
+            assert reader.offset() == len(text[:at].encode("utf-8"))
+            reader.value()
+        reader.end()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.integers(1, 3),
+    n=st.integers(1, 6),
+    steps=st.integers(0, 2),
+    seed=st.integers(0, 2 ** 32 - 1),
+    style=st.sampled_from(["compact", "indented", "spaced"]),
+    target=st.sampled_from(["none", "prefill", "decode"]),
+    value=st.sampled_from([-0.5, 2.0, float("nan"), float("-inf"), 1e39, "x", "\u00e9",
+                           [0.5], None, True, 0.25]),
+    where=st.integers(0, 2 ** 16),
+)
+def test_pooled_load_matches_whole_document_parse(tmp_path_factory, layers, heads, n, steps,
+                                                  seed, style, target, value, where):
+    """A file loads in a pool of one-head tasks as it loads here, and as the
+    whole-document parse reads it."""
+    spec = SyntheticTraceSpec(layers, heads, n, steps, skew=1.2, modality_mix=0.5,
+                              head_preference_bias=0.3, seed=seed)
+    doc = json.loads(trace_to_text(generate_synthetic(spec)))
+    l, hd = where % layers, where // layers % heads
+    if target == "prefill":
+        row = doc["prefill"][l][hd][where % n]
+        row[where % len(row)] = value
+    elif target == "decode" and steps:
+        vec = doc["decode"][where % steps][l][hd]
+        vec[where % len(vec)] = value
+    data = render(doc, style)
+    path = tmp_path_factory.mktemp("pooled") / "t.json"
+    path.write_bytes(data)
+    with mock.patch.object(trace_module, "_TEXT_TASK_SCORES", 1):
+        for rows in (None, 1, n):
+            want = outcome(reference_trace_from_text, data, rows)
+            serial = file_outcome(path, rows, 1)
+            with heads_parsed_here() as parsed:
+                pooled = file_outcome(path, rows, 2)
+            if isinstance(want, AttentionTrace):
+                assert serial == want and pooled == want
+                # Two heads or more: the pool parsed them all.
+                assert len(parsed) == (0 if layers * heads > 1 else 1)
+            else:
+                assert serial[0] is want
+                assert pooled == serial
+
+
+class TestTextLoaderPool:
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        """A 1x2x400 trace, 80,200 scores a head: two tasks of one head, and
+        its text."""
+        spec = SyntheticTraceSpec(1, 2, 400, 1, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=0.3, seed=4)
+        trace = generate_synthetic(spec)
+        return trace, trace_to_text(trace)
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The start method of each multiprocessing context asked for."""
+        methods = []
+        get_context = multiprocessing.get_context
+
+        def spy(method=None):
+            methods.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        return methods
+
+    def test_a_large_file_loads_in_a_pool(self, tmp_path, monkeypatch, large, started):
+        trace, data = large
+        path = tmp_path / "t.json"
+        path.write_bytes(data)
+        see_cpus(monkeypatch, 2)
+        with heads_parsed_here() as parsed:
+            assert load_trace(path, rows=8) == dense(trace, 8)
+            assert load_trace(path) == trace
+        assert started == ["fork", "fork"]
+        assert parsed == []
+        assert not multiprocessing.active_children()
+
+    def test_bytes_and_one_task_files_start_no_pool(self, tmp_path, monkeypatch, large,
+                                                    started, mixed_trace):
+        see_cpus(monkeypatch, 2)
+        trace, data = large
+        assert trace_from_text(data, rows=8) == dense(trace, 8)
+        # Four heads of 300 scores make one task.
+        path = tmp_path / "t.json"
+        save_trace(mixed_trace, path)
+        assert load_trace(path) == mixed_trace
+        assert started == []
+
+    def test_no_worker_outlives_a_failed_load(self, tmp_path, monkeypatch, large, started):
+        trace, data = large
+        doc = json.loads(data)
+        doc["prefill"][0][1][300][7] = -0.5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        see_cpus(monkeypatch, 2)
+        with pytest.raises(ValidationError, match=r"negative score at \(0, 1, 300\)"):
+            load_trace(path, rows=8)
+        assert started == ["fork"]
+        assert not multiprocessing.active_children()
 
 
 class TestBinaryContainer:
@@ -783,6 +1042,19 @@ def traced_peak(fn):
 MIB = 1 << 20
 
 
+def untrace_workers(monkeypatch):
+    """Stop tracemalloc in each pool worker as it starts: it measures this
+    process only, and tracing a worker's every allocation slows its parse
+    several times over."""
+    start_worker = trace_module._start_worker
+
+    def start_untraced(state):
+        tracemalloc.stop()
+        start_worker(state)
+
+    monkeypatch.setattr(trace_module, "_start_worker", start_untraced)
+
+
 class TestBoundedMemory:
     def test_binary_partial_load_stays_small(self, big_diagonal):
         binary, _ = big_diagonal
@@ -812,6 +1084,8 @@ class TestBoundedMemory:
         assert peak < 6 * MIB
 
     def test_text_partial_load_builds_no_dense_cube(self, big_diagonal, monkeypatch):
+        # tracemalloc sees this process only: one CPU keeps the parse here.
+        see_cpus(monkeypatch, 1)
         binary, text = big_diagonal
 
         def whole_document(*args, **kwargs):
@@ -822,6 +1096,18 @@ class TestBoundedMemory:
         assert trace == load_trace(binary, rows=8)
         # One head's float64 triangle is 4 MiB and the text held at a time
         # up to 2 MiB; the file is 16 MiB and the dense cube 64 MiB.
+        assert peak < 16 * MIB
+
+    def test_text_partial_load_in_a_pool_stays_small_here(self, big_diagonal, monkeypatch):
+        """With two CPUs the workers parse the heads. This process, which
+        only finds where each head ends, stays within the serial bound."""
+        see_cpus(monkeypatch, 2)
+        untrace_workers(monkeypatch)
+        binary, text = big_diagonal
+        with heads_parsed_here() as parsed:
+            trace, peak = traced_peak(lambda: load_trace(text, rows=8))
+        assert parsed == []
+        assert trace == load_trace(binary, rows=8)
         assert peak < 16 * MIB
 
     def test_generated_trace_simulates_without_its_dense_cube(self):
@@ -844,24 +1130,41 @@ class TestBoundedMemory:
         # The dense cube is 1 GiB; one head's 8 rows are 64 KiB.
         assert peak < 64 * MIB
 
-    def test_malformed_first_score_fails_without_reading_on(self, big_diagonal, tmp_path):
-        _, text = big_diagonal
-        data = text.read_bytes()
-        start = b'"prefill":[[[[1]'
-        assert data.count(start) == 1
-        bad = tmp_path / "bad.json"
-        bad.write_bytes(data.replace(start, b'"prefill":[[[[1.0x]'))
-        at = data.index(start) + len(start) + 1  # the x
-        del data
+    def test_malformed_first_score_fails_without_reading_on(self, big_diagonal, tmp_path,
+                                                            monkeypatch):
+        # tracemalloc sees this process only: one CPU keeps the parse here.
+        see_cpus(monkeypatch, 1)
+        malformed_first_score_fails_small(big_diagonal, tmp_path)
 
-        def load():
-            with pytest.raises(FormatError) as err:
-                load_trace(bad, rows=8)
-            return str(err.value)
+    def test_malformed_first_score_in_a_pool_fails_without_reading_on(
+            self, big_diagonal, tmp_path, monkeypatch):
+        """The pool's first task fails; this process stops walking the heads
+        and parses again from the start, within the serial bound."""
+        see_cpus(monkeypatch, 2)
+        untrace_workers(monkeypatch)
+        malformed_first_score_fails_small(big_diagonal, tmp_path)
 
-        message, peak = traced_peak(load)
-        assert message == f"not a valid text trace: Expecting ',' delimiter at character {at}"
-        # One head's float64 and float32 triangles take 6 MiB and a chunk of
-        # text 1 MiB. The file is 16 MiB: reading on to its end to retry the
-        # parse peaked at 46 MiB.
-        assert peak < 12 * MIB
+
+def malformed_first_score_fails_small(big_diagonal, tmp_path):
+    """Loading the text twin with its first score made `1.0x` names that
+    character and peaks well under the file's size in tracemalloc."""
+    _, text = big_diagonal
+    data = text.read_bytes()
+    start = b'"prefill":[[[[1]'
+    assert data.count(start) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data.replace(start, b'"prefill":[[[[1.0x]'))
+    at = data.index(start) + len(start) + 1  # the x
+    del data
+
+    def load():
+        with pytest.raises(FormatError) as err:
+            load_trace(bad, rows=8)
+        return str(err.value)
+
+    message, peak = traced_peak(load)
+    assert message == f"not a valid text trace: Expecting ',' delimiter at character {at}"
+    # One head's float64 and float32 triangles take 6 MiB and a chunk of
+    # text 1 MiB. The file is 16 MiB: reading on to its end to retry the
+    # parse peaked at 46 MiB.
+    assert peak < 12 * MIB
