@@ -13,58 +13,52 @@ every row of every head, and keep the tail. Every reader of prefill rows,
 here and in the rest of the package, asks ``AttentionTrace.head_rows`` for
 one head's rows at a time: importance for the proxy rows, validation and
 equality for the rows held, ``head_text_share`` and the writers for every
-row (the binary writer about 1 MiB at a time, the text writer about 2**16
-scores at a time). A row below ``first_row`` is a ParameterError. So a trace
-that computes its rows on demand, as the synthetic generator's does, is
-simulated, compared and written without its dense cube, or even one whole
-(n, n) block, ever being built.
+row, about 1 MiB of float32 at a time. A row below ``first_row`` is a
+ParameterError. So a trace that computes its rows on demand, as the
+synthetic generator's does, is simulated, compared and written without its
+dense cube, or even one whole (n, n) block, ever being built.
 
-Two interchangeable containers are supported and sniffed by magic bytes:
+Two interchangeable containers are supported and sniffed by magic bytes.
+Both store scores as little-endian float32, so a save/load/save round trip
+is byte-identical in either.
 
-* a text container (JSON, canonical field order, each score rendered as
-  the shortest decimal of its float64 value), and
-* a binary container (magic ``MKVT``, little-endian u32 header, modality
-  labels packed as bits, scores as little-endian float32).
+* The binary container: magic ``MKVT``, little-endian u32 header, modality
+  labels packed as bits, then each (layer, head)'s packed causal triangle
+  (row i's i + 1 scores after rows 0..i-1) and each decode step's
+  (L, H, n + s) array.
+* The text container, version 2 (``TEXT_FORMAT_VERSION``): one JSON object,
+  ``{"format_version":2,"header":{...},"prefill":[...],"decode":[...]}``.
+  ``prefill[l][h]`` is a list of padded base64 strings; their decoded bytes,
+  joined, are that head's packed triangle, the same bytes the binary
+  container stores. ``decode[s]`` is a list of base64 strings whose bytes,
+  joined, are step s's array. The writer cuts one string per chunk of about
+  1 MiB of rows for the prefill and one per layer for the decode; the loader
+  accepts any cut, even one inside a float.
 
-The text container is streamed too: the loader reads it in chunks and parses
-one prefill row and one decode step at a time with the stdlib JSON scanner,
-so no whole-document object is built. It is therefore stricter than a
-whole-document parse: ``header`` must come before ``prefill`` and ``decode``
-(the writer always puts it there), and a field that appears twice in an
-object is an error rather than silently replaced. Turning decimals into
-floats is nearly all the work of loading text, so, from a regular file and
-given two CPUs or more, the prefill's heads are parsed in a pool of forked
-workers, one per CPU: the loading process only searches the text for where
-each head ends, and each worker reads its heads' bytes itself and runs the
-same per-head parse and checks. A load that fails in the pool is parsed
-again in the loading process, so the trace, or the error and its message, is
-the same however many CPUs parse it.
+The text loader reads the JSON in chunks and parses one value at a time with
+the stdlib scanner, so no whole-document object is built. It is therefore
+stricter than a whole-document parse: ``header`` must come before
+``prefill`` and ``decode``, and so must ``format_version`` in a version 2
+file, and a field that appears twice in an object is an error. Each head's
+decoded bytes go through the same checks as the binary container's.
 
-Scores are canonically float32: the binary container stores float32 anyway,
-and the text writer renders each float32 score widened to float64, as the
-shortest decimal that round-trips through float64 (0.1f is written
-0.10000000149011612). Reading such a decimal back to float32 is exact, so
-saving a loaded trace reproduces the file byte for byte in either format.
-Text input written with higher precision is quantized on load.
-
-Rendering those decimals is nearly all the work of writing text, so the text
-writer spells each distinct score of a task once (a synthetic row repeats
-about half of the row before it) and, given two CPUs or more, renders the
-tasks in a pool of forked worker processes, one per CPU, which inherit the
-trace. The file is the same, byte for byte, however many CPUs render it.
+Version 1 text files are read, never written. They spell each score as a
+JSON number (the writer used the shortest decimal of its float64 value) and
+each prefill row as its own list. They are parsed one row at a time; a
+decimal is quantized to float32 on load. ``save_trace(load_trace(old),
+new)`` converts one to version 2.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import codecs
-import collections
-import contextlib
 import enum
 import io
 import json
 import os
 import re
-import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +66,10 @@ import numpy as np
 from .errors import FormatError, ParameterError, ValidationError
 from .files import atomic_file
 
+# Reports, plans, masks and the binary container.
 FORMAT_VERSION = 1
+# The text container written; version 1 text is still read.
+TEXT_FORMAT_VERSION = 2
 BINARY_MAGIC = b"MKVT"
 
 # Every attention row must sum to one within this tolerance. Row sums are
@@ -92,9 +89,6 @@ _NOT_NUMBER = re.compile(r'"|true|false')
 # are the longest reads), so a failure further than this from the end of the
 # text is not one that more text could mend.
 _LOOKAHEAD = 16
-# A list of lists of numbers ends at its first "]" followed by "]": numbers
-# hold no brackets.
-_LIST_END = re.compile(r"\][ \t\n\r]*\]")
 
 
 class Modality(enum.Enum):
@@ -340,9 +334,8 @@ class _PrefillTail:
         self._tail_mask = np.tri(kept, n, self.first_row, dtype=bool)
         self.prefill = np.zeros((L, H, kept, n), dtype=np.float32)
 
-    def keep(self, layer: int, head: int, tri: np.ndarray, out: np.ndarray) -> None:
-        """Check one head's packed triangle and write its kept rows into
-        `out`, a zeroed (kept, n) block."""
+    def add(self, layer: int, head: int, tri: np.ndarray) -> None:
+        """Check one head's packed triangle and keep its last rows."""
         ok = tri >= 0
         if not ok.all():
             pos = int(np.argmin(ok))
@@ -354,11 +347,7 @@ class _PrefillTail:
         if not ok.all():
             row = int(np.argmin(ok))
             raise ValidationError(f"row sum {sums[row]:.6g} at ({layer}, {head}, {row})")
-        out[self._tail_mask] = tri[self.starts[self.first_row]:]
-
-    def add(self, layer: int, head: int, tri: np.ndarray) -> None:
-        """Check one head's packed triangle and keep its last rows."""
-        self.keep(layer, head, tri, self.prefill[layer, head])
+        self.prefill[layer, head][self._tail_mask] = tri[self.starts[self.first_row]:]
 
 
 def _row_chunks(n: int, scores: int = 2**18):
@@ -371,46 +360,6 @@ def _row_chunks(n: int, scores: int = 2**18):
 
 
 # ---------------------------------------------------------------------------
-# pools of forked workers
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on; 1 where the platform cannot
-    say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
-# What a pool's tasks read: the trace a text writer renders, or the file
-# descriptor, header and `rows` of a text load. Set in the pool's workers only.
-_worker_state = None
-
-
-def _start_worker(state) -> None:
-    import signal  # already loaded by multiprocessing
-
-    global _worker_state
-    _worker_state = state
-    # An interrupt is the parent process's to handle: it stops the pool.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-@contextlib.contextmanager
-def _fork_pool(workers: int, state):
-    """A pool of `workers` forked processes. Each inherits `state` rather
-    than unpickling it, so tasks pickle only their coordinates and results.
-    The pool is terminated when the block ends, whether or not it raised."""
-    # Imported here: it adds about 20 ms to every start of the package.
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    with context.Pool(workers, _start_worker, (state,)) as pool:
-        yield pool
-
-
-# ---------------------------------------------------------------------------
 # text container
 
 
@@ -418,77 +367,29 @@ def _json(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii")
 
 
-def _json_lists(values: np.ndarray, lengths) -> bytes:
-    """The float32 `values`, cut into consecutive runs of the given lengths,
-    as comma-separated JSON lists, each score spelled as `_json` spells it.
-
-    Each distinct score is rendered once. Scores are told apart by their
-    bits, so -0.0 and 0.0 stay distinct and every NaN is still a NaN.
-    """
-    bits = np.ascontiguousarray(values, dtype=np.float32).reshape(-1).view(np.uint32)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    spelled = _json(distinct.view(np.float32).tolist())[1:-1].split(b",")
-    words = list(map(spelled.__getitem__, inverse.tolist()))
-    begin = 0
-    for length in lengths:
-        end = begin + length
-        words[begin] = b"[" + words[begin]
-        words[end - 1] += b"]"
-        begin = end
-    return b",".join(words)
+def _packed_rows(trace: AttentionTrace, layer: int, head: int, start: int,
+                 stop: int) -> np.ndarray:
+    """Prompt rows start..stop-1 of one head's packed causal triangle, as
+    little-endian float32."""
+    lower = np.tri(stop - start, trace.header.prompt_len, start, dtype=bool)
+    return np.ascontiguousarray(trace.head_rows(layer, head, start, stop)[lower], dtype="<f4")
 
 
-def _prefill_text(trace: AttentionTrace, layer: int, head: int, start: int,
-                  stop: int) -> bytes:
-    """Prompt rows start..stop-1 of one head as comma-separated JSON lists of
-    each row's causal prefix."""
-    block = trace.head_rows(layer, head, start, stop)
-    causal = np.tri(stop - start, block.shape[1], start, dtype=bool)
-    return _json_lists(block[causal], range(start + 1, stop + 1))
-
-
-# A text task renders or parses about this many scores: a chunk of one
-# head's rows, or several whole heads where heads are smaller. A task's
-# scores, their text and its result are all held at once, so larger tasks
-# raise peak memory.
-_TEXT_TASK_SCORES = 2**16
-
-
-def _worker_prefill_text(piece: tuple[int, int, int, int]) -> bytes:
-    """`_prefill_text` of one (layer, head, start, stop) chunk, in a worker."""
-    return _prefill_text(_worker_state, *piece)
-
-
-@contextlib.contextmanager
-def _rendered_prefill(trace: AttentionTrace, chunks: list):
-    """Yield an iterator over the `_prefill_text` of each (start, stop) row
-    chunk of each (layer, head), in file order.
-
-    Chunks are rendered in tasks of about _TEXT_TASK_SCORES scores: one chunk,
-    or several heads' when heads are smaller. With at least two tasks and two
-    CPUs, the tasks run in a pool of forked workers, one per CPU up to one per
-    task, which inherit the trace. Otherwise, and where the platform cannot
-    report the CPUs this process may use, the chunks are rendered here.
-    """
-    h = trace.header
-    pieces = ((l, hd, start, stop) for l, hd in np.ndindex(h.num_layers, h.num_heads)
-              for start, stop in chunks)
-    per_task = max(1, _TEXT_TASK_SCORES // ((chunks[0][1] - chunks[0][0]) * h.prompt_len))
-    workers = min(_cpus(), -(-h.num_layers * h.num_heads * len(chunks) // per_task))
-    if workers < 2:
-        yield map(lambda piece: _prefill_text(trace, *piece), pieces)
-        return
-    with _fork_pool(workers, trace) as pool:
-        yield pool.imap(_worker_prefill_text, pieces, chunksize=per_task)
+def _write_base64(fh, payloads) -> None:
+    """Write a JSON list of the base64 of each float32 array in `payloads`."""
+    fh.write(b"[")
+    for k, payload in enumerate(payloads):
+        fh.write(b'"' if k == 0 else b',"')
+        fh.write(base64.b64encode(payload))
+        fh.write(b'"')
+    fh.write(b"]")
 
 
 def _write_text(trace: AttentionTrace, fh) -> None:
-    """Write the canonical text container (fixed field order, each score as
-    the shortest float64 round-trip decimal, single trailing newline): the
-    prefill a chunk of one (layer, head)'s rows at a time, rendered on every
-    CPU, then the decode one (step, layer) at a time."""
+    """Write the text container, version 2, with a single trailing newline:
+    each head's packed triangle as one base64 string per `_row_chunks` chunk,
+    then each decode step as one base64 string per layer."""
     h = trace.header
-    n = h.prompt_len
     header = {
         "L": h.num_layers,
         "H": h.num_heads,
@@ -496,33 +397,26 @@ def _write_text(trace: AttentionTrace, fh) -> None:
         "T": h.num_decode_steps,
         "modality_labels": h.label_strings(),
     }
-    fh.write(b'{"format_version":' + _json(FORMAT_VERSION) + b',"header":' + _json(header))
+    fh.write(b'{"format_version":' + _json(TEXT_FORMAT_VERSION) + b',"header":' + _json(header))
     fh.write(b',"prefill":[')
-    chunks = list(_row_chunks(n, _TEXT_TASK_SCORES))
-    with _rendered_prefill(trace, chunks) as texts:
-        for l in range(h.num_layers):
-            fh.write(b"[" if l == 0 else b",[")
-            for hd in range(h.num_heads):
-                fh.write(b"[" if hd == 0 else b",[")
-                for start, _ in chunks:
-                    if start:
-                        fh.write(b",")
-                    fh.write(next(texts))
-                fh.write(b"]")
-            fh.write(b"]")
+    chunks = list(_row_chunks(h.prompt_len))
+    for l in range(h.num_layers):
+        fh.write(b"[" if l == 0 else b",[")
+        for hd in range(h.num_heads):
+            if hd:
+                fh.write(b",")
+            _write_base64(fh, (_packed_rows(trace, l, hd, *rows) for rows in chunks))
+        fh.write(b"]")
     fh.write(b'],"decode":[')
     for s, vec in enumerate(trace.decode):
-        fh.write(b"[" if s == 0 else b",[")
-        for l, layer in enumerate(vec):
-            if l:
-                fh.write(b",")
-            fh.write(b"[" + _json_lists(layer, [layer.shape[1]] * len(layer)) + b"]")
-        fh.write(b"]")
+        if s:
+            fh.write(b",")
+        _write_base64(fh, (np.ascontiguousarray(layer, dtype="<f4") for layer in vec))
     fh.write(b"]}\n")
 
 
 def trace_to_text(trace: AttentionTrace) -> bytes:
-    """The canonical text container as bytes."""
+    """The text container as bytes."""
     buf = io.BytesIO()
     _write_text(trace, buf)
     return buf.getvalue()
@@ -638,43 +532,10 @@ class _JsonReader:
                    or not _NOT_NUMBER.search(self._buf, start, end))
         return obj, numeric
 
-    def position(self) -> int:
-        """How many characters come before the next one."""
-        return self._dropped + self._pos
-
-    def offset(self) -> int:
-        """The file offset of the next character: the bytes read, less those
-        of the pending text and those the UTF-8 decoder holds back."""
-        held, _ = self._utf8.getstate()
-        return self._fh.tell() - len(held) - len(self._buf[self._pos:].encode("utf-8"))
-
-    def skip_list(self) -> bool:
-        """Move past the next "]", whitespace and "]", where a list of lists
-        of numbers ends, by searching the text: nothing is parsed. False, at
-        no defined position, if the file ends first or the text passed over
-        is not all ASCII."""
-        while True:
-            found = _LIST_END.search(self._buf, self._pos)
-            if found:
-                end = found.end()
-            else:
-                # Keep a last "]" that the next chunk may complete.
-                end = self._buf.rfind("]", self._pos)
-                if end < 0 or _WHITESPACE.match(self._buf, end + 1).end() < len(self._buf):
-                    end = len(self._buf)
-            # isascii() of the whole buffer is a flag lookup.
-            if not (self._buf.isascii() or self._buf[self._pos:end].isascii()):
-                return False
-            self._pos = end
-            if found:
-                return True
-            if not self._refill():
-                return False
-
-    def items(self, count: int, what: str):
-        """Yield 0..count-1 before each item of the array that comes next,
+    def items(self, count: int | None, what: str):
+        """Yield 0, 1, ... before each item of the array that comes next,
         for the caller to parse; FormatError(what) unless the value is an
-        array of `count` items."""
+        array, of `count` items unless `count` is None."""
         if self.peek() != "[":
             raise FormatError(what)
         self._pos += 1
@@ -689,7 +550,7 @@ class _JsonReader:
                 size += 1
                 if self._take(",]") == "]":
                     break
-        if size != count:
+        if count is not None and size != count:
             raise FormatError(what)
 
     def fields(self, what: str):
@@ -748,21 +609,76 @@ def _text_header(obj) -> TraceHeader:
         raise FormatError(f"bad header: {exc}") from None
 
 
-# Why a list of scores cannot be read. An integer too large for a float64
-# (JSON integers have no limit) is out of range.
+def _read_base64(reader: _JsonReader, where: str, count: int) -> bytes:
+    """Parse a list of base64 strings at `where` whose decoded bytes, joined,
+    are `count` float32 scores; return those bytes. The list may be cut
+    anywhere. A list that runs past the expected size fails at once."""
+    want = 4 * count
+    pieces, got = [], 0
+    for k in reader.items(None, f"{where} must be a list of base64 strings"):
+        piece = reader.value()
+        if not isinstance(piece, str):
+            raise FormatError(
+                f"{where}[{k}] must be a base64 string, got {type(piece).__name__}"
+            )
+        try:
+            raw = base64.b64decode(piece, validate=True)
+        except (binascii.Error, ValueError) as exc:
+            raise FormatError(f"{where}[{k}] is not base64: {exc}") from None
+        del piece  # held no longer than its bytes
+        got += len(raw)
+        if got > want:
+            raise FormatError(f"{where} holds more than {want} bytes ({count} float32 scores)")
+        pieces.append(raw)
+    if got != want:
+        raise FormatError(f"{where} holds {got} bytes, expected {want} ({count} float32 scores)")
+    # A single piece is joined without a copy.
+    return b"".join(pieces)
+
+
+def _read_prefill_v2(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) -> None:
+    """Parse a version 2 prefill one head at a time, passing each head's
+    packed triangle to `tail`."""
+    L, H = header.num_layers, header.num_heads
+    for l in reader.items(L, f"prefill must be a list of {L} layers"):
+        for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
+            raw = _read_base64(reader, f"prefill[{l}][{hd}]", tail.size)
+            tail.add(l, hd, np.frombuffer(raw, "<f4"))
+            # Free the head before the next is read.
+            del raw
+
+
+def _read_decode_v2(reader: _JsonReader, s: int, header: TraceHeader) -> np.ndarray:
+    """Parse version 2 decode step `s`, (L, H, n + s) float32."""
+    shape = (header.num_layers, header.num_heads, header.prompt_len + s)
+    raw = _read_base64(reader, f"decode[{s}]", shape[0] * shape[1] * shape[2])
+    # A copy, writable as the binary loader's arrays are.
+    return np.frombuffer(raw, "<f4").reshape(shape).copy()
+
+
+# Why a version 1 list of scores cannot be read. An integer too large for a
+# float64 (JSON integers have no limit) is out of range.
 _NOT_NUMBERS = "scores must be numbers"
 _OUT_OF_RANGE = "score out of range"
+# Without format_version, prefill and decode are read as version 1, so a
+# version 2 file must give its version first.
+_LATE_VERSION = f"format_version {TEXT_FORMAT_VERSION} must come before prefill and decode"
 
 
-def _read_head(reader: _JsonReader, l: int, hd: int, n: int, tri: np.ndarray) -> None:
-    """Parse prefill[l][hd], a list of n rows, one row at a time into the
-    packed triangle `tri`. A bad score is reported once every row's length is
-    checked."""
+def _read_head(reader: _JsonReader, l: int, hd: int, n: int, tri: np.ndarray,
+               unversioned: bool) -> None:
+    """Parse version 1 prefill[l][hd], a list of n rows, one row at a time
+    into the packed triangle `tri`. A bad score is reported once every row's
+    length is checked. `unversioned`: no format_version came first, so a
+    base64 string in place of a row means a version 2 file that gives its
+    version late."""
     bad = None
     # A score too large for a float32 overflows its cast.
     with np.errstate(over="raise"):
         for i in reader.items(n, f"prefill[{l}][{hd}] must be a list of {n} rows"):
             row, plain = reader.scores()
+            if unversioned and isinstance(row, str):
+                raise FormatError(_LATE_VERSION)
             if not isinstance(row, list) or len(row) != i + 1:
                 raise FormatError(
                     f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
@@ -782,123 +698,28 @@ def _read_head(reader: _JsonReader, l: int, hd: int, n: int, tri: np.ndarray) ->
         raise FormatError(f"prefill[{l}][{hd}]: {bad}")
 
 
-def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) -> None:
-    """Parse the prefill one head at a time, passing each head to `tail`."""
+def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail,
+                  unversioned: bool) -> None:
+    """Parse a version 1 prefill one head at a time, passing each head to
+    `tail`."""
     L, H, n = header.num_layers, header.num_heads, header.prompt_len
     tri = np.empty(tail.size, dtype=np.float32)
     for l in reader.items(L, f"prefill must be a list of {L} layers"):
         for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
-            _read_head(reader, l, hd, n, tri)
+            _read_head(reader, l, hd, n, tri, unversioned)
             tail.add(l, hd, tri)
 
 
-class _FileSpan(io.RawIOBase):
-    """`size` bytes of an open file from `offset`, read with os.pread, so
-    that the offset the file's other readers share never moves."""
-
-    def __init__(self, fd: int, offset: int, size: int):
-        super().__init__()
-        self._fd, self._at, self._end = fd, offset, offset + size
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buf) -> int:
-        data = os.pread(self._fd, min(len(buf), self._end - self._at), self._at)
-        buf[:len(data)] = data
-        self._at += len(data)
-        return len(data)
-
-
-def _worker_heads(first: int, spans: list) -> np.ndarray:
-    """Heads first, first + 1, ... of the prefill, each read from its
-    (offset, size) byte span of the file, parsed and checked as the serial
-    loader does; their kept rows, (heads, kept, n) float32. A span must hold
-    its head and nothing else."""
-    fd, header, rows = _worker_state
-    n = header.prompt_len
-    tail = _PrefillTail(header.num_layers, header.num_heads, n, rows)
-    kept = np.zeros((len(spans), n - tail.first_row, n), dtype=np.float32)
-    tri = np.empty(tail.size, dtype=np.float32)
-    for j, (offset, size) in enumerate(spans):
-        l, hd = divmod(first + j, header.num_heads)
-        reader = _JsonReader(_FileSpan(fd, offset, size))
-        _read_head(reader, l, hd, n, tri)
-        reader.end()
-        tail.keep(l, hd, tri, kept[j])
-    return kept
-
-
-class _SerialRetry(Exception):
-    """The pool did not parse the prefill; the serial parse names why."""
-
-
-def _read_prefill_in_pool(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail,
-                          rows: int | None, fd: int) -> bool:
-    """Parse the prefill of the file `fd` in a pool of forked workers, one
-    per CPU, into `tail.prefill`. False, having read nothing, unless
-    this process may use two CPUs and the prefill makes two tasks or more.
-
-    A task is consecutive whole heads of about _TEXT_TASK_SCORES scores, at
-    least one. This process only walks the layer and head lists and finds
-    where each head ends (`_JsonReader.skip_list`); its workers parse the
-    heads (`_worker_heads`). Tasks are submitted in file order, at most two a
-    worker in flight, and their kept rows stored as they arrive. Raises
-    _SerialRetry once anything fails: a worker, a head end not found, or
-    text in a head that is not ASCII, where characters stop being bytes.
-    """
-    L, H, n = header.num_layers, header.num_heads, header.prompt_len
-    per_task = max(1, _TEXT_TASK_SCORES // tail.size)
-    workers = min(_cpus(), -(-L * H // per_task))
-    if workers < 2:
-        return False
-    prefill = tail.prefill.reshape(L * H, n - tail.first_row, n)
-    pending = collections.deque()
-
-    def collect(limit: int) -> None:
-        # Results are stored in file order. A worker's error is not raised
-        # here: its traceback would tie this frame, and the parse state with
-        # it, into a cycle that outlives the serial retry.
-        while pending and (len(pending) > limit or pending[0][1].ready()):
-            first, result = pending.popleft()
-            result.wait()
-            if not result.successful():
-                raise _SerialRetry
-            heads = result.get()
-            prefill[first:first + len(heads)] = heads
-
-    try:
-        # From here on a character is a byte: the walk takes only ASCII
-        # punctuation and whitespace, and skip_list gives up on anything else.
-        base = reader.offset() - reader.position()
-        with _fork_pool(workers, (fd, header, rows)) as pool:
-            spans = []
-            for l in reader.items(L, f"prefill must be a list of {L} layers"):
-                for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
-                    reader.peek()
-                    start = reader.position()
-                    if not reader.skip_list():
-                        raise _SerialRetry
-                    spans.append((base + start, reader.position() - start))
-                    if len(spans) == per_task or l * H + hd == L * H - 1:
-                        first = l * H + hd + 1 - len(spans)
-                        pending.append((first, pool.apply_async(_worker_heads, (first, spans))))
-                        spans = []
-                        collect(2 * workers)
-            collect(0)
-    except (FormatError, OSError) as exc:
-        # The walk met malformed text (which a worker may have met earlier
-        # in the file), or the pool could not start.
-        raise _SerialRetry from exc
-    return True
-
-
-def _decode_step(step, plain: bool, s: int, header: TraceHeader) -> np.ndarray:
-    """Check decode step `s`, parsed as one value, and convert it. `plain`
-    says whether its text holds nothing but numbers; if not, the vectors are
-    searched for the score that is not one."""
+def _decode_step(step, plain: bool, s: int, header: TraceHeader,
+                 unversioned: bool) -> np.ndarray:
+    """Check version 1 decode step `s`, parsed as one value, and convert it.
+    `plain` says whether its text holds nothing but numbers; if not, the
+    vectors are searched for the score that is not one. `unversioned` as for
+    `_read_head`."""
     L, H, want = header.num_layers, header.num_heads, header.prompt_len + s
     arr = np.zeros((L, H, want), dtype=np.float32)
+    if unversioned and isinstance(step, list) and step and isinstance(step[0], str):
+        raise FormatError(_LATE_VERSION)
     if not isinstance(step, list) or len(step) != L:
         raise FormatError(f"decode[{s}] must be a list of {L} layers")
     for l, layer in enumerate(step):
@@ -925,47 +746,21 @@ def _decode_step(step, plain: bool, s: int, header: TraceHeader) -> np.ndarray:
     return arr
 
 
-def _regular_file(fh) -> int | None:
-    """The descriptor of `fh` if it is a regular file, else None."""
-    try:
-        fd = fh.fileno()
-    except (AttributeError, OSError, ValueError):
-        return None
-    return fd if stat.S_ISREG(os.fstat(fd).st_mode) else None
-
-
 def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
-    """Parse a text container from bytes or an open binary file.
+    """Parse a text container, version 2 or 1, from bytes or an open binary
+    file.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head); None
     keeps all of them. Every row is checked either way. The document is read
-    in chunks and parsed one prefill row and one decode step at a time, so no
-    whole-document object is built; `header` must therefore come before
-    `prefill` and `decode`.
-
-    From a regular file, given two CPUs and a prefill of two tasks or more,
-    the prefill's heads are parsed in a pool of forked workers
-    (`_read_prefill_in_pool`). If that fails, the file is read again from
-    where it started and parsed here, so the result, or the error and its
-    message, is the same either way.
+    in chunks and parsed one value at a time (a base64 string, or a version 1
+    prefill row or decode step), so no whole-document object is built;
+    `header` must therefore come before `prefill` and `decode`, and so must
+    `format_version` in a version 2 file.
     """
     if isinstance(data, (bytes, bytearray)):
         data = io.BytesIO(data)
-    fd = _regular_file(data)
-    if fd is not None:
-        origin = data.tell()
-        try:
-            return _parse_text(data, rows, fd)
-        except _SerialRetry:
-            data.seek(origin)
-    return _parse_text(data, rows, None)
-
-
-def _parse_text(fh, rows: int | None, fd: int | None) -> AttentionTrace:
-    """`trace_from_text` of a binary file; `fd`, if not None, is its
-    descriptor, for a pool to parse the prefill from."""
-    reader = _JsonReader(fh)
-    header = tail = None
+    reader = _JsonReader(data)
+    header = tail = version = None
     seen = set()
     decode = []
     for key in reader.fields("top-level value must be an object"):
@@ -973,18 +768,25 @@ def _parse_text(fh, rows: int | None, fd: int | None) -> AttentionTrace:
             raise FormatError(f"header must come before {key}")
         if key == "format_version":
             version = reader.value()
-            if version != FORMAT_VERSION:
+            if version != FORMAT_VERSION and version != TEXT_FORMAT_VERSION:
                 raise FormatError(f"unsupported format_version {version!r}")
+            if version == TEXT_FORMAT_VERSION and seen & {"prefill", "decode"}:
+                raise FormatError(_LATE_VERSION)
         elif key == "header":
             header = _text_header(reader.value())
             tail = _PrefillTail(header.num_layers, header.num_heads, header.prompt_len, rows)
         elif key == "prefill":
-            if fd is None or not _read_prefill_in_pool(reader, header, tail, rows, fd):
-                _read_prefill(reader, header, tail)
+            if version == TEXT_FORMAT_VERSION:
+                _read_prefill_v2(reader, header, tail)
+            else:
+                _read_prefill(reader, header, tail, version is None)
         elif key == "decode":
             T = header.num_decode_steps
             for s in reader.items(T, f"decode must be a list of {T} steps"):
-                decode.append(_decode_step(*reader.scores(), s, header))
+                if version == TEXT_FORMAT_VERSION:
+                    decode.append(_read_decode_v2(reader, s, header))
+                else:
+                    decode.append(_decode_step(*reader.scores(), s, header, version is None))
         else:
             reader.value()  # an unknown field is ignored
         seen.add(key)
@@ -1108,8 +910,9 @@ def trace_from_binary(data, rows: int | None = None) -> AttentionTrace:
 
 def save_trace(trace: AttentionTrace, path: str | os.PathLike, *, binary: bool | None = None) -> None:
     """Write a trace. Format comes from `binary` or, when None, the suffix
-    (``.mkvt`` means binary, anything else text). The write is atomic and
-    streams one (layer, head) block at a time from `trace.head_rows`."""
+    (``.mkvt`` means binary, anything else text, version 2). The write is
+    atomic and streams about 1 MiB of one head's rows at a time from
+    `trace.head_rows`."""
     path = os.fspath(path)
     if binary is None:
         binary = path.endswith(".mkvt")
@@ -1122,8 +925,8 @@ def load_trace(path: str | os.PathLike, rows: int | None = None) -> AttentionTra
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head), as
     many as importance or a baseline's observation window reads; None keeps
-    the dense cube. Every row is checked either way, and a binary file is
-    streamed one head at a time rather than read whole.
+    the dense cube. Every row is checked either way, and the file is streamed
+    one head at a time rather than read whole.
     """
     with open(path, "rb") as fh:
         binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC

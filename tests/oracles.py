@@ -10,6 +10,7 @@ so that it pins down exactly the arithmetic the vectorised kernel must
 reproduce.
 """
 
+import base64
 import json
 import math
 from fractions import Fraction
@@ -44,7 +45,13 @@ from modkv.synth import (
     QUESTION_ANCHOR_WIDTH,
     _rebalance_scales,
 )
-from modkv.trace import BINARY_MAGIC, FORMAT_VERSION, TraceHeader, _PrefillTail
+from modkv.trace import (
+    BINARY_MAGIC,
+    FORMAT_VERSION,
+    TEXT_FORMAT_VERSION,
+    TraceHeader,
+    _PrefillTail,
+)
 
 
 def brute_importance(trace, layer, head, proxy_count):
@@ -496,7 +503,9 @@ def reference_generate_synthetic(spec):
 
 
 def reference_trace_to_text(trace):
-    """The text container from one JSON document holding the whole trace."""
+    """The version 1 text container from one JSON document holding the whole
+    trace: each score as the shortest decimal of its float64 value. Version 1
+    is no longer written; this makes version 1 files for the loader."""
     h = trace.header
     n = h.prompt_len
     prefill = dense(trace).prefill
@@ -517,6 +526,42 @@ def reference_trace_to_text(trace):
             for l in range(h.num_layers)
         ],
         "decode": [vec.tolist() for vec in trace.decode],
+    }
+    body = json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+    return body.encode("ascii") + b"\n"
+
+
+def reference_trace_to_text_v2(trace):
+    """The version 2 text container from one JSON document holding the whole
+    trace. Each head's packed causal triangle, as little-endian float32, is
+    cut before every (2**18 // n)-th row (at least every row) and each piece
+    written as padded base64; each decode step is one base64 string per
+    layer."""
+    h = trace.header
+    n = h.prompt_len
+    prefill = dense(trace).prefill
+    rows, cols = np.tril_indices(n)
+    step = max(1, 2 ** 18 // n)
+    cuts = [4 * (i * (i + 1) // 2) for i in range(0, n, step)] + [4 * (n * (n + 1) // 2)]
+
+    def b64(payload):
+        return base64.b64encode(payload).decode("ascii")
+
+    def head(l, hd):
+        packed = prefill[l, hd][rows, cols].astype("<f4").tobytes()
+        return [b64(packed[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+    obj = {
+        "format_version": TEXT_FORMAT_VERSION,
+        "header": {
+            "L": h.num_layers,
+            "H": h.num_heads,
+            "n": h.prompt_len,
+            "T": h.num_decode_steps,
+            "modality_labels": h.label_strings(),
+        },
+        "prefill": [[head(l, hd) for hd in range(h.num_heads)] for l in range(h.num_layers)],
+        "decode": [[b64(layer.astype("<f4").tobytes()) for layer in vec] for vec in trace.decode],
     }
     body = json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
     return body.encode("ascii") + b"\n"
@@ -562,9 +607,10 @@ def _scores_to_float32(scores, where):
 
 
 def reference_trace_from_text(data, rows=None):
-    """The text container parsed as one whole JSON document, then checked
-    field by field, as the loader did before it streamed. Like `json.loads`,
-    it takes the fields in any order and keeps the last of a duplicate."""
+    """The version 1 text container parsed as one whole JSON document, then
+    checked field by field, as the loader did before it streamed. Like
+    `json.loads`, it takes the fields in any order and keeps the last of a
+    duplicate."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

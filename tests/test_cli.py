@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 from conftest import make_trace, uniform_rows
+from oracles import reference_trace_to_text
 import modkv
 from modkv import load_trace, save_trace
 from modkv.cli import build_policy_spec, effective_options, main, make_parser
@@ -35,15 +36,29 @@ def demo_trace(tmp_path):
     return p
 
 
-def test_importing_the_package_leaves_multiprocessing_unimported():
-    """The text writer imports it only when it starts a pool: the import
-    would add tens of milliseconds to every command."""
+def test_text_commands_leave_multiprocessing_unimported(tmp_path):
+    """Text traces are written and read in one process: a text generate and
+    analyze never import multiprocessing, which would add tens of
+    milliseconds to every command."""
     src = os.path.dirname(os.path.dirname(modkv.__file__))
-    code = "import sys, modkv, modkv.cli; print('multiprocessing' in sys.modules)"
+    code = (
+        "import sys\n"
+        "from modkv.cli import main\n"
+        "out = sys.argv[1]\n"
+        "assert main(['generate', '--layers', '2', '--heads', '2', '--prompt-len', '300',"
+        " '--out', out]) == 0\n"
+        "assert main(['analyze', '--trace', out + '/trace.json', '--out', out]) == 0\n"
+        "print('multiprocessing' in sys.modules)\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def v1_document(path):
+    """The trace at `path` as a version 1 text document, parsed."""
+    return json.loads(reference_trace_to_text(load_trace(path)))
 
 
 class TestGenerate:
@@ -118,7 +133,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("value", ["x", "0.25", True, [0.5]])
     def test_non_numeric_decode_score_is_a_data_error(self, demo_trace, tmp_path, capsys,
                                                       value):
-        doc = json.loads(demo_trace.read_text())
+        doc = v1_document(demo_trace)
         doc["decode"][1][0][0][2] = value
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
@@ -133,7 +148,7 @@ class TestAnalyze:
     ])
     def test_score_too_large_for_a_float_is_a_data_error(self, demo_trace, tmp_path,
                                                          capsys, field, fragment):
-        doc = json.loads(demo_trace.read_text())
+        doc = v1_document(demo_trace)
         if field == "prefill":
             doc["prefill"][1][0][5][2] = 10 ** 400
         else:
@@ -153,7 +168,7 @@ class TestAnalyze:
                                                            capsys, field, fragment):
         """1e39 fits a float64 but not a float32: named as the score it is,
         with no numpy overflow warning on the way."""
-        doc = json.loads(demo_trace.read_text())
+        doc = v1_document(demo_trace)
         if field == "prefill":
             doc["prefill"][1][0][5][2] = 1e39
         else:
@@ -359,6 +374,36 @@ class TestPrefillRows:
                    "--budget", "0.2", "--out", str(tmp_path / "run1")) == 0
         assert run("analyze", "--trace", str(demo_trace), "--out", str(tmp_path / "an")) == 0
         assert seen == [1, 12, None]
+
+
+REPORT_FILES = ["compare.csv", "series.csv", "memory_model.csv", "sparsity.csv",
+                "head_shares.csv"]
+
+
+def test_every_container_gives_byte_identical_reports(tmp_path):
+    """One generated trace as binary, as version 1 text and as version 2
+    text: compare and analyze write the same report bytes from each."""
+    shape = ["--layers", "2", "--heads", "2", "--prompt-len", "40", "--decode-steps", "3",
+             "--head-bias", "0.2,0.8", "--seed", "7"]
+    assert run("generate", *shape, "--trace-format", "binary",
+               "--out", str(tmp_path / "binary")) == 0
+    assert run("generate", *shape, "--out", str(tmp_path / "v2")) == 0
+    paths = {"binary": tmp_path / "binary" / "trace.mkvt",
+             "v1": tmp_path / "v1" / "trace.json",
+             "v2": tmp_path / "v2" / "trace.json"}
+    paths["v1"].parent.mkdir()
+    paths["v1"].write_bytes(reference_trace_to_text(load_trace(paths["binary"])))
+    assert paths["v2"].read_bytes().startswith(b'{"format_version":2,')
+    reports = {}
+    for kind, path in paths.items():
+        out = tmp_path / f"{kind}_out"
+        assert run("compare", "--trace", str(path), "--policy", "adaptive",
+                   "--policy", "proportional", "--policy", "cumulative_topk",
+                   "--budget", "0.1,0.3", "--out", str(out)) == 0
+        assert run("analyze", "--trace", str(path), "--out", str(out)) == 0
+        reports[kind] = {name: (out / name).read_bytes() for name in REPORT_FILES}
+    assert reports["v1"] == reports["binary"]
+    assert reports["v2"] == reports["binary"]
 
 
 class TestSweep:

@@ -1,6 +1,5 @@
 """Atomic writer tests."""
 
-import multiprocessing
 import os
 
 import pytest
@@ -93,17 +92,9 @@ class _FailsAtLastHead(AttentionTrace):
 
 
 @pytest.mark.parametrize("name", ["t.mkvt", "t.json"])
-def test_failed_trace_saves_keep_the_old_file(tmp_path, monkeypatch, name):
-    # Eight text tasks a head, rendered by two forked workers.
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    contexts = []
-    real_get_context = multiprocessing.get_context
-
-    def spy(method):
-        contexts.append(method)
-        return real_get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
+def test_failed_trace_saves_keep_the_old_file(tmp_path, name):
+    # Two chunks of rows a head: the last head fails after the file has
+    # grown.
     trace = dense(generate_synthetic(small_spec(3, layers=1, prompt_len=700)))
     n = trace.header.prompt_len
     partial = AttentionTrace(
@@ -118,5 +109,3 @@ def test_failed_trace_saves_keep_the_old_file(tmp_path, monkeypatch, name):
         save_trace(failing, target)
     assert target.read_bytes() == b"old"
     assert os.listdir(tmp_path) == [name]
-    assert contexts == ([] if name.endswith(".mkvt") else ["fork", "fork"])
-    assert not multiprocessing.active_children()

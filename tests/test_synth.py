@@ -10,7 +10,7 @@ from modkv.trace import trace_to_binary, trace_to_text
 from oracles import (
     reference_generate_synthetic,
     reference_trace_to_binary,
-    reference_trace_to_text,
+    reference_trace_to_text_v2,
 )
 
 
@@ -184,7 +184,7 @@ class TestMatchesDenseReference:
         ours, theirs = tmp_path / "ours", tmp_path / "theirs"
         save_trace(trace, ours, binary=binary)
         save_trace(ref, theirs, binary=binary)
-        render = reference_trace_to_binary if binary else reference_trace_to_text
+        render = reference_trace_to_binary if binary else reference_trace_to_text_v2
         assert ours.read_bytes() == theirs.read_bytes() == render(ref)
 
 
@@ -198,7 +198,7 @@ def test_row_chunked_blocks_and_files_equal_reference():
         assert np.array_equal(block, ref.prefill[0, 1, start:stop])
     assert np.array_equal(trace.head_rows(0, 1, 600), ref.prefill[0, 1, 600:])
     assert trace_to_binary(trace) == reference_trace_to_binary(ref)
-    assert trace_to_text(trace) == reference_trace_to_text(ref)
+    assert trace_to_text(trace) == reference_trace_to_text_v2(ref)
 
 
 @settings(max_examples=25, deadline=None)

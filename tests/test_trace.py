@@ -1,9 +1,7 @@
 """Trace model and container tests: validation, round-trips, error reporting."""
 
-import contextlib
-import io
+import base64
 import json
-import multiprocessing
 import os
 import tracemalloc
 from unittest import mock
@@ -43,7 +41,12 @@ from modkv.trace import (
     trace_to_text,
     visual_mask,
 )
-from oracles import reference_trace_from_text, reference_trace_to_text
+from modkv.cli import main as cli_main
+from oracles import (
+    reference_trace_from_text,
+    reference_trace_to_text,
+    reference_trace_to_text_v2,
+)
 
 
 class TestValidation:
@@ -184,7 +187,8 @@ class TestTextContainer:
         assert p.read_bytes() == first
 
     def test_noncanonical_input_is_canonicalized(self, tmp_path):
-        """Whitespace and over-long decimals collapse to the canonical form."""
+        """A version 1 document's whitespace and over-long decimals collapse
+        to the canonical version 2 form."""
         doc = {
             "format_version": 1,
             "header": {"L": 1, "H": 1, "n": 2, "T": 0,
@@ -273,7 +277,7 @@ def test_streamed_load_matches_whole_document_parse(layers, heads, n, steps, see
                                                     target, value, where):
     spec = SyntheticTraceSpec(layers, heads, n, steps, skew=1.2, modality_mix=0.5,
                               head_preference_bias=0.3, seed=seed)
-    doc = json.loads(trace_to_text(generate_synthetic(spec)))
+    doc = json.loads(reference_trace_to_text(generate_synthetic(spec)))
     l, hd = where % layers, where // layers % heads
     if target == "prefill":
         row = doc["prefill"][l][hd][where % n]
@@ -293,9 +297,35 @@ def test_streamed_load_matches_whole_document_parse(layers, heads, n, steps, see
                 assert got is want
 
 
+# Faults put in the last head of mixed_trace as a version 1 document, each
+# as an edit of its rows, with the error class and message each must raise.
+LAST_HEAD_FAULTS = {
+    "negative": (lambda rows: rows[20].__setitem__(0, -0.25), ValidationError,
+                 "negative score at (1, 1, 20)"),
+    "row_sum": (lambda rows: rows[20].__setitem__(0, rows[20][0] + 0.5), ValidationError,
+                "row sum 1.5 at (1, 1, 20)"),
+    "nan": (lambda rows: rows[20].__setitem__(0, float("nan")), ValidationError,
+            "NaN score at (1, 1, 20)"),
+    "string": (lambda rows: rows[20].__setitem__(3, "0.5"), FormatError,
+               "prefill[1][1]: scores must be numbers"),
+    "non_ascii": (lambda rows: rows[20].__setitem__(3, "\u00e9"), FormatError,
+                  "prefill[1][1]: scores must be numbers"),
+    "list": (lambda rows: rows[20].__setitem__(3, [0.5]), FormatError,
+             "prefill[1][1]: scores must be numbers"),
+    "float32_overflow": (lambda rows: rows[20].__setitem__(3, 1e39), FormatError,
+                         "prefill[1][1]: score out of range"),
+    "short_row": (lambda rows: rows[20].pop(), FormatError,
+                  "prefill[1][1] row 20: expected 21 entries, got 20"),
+    "missing_row": (lambda rows: rows.pop(), FormatError,
+                    "prefill[1][1] must be a list of 24 rows"),
+}
+
+
 class TestStreamedTextFile:
-    def test_canonical_and_indented_documents_load(self, chunk, mixed_trace):
-        canonical = trace_to_text(mixed_trace)
+    @pytest.mark.parametrize("writer", [trace_to_text, reference_trace_to_text],
+                             ids=["v2", "v1"])
+    def test_canonical_and_indented_documents_load(self, chunk, mixed_trace, writer):
+        canonical = writer(mixed_trace)
         doc = json.loads(canonical)
         # Unknown fields are skipped: a number that a chunk can split, and
         # multi-byte characters.
@@ -324,7 +354,7 @@ class TestStreamedTextFile:
     def test_every_truncation_is_a_format_error(self, chunk):
         trace = make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]])
         # The document is complete without its trailing newline.
-        body = trace_to_text(trace).rstrip(b"\n")
+        body = reference_trace_to_text(trace).rstrip(b"\n")
         assert trace_from_text(body) == trace
         for end in range(len(body)):
             with pytest.raises(FormatError):
@@ -353,6 +383,19 @@ class TestStreamedTextFile:
         with pytest.raises(FormatError, match=fragment):
             trace_from_text(data.replace(old, new, 1))
 
+    @pytest.mark.parametrize("style", ["compact", "indented"])
+    @pytest.mark.parametrize("fault", list(LAST_HEAD_FAULTS))
+    def test_a_fault_in_the_last_head_is_named(self, tmp_path, mixed_trace, fault, style):
+        edit, error, message = LAST_HEAD_FAULTS[fault]
+        doc = json.loads(reference_trace_to_text(mixed_trace))
+        edit(doc["prefill"][1][1])
+        path = tmp_path / "bad.json"
+        path.write_bytes(render(doc, style))
+        for rows in (None, 8):
+            with pytest.raises(error) as err:
+                load_trace(path, rows=rows)
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("extra", [b"x", b"{}", b"\n}", b" 1"])
     def test_trailing_data_rejected(self, extra):
         data = trace_to_text(make_trace([[1.0], [0.5, 0.5]], labels="tv"))
@@ -366,14 +409,7 @@ class TestStreamedTextFile:
 
 
 # ---------------------------------------------------------------------------
-# the text writer against the whole-document render
-
-
-def see_cpus(monkeypatch, count):
-    """Make the text writer and loader see `count` CPUs: with one they render
-    or parse every score in this process, with two in a pool of forked
-    workers."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+# the version 2 text writer against the whole-document render
 
 
 def spelling_trace(n):
@@ -391,31 +427,49 @@ def spelling_trace(n):
                       tile=(1, 2))
 
 
-class TestTextWriter:
-    @pytest.mark.parametrize("count", [1, 2], ids=["serial", "pool"])
-    def test_heads_split_into_tasks_equal_the_whole_document(self, monkeypatch, count):
-        see_cpus(monkeypatch, count)
-        # 2**16 // 700 = 93 rows a task: eight tasks a head.
-        trace = spelling_trace(700)
-        text = trace_to_text(trace)
-        assert text == reference_trace_to_text(trace)
-        assert b"[-0.0,0.0,1.401298464324817e-45," in text and b",1.0]" in text
-        assert not multiprocessing.active_children()
+def payload_bytes(pieces):
+    """The bytes a list of base64 strings holds, joined."""
+    return b"".join(base64.b64decode(p, validate=True) for p in pieces)
 
-    @pytest.mark.parametrize("count", [1, 2], ids=["serial", "pool"])
-    def test_generated_trace_equals_the_whole_document(self, monkeypatch, count):
-        see_cpus(monkeypatch, count)
+
+class TestTextWriter:
+    def test_heads_cut_into_chunks_equal_the_whole_document(self):
+        # 2**18 // 1100 = 238 rows a string: five strings a head.
+        trace = spelling_trace(1100)
+        text = trace_to_text(trace)
+        assert text == reference_trace_to_text_v2(trace)
+        doc = json.loads(text)
+        assert list(doc) == ["format_version", "header", "prefill", "decode"]
+        assert doc["format_version"] == 2
+        assert [len(head) for head in doc["prefill"][0]] == [5, 5]
+        assert [len(step) for step in doc["decode"]] == [1, 1]
+        assert trace_from_text(text) == trace
+
+    def test_generated_trace_equals_the_whole_document(self):
         spec = SyntheticTraceSpec(1, 1, 700, 2, skew=1.2, modality_mix=0.5,
                                   head_preference_bias=0.3, seed=5)
         trace = generate_synthetic(spec)
-        assert trace_to_text(trace) == reference_trace_to_text(trace)
+        assert trace_to_text(trace) == reference_trace_to_text_v2(trace)
 
-    def test_small_traces_start_no_pool(self, monkeypatch, mixed_trace):
-        see_cpus(monkeypatch, 2)
-        started = []
-        monkeypatch.setattr(multiprocessing, "get_context", started.append)
-        assert trace_to_text(mixed_trace) == reference_trace_to_text(mixed_trace)
-        assert started == []
+    def test_scores_are_stored_bit_for_bit(self):
+        """-0.0, the smallest subnormal, infinity and NaN payloads survive the
+        writer as the float32 bits they are."""
+        special = np.array([-0.0, 1e-45, np.inf, np.nan], dtype=np.float32)
+        special_bits = special.view(np.uint32).copy()
+        special_bits[3] = 0x7FC00001  # a NaN with a payload
+        special = special_bits.view(np.float32)
+        n = 4
+        prefill = np.zeros((1, 1, n, n), dtype=np.float32)
+        prefill[0, 0][np.tril_indices(n)] = np.resize(special, n * (n + 1) // 2)
+        decode = [np.resize(special, (1, 1, n))]
+        trace = AttentionTrace(TraceHeader(1, 1, n, 1, [False] * n), prefill, decode)
+        text = trace_to_text(trace)
+        assert text == reference_trace_to_text_v2(trace)
+        doc = json.loads(text)
+        stored = np.frombuffer(payload_bytes(doc["prefill"][0][0]), "<u4")
+        assert np.array_equal(stored, prefill[0, 0][np.tril_indices(n)].view(np.uint32))
+        stored = np.frombuffer(payload_bytes(doc["decode"][0]), "<u4")
+        assert np.array_equal(stored, decode[0].reshape(-1).view(np.uint32))
 
 
 @settings(max_examples=20, deadline=None)
@@ -426,13 +480,10 @@ class TestTextWriter:
     steps=st.integers(0, 2),
     special=st.sampled_from([0.0, 0.1, 0.5, float("nan"), float("inf"), 3.4e38]),
     seed=st.integers(0, 2 ** 32 - 1),
-    task_scores=st.sampled_from([1, 5, 2 ** 16]),
-    count=st.integers(1, 2),
 )
-def test_text_writer_equals_the_whole_document(layers, heads, n, steps, special, seed,
-                                               task_scores, count):
-    """Any scores, spelled alike whatever the task size and CPU count. The
-    rows mix a few special values, each repeated, with random float32 values."""
+def test_text_writer_equals_the_whole_document(layers, heads, n, steps, special, seed):
+    """Any scores, stored alike. The rows mix a few special values, each
+    repeated, with random float32 values."""
     rng = np.random.default_rng(seed)
     spellings = np.array([special, -0.0, 1e-45, 1.0], dtype=np.float32)
 
@@ -444,259 +495,186 @@ def test_text_writer_equals_the_whole_document(layers, heads, n, steps, special,
     prefill = np.where(np.tri(n, dtype=bool), scores(layers, heads, n, n), 0)
     decode = [scores(layers, heads, n + s) for s in range(steps)]
     trace = AttentionTrace(header, prefill, decode)
-    with mock.patch.object(trace_module, "_TEXT_TASK_SCORES", task_scores), \
-            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(count))):
-        assert trace_to_text(trace) == reference_trace_to_text(trace)
+    assert trace_to_text(trace) == reference_trace_to_text_v2(trace)
 
 
 # ---------------------------------------------------------------------------
-# the text loader's pool against its serial parse
+# the version 2 text loader
 
 
-@pytest.fixture(params=[1, 2], ids=["serial", "pool"])
-def loader_cpus(request, monkeypatch):
-    """The CPUs the text loader sees, with tasks of one head each, so that a
-    file of two heads or more loads in a pool when it sees two."""
-    see_cpus(monkeypatch, request.param)
-    monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
-    return request.param
+def recut(pieces, rng):
+    """The bytes of a list of base64 strings cut again at random byte
+    offsets, mid-float and empty pieces included."""
+    data = payload_bytes(pieces)
+    cuts = np.sort(rng.integers(0, len(data) + 1, size=rng.integers(0, 6)))
+    bounds = [0, *cuts.tolist(), len(data)]
+    return [base64.b64encode(data[a:b]).decode("ascii") for a, b in zip(bounds, bounds[1:])]
 
 
-@contextlib.contextmanager
-def heads_parsed_here():
-    """Yield a list of the (layer, head) of each prefill head parsed in this
-    process. A pool's workers parse theirs in their own."""
-    parsed = []
-    read_head = trace_module._read_head
+class TestTextV2Loader:
+    @pytest.mark.parametrize("text_chunk", [1, 7, 4096, None])
+    def test_any_read_size_loads_alike(self, monkeypatch, mixed_trace, text_chunk):
+        data = trace_to_text(mixed_trace)
+        if text_chunk is not None:
+            monkeypatch.setattr(trace_module, "_TEXT_CHUNK", text_chunk)
+        for rows in (None, 1, 8):
+            assert trace_from_text(data, rows=rows) == dense(mixed_trace, rows)
 
-    def spy(reader, l, hd, n, tri):
-        parsed.append((l, hd))
-        return read_head(reader, l, hd, n, tri)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_payloads_cut_anywhere_load_alike(self, mixed_trace, seed):
+        rng = np.random.default_rng(seed)
+        doc = json.loads(trace_to_text(mixed_trace))
+        doc["prefill"] = [[recut(head, rng) for head in layer] for layer in doc["prefill"]]
+        doc["decode"] = [recut(step, rng) for step in doc["decode"]]
+        # One head a byte a string.
+        doc["prefill"][1][0] = [base64.b64encode(bytes([b])).decode("ascii")
+                                for b in payload_bytes(doc["prefill"][1][0])]
+        for style in ("compact", "indented"):
+            data = render(doc, style)
+            for chunk in (None, 7):
+                with mock.patch.object(trace_module, "_TEXT_CHUNK",
+                                       chunk or trace_module._TEXT_CHUNK):
+                    assert trace_from_text(data) == mixed_trace
+                    assert trace_from_text(data, rows=8) == dense(mixed_trace, 8)
 
-    with mock.patch.object(trace_module, "_read_head", spy):
-        yield parsed
+    def test_every_truncation_is_a_format_error(self):
+        trace = make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]])
+        body = trace_to_text(trace).rstrip(b"\n")
+        assert trace_from_text(body) == trace
+        for end in range(len(body)):
+            with pytest.raises(FormatError):
+                trace_from_text(body[:end])
 
 
-def file_outcome(path, rows, cpus):
-    """What loading `path` gives when the loader sees `cpus` CPUs: the trace,
-    or the class and message of the modkv error it raises."""
-    with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
-        try:
-            return load_trace(path, rows=rows)
-        except ModkvError as exc:
-            return type(exc), str(exc)
+def tiny_v2_document():
+    """A 1-layer, 2-head, n = 2 trace with one decode step, as a version 2
+    document: each head's 3 scores are 12 bytes."""
+    trace = make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]], tile=(1, 2))
+    return json.loads(reference_trace_to_text_v2(trace))
 
 
-def two_head_document():
-    """tiny_document() with a second head: two tasks of one head each."""
-    doc = tiny_document()
-    doc["header"]["H"] = 2
-    doc["prefill"][0].append([[1.0], [0.25, 0.75]])
-    return doc
+def b64(data):
+    return base64.b64encode(data).decode("ascii")
 
 
-# Faults put in the last head of mixed_trace, each as an edit of its rows.
-LAST_HEAD_FAULTS = {
-    "negative": lambda rows: rows[20].__setitem__(0, -0.25),
-    "row_sum": lambda rows: rows[20].__setitem__(0, rows[20][0] + 0.5),
-    "nan": lambda rows: rows[20].__setitem__(0, float("nan")),
-    "string": lambda rows: rows[20].__setitem__(3, "0.5"),
-    "non_ascii": lambda rows: rows[20].__setitem__(3, "\u00e9"),
-    "list": lambda rows: rows[20].__setitem__(3, [0.5]),
-    "float32_overflow": lambda rows: rows[20].__setitem__(3, 1e39),
-    "short_row": lambda rows: rows[20].pop(),
-    "missing_row": lambda rows: rows.pop(),
+def f32(*values):
+    return np.array(values, dtype="<f4").tobytes()
+
+
+def reorder(*keys):
+    def edit(doc):
+        items = {k: doc.pop(k) for k in list(doc)}
+        doc.update({k: items[k] for k in keys})
+    return edit
+
+
+def put(path, value):
+    """An edit that sets doc[path[0]][path[1]]... to `value`."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+# Edits of tiny_v2_document(), the error class each must raise, and its
+# message.
+MALFORMED_V2 = {
+    "head_not_a_list": (put(["prefill", 0, 1], b64(f32(1, 0.5, 0.5))), FormatError,
+                        "prefill[0][1] must be a list of base64 strings"),
+    "piece_not_a_string": (put(["prefill", 0, 1], [b64(f32(1)), 0.5]), FormatError,
+                           "prefill[0][1][1] must be a base64 string, got float"),
+    "piece_a_list": (put(["prefill", 0, 1], [[b64(f32(1, 0.5, 0.5))]]), FormatError,
+                     "prefill[0][1][0] must be a base64 string, got list"),
+    "not_base64": (put(["prefill", 0, 1], ["AACAPw$AAD8AAAA/"]), FormatError,
+                   "prefill[0][1][0] is not base64: Only base64 data is allowed"),
+    "not_ascii": (put(["prefill", 0, 1], ["AACAP\u00e9AAD8AAAA/"]), FormatError,
+                  "prefill[0][1][0] is not base64: string argument should contain only "
+                  "ASCII characters"),
+    "unpadded": (put(["prefill", 0, 0], ["AACAPwAAAD8AAAA"]), FormatError,
+                 "prefill[0][0][0] is not base64: Incorrect padding"),
+    "too_few_bytes": (put(["prefill", 0, 1], [b64(f32(1, 0.5))]), FormatError,
+                      "prefill[0][1] holds 8 bytes, expected 12 (3 float32 scores)"),
+    "too_few_bytes_mid_float": (put(["prefill", 0, 1], [b64(f32(1, 0.5, 0.5)[:11])]),
+                                FormatError,
+                                "prefill[0][1] holds 11 bytes, expected 12 (3 float32 scores)"),
+    "too_many_bytes": (put(["prefill", 0, 0], [b64(f32(1, 0.5)), b64(f32(0.5, 0))]),
+                       FormatError, "prefill[0][0] holds more than 12 bytes (3 float32 scores)"),
+    "no_pieces": (put(["prefill", 0, 0], []), FormatError,
+                  "prefill[0][0] holds 0 bytes, expected 12 (3 float32 scores)"),
+    "too_few_heads": (put(["prefill", 0], [[b64(f32(1, 0.5, 0.5))]]), FormatError,
+                      "prefill[0] must be a list of 2 heads"),
+    "nan_bits": (put(["prefill", 0, 1], [b64(f32(1, np.nan, 0.5))]), ValidationError,
+                 "NaN score at (0, 1, 1)"),
+    "negative_bits": (put(["prefill", 0, 1], [b64(f32(1, 1.5, -0.5))]), ValidationError,
+                      "negative score at (0, 1, 1)"),
+    "row_sum": (put(["prefill", 0, 0], [b64(f32(1, 0.5, 0.25))]), ValidationError,
+                "row sum 0.75 at (0, 0, 1)"),
+    "decode_step_not_a_list": (put(["decode", 0], b64(f32(0.5, 0.5, 0.5, 0.5))), FormatError,
+                               "decode[0] must be a list of base64 strings"),
+    "decode_step_short": (put(["decode", 0], [b64(f32(0.5, 0.5, 0.5))]), FormatError,
+                          "decode[0] holds 12 bytes, expected 16 (4 float32 scores)"),
+    "decode_step_long": (put(["decode", 0], [b64(f32(0.5, 0.5, 0.5, 0.5, 0))]), FormatError,
+                         "decode[0] holds more than 16 bytes (4 float32 scores)"),
+    "decode_step_not_base64": (put(["decode", 0], ["AAAA", "AAA"]), FormatError,
+                               "decode[0][1] is not base64: Incorrect padding"),
+    "decode_nan_bits": (put(["decode", 0], [b64(f32(0.5, 0.5, 0.5, np.nan))]),
+                        ValidationError, "NaN score at decode step 0, (0, 1)"),
+    "too_many_steps": (lambda d: d["decode"].append(d["decode"][0]), FormatError,
+                       "decode must be a list of 1 steps"),
+    "version_after_prefill": (reorder("header", "prefill", "format_version", "decode"),
+                              FormatError, "format_version 2 must come before prefill and decode"),
+    "version_after_decode": (reorder("header", "decode", "format_version", "prefill"),
+                             FormatError, "format_version 2 must come before prefill and decode"),
+    "version_last": (reorder("header", "prefill", "decode", "format_version"), FormatError,
+                     "format_version 2 must come before prefill and decode"),
+    "version_3": (put(["format_version"], 3), FormatError, "unsupported format_version 3"),
 }
 
 
-class TestPooledTextLoad:
-    def test_documents_load_alike(self, tmp_path, chunk, loader_cpus, mixed_trace):
-        canonical = trace_to_text(mixed_trace)
-        doc = json.loads(canonical)
-        # Multi-byte text before the prefill: its file offset counts bytes.
-        doc = {"format_version": 1, "header": doc["header"],
-               "note": "na\u00efve \u2713 \u89c6\u89c9", "count": 1234567,
-               "prefill": doc["prefill"], "decode": doc["decode"]}
-        path = tmp_path / "t.json"
-        with heads_parsed_here() as parsed:
-            for data in (canonical, render(doc, "compact"), render(doc, "indented")):
-                path.write_bytes(data)
-                assert load_trace(path) == mixed_trace
-                assert load_trace(path, rows=8) == dense(mixed_trace, 8)
-        assert len(parsed) == (0 if loader_cpus == 2 else 6 * 4)
-
-    @pytest.mark.parametrize("mutate", [mutate for mutate, _ in MALFORMED])
-    def test_malformed_documents_fail_alike(self, tmp_path, chunk, monkeypatch, mutate):
-        monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
-        doc = two_head_document()
-        mutate(doc)
+class TestMalformedTextV2:
+    @pytest.mark.parametrize("case", list(MALFORMED_V2))
+    def test_load_and_cli_name_the_fault(self, tmp_path, capsys, case):
+        edit, error, message = MALFORMED_V2[case]
+        doc = tiny_v2_document()
+        edit(doc)
         path = tmp_path / "bad.json"
         path.write_bytes(render(doc, "compact"))
         for rows in (None, 1):
-            serial = file_outcome(path, rows, 1)
-            assert serial[0] is FormatError
-            assert file_outcome(path, rows, 2) == serial
+            with pytest.raises(error) as err:
+                load_trace(path, rows=rows)
+            assert str(err.value) == message
+        assert cli_main(["analyze", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
-    @pytest.mark.parametrize("style", ["compact", "indented"])
-    @pytest.mark.parametrize("fault", list(LAST_HEAD_FAULTS))
-    def test_a_fault_in_the_last_head_fails_alike(self, tmp_path, monkeypatch, mixed_trace,
-                                                  fault, style):
-        monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
-        doc = json.loads(trace_to_text(mixed_trace))
-        LAST_HEAD_FAULTS[fault](doc["prefill"][1][1])
-        path = tmp_path / "bad.json"
-        path.write_bytes(render(doc, style))
+    def test_a_version_1_payload_under_a_late_version_2_is_refused(self, tmp_path):
+        doc = json.loads(reference_trace_to_text(
+            make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]])))
+        reorder("header", "prefill", "decode", "format_version")(doc)
+        assert isinstance(trace_from_text(render(doc, "compact")), AttentionTrace)
+        doc["format_version"] = 2
+        with pytest.raises(FormatError, match="format_version 2 must come before prefill"):
+            trace_from_text(render(doc, "compact"))
+
+    @pytest.mark.parametrize("row", [5, 20], ids=["dropped_row", "kept_row"])
+    @pytest.mark.parametrize("fault", ["negative", "NaN", "row_sum"])
+    def test_bad_bits_are_reported_as_the_binary_loader_reports_them(
+            self, tmp_path, mixed_trace, fault, row):
+        value = {"negative": -0.25, "NaN": np.nan, "row_sum": 0.75}[fault]
+        edited = dense(mixed_trace)
+        edited.prefill[1, 1, row, 0] = value
+        # Neither writer checks the scores it writes.
+        paths = [tmp_path / "bad.mkvt", tmp_path / "bad.json"]
+        for path in paths:
+            save_trace(edited, path)
         for rows in (None, 8):
-            serial = file_outcome(path, rows, 1)
-            assert isinstance(serial, tuple)
-            assert "(1, 1, " in serial[1] or "prefill[1][1]" in serial[1]
-            assert file_outcome(path, rows, 2) == serial
-
-    def test_the_first_of_two_faults_is_the_one_reported(self, tmp_path, monkeypatch,
-                                                          mixed_trace):
-        """A bad score in the first head, which a worker parses, comes before
-        a head too many in the last layer, which this process walks past."""
-        monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
-        doc = json.loads(trace_to_text(mixed_trace))
-        doc["prefill"][0][0][5][1] = -0.5
-        doc["prefill"][1].append(doc["prefill"][1][0])
-        path = tmp_path / "bad.json"
-        path.write_bytes(render(doc, "compact"))
-        for cpus in (1, 2):
-            assert file_outcome(path, 8, cpus) == (
-                ValidationError, "negative score at (0, 0, 5)")
-
-    def test_a_file_cut_in_its_last_head_fails_alike(self, tmp_path, monkeypatch,
-                                                     mixed_trace):
-        monkeypatch.setattr(trace_module, "_TEXT_TASK_SCORES", 1)
-        data = trace_to_text(mixed_trace)
-        end = data.index(b"]]]]") + 4  # the end of the prefill
-        path = tmp_path / "cut.json"
-        for cut in (end - 1, end - 3, end - 40):
-            path.write_bytes(data[:cut])
-            serial = file_outcome(path, 8, 1)
-            assert serial[0] is FormatError
-            assert file_outcome(path, 8, 2) == serial
-
-
-def test_reader_offsets_count_bytes_at_any_chunk_size(monkeypatch):
-    """The byte offset the pool's spans start from: the bytes read, less the
-    pending text's and those the UTF-8 decoder holds back."""
-    text = '{"\u00e9t\u00e9": 1, "prefill": [[1]], "\u2713": "\u89c6\u89c9", "x": []}'
-    data = text.encode("utf-8")
-    for size in range(1, len(data) + 1):
-        monkeypatch.setattr(trace_module, "_TEXT_CHUNK", size)
-        reader = trace_module._JsonReader(io.BytesIO(data))
-        for _ in reader.fields("object expected"):
-            reader.peek()
-            at = reader.position()
-            assert reader.offset() == len(text[:at].encode("utf-8"))
-            reader.value()
-        reader.end()
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    layers=st.integers(1, 2),
-    heads=st.integers(1, 3),
-    n=st.integers(1, 6),
-    steps=st.integers(0, 2),
-    seed=st.integers(0, 2 ** 32 - 1),
-    style=st.sampled_from(["compact", "indented", "spaced"]),
-    target=st.sampled_from(["none", "prefill", "decode"]),
-    value=st.sampled_from([-0.5, 2.0, float("nan"), float("-inf"), 1e39, "x", "\u00e9",
-                           [0.5], None, True, 0.25]),
-    where=st.integers(0, 2 ** 16),
-)
-def test_pooled_load_matches_whole_document_parse(tmp_path_factory, layers, heads, n, steps,
-                                                  seed, style, target, value, where):
-    """A file loads in a pool of one-head tasks as it loads here, and as the
-    whole-document parse reads it."""
-    spec = SyntheticTraceSpec(layers, heads, n, steps, skew=1.2, modality_mix=0.5,
-                              head_preference_bias=0.3, seed=seed)
-    doc = json.loads(trace_to_text(generate_synthetic(spec)))
-    l, hd = where % layers, where // layers % heads
-    if target == "prefill":
-        row = doc["prefill"][l][hd][where % n]
-        row[where % len(row)] = value
-    elif target == "decode" and steps:
-        vec = doc["decode"][where % steps][l][hd]
-        vec[where % len(vec)] = value
-    data = render(doc, style)
-    path = tmp_path_factory.mktemp("pooled") / "t.json"
-    path.write_bytes(data)
-    with mock.patch.object(trace_module, "_TEXT_TASK_SCORES", 1):
-        for rows in (None, 1, n):
-            want = outcome(reference_trace_from_text, data, rows)
-            serial = file_outcome(path, rows, 1)
-            with heads_parsed_here() as parsed:
-                pooled = file_outcome(path, rows, 2)
-            if isinstance(want, AttentionTrace):
-                assert serial == want and pooled == want
-                # Two heads or more: the pool parsed them all.
-                assert len(parsed) == (0 if layers * heads > 1 else 1)
-            else:
-                assert serial[0] is want
-                assert pooled == serial
-
-
-class TestTextLoaderPool:
-    @pytest.fixture(scope="class")
-    def large(self, tmp_path_factory):
-        """A 1x2x400 trace, 80,200 scores a head: two tasks of one head, and
-        its text."""
-        spec = SyntheticTraceSpec(1, 2, 400, 1, skew=1.2, modality_mix=0.5,
-                                  head_preference_bias=0.3, seed=4)
-        trace = generate_synthetic(spec)
-        return trace, trace_to_text(trace)
-
-    @pytest.fixture
-    def started(self, monkeypatch):
-        """The start method of each multiprocessing context asked for."""
-        methods = []
-        get_context = multiprocessing.get_context
-
-        def spy(method=None):
-            methods.append(method)
-            return get_context(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", spy)
-        return methods
-
-    def test_a_large_file_loads_in_a_pool(self, tmp_path, monkeypatch, large, started):
-        trace, data = large
-        path = tmp_path / "t.json"
-        path.write_bytes(data)
-        see_cpus(monkeypatch, 2)
-        with heads_parsed_here() as parsed:
-            assert load_trace(path, rows=8) == dense(trace, 8)
-            assert load_trace(path) == trace
-        assert started == ["fork", "fork"]
-        assert parsed == []
-        assert not multiprocessing.active_children()
-
-    def test_bytes_and_one_task_files_start_no_pool(self, tmp_path, monkeypatch, large,
-                                                    started, mixed_trace):
-        see_cpus(monkeypatch, 2)
-        trace, data = large
-        assert trace_from_text(data, rows=8) == dense(trace, 8)
-        # Four heads of 300 scores make one task.
-        path = tmp_path / "t.json"
-        save_trace(mixed_trace, path)
-        assert load_trace(path) == mixed_trace
-        assert started == []
-
-    def test_no_worker_outlives_a_failed_load(self, tmp_path, monkeypatch, large, started):
-        trace, data = large
-        doc = json.loads(data)
-        doc["prefill"][0][1][300][7] = -0.5
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        see_cpus(monkeypatch, 2)
-        with pytest.raises(ValidationError, match=r"negative score at \(0, 1, 300\)"):
-            load_trace(path, rows=8)
-        assert started == ["fork"]
-        assert not multiprocessing.active_children()
+            messages = set()
+            for path in paths:
+                with pytest.raises(ValidationError) as err:
+                    load_trace(path, rows=rows)
+                messages.add(str(err.value))
+            assert len(messages) == 1 and f"(1, 1, {row})" in messages.pop()
 
 
 class TestBinaryContainer:
@@ -771,10 +749,12 @@ def test_uniform_rows_helper_is_row_stochastic():
 @pytest.fixture
 def saved(tmp_path, mixed_trace):
     """mixed_trace (2 layers, 2 heads, n = 24, 2 decode steps) in both
-    containers."""
-    paths = {"text": tmp_path / "t.json", "binary": tmp_path / "t.mkvt"}
-    for kind, path in paths.items():
-        save_trace(mixed_trace, path, binary=kind == "binary")
+    containers, and as version 1 text."""
+    paths = {"text": tmp_path / "t.json", "binary": tmp_path / "t.mkvt",
+             "text_v1": tmp_path / "t1.json"}
+    save_trace(mixed_trace, paths["text"])
+    save_trace(mixed_trace, paths["binary"])
+    paths["text_v1"].write_bytes(reference_trace_to_text(mixed_trace))
     return paths
 
 
@@ -794,14 +774,19 @@ def write_corrupted(trace, kind, path, layer, head, row, col, value):
         at = binary_offset(trace, layer, head, row, col)
         blob[at:at + 4] = np.array([value], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
+    elif kind == "text":
+        # The writer does not check the scores it writes.
+        edited = dense(trace)
+        edited.prefill[layer, head, row, col] = value
+        save_trace(edited, path)
     else:
-        doc = json.loads(trace_to_text(trace))
+        doc = json.loads(reference_trace_to_text(trace))
         doc["prefill"][layer][head][row][col] = value
         path.write_text(json.dumps(doc))
 
 
 class TestPartialLoad:
-    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("kind", ["text", "text_v1", "binary"])
     @pytest.mark.parametrize("rows", [1, 8, 23, 24, 29])
     def test_keeps_the_full_loads_last_rows(self, saved, kind, rows):
         full = load_trace(saved[kind])
@@ -825,7 +810,7 @@ class TestPartialLoad:
         shifted = AttentionTrace(part.header, part.prefill, part.decode, first_row=15)
         assert part != shifted
 
-    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("kind", ["text", "text_v1", "binary"])
     @pytest.mark.parametrize("row", [5, 20], ids=["dropped_row", "kept_row"])
     @pytest.mark.parametrize("fault", ["negative", "row_sum", "NaN"])
     def test_corruption_reported_alike_in_full_and_partial_loads(
@@ -947,14 +932,14 @@ class TestStreamedBinaryFile:
             load_trace(p, rows=8)
 
     def test_non_numeric_text_score_is_a_format_error(self, tmp_path, mixed_trace):
-        doc = json.loads(trace_to_text(mixed_trace))
+        doc = json.loads(reference_trace_to_text(mixed_trace))
         doc["prefill"][0][1][3][2] = [0.5]
         with pytest.raises(FormatError, match=r"prefill\[0\]\[1\]"):
             trace_from_text(json.dumps(doc).encode(), rows=8)
 
     @pytest.mark.parametrize("value", ["x", "0.25", True, [0.5]])
     def test_non_numeric_decode_score_is_a_format_error(self, mixed_trace, value):
-        doc = json.loads(trace_to_text(mixed_trace))
+        doc = json.loads(reference_trace_to_text(mixed_trace))
         doc["decode"][1][0][0][2] = value
         for rows in (None, 8):
             with pytest.raises(FormatError,
@@ -1003,9 +988,9 @@ class TestPartialTraceConsumers:
 @pytest.fixture(scope="module")
 def big_diagonal(tmp_path_factory):
     """A 4x4x1024 trace, every prompt row on its own position, as a binary
-    file and a text twin. The twin writes scores as the integers 0 and 1,
-    which the text container accepts, and its heads share one list, so the
-    document stays small to build."""
+    file, a version 2 text file and a version 1 text twin. The version 1
+    twin writes scores as the integers 0 and 1, which that version accepts,
+    and its heads share one list, so the document stays small to build."""
     L, H, n = 4, 4, 1024
     prefill = np.zeros((L, H, n, n), dtype=np.float32)
     idx = np.arange(n)
@@ -1014,8 +999,9 @@ def big_diagonal(tmp_path_factory):
     labels = np.arange(n) % 3 == 0
     trace = AttentionTrace(TraceHeader(L, H, n, 2, labels), prefill, decode)
     folder = tmp_path_factory.mktemp("big")
-    binary = folder / "big.mkvt"
+    binary, text_v2 = folder / "big.mkvt", folder / "big2.json"
     save_trace(trace, binary)
+    save_trace(trace, text_v2)
     del prefill, trace
     head = [[0] * i + [1] for i in range(n)]
     doc = {
@@ -1027,7 +1013,7 @@ def big_diagonal(tmp_path_factory):
     }
     text = folder / "big.json"
     text.write_text(json.dumps(doc, separators=(",", ":")))
-    return binary, text
+    return binary, text, text_v2
 
 
 def traced_peak(fn):
@@ -1042,32 +1028,24 @@ def traced_peak(fn):
 MIB = 1 << 20
 
 
-def untrace_workers(monkeypatch):
-    """Stop tracemalloc in each pool worker as it starts: it measures this
-    process only, and tracing a worker's every allocation slows its parse
-    several times over."""
-    start_worker = trace_module._start_worker
-
-    def start_untraced(state):
-        tracemalloc.stop()
-        start_worker(state)
-
-    monkeypatch.setattr(trace_module, "_start_worker", start_untraced)
+def no_whole_document(*args, **kwargs):
+    raise AssertionError("the text loader parsed the whole document")
 
 
 class TestBoundedMemory:
     def test_binary_partial_load_stays_small(self, big_diagonal):
-        binary, _ = big_diagonal
+        binary, _, _ = big_diagonal
         trace, peak = traced_peak(lambda: load_trace(binary, rows=8))
         assert trace.prefill.shape == (4, 4, 8, 1024)
         # One head's float64 triangle is 4 MiB; the file is 32 MiB and the
         # dense cube 64 MiB.
         assert peak < 16 * MIB
 
-    def test_generated_binary_save_builds_no_dense_cube(self, tmp_path):
+    @pytest.mark.parametrize("name", ["gen.mkvt", "gen.json"])
+    def test_generated_save_builds_no_dense_cube(self, tmp_path, name):
         spec = SyntheticTraceSpec(4, 4, 1024, 2, skew=1.2, modality_mix=0.5,
                                   head_preference_bias=(0.1, 0.9, 0.1, 0.9), seed=3)
-        path = tmp_path / "gen.mkvt"
+        path = tmp_path / name
 
         def generate_and_save():
             trace = generate_synthetic(spec)
@@ -1075,39 +1053,35 @@ class TestBoundedMemory:
             return trace
 
         trace, peak = traced_peak(generate_and_save)
-        assert path.stat().st_size == 4 + 5 * 4 + 128 + 4 * 16 * (
-            1024 * 1025 // 2 + 1024 + 1025
-        )
+        payload = 4 * 16 * (1024 * 1025 // 2 + 1024 + 1025)
+        if name.endswith(".mkvt"):
+            assert path.stat().st_size == 4 + 5 * 4 + 128 + payload
+        else:
+            # Base64 spells 3 bytes in 4 characters.
+            assert 4 * payload // 3 < path.stat().st_size < 4 * payload // 3 + 64 * 1024
+        assert load_trace(path, rows=8) == dense(trace, 8)
         # The writers take about 1 MiB of float32 rows at a time; one head's
-        # (n, n) float32 block is 4 MiB, the file 32 MiB and the dense cube
-        # 64 MiB.
+        # (n, n) float32 block is 4 MiB, the binary file 32 MiB and the dense
+        # cube 64 MiB.
         assert peak < 6 * MIB
 
     def test_text_partial_load_builds_no_dense_cube(self, big_diagonal, monkeypatch):
-        # tracemalloc sees this process only: one CPU keeps the parse here.
-        see_cpus(monkeypatch, 1)
-        binary, text = big_diagonal
-
-        def whole_document(*args, **kwargs):
-            raise AssertionError("the text loader parsed the whole document")
-
-        monkeypatch.setattr(json, "loads", whole_document)
+        binary, text, _ = big_diagonal
+        monkeypatch.setattr(json, "loads", no_whole_document)
         trace, peak = traced_peak(lambda: load_trace(text, rows=8))
         assert trace == load_trace(binary, rows=8)
         # One head's float64 triangle is 4 MiB and the text held at a time
         # up to 2 MiB; the file is 16 MiB and the dense cube 64 MiB.
         assert peak < 16 * MIB
 
-    def test_text_partial_load_in_a_pool_stays_small_here(self, big_diagonal, monkeypatch):
-        """With two CPUs the workers parse the heads. This process, which
-        only finds where each head ends, stays within the serial bound."""
-        see_cpus(monkeypatch, 2)
-        untrace_workers(monkeypatch)
-        binary, text = big_diagonal
-        with heads_parsed_here() as parsed:
-            trace, peak = traced_peak(lambda: load_trace(text, rows=8))
-        assert parsed == []
+    def test_text_v2_partial_load_builds_no_dense_cube(self, big_diagonal, monkeypatch):
+        binary, _, text = big_diagonal
+        monkeypatch.setattr(json, "loads", no_whole_document)
+        trace, peak = traced_peak(lambda: load_trace(text, rows=8))
         assert trace == load_trace(binary, rows=8)
+        # One head's float64 triangle is 4 MiB, its bytes 2 MiB, as pieces
+        # and joined, and the text held at a time up to about 3 MiB; the file
+        # is 43 MiB and the dense cube 64 MiB.
         assert peak < 16 * MIB
 
     def test_generated_trace_simulates_without_its_dense_cube(self):
@@ -1130,41 +1104,27 @@ class TestBoundedMemory:
         # The dense cube is 1 GiB; one head's 8 rows are 64 KiB.
         assert peak < 64 * MIB
 
-    def test_malformed_first_score_fails_without_reading_on(self, big_diagonal, tmp_path,
-                                                            monkeypatch):
-        # tracemalloc sees this process only: one CPU keeps the parse here.
-        see_cpus(monkeypatch, 1)
-        malformed_first_score_fails_small(big_diagonal, tmp_path)
+    def test_malformed_first_score_fails_without_reading_on(self, big_diagonal, tmp_path):
+        """Loading the version 1 twin with its first score made `1.0x` names
+        that character and peaks well under the file's size in
+        tracemalloc."""
+        _, text, _ = big_diagonal
+        data = text.read_bytes()
+        start = b'"prefill":[[[[1]'
+        assert data.count(start) == 1
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data.replace(start, b'"prefill":[[[[1.0x]'))
+        at = data.index(start) + len(start) + 1  # the x
+        del data
 
-    def test_malformed_first_score_in_a_pool_fails_without_reading_on(
-            self, big_diagonal, tmp_path, monkeypatch):
-        """The pool's first task fails; this process stops walking the heads
-        and parses again from the start, within the serial bound."""
-        see_cpus(monkeypatch, 2)
-        untrace_workers(monkeypatch)
-        malformed_first_score_fails_small(big_diagonal, tmp_path)
+        def load():
+            with pytest.raises(FormatError) as err:
+                load_trace(bad, rows=8)
+            return str(err.value)
 
-
-def malformed_first_score_fails_small(big_diagonal, tmp_path):
-    """Loading the text twin with its first score made `1.0x` names that
-    character and peaks well under the file's size in tracemalloc."""
-    _, text = big_diagonal
-    data = text.read_bytes()
-    start = b'"prefill":[[[[1]'
-    assert data.count(start) == 1
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(data.replace(start, b'"prefill":[[[[1.0x]'))
-    at = data.index(start) + len(start) + 1  # the x
-    del data
-
-    def load():
-        with pytest.raises(FormatError) as err:
-            load_trace(bad, rows=8)
-        return str(err.value)
-
-    message, peak = traced_peak(load)
-    assert message == f"not a valid text trace: Expecting ',' delimiter at character {at}"
-    # One head's float64 and float32 triangles take 6 MiB and a chunk of
-    # text 1 MiB. The file is 16 MiB: reading on to its end to retry the
-    # parse peaked at 46 MiB.
-    assert peak < 12 * MIB
+        message, peak = traced_peak(load)
+        assert message == f"not a valid text trace: Expecting ',' delimiter at character {at}"
+        # One head's float64 and float32 triangles take 6 MiB and a chunk of
+        # text 1 MiB. The file is 16 MiB: reading on to its end to retry the
+        # parse peaked at 46 MiB.
+        assert peak < 12 * MIB
