@@ -168,6 +168,10 @@ MALFORMED = [
     (lambda o: (o["header"].update(T=2), o.update(decode=[[[[0.5, 0.5]]], [[[1e39, 0, 0]]]])),
      "decode[1][0][0]: score out of range"),
 ]
+# The MALFORMED entries that edit no score and keep format_version: they
+# apply to a version 2 document too. (Without its version, a version 2
+# document's payloads are read as version 1; MALFORMED_V2 covers that.)
+STRUCTURAL = [1, 2, 3, 4, 5, 6, 14, 15]
 
 
 class TestTextContainer:
@@ -395,6 +399,49 @@ class TestStreamedTextFile:
             with pytest.raises(error) as err:
                 load_trace(path, rows=rows)
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("writer", [trace_to_text, reference_trace_to_text],
+                             ids=["v2", "v1"])
+    def test_the_first_of_two_faults_is_the_one_reported(self, tmp_path, mixed_trace,
+                                                          writer):
+        """A bad score in the first head comes before a head too many in the
+        last layer, and is the fault named."""
+        edited = dense(mixed_trace)
+        edited.prefill[0, 0, 5, 1] = -0.5
+        doc = json.loads(writer(edited))
+        doc["prefill"][1].append(doc["prefill"][1][0])
+        path = tmp_path / "bad.json"
+        path.write_bytes(render(doc, "compact"))
+        for rows in (None, 8):
+            with pytest.raises(ValidationError) as err:
+                load_trace(path, rows=rows)
+            assert str(err.value) == "negative score at (0, 0, 5)"
+
+    @pytest.mark.parametrize("writer", [trace_to_text, reference_trace_to_text],
+                             ids=["v2", "v1"])
+    def test_a_file_cut_in_its_last_head_is_a_format_error(self, tmp_path, mixed_trace,
+                                                           writer):
+        data = writer(mixed_trace)
+        end = data.index(b',"decode":')  # the end of the prefill
+        path = tmp_path / "cut.json"
+        for cut in (end - 1, end - 3, end - 40):
+            path.write_bytes(data[:cut])
+            for rows in (None, 8):
+                with pytest.raises(FormatError):
+                    load_trace(path, rows=rows)
+
+    @pytest.mark.parametrize("mutate, fragment", [MALFORMED[i] for i in STRUCTURAL],
+                             ids=[f"malformed{i}" for i in STRUCTURAL])
+    def test_structural_faults_are_named_alike_in_both_versions(self, mutate, fragment):
+        """Faults outside the payloads raise one message whatever the version."""
+        messages = []
+        for writer in (reference_trace_to_text, trace_to_text):
+            doc = json.loads(writer(make_trace([[1.0], [0.5, 0.5]], labels="tt")))
+            mutate(doc)
+            with pytest.raises(FormatError) as err:
+                trace_from_text(render(doc, "compact"))
+            messages.append(str(err.value))
+        assert fragment in messages[0] and messages[0] == messages[1]
 
     @pytest.mark.parametrize("extra", [b"x", b"{}", b"\n}", b" 1"])
     def test_trailing_data_rejected(self, extra):
@@ -675,6 +722,49 @@ class TestMalformedTextV2:
                     load_trace(path, rows=rows)
                 messages.add(str(err.value))
             assert len(messages) == 1 and f"(1, 1, {row})" in messages.pop()
+
+
+def load_outcome(load, data, rows):
+    """The trace `load` returns, or the class and message of the modkv error
+    it raises."""
+    try:
+        return load(data, rows=rows)
+    except ModkvError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    layers=st.integers(1, 2),
+    heads=st.integers(1, 2),
+    n=st.integers(1, 6),
+    steps=st.integers(0, 2),
+    seed=st.integers(0, 2 ** 32 - 1),
+    target=st.sampled_from(["none", "prefill", "decode"]),
+    value=st.sampled_from([-0.5, -0.0, 2.0, 0.25, float("nan"), float("inf"),
+                           float("-inf")]),
+    where=st.integers(0, 2 ** 16),
+)
+def test_text_v2_and_binary_loads_agree(layers, heads, n, steps, seed, target, value, where):
+    """Any scores, valid or not, load from version 2 text as from the binary
+    container: the same trace, or the same error and message."""
+    spec = SyntheticTraceSpec(layers, heads, n, steps, skew=1.2, modality_mix=0.5,
+                              head_preference_bias=0.3, seed=seed)
+    trace = dense(generate_synthetic(spec))
+    l, hd, row = where % layers, where // layers % heads, where % n
+    if target == "prefill":
+        trace.prefill[l, hd, row, where % (row + 1)] = value
+    elif target == "decode" and steps:
+        vec = trace.decode[where % steps][l, hd]
+        vec[where % len(vec)] = value
+    text, binary = trace_to_text(trace), trace_to_binary(trace)
+    for rows in (None, 1, n):
+        want = load_outcome(trace_from_binary, binary, rows)
+        got = load_outcome(trace_from_text, text, rows)
+        if isinstance(want, AttentionTrace):
+            assert isinstance(got, AttentionTrace) and got == want
+        else:
+            assert got == want
 
 
 class TestBinaryContainer:
