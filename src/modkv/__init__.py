@@ -10,12 +10,8 @@ from .allocation import round_half_up
 from .baselines import BaselineConfig, BaselineKind, baseline_mask
 from .errors import FormatError, ModkvError, ParameterError, ValidationError
 from .importance import (
-    ImportanceVector,
-    PreferenceWeights,
     ProxyConfig,
     head_text_share,
-    modality_preference,
-    proxy_importance,
     proxy_importance_matrix,
     sparsity_curve,
 )

@@ -293,12 +293,12 @@ def _policy_list(opts: dict) -> list[tuple[str, dict]]:
     return [_parse_policy_arg(p) for p in raw]
 
 
-def _report_rows(name: str, rep: SimReport, theta) -> dict:
+def _report_rows(name: str, rep: SimReport) -> dict:
     return {
         "trace": name,
         "policy": rep.policy,
         "budget_frac": rep.budget_frac,
-        "theta": theta,
+        "theta": rep.theta,
         "mean_retained_mass": rep.mean_retained_mass,
         "total_kept_tokens": int(rep.kept_counts.sum()),
         "memory_bytes_est": rep.memory_bytes_est,
@@ -311,10 +311,6 @@ COMPARE_COLUMNS = [
     "total_kept_tokens", "memory_bytes_est", "warnings",
 ]
 SERIES_COLUMNS = ["trace", "policy", "budget_frac", "theta", "step", "retained_mass"]
-
-
-def _theta_of(spec) -> float | None:
-    return spec.coverage_threshold if isinstance(spec, PolicyConfig) else None
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +400,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             save_plan(plan, out_dir / f"{trace_name}__{name}_plan.json")
         save_mask(mask, out_dir / f"{trace_name}__{name}_mask.json")
         rep = _report(spec, mask, warnings, replay(trace, mask, tables=tables))
-        rows.append(_report_rows(trace_name, rep, _theta_of(spec)))
+        rows.append(_report_rows(trace_name, rep))
     write_table(out_dir / f"report.{fmt}", rows, COMPARE_COLUMNS, fmt)
     _echo_config(out_dir, "run", opts, args.trace)
     print(f"wrote {out_dir / f'report.{fmt}'}")
@@ -441,17 +437,14 @@ def _run_grid(args: argparse.Namespace, thetas: list[float] | None) -> int:
         tables = TraceTables(trace)
         for specs in cells:
             for rep in compare(trace, specs, tables=tables):
-                spec_theta = next(
-                    (_theta_of(s) for s in specs if s.name == rep.policy), None
-                )
-                rows.append(_report_rows(trace_name, rep, spec_theta))
+                rows.append(_report_rows(trace_name, rep))
                 for step, mass in enumerate(rep.per_step_retained_mass):
                     series.append(
                         {
                             "trace": trace_name,
                             "policy": rep.policy,
                             "budget_frac": rep.budget_frac,
-                            "theta": spec_theta,
+                            "theta": rep.theta,
                             "step": step + 1,
                             "retained_mass": mass,
                         }

@@ -36,97 +36,28 @@ class ProxyConfig:
         return min(self.proxy_count, prompt_len)
 
 
-@dataclass(frozen=True)
-class ImportanceVector:
-    """Per-token importance for one (layer, head).
+def proxy_importance_matrix(trace: AttentionTrace, proxy: ProxyConfig | None = None) -> np.ndarray:
+    """Importance for every (layer, head); shape (L, H, n), float64.
 
-    scores[i] is the total attention mass token i received from the proxy
-    rows; each entry lies in [0, proxy_count].
+    Column sums over the proxy rows, accumulated in float64 in ascending row
+    order (a fixed order keeps results bit-stable between runs). Only the
+    proxy rows of one head are read at a time. One head's importance is
+    `[layer, head]` of the result, and its split by modality is
+    `TraceTables.pool_mass`.
     """
-
-    layer: int
-    head: int
-    scores: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ImportanceVector):
-            return NotImplemented
-        return (
-            self.layer == other.layer
-            and self.head == other.head
-            and np.array_equal(self.scores, other.scores)
-        )
-
-
-@dataclass(frozen=True)
-class PreferenceWeights:
-    """Importance mass split by modality for one (layer, head)."""
-
-    visual: float
-    text: float
-
-    @property
-    def total(self) -> float:
-        return self.visual + self.text
-
-
-def _proxy_start(trace: AttentionTrace, proxy: ProxyConfig) -> int:
-    """The first proxy row, as a prompt row."""
-    n = trace.header.prompt_len
-    p = proxy.effective(n)
+    h = trace.header
+    n = h.prompt_len
+    p = (proxy or ProxyConfig()).effective(n)
     held = n - trace.first_row
     if p > held:
         raise ParameterError(
             f"{p} proxy rows requested, but the trace holds only the last {held} "
             f"prefill rows"
         )
-    return n - p
-
-
-def proxy_importance_matrix(trace: AttentionTrace, proxy: ProxyConfig | None = None) -> np.ndarray:
-    """Importance for every (layer, head); shape (L, H, n), float64.
-
-    Column sums over the proxy rows, accumulated in float64 in ascending row
-    order (a fixed order keeps results bit-stable between runs). Only the
-    proxy rows of one head are read at a time.
-    """
-    start = _proxy_start(trace, proxy or ProxyConfig())
-    h = trace.header
-    out = np.empty((h.num_layers, h.num_heads, h.prompt_len), dtype=np.float64)
+    out = np.empty((h.num_layers, h.num_heads, n), dtype=np.float64)
     for l, hd in np.ndindex(h.num_layers, h.num_heads):
-        out[l, hd] = trace.head_rows(l, hd, start).astype(np.float64).sum(axis=0)
+        out[l, hd] = trace.head_rows(l, hd, n - p).astype(np.float64).sum(axis=0)
     return out
-
-
-def proxy_importance(
-    trace: AttentionTrace, layer: int, head: int, proxy: ProxyConfig | None = None
-) -> ImportanceVector:
-    """Importance of each prompt token for one (layer, head)."""
-    h = trace.header
-    if not (0 <= layer < h.num_layers and 0 <= head < h.num_heads):
-        raise ParameterError(
-            f"(layer, head) = ({layer}, {head}) out of range for "
-            f"({h.num_layers}, {h.num_heads})"
-        )
-    start = _proxy_start(trace, proxy or ProxyConfig())
-    scores = trace.head_rows(layer, head, start).astype(np.float64).sum(axis=0)
-    return ImportanceVector(layer, head, scores)
-
-
-def modality_preference(importance: ImportanceVector | np.ndarray, labels) -> PreferenceWeights:
-    """Split importance mass into visual and text totals.
-
-    The two weights partition the total importance mass; downstream budget
-    splitting normalizes them, so only their ratio matters.
-    """
-    from .trace import visual_mask
-
-    scores = importance.scores if isinstance(importance, ImportanceVector) else np.asarray(importance, dtype=np.float64)
-    mask = visual_mask(labels, scores.shape[0])
-    return PreferenceWeights(
-        visual=float(scores[mask].sum()),
-        text=float(scores[~mask].sum()),
-    )
 
 
 def head_text_share(trace: AttentionTrace, layer: int, head: int) -> float:

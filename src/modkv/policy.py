@@ -314,14 +314,13 @@ def update_layer_budget(
     num_layers: int,
     num_heads: int,
     head_normalize: bool = True,
-    floor: float = 0.0,
 ) -> float:
     """Roll one layer's deviation into the next layer's budget.
 
     The deviation is amortized over the remaining layers; with
     head_normalize it is spread over heads too (per-head units), which is
     what makes total retention telescope back to the global budget. The
-    result is clamped below at `floor`.
+    result is not clamped: `plan_budgets` applies its floor, and warns.
     """
     remaining = num_layers - layer_index - 1
     if remaining < 1:
@@ -329,7 +328,7 @@ def update_layer_budget(
     if num_heads < 1:
         raise ParameterError(f"num_heads must be >= 1, got {num_heads}")
     step = deviation / (num_heads * remaining) if head_normalize else deviation / remaining
-    return max(layer_budget - step, floor)
+    return layer_budget - step
 
 
 def _split_by_preference(
@@ -439,7 +438,6 @@ def plan_budgets(
                 L,
                 H,
                 head_normalize=cfg.head_normalize_compensation,
-                floor=-np.inf,
             )
             if raw < floor:
                 warnings.append(

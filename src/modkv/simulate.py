@@ -40,10 +40,14 @@ PolicySpec = PolicyConfig | BaselineConfig
 
 @dataclass
 class SimReport:
-    """Outcome of replaying one policy against one trace."""
+    """Outcome of replaying one policy against one trace.
+
+    theta is the policy's coverage threshold, None for a baseline.
+    """
 
     policy: str
     budget_frac: float
+    theta: float | None
     per_step_retained_mass: list[float]
     mean_retained_mass: float
     kept_counts: np.ndarray
@@ -111,6 +115,10 @@ def make_mask(
     return mask, None, list(mask.warnings)
 
 
+def _theta(spec: PolicySpec) -> float | None:
+    return spec.coverage_threshold if isinstance(spec, PolicyConfig) else None
+
+
 def _report(spec: PolicySpec, mask: EvictionMask, warnings: list[str],
             per_step: list[float]) -> SimReport:
     """The SimReport of `spec`, given its mask and its replayed masses."""
@@ -118,6 +126,7 @@ def _report(spec: PolicySpec, mask: EvictionMask, warnings: list[str],
     return SimReport(
         policy=spec.name,
         budget_frac=spec.budget_frac,
+        theta=_theta(spec),
         per_step_retained_mass=per_step,
         mean_retained_mass=float(np.mean(per_step)) if per_step else 1.0,
         kept_counts=kept,
@@ -157,6 +166,7 @@ def compare(trace: AttentionTrace, specs, *, tables: TraceTables | None = None) 
                 SimReport(
                     policy=spec.name,
                     budget_frac=spec.budget_frac,
+                    theta=_theta(spec),
                     per_step_retained_mass=[],
                     mean_retained_mass=0.0,
                     kept_counts=np.zeros((h.num_layers, h.num_heads), dtype=np.int64),

@@ -92,18 +92,18 @@ class SyntheticTraceSpec:
             raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
 
 
-def _rebalance_scales(sum_v: float, sum_t: float, bias: float) -> tuple[float, float]:
-    """Per-pool scale factors that pin the visual share to `bias`.
+def _rebalance_scales(sum_v: np.ndarray, sum_t: np.ndarray,
+                      bias: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pool scale factors that pin the visual share to `bias`, one pair
+    per (visual, text) pair of pool masses, broadcast together.
 
-    When one pool is empty all mass goes to the other, whatever the bias.
+    Where one pool is empty all mass goes to the other, whatever the bias.
     """
-    if sum_v <= 0.0 and sum_t <= 0.0:
-        raise ParameterError("cannot rebalance a row with no mass")
-    if sum_v <= 0.0:
-        return 0.0, 1.0 / sum_t
-    if sum_t <= 0.0:
-        return 1.0 / sum_v, 0.0
-    return bias / sum_v, (1.0 - bias) / sum_t
+    both = (sum_v > 0) & (sum_t > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale_v = np.where(both, bias / sum_v, np.where(sum_v > 0, 1.0 / sum_v, 0.0))
+        scale_t = np.where(both, (1.0 - bias) / sum_t, np.where(sum_t > 0, 1.0 / sum_t, 0.0))
+    return scale_v, scale_t
 
 
 class _SyntheticTrace(AttentionTrace):
@@ -130,15 +130,11 @@ class _SyntheticTrace(AttentionTrace):
         stop = self.header.prompt_len if stop is None else stop
         u = self._weights[layer, head]
         vis = self.header.modality_labels
-        bias = self._bias[head]
         uv = np.where(vis, u, 0.0)
         ut = np.where(vis, 0.0, u)
-        cum_v = np.cumsum(uv)[start:stop]
-        cum_t = np.cumsum(ut)[start:stop]
-        both = (cum_v > 0) & (cum_t > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale_v = np.where(both, bias / cum_v, np.where(cum_v > 0, 1.0 / cum_v, 0.0))
-            scale_t = np.where(both, (1.0 - bias) / cum_t, np.where(cum_t > 0, 1.0 / cum_t, 0.0))
+        scale_v, scale_t = _rebalance_scales(
+            np.cumsum(uv)[start:stop], np.cumsum(ut)[start:stop], self._bias[head]
+        )
         m = np.multiply(scale_v[:, None].astype(np.float32), uv.astype(np.float32))
         m += scale_t[:, None].astype(np.float32) * ut.astype(np.float32)
         m *= np.tri(stop - start, len(u), start, dtype=bool)
@@ -179,14 +175,19 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:
                 bulk = u.sum()
                 w_prompt = u.copy()
                 w_prompt[n - anchor_width:] += QUESTION_ANCHOR_WEIGHT * bulk / anchor_width
-                sum_v = float(w_prompt[vis].sum())
-                sum_t_prompt = float(w_prompt[txt].sum())
-                for s in range(T):
-                    ages = np.arange(s - 1, -1, -1, dtype=np.float64)
-                    hist = DECODE_HISTORY_WEIGHT * bulk * DECODE_HISTORY_DECAY**ages
-                    sv, st = _rebalance_scales(sum_v, sum_t_prompt + float(hist.sum()), bias)
+                hists = [
+                    DECODE_HISTORY_WEIGHT * bulk
+                    * DECODE_HISTORY_DECAY ** np.arange(s - 1, -1, -1, dtype=np.float64)
+                    for s in range(T)
+                ]
+                scale_v, scale_t = _rebalance_scales(
+                    w_prompt[vis].sum(),
+                    w_prompt[txt].sum() + np.array([hist.sum() for hist in hists]),
+                    bias,
+                )
+                for s, hist in enumerate(hists):
                     row = decode[s][l, h]
-                    row[:n] = np.where(vis, sv * w_prompt, st * w_prompt)
-                    row[n:] = st * hist
+                    row[:n] = np.where(vis, scale_v[s] * w_prompt, scale_t[s] * w_prompt)
+                    row[n:] = scale_t[s] * hist
 
     return _SyntheticTrace(header, weights, spec.head_preference_bias, decode)

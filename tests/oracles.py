@@ -43,7 +43,6 @@ from modkv.synth import (
     DECODE_HISTORY_WEIGHT,
     QUESTION_ANCHOR_WEIGHT,
     QUESTION_ANCHOR_WIDTH,
-    _rebalance_scales,
 )
 from modkv.trace import (
     BINARY_MAGIC,
@@ -313,7 +312,7 @@ def reference_plan(trace, cfg):
         if l + 1 < L:
             raw = update_layer_budget(
                 budget, deviation[l], l, L, H,
-                head_normalize=cfg.head_normalize_compensation, floor=-np.inf,
+                head_normalize=cfg.head_normalize_compensation,
             )
             if raw < floor:
                 warnings.append(
@@ -429,6 +428,7 @@ def reference_simulate(trace, spec):
     return SimReport(
         policy=spec.name,
         budget_frac=spec.budget_frac,
+        theta=spec.coverage_threshold if isinstance(spec, PolicyConfig) else None,
         per_step_retained_mass=per_step,
         mean_retained_mass=float(np.mean(per_step)) if per_step else 1.0,
         kept_counts=kept,
@@ -442,6 +442,16 @@ def reference_simulate(trace, spec):
 # and both containers' renderers as they were before the library streamed
 # them one (layer, head) block at a time. Generated traces and written files
 # must match these exactly.
+
+
+def reference_rebalance_scales(sum_v, sum_t, bias):
+    """Per-pool scale factors that pin one row's visual share to `bias`, as
+    plain floats. When one pool is empty all mass goes to the other."""
+    if sum_v <= 0.0:
+        return 0.0, 1.0 / sum_t
+    if sum_t <= 0.0:
+        return 1.0 / sum_v, 0.0
+    return bias / sum_v, (1.0 - bias) / sum_t
 
 
 def reference_generate_synthetic(spec):
@@ -494,7 +504,9 @@ def reference_generate_synthetic(spec):
                 for s in range(T):
                     ages = np.arange(s - 1, -1, -1, dtype=np.float64)
                     hist = DECODE_HISTORY_WEIGHT * bulk * DECODE_HISTORY_DECAY**ages
-                    sv, st = _rebalance_scales(sum_v, sum_t_prompt + float(hist.sum()), bias)
+                    sv, st = reference_rebalance_scales(
+                        sum_v, sum_t_prompt + float(hist.sum()), bias
+                    )
                     row = decode[s][l, h]
                     row[:n] = np.where(vis, sv * w_prompt, st * w_prompt)
                     row[n:] = st * hist

@@ -18,13 +18,12 @@ from modkv import (
     PolicyMode,
     ProxyConfig,
     SyntheticTraceSpec,
+    TraceTables,
     build_masks,
     coverage_counts,
     generate_synthetic,
     load_trace,
-    modality_preference,
     plan_budgets,
-    proxy_importance,
     proxy_importance_matrix,
     save_trace,
     simulate,
@@ -80,15 +79,15 @@ def test_criterion_1_importance_and_preference_match_brute_force():
         trace = random_trace(rng, layers, heads, n, visual_frac=float(rng.random()))
         p = int(rng.integers(1, 13))
         mat = proxy_importance_matrix(trace, ProxyConfig(proxy_count=p))
+        mass_v, mass_t = TraceTables(trace).pool_mass(p)
         vis = trace.header.modality_labels
         for l in range(layers):
             for hd in range(heads):
                 expected = brute_importance(trace, l, hd, p)
                 assert np.max(np.abs(mat[l, hd] - expected)) <= 1e-12
-                pref = modality_preference(mat[l, hd], vis)
-                w_v, w_t = brute_preference(mat[l, hd], vis)
-                assert abs(pref.visual - w_v) <= 1e-12
-                assert abs(pref.text - w_t) <= 1e-12
+                w_v, w_t = brute_preference(expected, vis)
+                assert abs(mass_v[l, hd] - w_v) <= 1e-12
+                assert abs(mass_t[l, hd] - w_t) <= 1e-12
     elapsed = time.monotonic() - t0
     assert elapsed < 5.0
     verdict(1, f"importance and preference match brute force on 200 traces ({elapsed:.2f}s)")
@@ -255,7 +254,7 @@ def test_criterion_7_sparsity_curve_matches_exact_partial_sums():
     ))
     fracs = [i / 20 for i in range(1, 21)]
     rows = sparsity_curve(trace, fracs)
-    psi = proxy_importance(trace, 0, 0).scores
+    psi = proxy_importance_matrix(trace)[0, 0]
     share_at = {f: s for f, g, s in rows if g == "all"}
     assert abs(share_at[0.2] - float(exact_topk_share(psi, 0.2))) <= 1e-9
     for group in ("all", "text", "visual"):

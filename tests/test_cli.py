@@ -306,6 +306,31 @@ class TestCompare:
         rows = read_csv(out / "compare.csv")
         assert rows[0]["theta"] == "0.5"
 
+    @pytest.mark.parametrize("thetas", [("0.5", "0.95"), ("0.95", "0.5")])
+    def test_policies_sharing_a_name_keep_their_own_theta(self, tmp_path, thetas):
+        assert run("generate", "--name", "t", "--layers", "2", "--heads", "2",
+                   "--prompt-len", "64", "--out", str(tmp_path)) == 0
+        trace = str(tmp_path / "t.json")
+
+        def compare_files(out, *policies):
+            argv = ["compare", "--trace", trace, "--budget", "0.2", "--out", str(out)]
+            for policy in policies:
+                argv += ["--policy", policy]
+            assert run(*argv) == 0
+            return read_csv(out / "compare.csv"), read_csv(out / "series.csv")
+
+        rows, series = compare_files(
+            tmp_path / "both", *(f"adaptive:theta={t}" for t in thetas)
+        )
+        assert sorted(r["theta"] for r in rows) == sorted(thetas)
+        for theta in thetas:
+            alone_rows, alone_series = compare_files(
+                tmp_path / theta, f"adaptive:theta={theta}"
+            )
+            assert [r for r in rows if r["theta"] == theta] == alone_rows
+            assert [r for r in series if r["theta"] == theta] == alone_series
+        assert rows[0]["mean_retained_mass"] != rows[1]["mean_retained_mass"]
+
     def test_a_bug_in_a_policy_exits_4(self, demo_trace, tmp_path, monkeypatch, capsys):
         def broken(trace, spec, **kwargs):
             raise ValueError("operands could not be broadcast together")

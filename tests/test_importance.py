@@ -9,11 +9,10 @@ from conftest import make_trace, small_spec, uniform_rows
 from modkv import (
     ParameterError,
     ProxyConfig,
+    TraceTables,
     ValidationError,
     generate_synthetic,
     head_text_share,
-    modality_preference,
-    proxy_importance,
     proxy_importance_matrix,
     sparsity_curve,
 )
@@ -24,36 +23,24 @@ THREE_ROWS = [[1.0], [0.5, 0.5], [0.2, 0.3, 0.5]]
 class TestProxyImportance:
     def test_single_proxy_row_is_the_row_itself(self):
         t = make_trace(THREE_ROWS, labels="ttt")
-        psi = proxy_importance(t, 0, 0, ProxyConfig(1)).scores
+        psi = proxy_importance_matrix(t, ProxyConfig(1))[0, 0]
         assert psi == pytest.approx([0.2, 0.3, 0.5], abs=1e-7)
 
     def test_all_rows_as_proxies_column_sums(self):
         t = make_trace(THREE_ROWS, labels="ttt")
-        psi = proxy_importance(t, 0, 0, ProxyConfig(3)).scores
+        psi = proxy_importance_matrix(t, ProxyConfig(3))[0, 0]
         assert psi == pytest.approx([1.7, 0.8, 0.5], abs=1e-6)
         assert psi.tolist() == oracles.brute_importance(t, 0, 0, 3)
 
     def test_proxy_count_clamps_to_prompt_length(self):
         t = make_trace(THREE_ROWS, labels="ttt")
-        wide = proxy_importance(t, 0, 0, ProxyConfig(50)).scores
-        assert np.array_equal(wide, proxy_importance(t, 0, 0, ProxyConfig(3)).scores)
+        wide = proxy_importance_matrix(t, ProxyConfig(50))
+        assert np.array_equal(wide, proxy_importance_matrix(t, ProxyConfig(3)))
 
     def test_uniform_causal_rows_decay_with_position(self):
         t = make_trace(uniform_rows(6))
-        psi = proxy_importance(t, 0, 0).scores
+        psi = proxy_importance_matrix(t)[0, 0]
         assert all(a > b for a, b in zip(psi, psi[1:]))
-
-    def test_matrix_matches_per_head_scores(self, mixed_trace):
-        mat = proxy_importance_matrix(mixed_trace)
-        for l in range(2):
-            for hd in range(2):
-                assert np.array_equal(mat[l, hd], proxy_importance(mixed_trace, l, hd).scores)
-
-    def test_out_of_range_head_rejected(self, mixed_trace):
-        with pytest.raises(ParameterError):
-            proxy_importance(mixed_trace, 0, 9)
-        with pytest.raises(ParameterError):
-            proxy_importance(mixed_trace, -1, 0)
 
     def test_bounds_and_proxy_locality(self, mixed_trace):
         p = ProxyConfig(3)
@@ -67,39 +54,48 @@ class TestProxyImportance:
         assert np.array_equal(before, after)
 
 
-class TestModalityPreference:
+class TestPoolMass:
+    """Modality preference: each head's importance mass split into its
+    visual and its text pool."""
+
     def test_hand_example_partitions_mass(self):
-        w = modality_preference(np.array([1.7, 0.8, 0.5]), [False, True, True])
-        assert (w.visual, w.text) == (1.3, 1.7)
-        assert w.total == 3.0
+        t = make_trace(THREE_ROWS, labels="tvv")
+        mass_v, mass_t = TraceTables(t).pool_mass(3)
+        assert (mass_v.shape, mass_t.shape) == ((1, 1), (1, 1))
+        assert mass_v[0, 0] == pytest.approx(1.3, abs=1e-6)
+        assert mass_t[0, 0] == pytest.approx(1.7, abs=1e-6)
 
     def test_all_text_means_zero_visual_weight(self):
-        w = modality_preference(np.array([0.4, 0.6]), [False, False])
-        assert w.visual == 0.0
-        assert w.text == pytest.approx(1.0)
+        t = make_trace([[1.0], [0.4, 0.6]], labels="tt")
+        mass_v, mass_t = TraceTables(t).pool_mass(1)
+        assert mass_v[0, 0] == 0.0
+        assert mass_t[0, 0] == pytest.approx(1.0)
 
     @given(
         values=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=12),
         seed=st.integers(0, 99),
     )
     def test_permuting_tokens_with_labels_changes_nothing(self, values, seed):
+        # With one proxy row, importance is the last prompt row, which may
+        # put any score on any position.
         rng = np.random.default_rng(seed)
-        scores = np.array(values)
-        labels = rng.random(len(values)) < 0.5
-        perm = rng.permutation(len(values))
-        a = modality_preference(scores, labels)
-        b = modality_preference(scores[perm], labels[perm])
-        assert a.visual == pytest.approx(b.visual, abs=1e-12)
-        assert a.text == pytest.approx(b.text, abs=1e-12)
+        n = len(values)
+        last = np.array(values, dtype=np.float32)
+        labels = rng.random(n) < 0.5
+        perm = rng.permutation(n)
+        a = TraceTables(make_trace(uniform_rows(n - 1) + [last], labels, validate=False))
+        b = TraceTables(
+            make_trace(uniform_rows(n - 1) + [last[perm]], labels[perm], validate=False)
+        )
+        for got, want in zip(a.pool_mass(1), b.pool_mass(1)):
+            assert got[0, 0] == pytest.approx(want[0, 0], abs=1e-12)
 
     def test_partition_identity_on_generated_traces(self):
         for seed in range(5):
             t = generate_synthetic(small_spec(seed, mix=0.4, bias=(0.3, 0.7)))
-            mat = proxy_importance_matrix(t)
-            for l in range(2):
-                for hd in range(2):
-                    w = modality_preference(mat[l, hd], t.header.modality_labels)
-                    assert w.total == pytest.approx(float(mat[l, hd].sum()), abs=1e-9)
+            mass_v, mass_t = TraceTables(t).pool_mass(ProxyConfig().proxy_count)
+            total = proxy_importance_matrix(t).sum(axis=-1)
+            assert mass_v + mass_t == pytest.approx(total, abs=1e-9)
 
 
 class TestHeadTextShare:
@@ -175,9 +171,9 @@ def test_importance_always_matches_brute_force(seed, n, p):
     t = generate_synthetic(small_spec(seed, layers=1, heads=2, prompt_len=n,
                                       steps=0, mix=0.5, bias=(0.2, 0.8)))
     cfg = ProxyConfig(p)
+    mat = proxy_importance_matrix(t, cfg)
     for hd in range(2):
-        psi = proxy_importance(t, 0, hd, cfg).scores
-        assert psi.tolist() == oracles.brute_importance(t, 0, hd, p)
+        assert mat[0, hd].tolist() == oracles.brute_importance(t, 0, hd, p)
 
 
 def test_proxy_config_rejects_nonpositive_counts():

@@ -88,6 +88,7 @@ def assert_same_plan(got, want):
 def assert_same_report(got, want):
     assert got.policy == want.policy
     assert got.budget_frac == want.budget_frac
+    assert got.theta == want.theta
     assert got.per_step_retained_mass == want.per_step_retained_mass
     assert got.mean_retained_mass == want.mean_retained_mass
     assert np.array_equal(got.kept_counts, want.kept_counts)

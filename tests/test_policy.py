@@ -117,8 +117,9 @@ class TestUpdateLayerBudget:
     def test_negative_deviation_raises_budget(self):
         assert update_layer_budget(12.0, -8.0, 1, 4, 2) == 14.0
 
-    def test_floor_clamps(self):
-        assert update_layer_budget(1.0, 100.0, 0, 2, 1) == 0.0
+    def test_result_is_not_clamped(self):
+        # plan_budgets applies its own floor, and warns.
+        assert update_layer_budget(1.0, 100.0, 0, 2, 1) == -99.0
 
     def test_last_layer_has_no_update(self):
         with pytest.raises(ParameterError):
@@ -180,6 +181,18 @@ class TestPlanBudgets:
         plan = plan_budgets(t, PolicyConfig(budget_frac=0.05))
         assert plan.layer_budget[0] == 1.0
         assert any("clamped up to 1" in w for w in plan.warnings)
+
+    def test_next_layer_budget_clamps_to_floor_with_warning(self):
+        t = generate_synthetic(small_spec(7, layers=2, heads=2))
+        cfg = PolicyConfig(budget_frac=0.1, coverage_threshold=0.99,
+                           min_keep_per_modality=1)
+        plan = plan_budgets(t, cfg)
+        raw = update_layer_budget(
+            float(plan.layer_budget[0]), float(plan.deviation[0]), 0, 2, 2
+        )
+        assert raw < 2.0
+        assert plan.layer_budget[1] == 2.0
+        assert f"layer 1: budget {raw:.3f} clamped up to floor 2.000" in plan.warnings
 
     def test_deviation_feeds_next_layer_budget(self):
         t = generate_synthetic(small_spec(7, layers=3, heads=2))

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import make_trace, small_spec, uniform_rows
+from conftest import dense, make_trace, small_spec, uniform_rows
 from modkv import (
     BaselineConfig,
     BaselineKind,
     EvictionMask,
     PolicyConfig,
     PolicyMode,
+    ProxyConfig,
     ValidationError,
     compare,
     estimate_memory,
@@ -171,6 +172,17 @@ class TestSimulateAndCompare:
         masses = [r.mean_retained_mass for r in reports]
         assert masses == sorted(masses, reverse=True)
         assert reports[0].policy == "adaptive"
+
+    def test_reports_carry_their_spec_theta(self, mixed_trace):
+        part = dense(mixed_trace, 4)
+        reports = compare(part, [
+            PolicyConfig(budget_frac=0.2, coverage_threshold=0.5, proxy=ProxyConfig(4)),
+            PolicyConfig(budget_frac=0.2, coverage_threshold=0.7, proxy=ProxyConfig(8)),
+            BaselineConfig(BaselineKind.RECENT_WINDOW, 0.2),
+        ])
+        failed = {r.theta: any("policy failed" in w for w in r.warnings) for r in reports}
+        assert failed == {0.5: False, 0.7: True, None: False}
+        assert [r.policy for r in reports if r.theta is None] == ["recent_window"]
 
     def test_failing_policy_becomes_a_zero_row_with_warning(self, mixed_trace):
         good = BaselineConfig(BaselineKind.RECENT_WINDOW, 0.5)

@@ -28,7 +28,6 @@ from modkv import (
     generate_synthetic,
     head_text_share,
     load_trace,
-    proxy_importance,
     proxy_importance_matrix,
     save_trace,
     simulate,
@@ -39,7 +38,6 @@ from modkv.trace import (
     trace_from_text,
     trace_to_binary,
     trace_to_text,
-    visual_mask,
 )
 from modkv.cli import main as cli_main
 from oracles import (
@@ -121,14 +119,27 @@ class TestValidation:
             TraceHeader(1, 1, 3, 0, [False, False])
 
 
-class TestVisualMask:
-    def test_accepts_strings_enums_and_bools(self):
-        want = np.array([False, True, False])
-        assert np.array_equal(visual_mask(["text", "visual", "text"]), want)
+class TestHeaderLabels:
+    def test_accepts_booleans_and_keeps_its_own_copy(self):
+        labels = np.array([False, True, False])
+        header = TraceHeader(1, 1, 3, 0, labels)
+        assert np.array_equal(header.modality_labels, labels)
+        labels[0] = True
+        assert not header.modality_labels[0]
         assert np.array_equal(
-            visual_mask([Modality.TEXT, Modality.VISUAL, Modality.TEXT]), want
+            TraceHeader(1, 1, 3, 0, [False, True, False]).modality_labels,
+            header.modality_labels,
         )
-        assert np.array_equal(visual_mask(want), want)
+
+    @pytest.mark.parametrize("labels", [
+        ["text", "visual"],
+        [Modality.TEXT, Modality.VISUAL],
+        [0, 1],
+        np.array([0.0, 1.0]),
+    ])
+    def test_rejects_labels_that_are_not_booleans(self, labels):
+        with pytest.raises(ValidationError, match="modality labels must be booleans"):
+            TraceHeader(1, 1, 2, 0, labels)
 
 
 def tiny_document():
@@ -1062,13 +1073,12 @@ class TestPartialTraceConsumers:
             proxy_importance_matrix(part, ProxyConfig(8)),
             proxy_importance_matrix(mixed_trace, ProxyConfig(8)),
         )
-        assert proxy_importance(part, 1, 1, ProxyConfig(5)) == proxy_importance(
-            mixed_trace, 1, 1, ProxyConfig(5)
+        assert np.array_equal(
+            proxy_importance_matrix(part, ProxyConfig(5)),
+            proxy_importance_matrix(mixed_trace, ProxyConfig(5)),
         )
         with pytest.raises(ParameterError, match="9 proxy rows"):
             proxy_importance_matrix(part, ProxyConfig(9))
-        with pytest.raises(ParameterError, match="9 proxy rows"):
-            proxy_importance(part, 0, 0, ProxyConfig(9))
 
 
 # ---------------------------------------------------------------------------
