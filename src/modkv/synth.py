@@ -19,8 +19,10 @@ the bias contract holds for decode rows too.
 
 Everything is a pure function of the SyntheticTraceSpec fields (including
 the 64-bit seed): equal specs yield bit-identical traces. A generated trace
-stores per-head weight vectors, not prefill rows: `head_rows` computes the
-rows each reader asks for, so its memory is O(L·H·n) however it is used.
+stores per-head weight vectors, not prefill rows. One kernel computes a
+chunk of rows over the columns they can reach: `packed_rows` gathers its
+lower triangle for the writers, and `head_rows` zero-pads it to full rows
+for every other reader. So a trace's memory is O(L·H·n) however it is used.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ class _SyntheticTrace(AttentionTrace):
 
     Prefill row i of head (l, h) is a closed-form function of the head's
     weight vector, so only the weights `(L, H, n)` are kept and no prefill
-    array is stored: `head_rows` computes the rows asked for of one head.
+    array is stored: `packed_rows` and `head_rows` compute the rows asked for
+    of one head.
     """
 
     def __init__(self, header: TraceHeader, weights: np.ndarray,
@@ -122,23 +125,38 @@ class _SyntheticTrace(AttentionTrace):
         self._weights = weights
         self._bias = bias
 
-    def head_rows(self, layer: int, head: int, start: int = 0,
-                  stop: int | None = None) -> np.ndarray:
-        """Prefill rows start..stop-1 of one head: row i is the causal prefix
-        0..i of the weights, each modality scaled so the visual share is the
-        head bias."""
-        stop = self.header.prompt_len if stop is None else stop
-        u = self._weights[layer, head]
-        vis = self.header.modality_labels
+    def _block(self, layer: int, head: int, start: int, stop: int) -> np.ndarray:
+        """Prefill rows start..stop-1 of one head over columns 0..stop-1, as
+        float32, with the scores above the diagonal left in: row i scales
+        each modality's weights by the factor that makes the causal prefix
+        0..i carry the head bias as its visual share."""
+        u = self._weights[layer, head, :stop]
+        vis = self.header.modality_labels[:stop]
         uv = np.where(vis, u, 0.0)
         ut = np.where(vis, 0.0, u)
         scale_v, scale_t = _rebalance_scales(
-            np.cumsum(uv)[start:stop], np.cumsum(ut)[start:stop], self._bias[head]
+            np.cumsum(uv)[start:], np.cumsum(ut)[start:], self._bias[head]
         )
-        m = np.multiply(scale_v[:, None].astype(np.float32), uv.astype(np.float32))
-        m += scale_t[:, None].astype(np.float32) * ut.astype(np.float32)
-        m *= np.tri(stop - start, len(u), start, dtype=bool)
-        return m
+        # Row i is scale_v[i] * uv + scale_t[i] * ut in float32, computed as
+        # one matrix product: several times faster than elementwise passes
+        # over the block. One of the two products is exactly 0 in every
+        # column, so each score is the other product rounded once, whatever
+        # order or fused multiply-add the matrix product uses.
+        scales = np.stack([scale_v, scale_t], axis=1).astype(np.float32)
+        return scales @ np.stack([uv, ut]).astype(np.float32)
+
+    def packed_rows(self, layer: int, head: int, start: int, stop: int) -> np.ndarray:
+        lower = np.tri(stop - start, stop, start, dtype=bool)
+        return self._block(layer, head, start, stop)[lower].astype("<f4", copy=False)
+
+    def head_rows(self, layer: int, head: int, start: int = 0,
+                  stop: int | None = None) -> np.ndarray:
+        n = self.header.prompt_len
+        stop = n if stop is None else stop
+        rows = np.zeros((stop - start, n), dtype=np.float32)
+        np.copyto(rows[:, :stop], self._block(layer, head, start, stop),
+                  where=np.tri(stop - start, stop, start, dtype=bool))
+        return rows
 
 
 def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:

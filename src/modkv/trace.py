@@ -10,13 +10,16 @@ default ``first_row = 0`` that is the whole causal prefill cube. The loaders
 can keep only the last rows, which are all that importance and the
 score-driven baselines read: they stream the file one head at a time, check
 every row of every head, and keep the tail. Every reader of prefill rows,
-here and in the rest of the package, asks ``AttentionTrace.head_rows`` for
-one head's rows at a time: importance for the proxy rows, validation and
-equality for the rows held, ``head_text_share`` and the writers for every
-row, about 1 MiB of float32 at a time. A row below ``first_row`` is a
-ParameterError. So a trace that computes its rows on demand, as the
+here and in the rest of the package, reads one head at a time. Importance
+asks ``AttentionTrace.head_rows`` for the proxy rows, validation and
+equality for the rows held, and ``head_text_share`` for the whole (n, n)
+block, which it sums as float64. The writers ask
+``AttentionTrace.packed_rows`` for one chunk of a head's packed causal
+triangle at a time, about 1 MiB of float32. A row below ``first_row`` is a
+ParameterError in both. So a trace that computes its rows on demand, as the
 synthetic generator's does, is simulated, compared and written without its
-dense cube, or even one whole (n, n) block, ever being built.
+dense cube ever being built, and simulated and written without even one
+whole (n, n) block.
 
 Two interchangeable containers are supported and sniffed by magic bytes.
 Both store scores as little-endian float32, so a save/load/save round trip
@@ -264,6 +267,17 @@ class AttentionTrace:
         stop = self.header.prompt_len if stop is None else stop
         return self.prefill[layer, head, start - self.first_row:stop - self.first_row]
 
+    def packed_rows(self, layer: int, head: int, start: int, stop: int) -> np.ndarray:
+        """Prompt rows start..stop-1 of one head's packed causal triangle
+        (row i's i + 1 scores after rows start..i-1), as little-endian
+        float32. A row below `first_row` raises ParameterError, as in
+        `head_rows`."""
+        # Boolean indexing reads row-major, so the rows' lower triangles come
+        # out in packed order. Columns from stop on are all zero.
+        lower = np.tri(stop - start, stop, start, dtype=bool)
+        rows = self.head_rows(layer, head, start, stop)[:, :stop]
+        return np.ascontiguousarray(rows[lower], dtype="<f4")
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
             return NotImplemented
@@ -348,14 +362,6 @@ def _json(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii")
 
 
-def _packed_rows(trace: AttentionTrace, layer: int, head: int, start: int,
-                 stop: int) -> np.ndarray:
-    """Prompt rows start..stop-1 of one head's packed causal triangle, as
-    little-endian float32."""
-    lower = np.tri(stop - start, trace.header.prompt_len, start, dtype=bool)
-    return np.ascontiguousarray(trace.head_rows(layer, head, start, stop)[lower], dtype="<f4")
-
-
 def _write_base64(fh, payloads) -> None:
     """Write a JSON list of the base64 of each float32 array in `payloads`."""
     fh.write(b"[")
@@ -386,7 +392,7 @@ def _write_text(trace: AttentionTrace, fh) -> None:
         for hd in range(h.num_heads):
             if hd:
                 fh.write(b",")
-            _write_base64(fh, (_packed_rows(trace, l, hd, *rows) for rows in chunks))
+            _write_base64(fh, (trace.packed_rows(l, hd, *rows) for rows in chunks))
         fh.write(b"]")
     fh.write(b'],"decode":[')
     for s, vec in enumerate(trace.decode):
@@ -791,13 +797,8 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
 
 
 def _write_binary(trace: AttentionTrace, fh) -> None:
-    """Write the binary container, one (layer, head) packed triangle at a time.
-
-    Packing through `_packed_rows`, as the text writer does, writes the same
-    bytes. On an 8x8x2048 `generate --trace-format binary` (10 alternating
-    runs a side on a 2-vCPU machine, medians) it lowered peak RSS from 42.4
-    to 41.1 MiB but raised wall time from 2.15 to 2.59 s, so this loop stays.
-    """
+    """Write the binary container, each (layer, head)'s packed triangle one
+    `_row_chunks` chunk at a time."""
     h = trace.header
     L, H, n, T = h.num_layers, h.num_heads, h.prompt_len, h.num_decode_steps
     fh.write(BINARY_MAGIC)
@@ -806,11 +807,7 @@ def _write_binary(trace: AttentionTrace, fh) -> None:
     for l in range(L):
         for hd in range(H):
             for start, stop in _row_chunks(n):
-                # Boolean indexing reads row-major, so the chunks' lower
-                # triangles make up the packed triangle.
-                lower = np.tri(stop - start, n, start, dtype=bool)
-                block = trace.head_rows(l, hd, start, stop)
-                fh.write(np.ascontiguousarray(block[lower], dtype="<f4").data)
+                fh.write(trace.packed_rows(l, hd, start, stop).data)
     for vec in trace.decode:
         fh.write(np.ascontiguousarray(vec, dtype="<f4").data)
 
@@ -898,8 +895,8 @@ def trace_from_binary(data, rows: int | None = None) -> AttentionTrace:
 def save_trace(trace: AttentionTrace, path: str | os.PathLike, *, binary: bool | None = None) -> None:
     """Write a trace. Format comes from `binary` or, when None, the suffix
     (``.mkvt`` means binary, anything else text, version 2). The write is
-    atomic and streams about 1 MiB of one head's rows at a time from
-    `trace.head_rows`."""
+    atomic and streams about 1 MiB of one head's packed triangle at a time
+    from `trace.packed_rows`."""
     path = os.fspath(path)
     if binary is None:
         binary = path.endswith(".mkvt")

@@ -514,6 +514,14 @@ def reference_generate_synthetic(spec):
     return AttentionTrace(header, prefill, decode)
 
 
+def reference_packed_rows(trace, layer, head, start, stop):
+    """Prompt rows start..stop-1 of one head's packed causal triangle, as
+    little-endian float32: the lower triangle of the full-width rows from
+    `head_rows`, gathered row-major."""
+    lower = np.tri(stop - start, trace.header.prompt_len, start, dtype=bool)
+    return np.ascontiguousarray(trace.head_rows(layer, head, start, stop)[lower], dtype="<f4")
+
+
 def reference_trace_to_text(trace):
     """The version 1 text container from one JSON document holding the whole
     trace: each score as the shortest decimal of its float64 value. Version 1

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import dense, small_spec
-from modkv import ParameterError, SyntheticTraceSpec, generate_synthetic, save_trace
+from modkv import ParameterError, SyntheticTraceSpec, generate_synthetic, load_trace, save_trace
+from modkv.synth import _SyntheticTrace
 from modkv.trace import trace_to_binary, trace_to_text
 from oracles import (
     reference_generate_synthetic,
+    reference_packed_rows,
     reference_trace_to_binary,
     reference_trace_to_text_v2,
 )
@@ -163,6 +165,15 @@ EDGE_SPECS = {
 }
 
 
+def assert_packed_rows_equal_reference(trace, ref, layer, head, start, stop):
+    """`trace.packed_rows` is byte for byte the reference gather of the
+    generated rows and of the dense reference generator's rows."""
+    packed = trace.packed_rows(layer, head, start, stop)
+    assert packed.dtype == np.dtype("<f4")
+    assert packed.tobytes() == reference_packed_rows(trace, layer, head, start, stop).tobytes()
+    assert packed.tobytes() == reference_packed_rows(ref, layer, head, start, stop).tobytes()
+
+
 @pytest.mark.parametrize("spec", EDGE_SPECS.values(), ids=EDGE_SPECS.keys())
 class TestMatchesDenseReference:
     def test_trace_equals_reference(self, spec):
@@ -176,6 +187,16 @@ class TestMatchesDenseReference:
                 block = trace.head_rows(l, h)
                 assert block.dtype == np.float32
                 assert np.array_equal(block, ref.prefill[l, h])
+
+    def test_packed_rows_equal_the_reference_gather(self, spec):
+        trace = generate_synthetic(spec)
+        ref = reference_generate_synthetic(spec)
+        n = spec.prompt_len
+        windows = {(0, n), (n // 3, n), (0, (n + 1) // 2)} | {(i, i + 1) for i in range(n)}
+        for l in range(spec.num_layers):
+            for h in range(spec.num_heads):
+                for start, stop in sorted(windows):
+                    assert_packed_rows_equal_reference(trace, ref, l, h, start, stop)
 
     @pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
     def test_saved_files_equal_reference(self, tmp_path, spec, binary):
@@ -197,8 +218,26 @@ def test_row_chunked_blocks_and_files_equal_reference():
         block = trace.head_rows(0, 1, start, stop)
         assert np.array_equal(block, ref.prefill[0, 1, start:stop])
     assert np.array_equal(trace.head_rows(0, 1, 600), ref.prefill[0, 1, 600:])
+    for start, stop in ((0, 1), (100, 375), (374, 700), (699, 700)):
+        assert_packed_rows_equal_reference(trace, ref, 0, 1, start, stop)
     assert trace_to_binary(trace) == reference_trace_to_binary(ref)
     assert trace_to_text(trace) == reference_trace_to_text_v2(ref)
+
+
+@pytest.mark.parametrize("name", ["gen.mkvt", "gen.json"])
+def test_saving_a_generated_trace_reads_only_packed_rows(tmp_path, monkeypatch, name):
+    """The writers take packed chunks; a full-width row of a generated trace
+    is never built on the way to a file."""
+    spec = small_spec(12, prompt_len=700, steps=1)
+    trace = generate_synthetic(spec)
+
+    def no_full_rows(*args, **kwargs):
+        raise AssertionError("a writer asked a generated trace for full rows")
+
+    monkeypatch.setattr(_SyntheticTrace, "head_rows", no_full_rows)
+    save_trace(trace, tmp_path / name)
+    monkeypatch.undo()
+    assert load_trace(tmp_path / name) == reference_generate_synthetic(spec)
 
 
 @settings(max_examples=25, deadline=None)

@@ -41,6 +41,7 @@ from modkv.trace import (
 )
 from modkv.cli import main as cli_main
 from oracles import (
+    reference_packed_rows,
     reference_trace_from_text,
     reference_trace_to_text,
     reference_trace_to_text_v2,
@@ -1057,6 +1058,33 @@ class TestStreamedBinaryFile:
         for start in (0, 15):
             with pytest.raises(ParameterError, match=f"prompt row {start} requested"):
                 part.head_rows(1, 0, start)
+
+    @pytest.mark.parametrize("rows", [None, 8], ids=["dense", "rows8"])
+    def test_loaded_packed_rows_equal_the_reference_gather(self, tmp_path, mixed_trace,
+                                                           rows):
+        path = tmp_path / "t.mkvt"
+        save_trace(mixed_trace, path)
+        trace = load_trace(path, rows=rows)
+        n = trace.header.prompt_len
+        first = trace.first_row
+        windows = [(first, n), (first, first + 1), (n - 1, n), (first + 2, n - 3)]
+        for l, hd in np.ndindex(2, 2):
+            for start, stop in windows:
+                packed = trace.packed_rows(l, hd, start, stop)
+                assert packed.dtype == np.dtype("<f4")
+                for source in (trace, mixed_trace):
+                    want = reference_packed_rows(source, l, hd, start, stop)
+                    assert packed.tobytes() == want.tobytes()
+
+    def test_packed_rows_below_the_tail_are_refused_as_in_head_rows(self, mixed_trace):
+        part = dense(mixed_trace, 8)
+        for start in (0, 15):
+            with pytest.raises(ParameterError) as packed:
+                part.packed_rows(1, 0, start, 20)
+            with pytest.raises(ParameterError) as rows:
+                part.head_rows(1, 0, start, 20)
+            assert str(packed.value) == str(rows.value)
+            assert f"prompt row {start} requested" in str(packed.value)
 
 
 class TestPartialTraceConsumers:
