@@ -146,30 +146,63 @@ def pool_ranks(scores: np.ndarray, pools) -> np.ndarray:
     under the same order everywhere. `pools` is a sequence of disjoint
     position-index arrays; a position in no pool gets rank n, which no quota
     reaches.
+
+    Ranks are int32, half the bytes of int64 for every mask comparison; a
+    prompt of 2**31 tokens is far beyond any trace that fits in memory.
     """
     n = scores.shape[-1]
-    ranks = np.full(scores.shape, n, dtype=np.int64)
+    ranks = np.full(scores.shape, n, dtype=np.int32)
     for idx in pools:
         if idx.size == 0:
             continue
         # A stable ascending sort of the negated, reversed pool orders by
         # score descending with the later position first among equals.
         order = idx.size - 1 - np.argsort(-scores[..., idx[::-1]], axis=-1, kind="stable")
-        sub = np.empty(order.shape, dtype=np.int64)
-        np.put_along_axis(sub, order, np.arange(idx.size), axis=-1)
+        sub = np.empty(order.shape, dtype=np.int32)
+        np.put_along_axis(sub, order, np.arange(idx.size, dtype=np.int32), axis=-1)
         ranks[..., idx] = sub
     return ranks
+
+
+@dataclass(frozen=True)
+class BudgetPath:
+    """The layer-budget recurrence of one planner configuration.
+
+    layer_budget[l] is the per-head budget entering layer l and deviation[l]
+    that layer's summed need above it, as in `BudgetPlan`. clamps holds
+    (l, warning) for every update after layer l that fell below the floor.
+    """
+
+    layer_budget: np.ndarray
+    deviation: np.ndarray
+    clamps: list[tuple[int, str]]
 
 
 class TraceTables:
     """The tables every policy evaluated on one trace shares.
 
-    Importance, rankings and coverage counts depend on the trace and a few
-    knobs (proxy or observation row count, pinned tail, threshold), never on
-    the budget, so a grid of cells needs each of them once. Each table is
-    built on first use and lives as long as this object: make one per trace,
-    pass it down to `compare` and the planners, and drop it to free them. The
-    trace must not change while its tables are in use.
+    A grid of cells needs each table once, because none depends on the cell
+    beyond the knobs in its key. It holds:
+
+    * `importance`: column sums over the last proxy or observation rows,
+      (L, H, n) float64, per row count;
+    * `needs`: coverage counts (visual, text), each (L, H) int64, per row
+      count and threshold;
+    * `pool_mass`: importance mass (visual, text), each (L, H) float64, per
+      row count;
+    * `modality_ranks` and `token_ranks`: int32 ranks within the modality
+      pools or over all positions, (L, H, n), per row count (and pinned
+      tail);
+    * `budget_path`: the layer-budget recurrence (`BudgetPath`), per row
+      count, threshold, initial budget, head normalization and floor, so the
+      adaptive and proportional cells of one (theta, budget) share it;
+    * `decode`: the decode steps' prompt columns stacked as one contiguous
+      (L, H, S, n) float64 table, with their decode-token mass and their
+      totals, each (S, L, H).
+
+    Each table is built on first use and lives as long as this object: make
+    one per trace, pass it down to `compare` and the planners, and drop it
+    to free them. The trace must not change while its tables are in use.
     """
 
     def __init__(self, trace: AttentionTrace):
@@ -242,17 +275,58 @@ class TraceTables:
             lambda: pool_ranks(self.importance(rows), (np.arange(n),)),
         )
 
-    def decode(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per decode step: the float64 vector (L, H, n + s), its mass on
-        decode tokens and its total, both (L, H)."""
-        n = self.trace.header.prompt_len
+    def budget_path(self, count: int, threshold: float, budget0: int,
+                    head_normalize: bool, floor: float) -> BudgetPath:
+        """The layer budgets from `budget0` on, rolled forward by each
+        layer's coverage needs and clamped up to `floor`.
+
+        It depends on the needs only, never on the mode, so every planner
+        with the same key walks one path.
+        """
+        rows = self._rows(count)
 
         def build():
-            steps = []
-            for vec in self.trace.decode:
+            need_v, need_t = self.needs(rows, threshold)
+            L, H = need_v.shape
+            layer_budget = np.zeros(L, dtype=np.float64)
+            deviation = np.zeros(L, dtype=np.float64)
+            clamps = []
+            budget = float(budget0)
+            for l in range(L):
+                layer_budget[l] = budget
+                deviation[l] = layer_budget_deviation(need_v[l], need_t[l], budget)
+                if l + 1 < L:
+                    raw = update_layer_budget(
+                        budget, deviation[l], l, L, H, head_normalize=head_normalize
+                    )
+                    if raw < floor:
+                        clamps.append(
+                            (l, f"layer {l + 1}: budget {raw:.3f} clamped up to floor {floor:.3f}")
+                        )
+                        raw = floor
+                    budget = raw
+            return BudgetPath(layer_budget, deviation, clamps)
+
+        return self._get(("budget_path", rows, threshold, budget0, head_normalize, floor), build)
+
+    def decode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The decode steps as float64: their prompt columns, (L, H, S, n)
+        and contiguous, then their mass on decode tokens and their totals,
+        both (S, L, H)."""
+        h = self.trace.header
+        L, H, n = h.num_layers, h.num_heads, h.prompt_len
+        S = len(self.trace.decode)
+
+        def build():
+            prompt = np.empty((L, H, S, n), dtype=np.float64)
+            tail = np.empty((S, L, H), dtype=np.float64)
+            total = np.empty((S, L, H), dtype=np.float64)
+            for s, vec in enumerate(self.trace.decode):
                 v = vec.astype(np.float64)
-                steps.append((v, v[:, :, n:].sum(axis=2), v.sum(axis=2)))
-            return steps
+                prompt[:, :, s] = v[:, :, :n]
+                tail[s] = v[:, :, n:].sum(axis=2)
+                total[s] = v.sum(axis=2)
+            return prompt, tail, total
 
         return self._get(("decode",), build)
 
@@ -332,10 +406,12 @@ def update_layer_budget(
 
 
 def _split_by_preference(
-    wv: np.ndarray, wt: np.ndarray, n_vis: int, n_txt: int, total: int
+    wv: np.ndarray, wt: np.ndarray, n_vis: int, n_txt: int, total
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per head, the largest-remainder split of `total` in proportion to
     [wv, wt], falling back to the token counts where a head has no mass.
+    `total` is an int or an int64 array that broadcasts against the weights
+    (one total per layer, say).
 
     Same arithmetic as the scalar split kept as the reference in
     tests/oracles.py: shares (w / w.sum()) * total,
@@ -357,6 +433,34 @@ def _split_by_preference(
     b0 += (leftover == 2) | ((leftover == 1) & visual_first)
     b1 += (leftover == 2) | ((leftover == 1) & ~visual_first)
     return b0, b1
+
+
+def _proportional_split(
+    pool_mass: tuple[np.ndarray, np.ndarray], layer_budget: np.ndarray, n_vis: int, n_txt: int
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
+    """Every layer's budget split by modality preference, with what spills
+    over a pool that is too small moved to the other: (alloc_visual,
+    alloc_text, [(layer, warning)]) in (layer, head) order."""
+    n = n_vis + n_txt
+    mass_v, mass_t = pool_mass
+    totals = np.array([min(round_half_up(b), n) for b in layer_budget], dtype=np.int64)
+    av, at = _split_by_preference(mass_v, mass_t, n_vis, n_txt, totals[:, None])
+    over_v = av > n_vis
+    over_t = ~over_v & (at > n_txt)
+    spills = []
+    over = over_v | over_t
+    ls, hs = np.nonzero(over)
+    for l, hd, visual, a_v, a_t in zip(ls.tolist(), hs.tolist(), over_v[over].tolist(),
+                                       av[over].tolist(), at[over].tolist()):
+        if visual:
+            spills.append((l, f"layer {l} head {hd}: visual allocation exceeded "
+                              f"{n_vis} visual tokens, spilled {a_v - n_vis} to text"))
+        else:
+            spills.append((l, f"layer {l} head {hd}: text allocation exceeded "
+                              f"{n_txt} text tokens, spilled {a_t - n_txt} to visual"))
+    alloc_v = np.where(over_v, n_vis, np.where(over_t, np.minimum(av + at - n_txt, n_vis), av))
+    alloc_t = np.where(over_t, n_txt, np.where(over_v, np.minimum(at + av - n_vis, n_txt), at))
+    return alloc_v, alloc_t, spills
 
 
 # ---------------------------------------------------------------------------
@@ -390,68 +494,30 @@ def plan_budgets(
     need_v, need_t = (
         a.copy() for a in tables.needs(cfg.proxy.proxy_count, cfg.coverage_threshold)
     )
-    proportional = cfg.budget_frac < 1.0 and cfg.mode is PolicyMode.PROPORTIONAL
+    path = tables.budget_path(cfg.proxy.proxy_count, cfg.coverage_threshold, budget0,
+                              cfg.head_normalize_compensation, floor)
+    spills: list[tuple[int, str]] = []
     if cfg.budget_frac >= 1.0:
         # A full budget evicts nothing, whatever the coverage needs.
         alloc_v = np.full((L, H), n_vis, dtype=np.int64)
         alloc_t = np.full((L, H), n_txt, dtype=np.int64)
-    elif proportional:
-        alloc_v = np.zeros((L, H), dtype=np.int64)
-        alloc_t = np.zeros((L, H), dtype=np.int64)
-        mass_v, mass_t = tables.pool_mass(cfg.proxy.proxy_count)
+    elif cfg.mode is PolicyMode.PROPORTIONAL:
+        alloc_v, alloc_t, spills = _proportional_split(
+            tables.pool_mass(cfg.proxy.proxy_count), path.layer_budget, n_vis, n_txt
+        )
     else:
         alloc_v, alloc_t = need_v, need_t
-    layer_budget = np.zeros(L, dtype=np.float64)
-    deviation = np.zeros(L, dtype=np.float64)
-
-    budget = float(budget0)
-    for l in range(L):
-        layer_budget[l] = budget
-        if proportional:
-            total = min(round_half_up(budget), n)
-            av, at = _split_by_preference(mass_v[l], mass_t[l], n_vis, n_txt, total)
-            over_v = av > n_vis
-            over_t = ~over_v & (at > n_txt)
-            for hd in np.flatnonzero(over_v | over_t):
-                if over_v[hd]:
-                    warnings.append(
-                        f"layer {l} head {hd}: visual allocation exceeded "
-                        f"{n_vis} visual tokens, spilled {av[hd] - n_vis} to text"
-                    )
-                else:
-                    warnings.append(
-                        f"layer {l} head {hd}: text allocation exceeded "
-                        f"{n_txt} text tokens, spilled {at[hd] - n_txt} to visual"
-                    )
-            alloc_v[l] = np.where(
-                over_v, n_vis, np.where(over_t, np.minimum(av + at - n_txt, n_vis), av)
-            )
-            alloc_t[l] = np.where(
-                over_t, n_txt, np.where(over_v, np.minimum(at + av - n_vis, n_txt), at)
-            )
-        deviation[l] = layer_budget_deviation(need_v[l], need_t[l], budget)
-        if l + 1 < L:
-            raw = update_layer_budget(
-                budget,
-                deviation[l],
-                l,
-                L,
-                H,
-                head_normalize=cfg.head_normalize_compensation,
-            )
-            if raw < floor:
-                warnings.append(
-                    f"layer {l + 1}: budget {raw:.3f} clamped up to floor {floor:.3f}"
-                )
-                raw = floor
-            budget = raw
+    # A layer's spill warnings come before the clamp of the budget it hands
+    # on; the sort is stable, so heads keep their order within a layer.
+    merged = [(l, 0, w) for l, w in spills] + [(l, 1, w) for l, w in path.clamps]
+    warnings += [w for _, _, w in sorted(merged, key=lambda e: e[:2])]
 
     return BudgetPlan(
         mode=cfg.mode,
         budget_frac=cfg.budget_frac,
         prompt_len=n,
-        layer_budget=layer_budget,
-        deviation=deviation,
+        layer_budget=path.layer_budget.copy(),
+        deviation=path.deviation.copy(),
         alloc_visual=np.maximum(alloc_v, min(cfg.min_keep_per_modality, n_vis)),
         alloc_text=np.maximum(alloc_t, min(cfg.min_keep_per_modality, n_txt)),
         need_visual=need_v,
@@ -499,14 +565,21 @@ def build_masks(
 
     warnings: list[str] = []
     if p_eff:
-        for l, hd in np.argwhere(~full & (quota_t < p_eff)):
-            warnings.append(
-                f"layer {l} head {hd}: {p_eff} pinned proxy tokens "
-                f"exceed text allocation {quota_t[l, hd]}"
-            )
+        short = ~full & (quota_t < p_eff)
+        ls, hs = np.nonzero(short)
+        warnings = [
+            f"layer {l} head {hd}: {p_eff} pinned proxy tokens exceed text allocation {q}"
+            for l, hd, q in zip(ls.tolist(), hs.tolist(), quota_t[short].tolist())
+        ]
         quota_t = np.maximum(quota_t - p_eff, 0)
     ranks = tables.modality_ranks(cfg.proxy.proxy_count, p_eff)
-    keep = ranks < np.where(vis, quota_v[..., None], quota_t[..., None])
+    # Compare in the ranks' int32. Only pinned positions rank n, and they
+    # are kept below, so a quota above n keeps what a quota of n keeps. Two
+    # comparisons masked by modality are cheaper than a broadcast np.where.
+    quota_v, quota_t = (np.minimum(q, n).astype(np.int32) for q in (quota_v, quota_t))
+    keep = ranks < quota_v[..., None]
+    keep &= vis
+    keep |= (ranks < quota_t[..., None]) & ~vis
     keep[:, :, n - p_eff:] = True
     keep[full] = True
     return EvictionMask(policy=cfg.name, keep=keep, warnings=warnings)

@@ -7,8 +7,6 @@ same inputs emit byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 
@@ -29,6 +27,17 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _csv_field(text: str) -> str:
+    """One CSV field as `csv.writer(lineterminator="\\n")` writes it under
+    minimal quoting: quoted, with its quotes doubled, only if it holds the
+    delimiter, the quote character or the line terminator. A carriage
+    return alone leaves it unquoted, as the stdlib writer of Python 3.11
+    does."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_table(rows: list[dict], columns: list[str], fmt: str) -> bytes:
     """Render rows (in order) to CSV or JSON bytes.
 
@@ -39,13 +48,12 @@ def render_table(rows: list[dict], columns: list[str], fmt: str) -> bytes:
         raise ParameterError(f"format must be one of {FORMATS}, got {fmt!r}")
     cols = ["format_version", *columns]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(cols)
+        lines = [",".join(_csv_field(c) for c in cols)]
         for row in rows:
             rec = {"format_version": FORMAT_VERSION, **row}
-            writer.writerow([_cell(rec.get(c)) for c in cols])
-        return buf.getvalue().encode("utf-8")
+            lines.append(",".join(_csv_field(_cell(rec.get(c))) for c in cols))
+        lines.append("")
+        return "\n".join(lines).encode("utf-8")
     out = [
         {c: ({"format_version": FORMAT_VERSION, **row}).get(c) for c in cols}
         for row in rows

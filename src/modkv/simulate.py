@@ -66,8 +66,8 @@ def replay(
     share is normalized by the vector's own recorded total, so keeping
     everything yields exactly 1.0 regardless of float32 storage noise.
 
-    `tables` shares the float64 decode vectors and their totals with other
-    replays of the same trace.
+    `tables` shares the stacked float64 decode table and its totals with
+    other replays of the same trace.
     """
     h = trace.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
@@ -79,13 +79,15 @@ def replay(
         return [1.0] * len(trace.decode)
     if tables is None:
         tables = TraceTables(trace)
-    keep_f = mask.keep.astype(np.float64)
-    out = []
-    for v, tail, denom in tables.decode():
-        numer = np.einsum("lhn,lhn->lh", v[:, :, :n], keep_f) + tail
-        ratio = np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0)
-        out.append(float(np.mean(np.clip(ratio, 0.0, 1.0))))
-    return out
+    prompt, tail, denom = tables.decode()
+    # Each (layer, head, step) sum runs the same contiguous sum of products
+    # over the n prompt columns as an einsum over one step would, so the
+    # sums are bit-identical to a per-step replay. Every step's (L, H) block
+    # is then contiguous, as np.mean's summation order requires.
+    kept = np.einsum("lhsn,lhn->lhs", prompt, mask.keep.astype(np.float64))
+    numer = np.ascontiguousarray(kept.transpose(2, 0, 1)) + tail
+    ratio = np.clip(np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0), 0.0, 1.0)
+    return [float(np.mean(step)) for step in ratio]
 
 
 def estimate_memory(kept_counts: np.ndarray, bytes_per_token: int = DEFAULT_BYTES_PER_TOKEN) -> int:

@@ -1,10 +1,11 @@
 """The rank-prefix kernel against the per-head reference path.
 
 The planner, masks and score-driven baselines are vectorised over (layer,
-head) and read rankings from per-trace tables. Here every one of their
-outputs is compared, exactly, with the per-head loops they replaced
-(`oracles.reference_*`): plan arrays, keep masks, warning text and order, and
-whole SimReports.
+head) and read rankings from per-trace tables; replay takes every decode
+step in one sum of products over a stacked table. Here every one of their
+outputs is compared, exactly, with the per-head loops and the per-step
+replay they replaced (`oracles.reference_*`): plan arrays, keep masks,
+warning text and order, retained masses, and whole SimReports.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from modkv import (
     AttentionTrace,
     BaselineConfig,
     BaselineKind,
+    EvictionMask,
     PolicyConfig,
     PolicyMode,
     ProxyConfig,
@@ -26,6 +28,7 @@ from modkv import (
     compare,
     coverage_counts,
     plan_budgets,
+    replay,
     simulate,
 )
 from modkv.policy import _split_by_preference, pool_ranks
@@ -203,6 +206,64 @@ def test_reports_match_across_a_theta_sweep():
                 assert_same_report(a, b)
             for spec in specs:
                 assert_same_report(simulate(trace, spec), oracles.reference_simulate(trace, spec))
+
+
+def wide_range_decode(rng, trace):
+    """`trace` with decode scores spread over 40 binades. Sums of scores
+    within a few binades of each other are exact in float64 in any order;
+    these are not, so a replay that summed in another order would differ."""
+    h = trace.header
+    decode = []
+    for vec in trace.decode:
+        step = rng.random(vec.shape) * 2.0 ** rng.integers(-40, 1, size=vec.shape)
+        decode.append((step / step.sum(axis=2, keepdims=True)).astype(np.float32))
+    wide = AttentionTrace(h, trace.prefill, decode)
+    wide.validate()
+    return wide
+
+
+@pytest.mark.parametrize("n", [67, 256])
+def test_wide_grids_match_the_per_step_replay(n):
+    """At widths where each sum of products runs numpy's unrolled loop and
+    its tail, a whole budget x theta grid through one table set gives the
+    per-head path's reports, whichever of adaptive and proportional builds
+    the shared budget paths first; replay alone matches the per-step
+    einsum on kept-everything, kept-nothing and random masks."""
+    rng = np.random.default_rng(n)
+    traces = [
+        wide_range_decode(rng, quantised_trace(rng, 2, 3, n, random_labels(rng, n, kind),
+                                               steps=steps, boost=boost))
+        for kind, steps, boost in (("mixed", 4, None), ("one_text", 3, 3.0 * n))
+    ]
+    cells = [
+        (budget, theta, min_keep)
+        for budget in (0.05, 0.1, 0.2, 0.4, 0.6, 1.0)
+        for theta in THETAS
+        for min_keep in (0, 3)
+    ]
+    interleaved = False
+    for trace in traces:
+        for modes in (tuple(PolicyMode), tuple(reversed(PolicyMode))):
+            tables = TraceTables(trace)
+            for budget, theta, min_keep in cells:
+                for mode in modes:
+                    spec = PolicyConfig(budget_frac=budget, coverage_threshold=theta,
+                                        mode=mode, min_keep_per_modality=min_keep)
+                    got = simulate(trace, spec, tables=tables)
+                    assert_same_report(got, oracles.reference_simulate(trace, spec))
+                    kinds = "".join("s" if "spilled" in w else "c" if "floor" in w else ""
+                                    for w in got.warnings)
+                    interleaved |= "scs" in kinds
+        tables = TraceTables(trace)
+        h = trace.header
+        shape = (h.num_layers, h.num_heads, n)
+        masks = [np.ones(shape, dtype=bool), np.zeros(shape, dtype=bool)]
+        masks += [rng.random(shape) < p for p in (0.1, 0.5, 0.9)]
+        for keep in masks:
+            mask = EvictionMask("random", keep)
+            assert replay(trace, mask, tables=tables) == oracles.reference_replay(trace, mask)
+    # Some plan's clamp warning sat between two layers' spill warnings.
+    assert interleaved
 
 
 def test_vectorised_coverage_counts_match_per_head_counts():

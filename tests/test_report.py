@@ -5,9 +5,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modkv import ParameterError
-from modkv.report import render_table, write_table
+from modkv.report import FORMAT_VERSION, render_table, write_table
 
 ROWS = [
     {"name": "a", "mass": 0.5, "note": None, "flag": True},
@@ -40,6 +41,53 @@ class TestCsv:
         text = render_table(rows, ["v"], "csv").decode()
         cell = list(csv.reader(io.StringIO(text)))[1][1]
         assert float(cell) == 0.1 + 0.2
+
+
+def stdlib_csv(rows, columns):
+    """The table as `csv.writer` renders it: the default dialect's minimal
+    quoting, "\n" line ends, cells spelled as the report spells them."""
+
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    cols = ["format_version", *columns]
+    writer.writerow(cols)
+    for row in rows:
+        rec = {"format_version": FORMAT_VERSION, **row}
+        writer.writerow([cell(rec.get(c)) for c in cols])
+    return buf.getvalue().encode("utf-8")
+
+
+def stdlib_json(rows, columns):
+    cols = ["format_version", *columns]
+    out = [{c: {"format_version": FORMAT_VERSION, **row}.get(c) for c in cols} for row in rows]
+    return json.dumps(out, separators=(",", ":"), ensure_ascii=True).encode("ascii") + b"\n"
+
+
+# Text from the characters quoting turns on, plus plain and non-ASCII ones.
+tricky_text = st.text(alphabet=st.sampled_from(list(',"\r\n ;ab1é中\u2028\x00')), max_size=8)
+cell_values = st.one_of(
+    tricky_text, st.none(), st.booleans(), st.floats(), st.integers(), st.just(""),
+)
+tables = st.integers(1, 4).flatmap(lambda width: st.tuples(
+    st.lists(tricky_text.filter(bool), min_size=width, max_size=width, unique=True),
+    st.lists(st.lists(cell_values, min_size=width, max_size=width), max_size=5),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables)
+def test_csv_and_json_match_the_stdlib_renderings(table):
+    columns, cells = table
+    rows = [dict(zip(columns, values)) for values in cells]
+    assert render_table(rows, columns, "csv") == stdlib_csv(rows, columns)
+    assert render_table(rows, columns, "json") == stdlib_json(rows, columns)
 
 
 class TestJson:
