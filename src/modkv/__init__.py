@@ -23,13 +23,9 @@ from .policy import (
     TraceTables,
     build_masks,
     coverage_counts,
-    layer_budget_deviation,
-    load_mask,
-    load_plan,
     plan_budgets,
     save_mask,
     save_plan,
-    update_layer_budget,
 )
 from .simulate import (
     DEFAULT_BYTES_PER_TOKEN,

@@ -146,8 +146,15 @@ def build_policy_spec(name: str, params: dict, shared: dict, budget: float):
 def _add_shared_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or '.')")
-    p.add_argument("--format", choices=["csv", "json"], help="table format")
     p.add_argument("--seed", type=int, help="seed recorded in the effective config")
+
+
+def _add_table_flags(p: argparse.ArgumentParser) -> None:
+    """Shared flags plus those of the subcommands that read traces and
+    write tables."""
+    _add_shared_flags(p)
+    p.add_argument("--format", choices=["csv", "json"], help="table format")
+    p.add_argument("--trace", action="append", required=True, help="trace file; repeatable")
 
 
 def _add_policy_flags(p: argparse.ArgumentParser) -> None:
@@ -198,24 +205,20 @@ def make_parser() -> argparse.ArgumentParser:
     )
 
     a = sub.add_parser("analyze", help="sparsity curve and head modality shares")
-    _add_shared_flags(a)
-    a.add_argument("--trace", action="append", required=True, help="trace file; repeatable")
+    _add_table_flags(a)
     a.add_argument("--budget", help="comma-separated budget fractions for the curve")
     a.add_argument("--proxy-count", dest="proxy_count", type=int)
 
     r = sub.add_parser("run", help="run one policy, emitting plan, mask, and report")
-    _add_shared_flags(r)
-    r.add_argument("--trace", action="append", required=True)
+    _add_table_flags(r)
     _add_policy_flags(r)
 
     c = sub.add_parser("compare", help="compare policies across budgets")
-    _add_shared_flags(c)
-    c.add_argument("--trace", action="append", required=True)
+    _add_table_flags(c)
     _add_policy_flags(c)
 
     s = sub.add_parser("sweep", help="compare across budgets and thresholds")
-    _add_shared_flags(s)
-    s.add_argument("--trace", action="append", required=True)
+    _add_table_flags(s)
     _add_policy_flags(s)
     s.add_argument("--thetas", help="comma-separated coverage thresholds")
 
@@ -241,12 +244,11 @@ def effective_options(args: argparse.Namespace) -> dict:
             raise ParameterError(f"unknown config keys: {sorted(unknown)}")
         opts.update(loaded)
     for key, value in vars(args).items():
-        if key in ("command", "config", "trace", "out", "thetas"):
+        if key in ("command", "config", "trace", "out"):
             continue
         if value is not None and (key != "policy" or value):
             opts[key] = value
     opts["out"] = getattr(args, "out", None) or os.environ.get(ENV_OUT) or "."
-    opts["thetas"] = getattr(args, "thetas", None) or DEFAULTS["thetas"]
     return opts
 
 

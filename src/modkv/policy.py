@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import round_half_up
-from .errors import FormatError, ParameterError, ValidationError
+from .errors import ParameterError, ValidationError
 from .files import write_atomic
 from .importance import ProxyConfig, proxy_importance_matrix
 from .trace import FORMAT_VERSION, AttentionTrace
@@ -294,11 +294,14 @@ class TraceTables:
             budget = float(budget0)
             for l in range(L):
                 layer_budget[l] = budget
-                deviation[l] = layer_budget_deviation(need_v[l], need_t[l], budget)
+                # Positive: the layer's heads need more than budgeted.
+                deviation[l] = float(np.sum(need_v[l] + need_t[l] - budget))
                 if l + 1 < L:
-                    raw = update_layer_budget(
-                        budget, deviation[l], l, L, H, head_normalize=head_normalize
-                    )
+                    # Amortized over the remaining layers and, with
+                    # head_normalize, over heads too (per-head units), which
+                    # makes total retention telescope back to the budget.
+                    remaining = L - l - 1
+                    raw = budget - deviation[l] / (H * remaining if head_normalize else remaining)
                     if raw < floor:
                         clamps.append(
                             (l, f"layer {l + 1}: budget {raw:.3f} clamped up to floor {floor:.3f}")
@@ -368,41 +371,6 @@ def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold: float):
     if scores.ndim == 1:
         return int(out[0]), int(out[1])
     return out[0], out[1]
-
-
-def layer_budget_deviation(
-    need_visual: np.ndarray, need_text: np.ndarray, layer_budget: float
-) -> float:
-    """Aggregate, over heads, how far coverage needs exceed the budget.
-
-    Positive means the layer wants more than budgeted; negative means thrift.
-    """
-    needs = np.asarray(need_visual, dtype=np.float64) + np.asarray(need_text, dtype=np.float64)
-    return float(np.sum(needs - layer_budget))
-
-
-def update_layer_budget(
-    layer_budget: float,
-    deviation: float,
-    layer_index: int,
-    num_layers: int,
-    num_heads: int,
-    head_normalize: bool = True,
-) -> float:
-    """Roll one layer's deviation into the next layer's budget.
-
-    The deviation is amortized over the remaining layers; with
-    head_normalize it is spread over heads too (per-head units), which is
-    what makes total retention telescope back to the global budget. The
-    result is not clamped: `plan_budgets` applies its floor, and warns.
-    """
-    remaining = num_layers - layer_index - 1
-    if remaining < 1:
-        raise ParameterError("no remaining layers to update")
-    if num_heads < 1:
-        raise ParameterError(f"num_heads must be >= 1, got {num_heads}")
-    step = deviation / (num_heads * remaining) if head_normalize else deviation / remaining
-    return layer_budget - step
 
 
 def _split_by_preference(
@@ -614,33 +582,6 @@ def save_plan(plan: BudgetPlan, path: str | os.PathLike) -> None:
     write_atomic(path, _dump_canonical(plan_to_obj(plan)))
 
 
-def load_plan(path: str | os.PathLike) -> BudgetPlan:
-    with open(path, "rb") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not a valid plan file: {exc}") from None
-    if not isinstance(obj, dict) or obj.get("kind") != "budget_plan":
-        raise FormatError("not a budget_plan document")
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {obj.get('format_version')!r}")
-    try:
-        return BudgetPlan(
-            mode=PolicyMode(obj["mode"]),
-            budget_frac=float(obj["budget_frac"]),
-            prompt_len=int(obj["prompt_len"]),
-            layer_budget=np.asarray(obj["layer_budget"], dtype=np.float64),
-            deviation=np.asarray(obj["deviation"], dtype=np.float64),
-            alloc_visual=np.asarray(obj["alloc_visual"], dtype=np.int64),
-            alloc_text=np.asarray(obj["alloc_text"], dtype=np.int64),
-            need_visual=np.asarray(obj["need_visual"], dtype=np.int64),
-            need_text=np.asarray(obj["need_text"], dtype=np.int64),
-            warnings=[str(w) for w in obj.get("warnings", [])],
-        )
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad plan field: {exc}") from None
-
-
 def mask_to_obj(mask: EvictionMask) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -653,23 +594,3 @@ def mask_to_obj(mask: EvictionMask) -> dict:
 
 def save_mask(mask: EvictionMask, path: str | os.PathLike) -> None:
     write_atomic(path, _dump_canonical(mask_to_obj(mask)))
-
-
-def load_mask(path: str | os.PathLike) -> EvictionMask:
-    with open(path, "rb") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not a valid mask file: {exc}") from None
-    if not isinstance(obj, dict) or obj.get("kind") != "eviction_mask":
-        raise FormatError("not an eviction_mask document")
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise FormatError(f"unsupported format_version {obj.get('format_version')!r}")
-    try:
-        return EvictionMask(
-            policy=str(obj["policy"]),
-            keep=np.asarray(obj["keep"], dtype=bool),
-            warnings=[str(w) for w in obj.get("warnings", [])],
-        )
-    except KeyError as exc:
-        raise FormatError(f"bad mask field: {exc}") from None

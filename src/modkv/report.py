@@ -28,12 +28,10 @@ def _cell(value) -> str:
 
 
 def _csv_field(text: str) -> str:
-    """One CSV field as `csv.writer(lineterminator="\\n")` writes it under
-    minimal quoting: quoted, with its quotes doubled, only if it holds the
-    delimiter, the quote character or the line terminator. A carriage
-    return alone leaves it unquoted, as the stdlib writer of Python 3.11
-    does."""
-    if "," in text or '"' in text or "\n" in text:
+    """One CSV field under minimal quoting: quoted, with its quotes doubled,
+    only if it holds the delimiter, the quote character, a line feed or a
+    carriage return, so that `csv.reader` reads the row back whole."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -4,10 +4,9 @@ Everything here trades speed for obviousness: plain Python loops, explicit
 prefix scans, exhaustive subset search, and exact rational arithmetic where
 the property under test is an algebraic identity. The brute-force oracles
 share no code with the library. The per-head reference path at the end
-reuses the library's scalar primitives (rounding, the budget update) and the
-scalar largest-remainder split defined here, which have tests of their own,
-so that it pins down exactly the arithmetic the vectorised kernel must
-reproduce.
+reuses the library's rounding, and the scalar budget recurrence and
+largest-remainder split defined here, which have tests of their own, so that
+it pins down exactly the arithmetic the vectorised kernel must reproduce.
 """
 
 import base64
@@ -33,10 +32,8 @@ from modkv import (
     ValidationError,
     baseline_mask,
     estimate_memory,
-    layer_budget_deviation,
     proxy_importance_matrix,
     round_half_up,
-    update_layer_budget,
 )
 from modkv.synth import (
     DECODE_HISTORY_DECAY,
@@ -248,6 +245,25 @@ def reference_coverage_counts(scores, visual, threshold):
     return out[0], out[1]
 
 
+def budget_deviation(need_visual, need_text, budget):
+    """How far one layer's heads need more than `budget`, summed over heads:
+    each head's need minus the budget in float64, added left to right.
+    numpy's sum adds fewer than eight terms in that order, so for up to seven
+    heads the library's deviation matches this one bit for bit."""
+    total = 0.0
+    for v, t in zip(need_visual, need_text):
+        total += float(int(v) + int(t)) - budget
+    return total
+
+
+def budget_update(budget, deviation, layer, num_layers, num_heads, head_normalize=True):
+    """The budget handed on after `layer`: its deviation spread over the
+    remaining layers and, with head_normalize, over the heads as well.
+    Not clamped; the caller applies its floor."""
+    remaining = num_layers - layer - 1
+    return budget - deviation / (num_heads * remaining if head_normalize else remaining)
+
+
 def reference_plan(trace, cfg):
     """The per-(layer, head) planner loop; returns a BudgetPlan."""
     h = trace.header
@@ -308,9 +324,9 @@ def reference_plan(trace, cfg):
                     )
             alloc_v[l, hd] = max(av, min_keep_v)
             alloc_t[l, hd] = max(at, min_keep_t)
-        deviation[l] = layer_budget_deviation(need_v[l], need_t[l], budget)
+        deviation[l] = budget_deviation(need_v[l], need_t[l], budget)
         if l + 1 < L:
-            raw = update_layer_budget(
+            raw = budget_update(
                 budget, deviation[l], l, L, H,
                 head_normalize=cfg.head_normalize_compensation,
             )

@@ -69,6 +69,15 @@ class TestGenerate:
                        "--out", str(out)) == 0
         assert (a / "t.json").read_bytes() == (b / "t.json").read_bytes()
 
+    def test_format_flag_is_not_accepted(self, tmp_path, capsys):
+        """generate writes no table, so a --format would be ignored: argparse
+        rejects it with exit 2 and nothing is written."""
+        with pytest.raises(SystemExit) as err:
+            run("generate", "--format", "json", "--out", str(tmp_path / "g"))
+        assert err.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
+
     def test_zero_length_prompt_is_a_parameter_error(self, tmp_path, capsys):
         assert run("generate", "--prompt-len", "0", "--out", str(tmp_path)) == 2
         assert "parameter error" in capsys.readouterr().err
@@ -500,6 +509,18 @@ class TestConfigPrecedence:
         assert run("run", "--trace", str(demo_trace), "--config", str(cfg),
                    "--out", str(out)) == 0
         assert read_csv(out / "report.csv")[0]["budget_frac"] == "0.5"
+
+    def test_config_thetas_drive_the_sweep_and_the_flag_wins(self, demo_trace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thetas": "0.6", "budget": "0.2"}))
+        for out, extra, thetas in ((tmp_path / "cfg_only", (), ["0.6"]),
+                                   (tmp_path / "flag", ("--thetas", "0.5,0.8"), ["0.5", "0.8"])):
+            assert run("sweep", "--trace", str(demo_trace), "--config", str(cfg), *extra,
+                       "--out", str(out)) == 0
+            rows = [r for r in read_csv(out / "compare.csv") if r["policy"] == "adaptive"]
+            assert sorted((r["budget_frac"], r["theta"]) for r in rows) == [("0.2", t) for t in thetas]
+            echoed = json.loads((out / "effective_config.json").read_text())
+            assert echoed["options"]["thetas"] == ",".join(thetas)
 
     def test_unknown_config_keys_rejected(self, demo_trace, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -165,6 +165,36 @@ def test_score_driven_baselines_match_the_per_head_path(kind):
                 assert got.warnings == want.warnings == []
 
 
+def test_budget_recurrence_matches_the_scalar_oracle_where_it_branches():
+    """With and without head normalization, and under keep floors that clamp
+    later layers' budgets, plans in both modes match the reference planner,
+    whose budget recurrence is scalar code of its own."""
+    rng = np.random.default_rng(71)
+    clamped = set()
+    normalization_matters = False
+    for kind in ("mixed", "one_text"):
+        n = 12
+        trace = quantised_trace(rng, 4, 3, n, random_labels(rng, n, kind))
+        tables = TraceTables(trace)
+        for mode in PolicyMode:
+            for frac in (0.05, 0.2, 0.5):
+                for theta in (0.7, 0.95):
+                    for min_keep in (0, 2, 4):
+                        budgets = []
+                        for head_normalize in (True, False):
+                            cfg = PolicyConfig(budget_frac=frac, coverage_threshold=theta,
+                                               mode=mode, min_keep_per_modality=min_keep,
+                                               head_normalize_compensation=head_normalize)
+                            plan = plan_budgets(trace, cfg, tables=tables)
+                            assert_same_plan(plan, oracles.reference_plan(trace, cfg))
+                            budgets.append(plan.layer_budget)
+                            if any("clamped up to floor" in w for w in plan.warnings):
+                                clamped.add((mode, head_normalize))
+                        normalization_matters |= not np.array_equal(*budgets)
+    assert clamped == {(mode, hn) for mode in PolicyMode for hn in (True, False)}
+    assert normalization_matters
+
+
 def test_spill_warnings_match_in_text_and_order():
     """Mass piled on a lone token of one modality overflows that modality's
     pool in proportional mode; the spill warnings must match line for line."""
