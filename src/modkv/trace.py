@@ -8,8 +8,10 @@ recorded.
 A trace holds prompt rows ``first_row..n-1`` of each (layer, head). With the
 default ``first_row = 0`` that is the whole causal prefill cube. The loaders
 can keep only the last rows, which are all that importance and the
-score-driven baselines read: they stream the file one head at a time, check
-every row of every head, and keep the tail. Every reader of prefill rows,
+score-driven baselines read: they stream the file, check every row of every
+head in blocks of at most 2**16 packed scores, and keep the tail. The binary
+loader reads each block straight from the file, so it holds no buffer that
+grows as n**2 beyond the rows it keeps. Every other reader of prefill rows,
 here and in the rest of the package, reads one head at a time. Importance
 asks ``AttentionTrace.head_rows`` for the proxy rows, validation and
 equality for the rows held, and ``head_text_share`` for the whole (n, n)
@@ -79,6 +81,9 @@ BINARY_MAGIC = b"MKVT"
 # always accumulated in float64 so float32 storage noise stays far below it.
 ROW_SUM_TOL = 1e-6
 
+# The loaders check prefill rows in blocks of at most this many packed
+# scores: 256 KiB of float32, 512 KiB as float64.
+_BLOCK_SCORES = 1 << 16
 # The text loader reads this many bytes at a time.
 _TEXT_CHUNK = 1 << 20
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
@@ -306,14 +311,17 @@ def _bad_score(value, where: str) -> ValidationError:
 
 
 class _PrefillTail:
-    """Checks one head's packed causal triangle at a time and keeps its
-    last rows.
+    """Checks each head's packed causal triangle one block of rows at a time
+    and keeps its last rows.
 
     A packed triangle holds row i's i + 1 scores right after rows 0..i-1, as
-    the binary container stores them. Every row of every head is checked, the
-    dropped ones included: no negative or NaN score, and a float64 row sum
-    within ROW_SUM_TOL of one. Failures name the same (layer, head, row) that
-    AttentionTrace.validate would on the dense cube.
+    the binary container stores them. `blocks` cuts rows 0..n-1 into runs of
+    at most _BLOCK_SCORES packed scores; a longer row is a block of its own.
+    Every row of every head is checked, the dropped ones included: no
+    negative or NaN score, and a float64 row sum within ROW_SUM_TOL of one.
+    A head's bad row sum is raised only once all its scores are checked, so
+    failures name the same (layer, head, row) that AttentionTrace.validate
+    would on the dense cube.
     """
 
     def __init__(self, L: int, H: int, n: int, rows: int | None):
@@ -321,28 +329,54 @@ class _PrefillTail:
             raise ParameterError(f"rows must be >= 1, got {rows}")
         kept = n if rows is None else min(int(rows), n)
         self.first_row = n - kept
-        i = np.arange(n, dtype=np.int64)
+        # starts[i]: where row i begins in the packed triangle; starts[n] is
+        # the triangle's size.
+        i = np.arange(n + 1, dtype=np.int64)
         self.starts = i * (i + 1) // 2
-        self.size = n * (n + 1) // 2
-        self._wide = np.empty(self.size, dtype=np.float64)
+        self.size = int(self.starts[n])
+        self.blocks = []
+        start = 0
+        while start < n:
+            fit = int(np.searchsorted(self.starts, self.starts[start] + _BLOCK_SCORES,
+                                      side="right")) - 1
+            stop = max(fit, start + 1)
+            self.blocks.append((start, stop))
+            start = stop
+        self.block_size = max(int(self.starts[b] - self.starts[a]) for a, b in self.blocks)
+        self._wide = np.empty(self.block_size, dtype=np.float64)
         # The kept rows' entries in a (kept, n) block, in packed order.
         self._tail_mask = np.tri(kept, n, self.first_row, dtype=bool)
         self.prefill = np.zeros((L, H, kept, n), dtype=np.float32)
 
-    def add(self, layer: int, head: int, tri: np.ndarray) -> None:
-        """Check one head's packed triangle and keep its last rows."""
-        ok = tri >= 0
-        if not ok.all():
-            pos = int(np.argmin(ok))
-            row = int(np.searchsorted(self.starts, pos, side="right")) - 1
-            raise _bad_score(tri[pos], f"({layer}, {head}, {row})")
-        np.copyto(self._wide, tri)
-        sums = np.add.reduceat(self._wide, self.starts)
-        ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
-        if not ok.all():
-            row = int(np.argmin(ok))
-            raise ValidationError(f"row sum {sums[row]:.6g} at ({layer}, {head}, {row})")
-        self.prefill[layer, head][self._tail_mask] = tri[self.starts[self.first_row]:]
+    def add(self, layer: int, head: int, read) -> None:
+        """Check one head and keep its last rows. `read(lo, hi)` returns
+        packed scores lo..hi-1 as float32, one block at a time."""
+        bad_sum = None
+        for start, stop in self.blocks:
+            lo = int(self.starts[start])
+            scores = read(lo, int(self.starts[stop]))
+            # The minimum of scores holding a NaN is NaN, which fails too.
+            if not scores.min() >= 0:
+                pos = lo + int(np.argmin(scores >= 0))
+                row = int(np.searchsorted(self.starts, pos, side="right")) - 1
+                raise _bad_score(scores[pos - lo], f"({layer}, {head}, {row})")
+            if bad_sum is None:
+                wide = self._wide[:scores.size]
+                np.copyto(wide, scores)
+                sums = np.add.reduceat(wide, self.starts[start:stop] - lo)
+                ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
+                if not ok.all():
+                    j = int(np.argmin(ok))
+                    bad_sum = ValidationError(
+                        f"row sum {sums[j]:.6g} at ({layer}, {head}, {start + j})"
+                    )
+            keep = max(start, self.first_row)
+            if keep < stop:
+                rows = slice(keep - self.first_row, stop - self.first_row)
+                self.prefill[layer, head, rows][self._tail_mask[rows]] = \
+                    scores[self.starts[keep] - lo:]
+        if bad_sum is not None:
+            raise bad_sum
 
 
 def _row_chunks(n: int, scores: int = 2**18):
@@ -630,9 +664,10 @@ def _read_prefill_v2(reader: _JsonReader, header: TraceHeader, tail: _PrefillTai
     for l in reader.items(L, f"prefill must be a list of {L} layers"):
         for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
             raw = _read_base64(reader, f"prefill[{l}][{hd}]", tail.size)
-            tail.add(l, hd, np.frombuffer(raw, "<f4"))
+            tri = np.frombuffer(raw, "<f4")
+            tail.add(l, hd, lambda lo, hi: tri[lo:hi])
             # Free the head before the next is read.
-            del raw
+            del raw, tri
 
 
 def _read_decode_v2(reader: _JsonReader, s: int, header: TraceHeader) -> np.ndarray:
@@ -694,7 +729,7 @@ def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail,
     for l in reader.items(L, f"prefill must be a list of {L} layers"):
         for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
             _read_head(reader, l, hd, n, tri, unversioned)
-            tail.add(l, hd, tri)
+            tail.add(l, hd, lambda lo, hi: tri[lo:hi])
 
 
 def _decode_step(step, plain: bool, s: int, header: TraceHeader,
@@ -835,8 +870,8 @@ def trace_from_binary(data, rows: int | None = None) -> AttentionTrace:
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head); None
     keeps all of them. The length is checked against the header first; the
-    prefill is then read one head's packed triangle at a time into one
-    reused buffer, and every row of every head is checked.
+    prefill is then read one block of rows at a time, straight from the file
+    into one reused block buffer, and every row of every head is checked.
     """
     if isinstance(data, (bytes, bytearray)):
         fh, size = io.BytesIO(data), len(data)
@@ -870,11 +905,15 @@ def trace_from_binary(data, rows: int | None = None) -> AttentionTrace:
     header = TraceHeader(L, H, n, T, bits)
 
     tail = _PrefillTail(L, H, n, rows)
-    tri = np.empty(tail.size, dtype="<f4")
+    block = np.empty(tail.block_size, dtype="<f4")
+
+    def read(lo: int, hi: int) -> np.ndarray:
+        _fill(fh, block[:hi - lo], "prefill scores")
+        return block[:hi - lo]
+
     for l in range(L):
         for hd in range(H):
-            _fill(fh, tri, "prefill scores")
-            tail.add(l, hd, tri)
+            tail.add(l, hd, read)
     decode = []
     for s in range(T):
         vec = np.empty((L, H, n + s), dtype="<f4")
@@ -910,7 +949,8 @@ def load_trace(path: str | os.PathLike, rows: int | None = None) -> AttentionTra
     `rows` keeps only the last `rows` prompt rows of each (layer, head), as
     many as importance or a baseline's observation window reads; None keeps
     the dense cube. Every row is checked either way, and the file is streamed
-    one head at a time rather than read whole.
+    rather than read whole: a binary file one block of rows at a time, a text
+    file one head at a time.
     """
     with open(path, "rb") as fh:
         binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC

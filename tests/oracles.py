@@ -44,9 +44,9 @@ from modkv.synth import (
 from modkv.trace import (
     BINARY_MAGIC,
     FORMAT_VERSION,
+    ROW_SUM_TOL,
     TEXT_FORMAT_VERSION,
     TraceHeader,
-    _PrefillTail,
 )
 
 
@@ -642,6 +642,44 @@ def _scores_to_float32(scores, where):
         raise FormatError(f"{where}: score out of range") from None
 
 
+class ReferencePrefillTail:
+    """Checks one head's whole packed causal triangle at once and keeps its
+    last rows: the reference for the loaders' checks, which go block by block.
+
+    All scores are checked for a negative or NaN value first, then the head
+    is copied whole to float64 and every row summed by one `reduceat`.
+    Failures name the first bad (layer, head, row), as
+    AttentionTrace.validate does on the dense cube.
+    """
+
+    def __init__(self, L, H, n, rows):
+        if rows is not None and int(rows) < 1:
+            raise ParameterError(f"rows must be >= 1, got {rows}")
+        kept = n if rows is None else min(int(rows), n)
+        self.first_row = n - kept
+        i = np.arange(n, dtype=np.int64)
+        self.starts = i * (i + 1) // 2
+        self.wide = np.empty(n * (n + 1) // 2, dtype=np.float64)
+        self.tail_mask = np.tri(kept, n, self.first_row, dtype=bool)
+        self.prefill = np.zeros((L, H, kept, n), dtype=np.float32)
+
+    def add(self, layer, head, tri):
+        ok = tri >= 0
+        if not ok.all():
+            pos = int(np.argmin(ok))
+            row = int(np.searchsorted(self.starts, pos, side="right")) - 1
+            kind = "NaN" if np.isnan(tri[pos]) else "negative"
+            raise ValidationError(f"{kind} score at ({layer}, {head}, {row})")
+        np.copyto(self.wide, tri)
+        sums = np.add.reduceat(self.wide, self.starts)
+        ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
+        if not ok.all():
+            row = int(np.argmin(ok))
+            raise ValidationError(f"row sum {sums[row]:.6g} at ({layer}, {head}, {row})")
+        self.prefill[layer, head][self.tail_mask] = tri[self.starts[self.first_row]:]
+        return sums
+
+
 def reference_trace_from_text(data, rows=None):
     """The version 1 text container parsed as one whole JSON document, then
     checked field by field, as the loader did before it streamed. Like
@@ -678,7 +716,7 @@ def reference_trace_from_text(data, rows=None):
     except ValidationError as exc:
         raise FormatError(f"bad header: {exc}") from None
 
-    tail = _PrefillTail(L, H, n, rows)
+    tail = ReferencePrefillTail(L, H, n, rows)
     if not isinstance(prefill_obj, list) or len(prefill_obj) != L:
         raise FormatError(f"prefill must be a list of {L} layers")
     for l, layer in enumerate(prefill_obj):

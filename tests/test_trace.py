@@ -45,6 +45,7 @@ from modkv.trace import (
 )
 from modkv.cli import main as cli_main
 from oracles import (
+    ReferencePrefillTail,
     reference_packed_rows,
     reference_trace_from_text,
     reference_trace_to_text,
@@ -972,6 +973,116 @@ class TestPartialLoad:
             part.validate()
 
 
+class _ReduceatSpy:
+    """numpy as `modkv.trace` sees it, with a copy of every
+    `np.add.reduceat` result kept in `sums`."""
+
+    def __init__(self):
+        self.sums = []
+        self.add = self
+
+    def reduceat(self, *args, **kwargs):
+        out = np.add.reduceat(*args, **kwargs)
+        self.sums.append(out.copy())
+        return out
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+# Writer and loader of each container the prefill checks serve: binary,
+# text version 2 and text version 1.
+CONTAINERS = {"binary": (trace_to_binary, trace_from_binary),
+              "text_v2": (trace_to_text, trace_from_text),
+              "text_v1": (reference_trace_to_text, trace_from_text)}
+
+
+class TestPrefillBlocks:
+    """The loaders check prefill rows in blocks of packed scores; a whole-head
+    checker in the oracles is the reference. n = 361 fits one head in one
+    default block and n = 362 does not; at 64 scores a block, n = 100 has
+    rows longer than a block, a row that fills one exactly, and blocks of
+    several rows."""
+
+    CASES = [(361, None), (362, None), (100, 64)]
+
+    @pytest.fixture(params=CASES, ids=["n361", "n362", "n100_block64"])
+    def case(self, request, monkeypatch):
+        n, block = request.param
+        if block is not None:
+            monkeypatch.setattr(trace_module, "_BLOCK_SCORES", block)
+        block = trace_module._BLOCK_SCORES
+        trace = dense(generate_synthetic(SyntheticTraceSpec(
+            1, 2, n, 1, skew=1.2, modality_mix=0.5,
+            head_preference_bias=(0.2, 0.8), seed=n)))
+        blocks = trace_module._PrefillTail(1, 2, n, None).blocks
+        sizes = [(b * (b + 1) - a * (a + 1)) // 2 for a, b in blocks]
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == n
+        assert all(size <= block or b - a == 1 for (a, b), size in zip(blocks, sizes))
+        if block == 64:
+            assert any(size > block for size in sizes)
+            assert block in sizes
+            assert any(b - a > 1 for a, b in blocks)
+        else:
+            assert len(blocks) == (1 if n == 361 else 2)
+        return trace, blocks
+
+    @staticmethod
+    def reference(trace, rows):
+        """The oracle's kept rows and every row sum, per head."""
+        h = trace.header
+        tail = ReferencePrefillTail(h.num_layers, h.num_heads, h.prompt_len, rows)
+        sums = [tail.add(l, hd, reference_packed_rows(trace, l, hd, 0, h.prompt_len))
+                for l, hd in np.ndindex(h.num_layers, h.num_heads)]
+        return tail, np.concatenate(sums)
+
+    @pytest.mark.parametrize("kind", list(CONTAINERS))
+    @pytest.mark.parametrize("rows", [None, 40])
+    def test_loads_keep_the_oracles_rows_and_sums(self, case, kind, rows, monkeypatch):
+        trace, _ = case
+        want, want_sums = self.reference(trace, rows)
+        write, load = CONTAINERS[kind]
+        data = write(trace)
+        spy = _ReduceatSpy()
+        monkeypatch.setattr(trace_module, "np", spy)
+        loaded = load(data, rows)
+        monkeypatch.undo()
+        assert loaded.first_row == want.first_row
+        assert np.array_equal(loaded.prefill, want.prefill)
+        sums = np.concatenate(spy.sums)
+        assert sums.view(np.uint64).tolist() == want_sums.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("kind", list(CONTAINERS))
+    @pytest.mark.parametrize("fault", ["negative", "NaN", "row_sum", "sum_then_negative"])
+    @pytest.mark.parametrize("where", ["block_first", "block_last", "kept"])
+    def test_faults_are_named_as_validate_names_them(self, case, kind, fault, where):
+        trace, blocks = case
+        n = trace.header.prompt_len
+        # The last block of several rows, or the only block.
+        start, stop = [(a, b) for a, b in blocks if b - a > 1][-1]
+        row = {"block_first": start, "block_last": stop - 1, "kept": n - 3}[where]
+        edited = dense(trace)
+        scores = edited.prefill[0, 1]
+        if fault == "sum_then_negative":
+            # A bad sum in the first block, a negative score here: the
+            # negative is named, as validate checks signs first.
+            scores[0, 0] += np.float32(0.5)
+            scores[row, 0] = -0.25
+        else:
+            scores[row, 0] = {"negative": -0.25, "NaN": np.nan,
+                              "row_sum": scores[row, 0] + np.float32(0.5)}[fault]
+        with pytest.raises(ValidationError) as by_validate:
+            edited.validate()
+        write, load = CONTAINERS[kind]
+        data = write(edited)
+        for rows in (None, 8):
+            with pytest.raises(ValidationError) as err:
+                load(data, rows)
+            assert str(err.value) == str(by_validate.value)
+        assert f"(0, 1, {row})" in str(by_validate.value)
+
+
 class TestStreamedBinaryFile:
     def test_truncated_and_padded_files_rejected(self, tmp_path, mixed_trace):
         blob = trace_to_binary(mixed_trace)
@@ -1195,9 +1306,12 @@ class TestBoundedMemory:
         binary, _, _ = big_diagonal
         trace, peak = traced_peak(lambda: load_trace(binary, rows=8))
         assert trace.prefill.shape == (4, 4, 8, 1024)
-        # One head's float64 triangle is 4 MiB; the file is 32 MiB and the
-        # dense cube 64 MiB.
+        # Rows are read and checked in blocks of 256 KiB of float32 and
+        # 512 KiB of float64, and the kept rows take 512 KiB. One head's
+        # packed float32 triangle is 2 MiB, the file 32 MiB and the dense
+        # cube 64 MiB.
         assert peak < 16 * MIB
+        assert peak < 4 * (1024 * 1025 // 2)
 
     @pytest.mark.parametrize("name", ["gen.mkvt", "gen.json"])
     def test_generated_save_builds_no_dense_cube(self, tmp_path, name):
@@ -1237,7 +1351,7 @@ class TestBoundedMemory:
         assert done.returncode == 0, done.stderr
         growth, same = done.stdout.split()
         assert same == "True"
-        # One head's float64 triangle is 4 MiB and the text held at a time
+        # One head's float32 triangle is 2 MiB and the text held at a time
         # up to 2 MiB; the file is 16 MiB and the dense cube 64 MiB.
         assert int(growth) < 16 * MIB
 
@@ -1246,9 +1360,9 @@ class TestBoundedMemory:
         monkeypatch.setattr(json, "loads", no_whole_document)
         trace, peak = traced_peak(lambda: load_trace(text, rows=8))
         assert trace == load_trace(binary, rows=8)
-        # One head's float64 triangle is 4 MiB, its bytes 2 MiB, as pieces
-        # and joined, and the text held at a time up to about 3 MiB; the file
-        # is 43 MiB and the dense cube 64 MiB.
+        # One head's bytes are 2 MiB, as pieces and joined, and the text held
+        # at a time up to about 3 MiB; the file is 43 MiB and the dense cube
+        # 64 MiB.
         assert peak < 16 * MIB
 
     def test_generated_trace_simulates_without_its_dense_cube(self):
@@ -1291,7 +1405,6 @@ class TestBoundedMemory:
 
         message, peak = traced_peak(load)
         assert message == f"not a valid text trace: Expecting ',' delimiter at character {at}"
-        # One head's float64 and float32 triangles take 6 MiB and a chunk of
-        # text 1 MiB. The file is 16 MiB: reading on to its end to retry the
+        # One head's float32 triangle takes 2 MiB and a chunk of text 1 MiB. The file is 16 MiB: reading on to its end to retry the
         # parse peaked at 46 MiB.
         assert peak < 12 * MIB
