@@ -42,16 +42,11 @@ is byte-identical in either.
 
 The text loader reads the JSON in chunks and parses one value at a time with
 the stdlib scanner, so no whole-document object is built. It is therefore
-stricter than a whole-document parse: ``header`` must come before
-``prefill`` and ``decode``, and so must ``format_version`` in a version 2
-file, and a field that appears twice in an object is an error. Each head's
-decoded bytes go through the same checks as the binary container's.
-
-Version 1 text files are read, never written. They spell each score as a
-JSON number (the writer used the shortest decimal of its float64 value) and
-each prefill row as its own list. They are parsed one row at a time; a
-decimal is quantized to float32 on load. ``save_trace(load_trace(old),
-new)`` converts one to version 2.
+stricter than a whole-document parse: ``header`` and ``format_version`` must
+come before ``prefill`` and ``decode``, and a field that appears twice in an
+object is an error. Each head's decoded bytes go through the same checks as
+the binary container's. Version 1 text, which spelled each score as a JSON
+number, is no longer read: its ``format_version`` is refused.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ from .files import atomic_file
 
 # Reports, plans, masks and the binary container.
 FORMAT_VERSION = 1
-# The text container written; version 1 text is still read.
+# The text container, the only version written or read.
 TEXT_FORMAT_VERSION = 2
 BINARY_MAGIC = b"MKVT"
 
@@ -84,14 +79,12 @@ ROW_SUM_TOL = 1e-6
 # The loaders check prefill rows in blocks of at most this many packed
 # scores: 256 KiB of float32, 512 KiB as float64.
 _BLOCK_SCORES = 1 << 16
+# The writers take prefill rows in chunks of about this many packed scores,
+# about 1 MiB of float32.
+_CHUNK_SCORES = 1 << 18
 # The text loader reads this many bytes at a time.
 _TEXT_CHUNK = 1 << 20
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
-# The scanner parses strings and true and false inside a list of scores, but
-# a score must be a number (null is NaN, which validation rejects). A list of
-# numbers holds none of the characters '"tf' unless it holds Infinity, so
-# finding none of them, a fast scan, settles almost every list.
-_NOT_NUMBER = re.compile(r'"|true|false')
 # Outside a string, the scanner reads at most this many characters past the
 # point where a parse fails ("-Infinity", or the escapes of a surrogate pair,
 # are the longest reads), so a failure further than this from the end of the
@@ -379,11 +372,11 @@ class _PrefillTail:
             raise bad_sum
 
 
-def _row_chunks(n: int, scores: int = 2**18):
+def _row_chunks(n: int):
     """(start, stop) pairs that cover prompt rows 0..n-1, each chunk about
-    `scores` scores (by default 1 MiB of float32), so that a writer never
-    holds a whole (n, n) block."""
-    step = max(1, scores // n)
+    _CHUNK_SCORES scores, so that a writer never holds a whole (n, n)
+    block."""
+    step = max(1, _CHUNK_SCORES // n)
     for start in range(0, n, step):
         yield start, min(start + step, n)
 
@@ -474,7 +467,6 @@ class _JsonReader:
         self._decoder = json.JSONDecoder(object_pairs_hook=_unique_fields)
         self._buf = ""
         self._pos = 0
-        self._start = 0  # where the value last parsed starts in _buf
         self._dropped = 0  # characters consumed before _buf[0]
         self._eof = False
 
@@ -541,17 +533,8 @@ class _JsonReader:
                     f"{self._dropped + exc.pos}"
                 ) from None
             if end < len(self._buf) or not self._refill():
-                self._start, self._pos = self._pos, end
+                self._pos = end
                 return obj
-
-    def scores(self) -> tuple[object, bool]:
-        """Parse the next value, which should hold scores; return it and
-        whether its text holds nothing but numbers."""
-        obj = self.value()
-        start, end = self._start, self._pos
-        numeric = (all(self._buf.find(c, start, end) < 0 for c in '"tf')
-                   or not _NOT_NUMBER.search(self._buf, start, end))
-        return obj, numeric
 
     def items(self, count: int | None, what: str):
         """Yield 0, 1, ... before each item of the array that comes next,
@@ -678,106 +661,19 @@ def _read_decode_v2(reader: _JsonReader, s: int, header: TraceHeader) -> np.ndar
     return np.frombuffer(raw, "<f4").reshape(shape).copy()
 
 
-# Why a version 1 list of scores cannot be read. An integer too large for a
-# float64 (JSON integers have no limit) is out of range.
-_NOT_NUMBERS = "scores must be numbers"
-_OUT_OF_RANGE = "score out of range"
-# Without format_version, prefill and decode are read as version 1, so a
-# version 2 file must give its version first.
+# A file that gives its version late, or not at all, is refused before any
+# payload is read.
 _LATE_VERSION = f"format_version {TEXT_FORMAT_VERSION} must come before prefill and decode"
 
 
-def _read_head(reader: _JsonReader, l: int, hd: int, n: int, tri: np.ndarray,
-               unversioned: bool) -> None:
-    """Parse version 1 prefill[l][hd], a list of n rows, one row at a time
-    into the packed triangle `tri`. A bad score is reported once every row's
-    length is checked. `unversioned`: no format_version came first, so a
-    base64 string in place of a row means a version 2 file that gives its
-    version late."""
-    bad = None
-    # A score too large for a float32 overflows its cast.
-    with np.errstate(over="raise"):
-        for i in reader.items(n, f"prefill[{l}][{hd}] must be a list of {n} rows"):
-            row, plain = reader.scores()
-            if unversioned and isinstance(row, str):
-                raise FormatError(_LATE_VERSION)
-            if not isinstance(row, list) or len(row) != i + 1:
-                raise FormatError(
-                    f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
-                    f"got {len(row) if isinstance(row, list) else type(row).__name__}"
-                )
-            if bad is None and not plain:
-                bad = _NOT_NUMBERS
-            if bad is None:
-                start = i * (i + 1) // 2
-                try:
-                    tri[start:start + i + 1] = np.fromiter(row, dtype=np.float32, count=i + 1)
-                except (TypeError, ValueError):
-                    bad = _NOT_NUMBERS
-                except (OverflowError, FloatingPointError):
-                    bad = _OUT_OF_RANGE
-    if bad is not None:
-        raise FormatError(f"prefill[{l}][{hd}]: {bad}")
-
-
-def _read_prefill(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail,
-                  unversioned: bool) -> None:
-    """Parse a version 1 prefill one head at a time, passing each head to
-    `tail`."""
-    L, H, n = header.num_layers, header.num_heads, header.prompt_len
-    tri = np.empty(tail.size, dtype=np.float32)
-    for l in reader.items(L, f"prefill must be a list of {L} layers"):
-        for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
-            _read_head(reader, l, hd, n, tri, unversioned)
-            tail.add(l, hd, lambda lo, hi: tri[lo:hi])
-
-
-def _decode_step(step, plain: bool, s: int, header: TraceHeader,
-                 unversioned: bool) -> np.ndarray:
-    """Check version 1 decode step `s`, parsed as one value, and convert it.
-    `plain` says whether its text holds nothing but numbers; if not, the
-    vectors are searched for the score that is not one. `unversioned` as for
-    `_read_head`."""
-    L, H, want = header.num_layers, header.num_heads, header.prompt_len + s
-    arr = np.zeros((L, H, want), dtype=np.float32)
-    if unversioned and isinstance(step, list) and step and isinstance(step[0], str):
-        raise FormatError(_LATE_VERSION)
-    if not isinstance(step, list) or len(step) != L:
-        raise FormatError(f"decode[{s}] must be a list of {L} layers")
-    for l, layer in enumerate(step):
-        if not isinstance(layer, list) or len(layer) != H:
-            raise FormatError(f"decode[{s}][{l}] must be a list of {H} heads")
-        for hd, vec in enumerate(layer):
-            if not isinstance(vec, list) or len(vec) != want:
-                raise FormatError(
-                    f"decode[{s}][{l}][{hd}]: expected {want} entries, "
-                    f"got {len(vec) if isinstance(vec, list) else type(vec).__name__}"
-                )
-            numbers = plain or all(type(x) in (int, float) for x in vec)
-            try:
-                # A score too large for a float32 overflows its cast.
-                with np.errstate(over="raise"):
-                    arr[l, hd] = vec
-            except (TypeError, ValueError):
-                numbers = False
-            except (OverflowError, FloatingPointError):
-                if numbers:
-                    raise FormatError(f"decode[{s}][{l}][{hd}]: {_OUT_OF_RANGE}") from None
-            if not numbers:
-                raise FormatError(f"decode[{s}][{l}][{hd}]: {_NOT_NUMBERS}")
-    return arr
-
-
 def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
-    """Parse a text container, version 2 or 1, from bytes or an open binary
-    file.
+    """Parse a text container, version 2, from bytes or an open binary file.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head); None
     keeps all of them. Every row is checked either way. The document is read
-    in chunks and parsed one value at a time (a base64 string, or a version 1
-    prefill row or decode step), so no whole-document object is built;
-    `header` must therefore come before `prefill` and `decode`, and so must
-    `format_version` in a version 2 file.
+    in chunks and parsed one value at a time (a base64 string), so no
+    whole-document object is built; `header` and `format_version` must
+    therefore come before `prefill` and `decode`.
     """
     if isinstance(data, (bytes, bytearray)):
         data = io.BytesIO(data)
@@ -786,29 +682,24 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
     seen = set()
     decode = []
     for key in reader.fields("top-level value must be an object"):
-        if key in ("prefill", "decode") and header is None:
-            raise FormatError(f"header must come before {key}")
+        if key in ("prefill", "decode"):
+            if header is None:
+                raise FormatError(f"header must come before {key}")
+            if version is None:
+                raise FormatError(_LATE_VERSION)
         if key == "format_version":
             version = reader.value()
-            if version != FORMAT_VERSION and version != TEXT_FORMAT_VERSION:
+            if version != TEXT_FORMAT_VERSION:
                 raise FormatError(f"unsupported format_version {version!r}")
-            if version == TEXT_FORMAT_VERSION and seen & {"prefill", "decode"}:
-                raise FormatError(_LATE_VERSION)
         elif key == "header":
             header = _text_header(reader.value())
             tail = _PrefillTail(header.num_layers, header.num_heads, header.prompt_len, rows)
         elif key == "prefill":
-            if version == TEXT_FORMAT_VERSION:
-                _read_prefill_v2(reader, header, tail)
-            else:
-                _read_prefill(reader, header, tail, version is None)
+            _read_prefill_v2(reader, header, tail)
         elif key == "decode":
             T = header.num_decode_steps
             for s in reader.items(T, f"decode must be a list of {T} steps"):
-                if version == TEXT_FORMAT_VERSION:
-                    decode.append(_read_decode_v2(reader, s, header))
-                else:
-                    decode.append(_decode_step(*reader.scores(), s, header, version is None))
+                decode.append(_read_decode_v2(reader, s, header))
         else:
             reader.value()  # an unknown field is ignored
         seen.add(key)

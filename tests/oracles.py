@@ -10,10 +10,11 @@ it pins down exactly the arithmetic the vectorised kernel must reproduce.
 """
 
 import base64
+import binascii
 import json
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -538,35 +539,6 @@ def reference_packed_rows(trace, layer, head, start, stop):
     return np.ascontiguousarray(trace.head_rows(layer, head, start, stop)[lower], dtype="<f4")
 
 
-def reference_trace_to_text(trace):
-    """The version 1 text container from one JSON document holding the whole
-    trace: each score as the shortest decimal of its float64 value. Version 1
-    is no longer written; this makes version 1 files for the loader."""
-    h = trace.header
-    n = h.prompt_len
-    prefill = dense(trace).prefill
-    obj = {
-        "format_version": FORMAT_VERSION,
-        "header": {
-            "L": h.num_layers,
-            "H": h.num_heads,
-            "n": h.prompt_len,
-            "T": h.num_decode_steps,
-            "modality_labels": h.label_strings(),
-        },
-        "prefill": [
-            [
-                [prefill[l, hd, i, : i + 1].tolist() for i in range(n)]
-                for hd in range(h.num_heads)
-            ]
-            for l in range(h.num_layers)
-        ],
-        "decode": [vec.tolist() for vec in trace.decode],
-    }
-    body = json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
-    return body.encode("ascii") + b"\n"
-
-
 def reference_trace_to_text_v2(trace):
     """The version 2 text container from one JSON document holding the whole
     trace. Each head's packed causal triangle, as little-endian float32, is
@@ -625,23 +597,6 @@ def _require(obj, key, where):
     return obj[key]
 
 
-def is_number(value):
-    """Whether a parsed JSON value loads as a score: a number, or null, which
-    loads as NaN for validation to reject; not a string, a list or a boolean
-    (which Python counts as an int)."""
-    return value is None or type(value) in (int, float)
-
-
-def _scores_to_float32(scores, where):
-    """Numeric scores as float32; FormatError for one too large for a float32
-    (Infinity is not: it casts, and fails the row sum)."""
-    try:
-        with np.errstate(over="raise"):
-            return np.array(scores, dtype=np.float32)
-    except (OverflowError, FloatingPointError):
-        raise FormatError(f"{where}: score out of range") from None
-
-
 class ReferencePrefillTail:
     """Checks one head's whole packed causal triangle at once and keeps its
     last rows: the reference for the loaders' checks, which go block by block.
@@ -680,11 +635,25 @@ class ReferencePrefillTail:
         return sums
 
 
+def _reference_payload(pieces, where, count):
+    """The bytes of a list of base64 strings, decoded one by one and joined,
+    which must be `count` float32 scores."""
+    if not isinstance(pieces, list) or not all(isinstance(p, str) for p in pieces):
+        raise FormatError(f"{where} must be a list of base64 strings")
+    try:
+        raw = b"".join(base64.b64decode(p, validate=True) for p in pieces)
+    except (binascii.Error, ValueError) as exc:
+        raise FormatError(f"{where} is not base64: {exc}") from None
+    if len(raw) != 4 * count:
+        raise FormatError(f"{where} holds {len(raw)} bytes, expected {4 * count}")
+    return raw
+
+
 def reference_trace_from_text(data, rows=None):
-    """The version 1 text container parsed as one whole JSON document, then
-    checked field by field, as the loader did before it streamed. Like
-    `json.loads`, it takes the fields in any order and keeps the last of a
-    duplicate."""
+    """The version 2 text container parsed as one whole JSON document, each
+    payload's base64 pieces decoded and joined, then checked field by field:
+    the reference for the streamed loader. Like `json.loads`, it takes the
+    fields in any order and keeps the last of a duplicate."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -692,7 +661,7 @@ def reference_trace_from_text(data, rows=None):
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     version = _require(obj, "format_version", "")
-    if version != FORMAT_VERSION:
+    if version != TEXT_FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {version!r}")
     header_obj = _require(obj, "header", "")
     if not isinstance(header_obj, dict):
@@ -722,42 +691,16 @@ def reference_trace_from_text(data, rows=None):
     for l, layer in enumerate(prefill_obj):
         if not isinstance(layer, list) or len(layer) != H:
             raise FormatError(f"prefill[{l}] must be a list of {H} heads")
-        for hd, head_rows in enumerate(layer):
-            if not isinstance(head_rows, list) or len(head_rows) != n:
-                raise FormatError(f"prefill[{l}][{hd}] must be a list of {n} rows")
-            for i, row in enumerate(head_rows):
-                if not isinstance(row, list) or len(row) != i + 1:
-                    raise FormatError(
-                        f"prefill[{l}][{hd}] row {i}: expected {i + 1} entries, "
-                        f"got {len(row) if isinstance(row, list) else type(row).__name__}"
-                    )
-            scores = list(chain.from_iterable(head_rows))
-            if not all(is_number(x) for x in scores):
-                raise FormatError(f"prefill[{l}][{hd}]: scores must be numbers")
-            tri = _scores_to_float32(scores, f"prefill[{l}][{hd}]")
-            tail.add(l, hd, tri)
+        for hd, pieces in enumerate(layer):
+            raw = _reference_payload(pieces, f"prefill[{l}][{hd}]", n * (n + 1) // 2)
+            tail.add(l, hd, np.frombuffer(raw, "<f4"))
 
     decode = []
     if not isinstance(decode_obj, list) or len(decode_obj) != T:
         raise FormatError(f"decode must be a list of {T} steps")
-    for s, step in enumerate(decode_obj):
-        want = n + s
-        arr = np.zeros((L, H, want), dtype=np.float32)
-        if not isinstance(step, list) or len(step) != L:
-            raise FormatError(f"decode[{s}] must be a list of {L} layers")
-        for l, layer in enumerate(step):
-            if not isinstance(layer, list) or len(layer) != H:
-                raise FormatError(f"decode[{s}][{l}] must be a list of {H} heads")
-            for hd, vec in enumerate(layer):
-                if not isinstance(vec, list) or len(vec) != want:
-                    raise FormatError(
-                        f"decode[{s}][{l}][{hd}]: expected {want} entries, "
-                        f"got {len(vec) if isinstance(vec, list) else type(vec).__name__}"
-                    )
-                if not all(is_number(x) for x in vec):
-                    raise FormatError(f"decode[{s}][{l}][{hd}]: scores must be numbers")
-                arr[l, hd] = _scores_to_float32(vec, f"decode[{s}][{l}][{hd}]")
-        decode.append(arr)
+    for s, pieces in enumerate(decode_obj):
+        raw = _reference_payload(pieces, f"decode[{s}]", L * H * (n + s))
+        decode.append(np.frombuffer(raw, "<f4").reshape(L, H, n + s).copy())
 
     trace = AttentionTrace(header, tail.prefill, decode, tail.first_row)
     trace.validate()

@@ -6,12 +6,10 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 
 import pytest
 
 from conftest import make_trace, uniform_rows
-from oracles import reference_trace_to_text
 import modkv
 from modkv import load_trace, save_trace
 from modkv.cli import build_policy_spec, effective_options, main, make_parser
@@ -54,11 +52,6 @@ def test_text_commands_leave_multiprocessing_unimported(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip().splitlines()[-1] == "False"
-
-
-def v1_document(path):
-    """The trace at `path` as a version 1 text document, parsed."""
-    return json.loads(reference_trace_to_text(load_trace(path)))
 
 
 class TestGenerate:
@@ -138,60 +131,6 @@ class TestAnalyze:
         for cmd in ("analyze", "compare"):
             assert run(cmd, "--trace", str(p), "--out", str(tmp_path / cmd)) == 3
             assert "NaN score at (1, 0, 20)" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["x", "0.25", True, [0.5]])
-    def test_non_numeric_decode_score_is_a_data_error(self, demo_trace, tmp_path, capsys,
-                                                      value):
-        doc = v1_document(demo_trace)
-        doc["decode"][1][0][0][2] = value
-        p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        assert run("analyze", "--trace", str(p), "--out", str(tmp_path / "an")) == 3
-        err = capsys.readouterr().err
-        assert "data error" in err
-        assert "decode[1][0][0]: scores must be numbers" in err
-
-    @pytest.mark.parametrize("field, fragment", [
-        ("prefill", "prefill[1][0]: score out of range"),
-        ("decode", "decode[1][0][0]: score out of range"),
-    ])
-    def test_score_too_large_for_a_float_is_a_data_error(self, demo_trace, tmp_path,
-                                                         capsys, field, fragment):
-        doc = v1_document(demo_trace)
-        if field == "prefill":
-            doc["prefill"][1][0][5][2] = 10 ** 400
-        else:
-            doc["decode"][1][0][0][2] = 10 ** 400
-        p = tmp_path / "huge.json"
-        p.write_text(json.dumps(doc))
-        assert run("analyze", "--trace", str(p), "--out", str(tmp_path / "an")) == 3
-        err = capsys.readouterr().err
-        assert "data error" in err
-        assert fragment in err
-
-    @pytest.mark.parametrize("field, fragment", [
-        ("prefill", "prefill[1][0]: score out of range"),
-        ("decode", "decode[1][0][0]: score out of range"),
-    ])
-    def test_score_too_large_for_a_float32_is_a_data_error(self, demo_trace, tmp_path,
-                                                           capsys, field, fragment):
-        """1e39 fits a float64 but not a float32: named as the score it is,
-        with no numpy overflow warning on the way."""
-        doc = v1_document(demo_trace)
-        if field == "prefill":
-            doc["prefill"][1][0][5][2] = 1e39
-        else:
-            doc["decode"][1][0][0][2] = 1e39
-        p = tmp_path / "huge.json"
-        p.write_text(json.dumps(doc))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run("analyze", "--trace", str(p), "--out", str(tmp_path / "an")) == 3
-        err = capsys.readouterr().err
-        assert "data error" in err
-        assert fragment in err
-        assert "RuntimeWarning" not in err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_missing_trace_is_a_data_error(self, tmp_path):
         assert run("analyze", "--trace", str(tmp_path / "nope.json"),
@@ -415,18 +354,15 @@ REPORT_FILES = ["compare.csv", "series.csv", "memory_model.csv", "sparsity.csv",
 
 
 def test_every_container_gives_byte_identical_reports(tmp_path):
-    """One generated trace as binary, as version 1 text and as version 2
-    text: compare and analyze write the same report bytes from each."""
+    """One generated trace as binary and as text: compare and analyze write
+    the same report bytes from each."""
     shape = ["--layers", "2", "--heads", "2", "--prompt-len", "40", "--decode-steps", "3",
              "--head-bias", "0.2,0.8", "--seed", "7"]
     assert run("generate", *shape, "--trace-format", "binary",
                "--out", str(tmp_path / "binary")) == 0
     assert run("generate", *shape, "--out", str(tmp_path / "v2")) == 0
     paths = {"binary": tmp_path / "binary" / "trace.mkvt",
-             "v1": tmp_path / "v1" / "trace.json",
              "v2": tmp_path / "v2" / "trace.json"}
-    paths["v1"].parent.mkdir()
-    paths["v1"].write_bytes(reference_trace_to_text(load_trace(paths["binary"])))
     assert paths["v2"].read_bytes().startswith(b'{"format_version":2,')
     reports = {}
     for kind, path in paths.items():
@@ -436,7 +372,6 @@ def test_every_container_gives_byte_identical_reports(tmp_path):
                    "--budget", "0.1,0.3", "--out", str(out)) == 0
         assert run("analyze", "--trace", str(path), "--out", str(out)) == 0
         reports[kind] = {name: (out / name).read_bytes() for name in REPORT_FILES}
-    assert reports["v1"] == reports["binary"]
     assert reports["v2"] == reports["binary"]
 
 

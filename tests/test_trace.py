@@ -3,17 +3,13 @@
 import base64
 import json
 import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import modkv
 import modkv.trace as trace_module
 from conftest import dense, make_trace, uniform_rows
 from modkv import (
@@ -48,7 +44,6 @@ from oracles import (
     ReferencePrefillTail,
     reference_packed_rows,
     reference_trace_from_text,
-    reference_trace_to_text,
     reference_trace_to_text_v2,
 )
 
@@ -149,46 +144,23 @@ class TestHeaderLabels:
 
 
 def tiny_document():
-    return {
-        "format_version": 1,
-        "header": {"L": 1, "H": 1, "n": 2, "T": 0,
-                   "modality_labels": ["text", "text"]},
-        "prefill": [[[[1.0], [0.5, 0.5]]]],
-        "decode": [],
-    }
+    """A 1-layer, 1-head, n = 2 trace with no decode steps, as a version 2
+    document."""
+    return json.loads(trace_to_text(make_trace([[1.0], [0.5, 0.5]], labels="tt")))
 
 
 # Mutations of tiny_document() and a fragment of the error each must raise.
 MALFORMED = [
-    (lambda o: o.pop("format_version"), "format_version"),
-    (lambda o: o.update(format_version=99), "format_version"),
+    (lambda o: o.pop("format_version"), "format_version 2 must come before prefill and decode"),
+    (lambda o: o.update(format_version=99), "unsupported format_version 99"),
     (lambda o: o["header"].pop("n"), "header.n"),
     (lambda o: o["header"].update(n="2"), "header.n"),
     (lambda o: o["header"].update(modality_labels=["text"]), "modality_labels"),
     (lambda o: o["header"].update(modality_labels=["text", "image"]), "image"),
     (lambda o: o["header"].update(modality_labels=["text", "visu\u00e9l"]), "visu\u00e9l"),
-    (lambda o: o["prefill"][0][0].__setitem__(1, [0.5]), "row 1: expected 2"),
-    (lambda o: o["prefill"][0][0].__setitem__(0, ["1.0"]), "prefill[0][0]: scores must be numbers"),
-    (lambda o: o["prefill"][0][0][1].__setitem__(1, "0.5"), "prefill[0][0]: scores must be numbers"),
-    (lambda o: o["prefill"][0][0].__setitem__(0, [True]), "prefill[0][0]: scores must be numbers"),
-    (lambda o: (o["header"].update(T=1), o.update(decode=[[[[True, 0]]]])),
-     "decode[0][0][0]: scores must be numbers"),
-    # JSON integers have no limit; this one is too large for any float.
-    (lambda o: o["prefill"][0][0][1].__setitem__(1, 10 ** 400), "prefill[0][0]: score out of range"),
-    (lambda o: (o["header"].update(T=1), o.update(decode=[[[[10 ** 400, 0]]]])),
-     "decode[0][0][0]: score out of range"),
-    (lambda o: o["prefill"].pop(), "prefill"),
-    (lambda o: o.update(decode=[[]]), "decode"),
-    # This one fits a float64 but not a float32.
-    (lambda o: (o["header"].update(H=2), o["prefill"][0].append([[1.0], [1e39, 0.5]])),
-     "prefill[0][1]: score out of range"),
-    (lambda o: (o["header"].update(T=2), o.update(decode=[[[[0.5, 0.5]]], [[[1e39, 0, 0]]]])),
-     "decode[1][0][0]: score out of range"),
+    (lambda o: o["prefill"].pop(), "prefill must be a list of 1 layers"),
+    (lambda o: o.update(decode=[[]]), "decode must be a list of 0 steps"),
 ]
-# The MALFORMED entries that edit no score and keep format_version: they
-# apply to a version 2 document too. (Without its version, a version 2
-# document's payloads are read as version 1; MALFORMED_V2 covers that.)
-STRUCTURAL = [1, 2, 3, 4, 5, 6, 14, 15]
 
 
 class TestTextContainer:
@@ -208,19 +180,18 @@ class TestTextContainer:
         assert p.read_bytes() == first
 
     def test_noncanonical_input_is_canonicalized(self, tmp_path):
-        """A version 1 document's whitespace and over-long decimals collapse
-        to the canonical version 2 form."""
-        doc = {
-            "format_version": 1,
-            "header": {"L": 1, "H": 1, "n": 2, "T": 0,
-                       "modality_labels": ["text", "visual"]},
-            "prefill": [[[[1.0], [0.30000000000001, 0.7000000000000002]]]],
-            "decode": [],
-        }
+        """An indented document whose payloads are cut elsewhere, mid-float
+        and into an empty piece, re-saves in the canonical form."""
+        expected = make_trace([[1.0], [0.3, 0.7]], labels="tv", decode=[[0.25, 0.75]])
+        doc = json.loads(trace_to_text(expected))
+        head = payload_bytes(doc["prefill"][0][0])
+        doc["prefill"][0][0] = [b64(head[:5]), b64(b""), b64(head[5:])]
+        step = payload_bytes(doc["decode"][0])
+        doc["decode"][0] = [b64(step[:2]), b64(step[2:])]
         p = tmp_path / "loose.json"
         p.write_text(json.dumps(doc, indent=2))
+        assert p.read_bytes() != trace_to_text(expected)
         t = load_trace(p)
-        expected = make_trace([[1.0], [0.3, 0.7]], labels="tv")
         assert t == expected
         save_trace(t, p)
         assert p.read_bytes() == trace_to_text(expected)
@@ -281,6 +252,28 @@ def chunk(request, monkeypatch):
     return request.param
 
 
+def edit_payload(pieces, target, value, where):
+    """A payload's list of base64 strings with one edit: a score's float32
+    bits set to `value` (None keeps them), a piece that is not a string or
+    not base64, or the last byte gone. The list is cut again at random points
+    first."""
+    pieces = recut(pieces, np.random.default_rng(where))
+    if target == "score":
+        scores = np.frombuffer(payload_bytes(pieces), "<f4").copy()
+        if value is not None:
+            scores[where % scores.size] = value
+        return recut([b64(scores.tobytes())], np.random.default_rng(where + 1))
+    k = where % len(pieces)
+    if target == "not_a_string":
+        pieces[k] = [0.5, None, True, [pieces[k]], {}][where % 5]
+    elif target == "not_base64":
+        pieces[k] = [pieces[k] + "$", "\u00e9" + pieces[k], pieces[k] + "=", pieces[k][1:],
+                     pieces[k].rstrip("=")][where % 5]
+    elif target == "short":
+        pieces = [b64(payload_bytes(pieces)[:-1])]
+    return pieces
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     layers=st.integers(1, 2),
@@ -289,23 +282,23 @@ def chunk(request, monkeypatch):
     steps=st.integers(0, 2),
     seed=st.integers(0, 2 ** 32 - 1),
     style=st.sampled_from(["compact", "indented", "spaced"]),
-    target=st.sampled_from(["none", "prefill", "decode"]),
-    value=st.sampled_from([-0.5, 2.0, float("nan"), float("-inf"), "x", "0.25", [0.5], None,
-                           True, False, 0.25]),
+    payload=st.sampled_from(["none", "prefill", "decode"]),
+    target=st.sampled_from(["score", "not_a_string", "not_base64", "short"]),
+    value=st.sampled_from([None, -0.5, -0.0, 2.0, 0.25, 1e-45, float("nan"), float("inf"),
+                           float("-inf")]),
     where=st.integers(0, 2 ** 16),
 )
 def test_streamed_load_matches_whole_document_parse(layers, heads, n, steps, seed, style,
-                                                    target, value, where):
+                                                    payload, target, value, where):
     spec = SyntheticTraceSpec(layers, heads, n, steps, skew=1.2, modality_mix=0.5,
                               head_preference_bias=0.3, seed=seed)
-    doc = json.loads(reference_trace_to_text(generate_synthetic(spec)))
+    doc = json.loads(reference_trace_to_text_v2(generate_synthetic(spec)))
     l, hd = where % layers, where // layers % heads
-    if target == "prefill":
-        row = doc["prefill"][l][hd][where % n]
-        row[where % len(row)] = value
-    elif target == "decode" and steps:
-        vec = doc["decode"][where % steps][l][hd]
-        vec[where % len(vec)] = value
+    if payload == "prefill":
+        doc["prefill"][l][hd] = edit_payload(doc["prefill"][l][hd], target, value, where)
+    elif payload == "decode" and steps:
+        s = where % steps
+        doc["decode"][s] = edit_payload(doc["decode"][s], target, value, where)
     data = render(doc, style)
     for rows in (None, 1, n):
         want = outcome(reference_trace_from_text, data, rows)
@@ -318,35 +311,9 @@ def test_streamed_load_matches_whole_document_parse(layers, heads, n, steps, see
                 assert got is want
 
 
-# Faults put in the last head of mixed_trace as a version 1 document, each
-# as an edit of its rows, with the error class and message each must raise.
-LAST_HEAD_FAULTS = {
-    "negative": (lambda rows: rows[20].__setitem__(0, -0.25), ValidationError,
-                 "negative score at (1, 1, 20)"),
-    "row_sum": (lambda rows: rows[20].__setitem__(0, rows[20][0] + 0.5), ValidationError,
-                "row sum 1.5 at (1, 1, 20)"),
-    "nan": (lambda rows: rows[20].__setitem__(0, float("nan")), ValidationError,
-            "NaN score at (1, 1, 20)"),
-    "string": (lambda rows: rows[20].__setitem__(3, "0.5"), FormatError,
-               "prefill[1][1]: scores must be numbers"),
-    "non_ascii": (lambda rows: rows[20].__setitem__(3, "\u00e9"), FormatError,
-                  "prefill[1][1]: scores must be numbers"),
-    "list": (lambda rows: rows[20].__setitem__(3, [0.5]), FormatError,
-             "prefill[1][1]: scores must be numbers"),
-    "float32_overflow": (lambda rows: rows[20].__setitem__(3, 1e39), FormatError,
-                         "prefill[1][1]: score out of range"),
-    "short_row": (lambda rows: rows[20].pop(), FormatError,
-                  "prefill[1][1] row 20: expected 21 entries, got 20"),
-    "missing_row": (lambda rows: rows.pop(), FormatError,
-                    "prefill[1][1] must be a list of 24 rows"),
-}
-
-
 class TestStreamedTextFile:
-    @pytest.mark.parametrize("writer", [trace_to_text, reference_trace_to_text],
-                             ids=["v2", "v1"])
-    def test_canonical_and_indented_documents_load(self, chunk, mixed_trace, writer):
-        canonical = writer(mixed_trace)
+    def test_canonical_and_indented_documents_load(self, chunk, mixed_trace):
+        canonical = trace_to_text(mixed_trace)
         doc = json.loads(canonical)
         # Unknown fields are skipped: a number that a chunk can split, and
         # multi-byte characters.
@@ -375,7 +342,7 @@ class TestStreamedTextFile:
     def test_every_truncation_is_a_format_error(self, chunk):
         trace = make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]])
         # The document is complete without its trailing newline.
-        body = reference_trace_to_text(trace).rstrip(b"\n")
+        body = trace_to_text(trace).rstrip(b"\n")
         assert trace_from_text(body) == trace
         for end in range(len(body)):
             with pytest.raises(FormatError):
@@ -396,7 +363,7 @@ class TestStreamedTextFile:
     @pytest.mark.parametrize("old, new, fragment", [
         (b'"decode":[]', b'"decode":[],"decode":[]', "duplicate field decode"),
         (b'"n":2,', b'"n":2,"n":2,', "duplicate field n"),
-        (b"]]]],", b"]]]],\"prefill\":[],", "duplicate field prefill"),
+        (b'"]]],', b'"]]],"prefill":[],', "duplicate field prefill"),
     ])
     def test_duplicate_fields_rejected(self, old, new, fragment):
         data = render(tiny_document(), "compact")
@@ -404,28 +371,12 @@ class TestStreamedTextFile:
         with pytest.raises(FormatError, match=fragment):
             trace_from_text(data.replace(old, new, 1))
 
-    @pytest.mark.parametrize("style", ["compact", "indented"])
-    @pytest.mark.parametrize("fault", list(LAST_HEAD_FAULTS))
-    def test_a_fault_in_the_last_head_is_named(self, tmp_path, mixed_trace, fault, style):
-        edit, error, message = LAST_HEAD_FAULTS[fault]
-        doc = json.loads(reference_trace_to_text(mixed_trace))
-        edit(doc["prefill"][1][1])
-        path = tmp_path / "bad.json"
-        path.write_bytes(render(doc, style))
-        for rows in (None, 8):
-            with pytest.raises(error) as err:
-                load_trace(path, rows=rows)
-            assert str(err.value) == message
-
-    @pytest.mark.parametrize("writer", [trace_to_text, reference_trace_to_text],
-                             ids=["v2", "v1"])
-    def test_the_first_of_two_faults_is_the_one_reported(self, tmp_path, mixed_trace,
-                                                          writer):
+    def test_the_first_of_two_faults_is_the_one_reported(self, tmp_path, mixed_trace):
         """A bad score in the first head comes before a head too many in the
         last layer, and is the fault named."""
         edited = dense(mixed_trace)
         edited.prefill[0, 0, 5, 1] = -0.5
-        doc = json.loads(writer(edited))
+        doc = json.loads(trace_to_text(edited))
         doc["prefill"][1].append(doc["prefill"][1][0])
         path = tmp_path / "bad.json"
         path.write_bytes(render(doc, "compact"))
@@ -434,11 +385,8 @@ class TestStreamedTextFile:
                 load_trace(path, rows=rows)
             assert str(err.value) == "negative score at (0, 0, 5)"
 
-    @pytest.mark.parametrize("writer", [trace_to_text, reference_trace_to_text],
-                             ids=["v2", "v1"])
-    def test_a_file_cut_in_its_last_head_is_a_format_error(self, tmp_path, mixed_trace,
-                                                           writer):
-        data = writer(mixed_trace)
+    def test_a_file_cut_in_its_last_head_is_a_format_error(self, tmp_path, mixed_trace):
+        data = trace_to_text(mixed_trace)
         end = data.index(b',"decode":')  # the end of the prefill
         path = tmp_path / "cut.json"
         for cut in (end - 1, end - 3, end - 40):
@@ -446,19 +394,6 @@ class TestStreamedTextFile:
             for rows in (None, 8):
                 with pytest.raises(FormatError):
                     load_trace(path, rows=rows)
-
-    @pytest.mark.parametrize("mutate, fragment", [MALFORMED[i] for i in STRUCTURAL],
-                             ids=[f"malformed{i}" for i in STRUCTURAL])
-    def test_structural_faults_are_named_alike_in_both_versions(self, mutate, fragment):
-        """Faults outside the payloads raise one message whatever the version."""
-        messages = []
-        for writer in (reference_trace_to_text, trace_to_text):
-            doc = json.loads(writer(make_trace([[1.0], [0.5, 0.5]], labels="tt")))
-            mutate(doc)
-            with pytest.raises(FormatError) as err:
-                trace_from_text(render(doc, "compact"))
-            messages.append(str(err.value))
-        assert fragment in messages[0] and messages[0] == messages[1]
 
     @pytest.mark.parametrize("extra", [b"x", b"{}", b"\n}", b" 1"])
     def test_trailing_data_rejected(self, extra):
@@ -601,14 +536,6 @@ class TestTextV2Loader:
                     assert trace_from_text(data) == mixed_trace
                     assert trace_from_text(data, rows=8) == dense(mixed_trace, 8)
 
-    def test_every_truncation_is_a_format_error(self):
-        trace = make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]])
-        body = trace_to_text(trace).rstrip(b"\n")
-        assert trace_from_text(body) == trace
-        for end in range(len(body)):
-            with pytest.raises(FormatError):
-                trace_from_text(body[:end])
-
 
 def tiny_v2_document():
     """A 1-layer, 2-head, n = 2 trace with one decode step, as a version 2
@@ -697,6 +624,15 @@ MALFORMED_V2 = {
 }
 
 
+# A valid trace as text format version 1 wrote it: each score a JSON number
+# and each prefill row its own list. That version is no longer read.
+VERSION_1_DOCUMENT = (
+    b'{"format_version":1,"header":{"L":1,"H":1,"n":2,"T":1,'
+    b'"modality_labels":["text","visual"]},"prefill":[[[[1.0],[0.5,0.5]]]],'
+    b'"decode":[[[[0.5,0.5]]]]}\n'
+)
+
+
 class TestMalformedTextV2:
     @pytest.mark.parametrize("case", list(MALFORMED_V2))
     def test_load_and_cli_name_the_fault(self, tmp_path, capsys, case):
@@ -712,14 +648,21 @@ class TestMalformedTextV2:
         assert cli_main(["analyze", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == f"data error: {message}\n"
 
-    def test_a_version_1_payload_under_a_late_version_2_is_refused(self, tmp_path):
-        doc = json.loads(reference_trace_to_text(
-            make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]])))
-        reorder("header", "prefill", "decode", "format_version")(doc)
-        assert isinstance(trace_from_text(render(doc, "compact")), AttentionTrace)
-        doc["format_version"] = 2
-        with pytest.raises(FormatError, match="format_version 2 must come before prefill"):
-            trace_from_text(render(doc, "compact"))
+    @pytest.mark.parametrize("data, message", [
+        (VERSION_1_DOCUMENT, "unsupported format_version 1"),
+        (VERSION_1_DOCUMENT.replace(b'"format_version":1,', b""),
+         "format_version 2 must come before prefill and decode"),
+    ], ids=["version_1", "no_version"])
+    def test_version_1_and_unversioned_documents_are_refused(self, tmp_path, capsys, data,
+                                                             message):
+        path = tmp_path / "old.json"
+        path.write_bytes(data)
+        for rows in (None, 1):
+            with pytest.raises(FormatError) as err:
+                load_trace(path, rows=rows)
+            assert str(err.value) == message
+        assert cli_main(["analyze", "--trace", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
 
     @pytest.mark.parametrize("row", [5, 20], ids=["dropped_row", "kept_row"])
     @pytest.mark.parametrize("fault", ["negative", "NaN", "row_sum"])
@@ -856,12 +799,10 @@ def test_uniform_rows_helper_is_row_stochastic():
 @pytest.fixture
 def saved(tmp_path, mixed_trace):
     """mixed_trace (2 layers, 2 heads, n = 24, 2 decode steps) in both
-    containers, and as version 1 text."""
-    paths = {"text": tmp_path / "t.json", "binary": tmp_path / "t.mkvt",
-             "text_v1": tmp_path / "t1.json"}
+    containers."""
+    paths = {"text": tmp_path / "t.json", "binary": tmp_path / "t.mkvt"}
     save_trace(mixed_trace, paths["text"])
     save_trace(mixed_trace, paths["binary"])
-    paths["text_v1"].write_bytes(reference_trace_to_text(mixed_trace))
     return paths
 
 
@@ -881,19 +822,15 @@ def write_corrupted(trace, kind, path, layer, head, row, col, value):
         at = binary_offset(trace, layer, head, row, col)
         blob[at:at + 4] = np.array([value], dtype="<f4").tobytes()
         path.write_bytes(bytes(blob))
-    elif kind == "text":
+    else:
         # The writer does not check the scores it writes.
         edited = dense(trace)
         edited.prefill[layer, head, row, col] = value
         save_trace(edited, path)
-    else:
-        doc = json.loads(reference_trace_to_text(trace))
-        doc["prefill"][layer][head][row][col] = value
-        path.write_text(json.dumps(doc))
 
 
 class TestPartialLoad:
-    @pytest.mark.parametrize("kind", ["text", "text_v1", "binary"])
+    @pytest.mark.parametrize("kind", ["text", "binary"])
     @pytest.mark.parametrize("rows", [1, 8, 23, 24, 29])
     def test_keeps_the_full_loads_last_rows(self, saved, kind, rows):
         full = load_trace(saved[kind])
@@ -917,7 +854,7 @@ class TestPartialLoad:
         shifted = AttentionTrace(part.header, part.prefill, part.decode, first_row=15)
         assert part != shifted
 
-    @pytest.mark.parametrize("kind", ["text", "text_v1", "binary"])
+    @pytest.mark.parametrize("kind", ["text", "binary"])
     @pytest.mark.parametrize("row", [5, 20], ids=["dropped_row", "kept_row"])
     @pytest.mark.parametrize("fault", ["negative", "row_sum", "NaN"])
     def test_corruption_reported_alike_in_full_and_partial_loads(
@@ -990,11 +927,9 @@ class _ReduceatSpy:
         return getattr(np, name)
 
 
-# Writer and loader of each container the prefill checks serve: binary,
-# text version 2 and text version 1.
+# Writer and loader of each container the prefill checks serve.
 CONTAINERS = {"binary": (trace_to_binary, trace_from_binary),
-              "text_v2": (trace_to_text, trace_from_text),
-              "text_v1": (reference_trace_to_text, trace_from_text)}
+              "text_v2": (trace_to_text, trace_from_text)}
 
 
 class TestPrefillBlocks:
@@ -1148,21 +1083,6 @@ class TestStreamedBinaryFile:
         with pytest.raises(FormatError):
             load_trace(p, rows=8)
 
-    def test_non_numeric_text_score_is_a_format_error(self, tmp_path, mixed_trace):
-        doc = json.loads(reference_trace_to_text(mixed_trace))
-        doc["prefill"][0][1][3][2] = [0.5]
-        with pytest.raises(FormatError, match=r"prefill\[0\]\[1\]"):
-            trace_from_text(json.dumps(doc).encode(), rows=8)
-
-    @pytest.mark.parametrize("value", ["x", "0.25", True, [0.5]])
-    def test_non_numeric_decode_score_is_a_format_error(self, mixed_trace, value):
-        doc = json.loads(reference_trace_to_text(mixed_trace))
-        doc["decode"][1][0][0][2] = value
-        for rows in (None, 8):
-            with pytest.raises(FormatError,
-                               match=r"decode\[1\]\[0\]\[0\]: scores must be numbers"):
-                trace_from_text(json.dumps(doc).encode(), rows=rows)
-
     def test_head_rows_take_absolute_prompt_rows(self, mixed_trace):
         full = mixed_trace
         part = dense(full, 8)
@@ -1231,9 +1151,7 @@ class TestPartialTraceConsumers:
 @pytest.fixture(scope="module")
 def big_diagonal(tmp_path_factory):
     """A 4x4x1024 trace, every prompt row on its own position, as a binary
-    file, a version 2 text file and a version 1 text twin. The version 1
-    twin writes scores as the integers 0 and 1, which that version accepts,
-    and its heads share one list, so the document stays small to build."""
+    file and a text file."""
     L, H, n = 4, 4, 1024
     prefill = np.zeros((L, H, n, n), dtype=np.float32)
     idx = np.arange(n)
@@ -1242,21 +1160,10 @@ def big_diagonal(tmp_path_factory):
     labels = np.arange(n) % 3 == 0
     trace = AttentionTrace(TraceHeader(L, H, n, 2, labels), prefill, decode)
     folder = tmp_path_factory.mktemp("big")
-    binary, text_v2 = folder / "big.mkvt", folder / "big2.json"
+    binary, text = folder / "big.mkvt", folder / "big.json"
     save_trace(trace, binary)
-    save_trace(trace, text_v2)
-    del prefill, trace
-    head = [[0] * i + [1] for i in range(n)]
-    doc = {
-        "format_version": 1,
-        "header": {"L": L, "H": H, "n": n, "T": 2,
-                   "modality_labels": ["visual" if v else "text" for v in labels]},
-        "prefill": [[head] * H] * L,
-        "decode": [d.tolist() for d in decode],
-    }
-    text = folder / "big.json"
-    text.write_text(json.dumps(doc, separators=(",", ":")))
-    return binary, text, text_v2
+    save_trace(trace, text)
+    return binary, text
 
 
 def traced_peak(fn):
@@ -1275,35 +1182,9 @@ def no_whole_document(*args, **kwargs):
     raise AssertionError("the text loader parsed the whole document")
 
 
-# Loads the trace argv[1] keeping 8 rows, with the whole-document parse
-# forbidden, and prints how far the load took the interpreter's peak RSS
-# above its RSS before, in bytes, then whether the trace equals the one
-# loaded from argv[2]. The kernel's per-process counters are read, because
-# getrusage's peak survives exec and so starts at the forking parent's.
-LOAD_PEAK_RSS_GROWTH = """
-import json, sys
-from modkv import load_trace
-
-def no_whole_document(*args, **kwargs):
-    raise AssertionError("the text loader parsed the whole document")
-
-def status_bytes(field):
-    with open("/proc/self/status") as fh:
-        line = next(line for line in fh if line.startswith(field + ":"))
-    return int(line.split()[1]) * 1024
-
-loads, json.loads = json.loads, no_whole_document
-before = status_bytes("VmRSS")
-trace = load_trace(sys.argv[1], rows=8)
-growth = status_bytes("VmHWM") - before
-json.loads = loads
-print(growth, trace == load_trace(sys.argv[2], rows=8))
-"""
-
-
 class TestBoundedMemory:
     def test_binary_partial_load_stays_small(self, big_diagonal):
-        binary, _, _ = big_diagonal
+        binary, _ = big_diagonal
         trace, peak = traced_peak(lambda: load_trace(binary, rows=8))
         assert trace.prefill.shape == (4, 4, 8, 1024)
         # Rows are read and checked in blocks of 256 KiB of float32 and
@@ -1337,26 +1218,8 @@ class TestBoundedMemory:
         # cube 64 MiB.
         assert peak < 6 * MIB
 
-    def test_text_partial_load_builds_no_dense_cube(self, big_diagonal):
-        """Measured as the peak-RSS growth of a fresh interpreter: tracing
-        every number the version 1 scanner allocates takes seconds."""
-        binary, text, _ = big_diagonal
-        src = str(Path(modkv.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run(
-            [sys.executable, "-c", LOAD_PEAK_RSS_GROWTH, str(text), str(binary)],
-            env=env, capture_output=True, text=True,
-        )
-        assert done.returncode == 0, done.stderr
-        growth, same = done.stdout.split()
-        assert same == "True"
-        # One head's float32 triangle is 2 MiB and the text held at a time
-        # up to 2 MiB; the file is 16 MiB and the dense cube 64 MiB.
-        assert int(growth) < 16 * MIB
-
     def test_text_v2_partial_load_builds_no_dense_cube(self, big_diagonal, monkeypatch):
-        binary, _, text = big_diagonal
+        binary, text = big_diagonal
         monkeypatch.setattr(json, "loads", no_whole_document)
         trace, peak = traced_peak(lambda: load_trace(text, rows=8))
         assert trace == load_trace(binary, rows=8)
@@ -1386,16 +1249,16 @@ class TestBoundedMemory:
         assert peak < 64 * MIB
 
     def test_malformed_first_score_fails_without_reading_on(self, big_diagonal, tmp_path):
-        """Loading the version 1 twin with its first score made `1.0x` names
-        that character and peaks well under the file's size in
-        tracemalloc."""
-        _, text, _ = big_diagonal
+        """Loading the text file with an invalid escape at the start of its
+        first base64 string names that character and peaks well under the
+        file's size in tracemalloc."""
+        _, text = big_diagonal
         data = text.read_bytes()
-        start = b'"prefill":[[[[1]'
+        start = b'"prefill":[[["'
         assert data.count(start) == 1
         bad = tmp_path / "bad.json"
-        bad.write_bytes(data.replace(start, b'"prefill":[[[[1.0x]'))
-        at = data.index(start) + len(start) + 1  # the x
+        bad.write_bytes(data.replace(start, start + b"\\q"))
+        at = data.index(start) + len(start)  # the backslash
         del data
 
         def load():
@@ -1404,7 +1267,7 @@ class TestBoundedMemory:
             return str(err.value)
 
         message, peak = traced_peak(load)
-        assert message == f"not a valid text trace: Expecting ',' delimiter at character {at}"
-        # One head's float32 triangle takes 2 MiB and a chunk of text 1 MiB. The file is 16 MiB: reading on to its end to retry the
-        # parse peaked at 46 MiB.
+        assert message == f"not a valid text trace: Invalid \\escape at character {at}"
+        # A chunk of text takes 1 MiB and the kept rows 512 KiB. The file is
+        # 43 MiB.
         assert peak < 12 * MIB
