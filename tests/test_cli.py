@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -131,6 +132,44 @@ class TestAnalyze:
         for cmd in ("analyze", "compare"):
             assert run(cmd, "--trace", str(p), "--out", str(tmp_path / cmd)) == 3
             assert "NaN score at (1, 0, 20)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, fragment", [
+        ("x", "decode[1][0] is not base64: "),
+        ("0.25", "decode[1][0] is not base64: Only base64 data is allowed"),
+        (True, "decode[1][0] must be a base64 string, got bool"),
+        ([0.5], "decode[1][0] must be a base64 string, got list"),
+    ], ids=["x", "0.25", "True", "list"])
+    def test_decode_piece_that_is_not_base64_is_a_data_error(self, demo_trace, tmp_path,
+                                                             capsys, value, fragment):
+        doc = json.loads(demo_trace.read_bytes())
+        doc["decode"][1][0] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert run("analyze", "--trace", str(p), "--out", str(tmp_path / "an")) == 3
+        assert capsys.readouterr().err.startswith(f"data error: {fragment}")
+
+    @pytest.mark.parametrize("field, value, fragment", [
+        ("prefill", float("inf"), "row sum inf at (1, 0, 5)"),
+        ("prefill", float("-inf"), "negative score at (1, 0, 5)"),
+        ("decode", float("inf"), "row sum inf at decode step 1, (0, 0)"),
+        ("decode", float("-inf"), "negative score at decode step 1, (0, 0)"),
+    ])
+    def test_infinite_score_is_a_data_error(self, demo_trace, tmp_path, capsys, field,
+                                            value, fragment):
+        """An infinite float32 score is named as the score it is, with no
+        numpy overflow or invalid-value warning on the way."""
+        trace = load_trace(demo_trace)
+        if field == "prefill":
+            trace.prefill[1, 0, 5, 2] = value
+        else:
+            trace.decode[1][0, 0, 2] = value
+        p = tmp_path / "inf.json"
+        save_trace(trace, p)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("analyze", "--trace", str(p), "--out", str(tmp_path / "an")) == 3
+        assert capsys.readouterr().err == f"data error: {fragment}\n"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_missing_trace_is_a_data_error(self, tmp_path):
         assert run("analyze", "--trace", str(tmp_path / "nope.json"),

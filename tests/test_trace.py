@@ -160,6 +160,27 @@ MALFORMED = [
     (lambda o: o["header"].update(modality_labels=["text", "visu\u00e9l"]), "visu\u00e9l"),
     (lambda o: o["prefill"].pop(), "prefill must be a list of 1 layers"),
     (lambda o: o.update(decode=[[]]), "decode must be a list of 0 steps"),
+    # Payloads that are not the base64 strings of the float32 scores the
+    # header asks for.
+    (lambda o: o["prefill"][0].__setitem__(0, [b64(f32(1.0, 0.5))]),
+     "prefill[0][0] holds 8 bytes, expected 12 (3 float32 scores)"),
+    (lambda o: o["prefill"][0].__setitem__(0, ["1.0"]),
+     "prefill[0][0][0] is not base64: Only base64 data is allowed"),
+    (lambda o: o["prefill"][0][0].append(0.5),
+     "prefill[0][0][1] must be a base64 string, got float"),
+    (lambda o: o["prefill"][0].__setitem__(0, [True]),
+     "prefill[0][0][0] must be a base64 string, got bool"),
+    (lambda o: o["prefill"][0][0].append(10 ** 400),
+     "prefill[0][0][1] must be a base64 string, got int"),
+    (lambda o: (o["header"].update(T=1), o.update(decode=[[True]])),
+     "decode[0][0] must be a base64 string, got bool"),
+    (lambda o: (o["header"].update(T=1), o.update(decode=[[10 ** 400]])),
+     "decode[0][0] must be a base64 string, got int"),
+    (lambda o: (o["header"].update(H=2), o["prefill"][0].append([b64(f32(1.0, 0.5, 0.5, 0))])),
+     "prefill[0][1] holds more than 12 bytes (3 float32 scores)"),
+    (lambda o: (o["header"].update(T=2),
+                o.update(decode=[[b64(f32(0.5, 0.5))], [b64(f32(0.5, 0.5, 0, 0))]])),
+     "decode[1] holds more than 12 bytes (3 float32 scores)"),
 ]
 
 
@@ -233,6 +254,14 @@ def render(doc, style):
     else:
         text = json.dumps(doc, separators=(", ", ": "), ensure_ascii=False)
     return text.encode("utf-8")
+
+
+def b64(data):
+    return base64.b64encode(data).decode("ascii")
+
+
+def f32(*values):
+    return np.array(values, dtype="<f4").tobytes()
 
 
 def outcome(load, data, rows):
@@ -311,6 +340,63 @@ def test_streamed_load_matches_whole_document_parse(layers, heads, n, steps, see
                 assert got is want
 
 
+def recut_text(trace, style="indented"):
+    """`trace` as a version 2 document with every payload cut again at random
+    byte offsets, rendered in `style`: a layout the writer never makes."""
+    rng = np.random.default_rng(0)
+    doc = json.loads(trace_to_text(trace))
+    doc["prefill"] = [[recut(head, rng) for head in layer] for layer in doc["prefill"]]
+    doc["decode"] = [recut(step, rng) for step in doc["decode"]]
+    return render(doc, style)
+
+
+def set_score(k, value):
+    """An edit of a head's base64 strings that sets its k-th packed float32
+    score to `value`, or to `value(old)` if it is callable."""
+    def edit(pieces):
+        scores = np.frombuffer(payload_bytes(pieces), "<f4").copy()
+        scores[k] = value(scores[k]) if callable(value) else value
+        return [b64(scores.tobytes())]
+    return edit
+
+
+def cut_at_row_20(middle=None, tail=0):
+    """An edit of a head's base64 strings that cuts them in two where row 20
+    starts, with `middle` put between the two when given, and adds `tail`
+    bytes to the end (or takes them off, if negative)."""
+    def edit(pieces):
+        data = payload_bytes(pieces)
+        data = data + bytes(tail) if tail >= 0 else data[:tail]
+        at = 4 * 20 * 21 // 2
+        return [b64(data[:at]), *([] if middle is None else [middle]), b64(data[at:])]
+    return edit
+
+
+# Faults put in the last head of mixed_trace (n = 24, 300 packed scores, row
+# 20 starting at score 210), each as an edit of its base64 strings, with the
+# error class and message each must raise.
+LAST_HEAD_FAULTS = {
+    "negative": (set_score(210, -0.25), ValidationError, "negative score at (1, 1, 20)"),
+    "row_sum": (set_score(210, lambda old: old + np.float32(0.5)), ValidationError,
+                "row sum 1.5 at (1, 1, 20)"),
+    "nan": (set_score(210, np.nan), ValidationError, "NaN score at (1, 1, 20)"),
+    "infinity": (set_score(213, np.inf), ValidationError, "row sum inf at (1, 1, 20)"),
+    "not_a_string": (cut_at_row_20(0.5), FormatError,
+                     "prefill[1][1][1] must be a base64 string, got float"),
+    "string": (cut_at_row_20("0.5"), FormatError,
+               "prefill[1][1][1] is not base64: Only base64 data is allowed"),
+    "non_ascii": (cut_at_row_20("\u00e9"), FormatError,
+                  "prefill[1][1][1] is not base64: string argument should contain only "
+                  "ASCII characters"),
+    "list": (cut_at_row_20([b64(f32(0.5))]), FormatError,
+             "prefill[1][1][1] must be a base64 string, got list"),
+    "short_row": (cut_at_row_20(tail=-4), FormatError,
+                  "prefill[1][1] holds 1196 bytes, expected 1200 (300 float32 scores)"),
+    "extra_row": (cut_at_row_20(tail=4 * 25), FormatError,
+                  "prefill[1][1] holds more than 1200 bytes (300 float32 scores)"),
+}
+
+
 class TestStreamedTextFile:
     def test_canonical_and_indented_documents_load(self, chunk, mixed_trace):
         canonical = trace_to_text(mixed_trace)
@@ -338,6 +424,20 @@ class TestStreamedTextFile:
         with pytest.raises(FormatError) as err:
             trace_from_text(render(doc, "compact"))
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("mutate, fragment", MALFORMED)
+    def test_malformed_documents_name_the_fault_alike_in_every_layout(self, mutate, fragment):
+        """Whitespace between tokens, and how many rows are kept, change no
+        message."""
+        doc = tiny_document()
+        mutate(doc)
+        messages = set()
+        for style in ("compact", "indented", "spaced"):
+            for rows in (None, 1):
+                with pytest.raises(FormatError) as err:
+                    trace_from_text(render(doc, style), rows=rows)
+                messages.add(str(err.value))
+        assert len(messages) == 1 and fragment in messages.pop()
 
     def test_every_truncation_is_a_format_error(self, chunk):
         trace = make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]])
@@ -371,12 +471,28 @@ class TestStreamedTextFile:
         with pytest.raises(FormatError, match=fragment):
             trace_from_text(data.replace(old, new, 1))
 
-    def test_the_first_of_two_faults_is_the_one_reported(self, tmp_path, mixed_trace):
+    @pytest.mark.parametrize("style", ["compact", "indented"])
+    @pytest.mark.parametrize("fault", list(LAST_HEAD_FAULTS))
+    def test_a_fault_in_the_last_head_is_named(self, tmp_path, mixed_trace, fault, style):
+        edit, error, message = LAST_HEAD_FAULTS[fault]
+        doc = json.loads(trace_to_text(mixed_trace))
+        doc["prefill"][1][1] = edit(doc["prefill"][1][1])
+        path = tmp_path / "bad.json"
+        path.write_bytes(render(doc, style))
+        for rows in (None, 8):
+            with pytest.raises(error) as err:
+                load_trace(path, rows=rows)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("writer", [trace_to_text, lambda t: recut_text(t, "compact")],
+                             ids=["v2", "v2_recut"])
+    def test_the_first_of_two_faults_is_the_one_reported(self, tmp_path, mixed_trace,
+                                                          writer):
         """A bad score in the first head comes before a head too many in the
         last layer, and is the fault named."""
         edited = dense(mixed_trace)
         edited.prefill[0, 0, 5, 1] = -0.5
-        doc = json.loads(trace_to_text(edited))
+        doc = json.loads(writer(edited))
         doc["prefill"][1].append(doc["prefill"][1][0])
         path = tmp_path / "bad.json"
         path.write_bytes(render(doc, "compact"))
@@ -385,9 +501,11 @@ class TestStreamedTextFile:
                 load_trace(path, rows=rows)
             assert str(err.value) == "negative score at (0, 0, 5)"
 
-    def test_a_file_cut_in_its_last_head_is_a_format_error(self, tmp_path, mixed_trace):
-        data = trace_to_text(mixed_trace)
-        end = data.index(b',"decode":')  # the end of the prefill
+    @pytest.mark.parametrize("writer", [trace_to_text, recut_text], ids=["v2", "v2_recut"])
+    def test_a_file_cut_in_its_last_head_is_a_format_error(self, tmp_path, mixed_trace,
+                                                           writer):
+        data = writer(mixed_trace)
+        end = data.rindex(b"]", 0, data.index(b'"decode"')) + 1  # the end of the prefill
         path = tmp_path / "cut.json"
         for cut in (end - 1, end - 3, end - 40):
             path.write_bytes(data[:cut])
@@ -542,14 +660,6 @@ def tiny_v2_document():
     document: each head's 3 scores are 12 bytes."""
     trace = make_trace([[1.0], [0.5, 0.5]], labels="tv", decode=[[0.5, 0.5]], tile=(1, 2))
     return json.loads(reference_trace_to_text_v2(trace))
-
-
-def b64(data):
-    return base64.b64encode(data).decode("ascii")
-
-
-def f32(*values):
-    return np.array(values, dtype="<f4").tobytes()
 
 
 def reorder(*keys):
@@ -799,10 +909,12 @@ def test_uniform_rows_helper_is_row_stochastic():
 @pytest.fixture
 def saved(tmp_path, mixed_trace):
     """mixed_trace (2 layers, 2 heads, n = 24, 2 decode steps) in both
-    containers."""
-    paths = {"text": tmp_path / "t.json", "binary": tmp_path / "t.mkvt"}
+    containers, and as text with its payloads cut again."""
+    paths = {"text": tmp_path / "t.json", "binary": tmp_path / "t.mkvt",
+             "text_recut": tmp_path / "tr.json"}
     save_trace(mixed_trace, paths["text"])
     save_trace(mixed_trace, paths["binary"])
+    paths["text_recut"].write_bytes(recut_text(mixed_trace))
     return paths
 
 
@@ -826,11 +938,14 @@ def write_corrupted(trace, kind, path, layer, head, row, col, value):
         # The writer does not check the scores it writes.
         edited = dense(trace)
         edited.prefill[layer, head, row, col] = value
-        save_trace(edited, path)
+        if kind == "text":
+            save_trace(edited, path)
+        else:
+            path.write_bytes(recut_text(edited))
 
 
 class TestPartialLoad:
-    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("kind", ["text", "text_recut", "binary"])
     @pytest.mark.parametrize("rows", [1, 8, 23, 24, 29])
     def test_keeps_the_full_loads_last_rows(self, saved, kind, rows):
         full = load_trace(saved[kind])
@@ -854,7 +969,7 @@ class TestPartialLoad:
         shifted = AttentionTrace(part.header, part.prefill, part.decode, first_row=15)
         assert part != shifted
 
-    @pytest.mark.parametrize("kind", ["text", "binary"])
+    @pytest.mark.parametrize("kind", ["text", "text_recut", "binary"])
     @pytest.mark.parametrize("row", [5, 20], ids=["dropped_row", "kept_row"])
     @pytest.mark.parametrize("fault", ["negative", "row_sum", "NaN"])
     def test_corruption_reported_alike_in_full_and_partial_loads(
@@ -927,9 +1042,11 @@ class _ReduceatSpy:
         return getattr(np, name)
 
 
-# Writer and loader of each container the prefill checks serve.
+# Writer and loader of each container the prefill checks serve. The re-cut
+# text puts piece boundaries, some mid-float, where the blocks do not.
 CONTAINERS = {"binary": (trace_to_binary, trace_from_binary),
-              "text_v2": (trace_to_text, trace_from_text)}
+              "text_v2": (trace_to_text, trace_from_text),
+              "text_v2_recut": (recut_text, trace_from_text)}
 
 
 class TestPrefillBlocks:
@@ -1082,6 +1199,29 @@ class TestStreamedBinaryFile:
         p.write_bytes(trace_to_text(mixed_trace)[:-100])
         with pytest.raises(FormatError):
             load_trace(p, rows=8)
+
+    def test_text_piece_that_is_not_a_string_is_a_format_error(self, mixed_trace):
+        doc = json.loads(trace_to_text(mixed_trace))
+        doc["prefill"][0][1].append([0.5])
+        for rows in (None, 8):
+            with pytest.raises(FormatError) as err:
+                trace_from_text(json.dumps(doc).encode(), rows=rows)
+            assert str(err.value) == "prefill[0][1][1] must be a base64 string, got list"
+
+    @pytest.mark.parametrize("value, message", [
+        ("x", "decode[1][0] is not base64: "),
+        ("0.25", "decode[1][0] is not base64: Only base64 data is allowed"),
+        (True, "decode[1][0] must be a base64 string, got bool"),
+        ([0.5], "decode[1][0] must be a base64 string, got list"),
+    ], ids=["x", "0.25", "True", "list"])
+    def test_decode_piece_that_is_not_base64_is_a_format_error(self, mixed_trace, value,
+                                                               message):
+        doc = json.loads(trace_to_text(mixed_trace))
+        doc["decode"][1][0] = value
+        for rows in (None, 8):
+            with pytest.raises(FormatError) as err:
+                trace_from_text(json.dumps(doc).encode(), rows=rows)
+            assert str(err.value).startswith(message)
 
     def test_head_rows_take_absolute_prompt_rows(self, mixed_trace):
         full = mixed_trace
