@@ -19,10 +19,11 @@ the bias contract holds for decode rows too.
 
 Everything is a pure function of the SyntheticTraceSpec fields (including
 the 64-bit seed): equal specs yield bit-identical traces. A generated trace
-stores per-head weight vectors, not prefill rows. One kernel computes a
-chunk of rows over the columns they can reach: `packed_rows` gathers its
-lower triangle for the writers, and `head_rows` zero-pads it to full rows
-for every other reader. So a trace's memory is O(L·H·n) however it is used.
+stores per-head weight vectors, not prefill rows, and works a layer at a
+time: decode rows and row factors take O(H·n) beside the weights. One kernel
+computes a chunk of rows over the columns they can reach: `packed_rows`
+gathers its lower triangle for the writers, and `head_rows` zero-pads it to
+full rows for every other reader.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class SyntheticTraceSpec:
 
 
 def _rebalance_scales(sum_v: np.ndarray, sum_t: np.ndarray,
-                      bias: float) -> tuple[np.ndarray, np.ndarray]:
+                      bias: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pool scale factors that pin the visual share to `bias`, one pair
     per (visual, text) pair of pool masses, broadcast together.
 
@@ -113,37 +114,40 @@ class _SyntheticTrace(AttentionTrace):
 
     Prefill row i of head (l, h) is a closed-form function of the head's
     weight vector, so only the weights `(L, H, n)` are kept and no prefill
-    array is stored: `packed_rows` and `head_rows` compute the rows asked for
-    of one head.
+    array is stored. The first read of a layer builds its heads' row factors,
+    O(H·n), and keeps them until another layer is read.
     """
 
-    def __init__(self, header: TraceHeader, weights: np.ndarray,
-                 bias: tuple[float, ...], decode: list[np.ndarray]):
+    def __init__(self, header: TraceHeader, weights: np.ndarray, bias: np.ndarray,
+                 decode: list[np.ndarray]):
         self.header = header
         self.decode = decode
         self.first_row = 0
         self._weights = weights
         self._bias = bias
+        self._layer = self._factors = None
 
     def _block(self, layer: int, head: int, start: int, stop: int) -> np.ndarray:
         """Prefill rows start..stop-1 of one head over columns 0..stop-1, as
         float32, with the scores above the diagonal left in: row i scales
         each modality's weights by the factor that makes the causal prefix
         0..i carry the head bias as its visual share."""
-        u = self._weights[layer, head, :stop]
-        vis = self.header.modality_labels[:stop]
-        uv = np.where(vis, u, 0.0)
-        ut = np.where(vis, 0.0, u)
-        scale_v, scale_t = _rebalance_scales(
-            np.cumsum(uv)[start:], np.cumsum(ut)[start:], self._bias[head]
-        )
+        if layer != self._layer:
+            vis, u = self.header.modality_labels, self._weights[layer]
+            uv, ut = np.where(vis, u, 0.0), np.where(vis, 0.0, u)
+            scale_v, scale_t = _rebalance_scales(np.cumsum(uv, axis=-1), np.cumsum(ut, axis=-1),
+                                                 self._bias)
+            # The layer's float32 (H, n, 2) scales and (H, 2, n) pool weights.
+            self._factors = (np.stack([scale_v, scale_t], axis=-1).astype(np.float32),
+                             np.stack([uv, ut], axis=1).astype(np.float32))
+            self._layer = layer
+        scales, pools = self._factors
         # Row i is scale_v[i] * uv + scale_t[i] * ut in float32, computed as
         # one matrix product: several times faster than elementwise passes
         # over the block. One of the two products is exactly 0 in every
         # column, so each score is the other product rounded once, whatever
-        # order or fused multiply-add the matrix product uses.
-        scales = np.stack([scale_v, scale_t], axis=1).astype(np.float32)
-        return scales @ np.stack([uv, ut]).astype(np.float32)
+        # order, layout or fused multiply-add the matrix product uses.
+        return scales[head, start:stop] @ pools[head, :, :stop]
 
     def packed_rows(self, layer: int, head: int, start: int, stop: int) -> np.ndarray:
         lower = np.tri(stop - start, stop, start, dtype=bool)
@@ -177,35 +181,31 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:
     header = TraceHeader(L, H, n, T, vis)
 
     anchor_width = min(QUESTION_ANCHOR_WIDTH, n)
+    bias = np.array(spec.head_preference_bias, dtype=np.float64)[:, None]
     weights = np.empty((L, H, n), dtype=np.float64)
     decode = [np.empty((L, H, n + s), dtype=np.float32) for s in range(T)]
 
     for l in range(L):
-        for h in range(H):
-            bias = spec.head_preference_bias[h]
-            u = weights[l, h]
+        for u in weights[l]:  # head by head: the draw order fixes the bytes
             if count_v:
                 u[vis] = (rng.permutation(count_v) + 1.0) ** -spec.skew
             if count_v < n:
                 u[txt] = (rng.permutation(n - count_v) + 1.0) ** -spec.skew
 
-            if T:
-                bulk = u.sum()
-                w_prompt = u.copy()
-                w_prompt[n - anchor_width:] += QUESTION_ANCHOR_WEIGHT * bulk / anchor_width
-                hists = [
-                    DECODE_HISTORY_WEIGHT * bulk
-                    * DECODE_HISTORY_DECAY ** np.arange(s - 1, -1, -1, dtype=np.float64)
-                    for s in range(T)
-                ]
-                scale_v, scale_t = _rebalance_scales(
-                    w_prompt[vis].sum(),
-                    w_prompt[txt].sum() + np.array([hist.sum() for hist in hists]),
-                    bias,
-                )
-                for s, hist in enumerate(hists):
-                    row = decode[s][l, h]
-                    row[:n] = np.where(vis, scale_v[s] * w_prompt, scale_t[s] * w_prompt)
-                    row[n:] = scale_t[s] * hist
+        if T:
+            # Every sum runs over contiguous rows, so each head's sums are
+            # the pairwise sums of its own 1-d row.
+            bulk = weights[l].sum(axis=-1, keepdims=True)
+            w_prompt = weights[l].copy()
+            w_prompt[:, n - anchor_width:] += QUESTION_ANCHOR_WEIGHT * bulk / anchor_width
+            ages = [np.arange(s - 1, -1, -1, dtype=np.float64) for s in range(T)]
+            hists = [DECODE_HISTORY_WEIGHT * bulk * DECODE_HISTORY_DECAY ** a for a in ages]
+            scale_v, scale_t = _rebalance_scales(
+                w_prompt.compress(vis, axis=-1).sum(axis=-1, keepdims=True),
+                w_prompt.compress(txt, axis=-1).sum(axis=-1, keepdims=True)
+                + np.array([hist.sum(axis=-1, keepdims=True) for hist in hists]), bias)
+            for rows, sv, st, hist in zip(decode, scale_v, scale_t, hists):
+                rows[l, :, :n] = np.where(vis, sv * w_prompt, st * w_prompt)
+                rows[l, :, n:] = st * hist
 
-    return _SyntheticTrace(header, weights, spec.head_preference_bias, decode)
+    return _SyntheticTrace(header, weights, bias, decode)

@@ -32,7 +32,8 @@ is byte-identical in either.
   (row i's i + 1 scores after rows 0..i-1) and each decode step's
   (L, H, n + s) array.
 * The text container, version 2 (``TEXT_FORMAT_VERSION``): one JSON object,
-  ``{"format_version":2,"header":{...},"prefill":[...],"decode":[...]}``.
+  ``{"format_version":2,"header":{...},"prefill":[...],"decode":[...]}``,
+  whose ``format_version`` is the JSON integer 2 (not ``2.0``).
   ``prefill[l][h]`` is a list of padded base64 strings; their decoded bytes,
   joined, are that head's packed triangle, the same bytes the binary
   container stores. ``decode[s]`` is a list of base64 strings whose bytes,
@@ -689,7 +690,7 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
                 raise FormatError(_LATE_VERSION)
         if key == "format_version":
             version = reader.value()
-            if version != TEXT_FORMAT_VERSION:
+            if type(version) is not int or version != TEXT_FORMAT_VERSION:
                 raise FormatError(f"unsupported format_version {version!r}")
         elif key == "header":
             header = _text_header(reader.value())

@@ -661,7 +661,7 @@ def reference_trace_from_text(data, rows=None):
     if not isinstance(obj, dict):
         raise FormatError("top-level value must be an object")
     version = _require(obj, "format_version", "")
-    if version != TEXT_FORMAT_VERSION:
+    if type(version) is not int or version != TEXT_FORMAT_VERSION:
         raise FormatError(f"unsupported format_version {version!r}")
     header_obj = _require(obj, "header", "")
     if not isinstance(header_obj, dict):

@@ -12,8 +12,13 @@ import pytest
 
 from conftest import make_trace, uniform_rows
 import modkv
-from modkv import load_trace, save_trace
+from modkv import SyntheticTraceSpec, load_trace, save_trace
 from modkv.cli import build_policy_spec, effective_options, main, make_parser
+from oracles import (
+    reference_generate_synthetic,
+    reference_trace_to_binary,
+    reference_trace_to_text_v2,
+)
 
 
 def run(*argv):
@@ -84,6 +89,25 @@ class TestGenerate:
 
     def test_output_is_loadable(self, demo_trace):
         load_trace(demo_trace).validate()
+
+    @pytest.mark.parametrize("trace_format", ["binary", "text"])
+    def test_files_equal_the_reference_writers_at_a_benchmark_like_shape(self, tmp_path,
+                                                                         trace_format):
+        """Many heads with the benchmark's alternating 0.1/0.9 bias: the
+        file's bytes are the reference writer's of the dense reference
+        generator's trace."""
+        bias = ",".join(("0.1", "0.9")[h % 2] for h in range(12))
+        assert run("generate", "--trace-format", trace_format, "--layers", "3", "--heads", "12",
+                   "--prompt-len", "67", "--decode-steps", "3", "--skew", "1.2",
+                   "--modality-mix", "0.5", "--head-bias", bias, "--seed", "5", "--name", "t",
+                   "--out", str(tmp_path)) == 0
+        spec = SyntheticTraceSpec(3, 12, 67, 3, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=(0.1, 0.9) * 6, seed=5)
+        ref = reference_generate_synthetic(spec)
+        if trace_format == "binary":
+            assert (tmp_path / "t.mkvt").read_bytes() == reference_trace_to_binary(ref)
+        else:
+            assert (tmp_path / "t.json").read_bytes() == reference_trace_to_text_v2(ref)
 
     def test_unwritable_output_directory(self, tmp_path, capsys):
         blocker = tmp_path / "file"

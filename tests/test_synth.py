@@ -1,5 +1,8 @@
 """Synthetic generator tests: determinism, bias contract, limit behavior."""
 
+import dataclasses
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,6 +210,38 @@ class TestMatchesDenseReference:
         save_trace(ref, theirs, binary=binary)
         render = reference_trace_to_binary if binary else reference_trace_to_text_v2
         assert ours.read_bytes() == theirs.read_bytes() == render(ref)
+
+
+COHERENCE_SPECS = {
+    **EDGE_SPECS,
+    "3x12x67": SyntheticTraceSpec(3, 12, 67, 3, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=(0.0, 0.1, 0.9, 1.0) * 3, seed=17),
+}
+
+
+@pytest.mark.parametrize("spec", COHERENCE_SPECS.values(), ids=COHERENCE_SPECS.keys())
+def test_rows_read_in_any_order_equal_reference(spec):
+    """Reads in shuffled (layer, head, chunk) order, alternating between two
+    generated traces, each equal the dense reference generator's rows: the
+    factors a trace keeps for one layer never reach another layer's rows, nor
+    the other trace's."""
+    other = dataclasses.replace(spec, seed=spec.seed + 1)
+    pairs = [(generate_synthetic(s), reference_generate_synthetic(s)) for s in (spec, other)]
+    n = spec.prompt_len
+    step = max(1, n // 3)
+    chunks = [(a, min(a + step, n)) for a in range(0, n, step)] + [(0, n), (n - 1, n)]
+    reads = [(l, h, chunk, full) for l in range(spec.num_layers) for h in range(spec.num_heads)
+             for chunk in chunks for full in (False, True)]
+    rng = random.Random(spec.seed)
+    orders = [rng.sample(reads, len(reads)) for _ in pairs]
+    for step_reads in zip(*orders):
+        for (trace, ref), (l, h, (start, stop), full) in zip(pairs, step_reads):
+            if full:
+                rows, expected = (t.head_rows(l, h, start, stop) for t in (trace, ref))
+            else:
+                rows = trace.packed_rows(l, h, start, stop)
+                expected = reference_packed_rows(ref, l, h, start, stop)
+            assert rows.dtype == expected.dtype and rows.tobytes() == expected.tobytes()
 
 
 def test_row_chunked_blocks_and_files_equal_reference():

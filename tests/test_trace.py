@@ -731,6 +731,11 @@ MALFORMED_V2 = {
     "version_last": (reorder("header", "prefill", "decode", "format_version"), FormatError,
                      "format_version 2 must come before prefill and decode"),
     "version_3": (put(["format_version"], 3), FormatError, "unsupported format_version 3"),
+    "version_2.0": (put(["format_version"], 2.0), FormatError, "unsupported format_version 2.0"),
+    "version_string": (put(["format_version"], "2"), FormatError,
+                       "unsupported format_version '2'"),
+    "version_true": (put(["format_version"], True), FormatError,
+                     "unsupported format_version True"),
 }
 
 
@@ -1357,6 +1362,22 @@ class TestBoundedMemory:
         # (n, n) float32 block is 4 MiB, the binary file 32 MiB and the dense
         # cube 64 MiB.
         assert peak < 6 * MIB
+
+    @pytest.mark.parametrize("name", ["gen.mkvt", "gen.json"])
+    def test_generated_save_keeps_one_layer_of_factors(self, tmp_path, name):
+        """Saving a generated trace holds the row factors of one layer at a
+        time: beyond the trace's own weight and decode arrays, which exist
+        before tracing starts, the peak grows with H·n, not with L·H·n."""
+        L, H, n = 32, 16, 256
+        spec = SyntheticTraceSpec(L, H, n, 2, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=(0.1, 0.9) * 8, seed=3)
+        trace = generate_synthetic(spec)
+        _, peak = traced_peak(lambda: save_trace(trace, tmp_path / name))
+        # One layer's float32 scales and pool weights take 64 KiB, and the
+        # writers' one chunk of a head (its 256 x 256 float32 block, mask and
+        # packed rows) 448.5 KiB. Factors kept for every layer would take
+        # 2 MiB: their (L, H, n, 2) float32 scale table alone is 1 MiB.
+        assert peak < 4 * L * H * n * 2
 
     def test_text_v2_partial_load_builds_no_dense_cube(self, big_diagonal, monkeypatch):
         binary, text = big_diagonal
