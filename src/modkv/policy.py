@@ -187,7 +187,7 @@ class TraceTables:
     * `importance`: column sums over the last proxy or observation rows,
       (L, H, n) float64, per row count;
     * `needs`: coverage counts (visual, text), each (L, H) int64, per row
-      count and threshold;
+      count and threshold; `fill_needs` builds many thresholds from one sort;
     * `pool_mass`: importance mass (visual, text), each (L, H) float64, per
       row count;
     * `modality_ranks` and `token_ranks`: int32 ranks within the modality
@@ -230,12 +230,21 @@ class TraceTables:
 
     def needs(self, count: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-head coverage counts (visual, text), each (L, H) int64."""
+        key = ("needs", self._rows(count), threshold)
+        if key not in self._tables:
+            self.fill_needs(count, [threshold])
+        return self._tables[key]
+
+    def fill_needs(self, count: int, thresholds) -> None:
+        """Build `needs` for every threshold in `thresholds` not built yet,
+        from one sort of each pool: a sweep over thresholds sorts once."""
         rows = self._rows(count)
-        vis = self.trace.header.modality_labels
-        return self._get(
-            ("needs", rows, threshold),
-            lambda: coverage_counts(self.importance(rows), vis, threshold),
-        )
+        todo = sorted({float(t) for t in thresholds if ("needs", rows, t) not in self._tables})
+        if todo:
+            vis = self.trace.header.modality_labels
+            need_v, need_t = coverage_counts(self.importance(rows), vis, np.array(todo))
+            for theta, v, t in zip(todo, need_v, need_t):
+                self._tables[("needs", rows, theta)] = (v, t)
 
     def pool_mass(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-head importance mass (visual, text), each (L, H) float64."""
@@ -338,7 +347,7 @@ class TraceTables:
 # planning primitives
 
 
-def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold: float):
+def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold):
     """Minimum token counts covering `threshold` of each modality's mass.
 
     Tokens are taken in descending importance order; the count is the
@@ -347,13 +356,19 @@ def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold: float):
     the counts unchanged.
 
     `scores` has shape (..., n); the counts are taken along the last axis.
+    `threshold` is a float, or a 1-d array of them: each pool is sorted once
+    for all of them, and every count is the one its threshold alone gives.
 
     Returns:
-        (visual_count, text_count): two ints for a 1-d input, else two int64
-        arrays of shape scores.shape[:-1].
+        (visual_count, text_count): for a float threshold, two ints for a 1-d
+        input, else two int64 arrays of shape scores.shape[:-1]; for an array
+        of thresholds, two int64 arrays of shape
+        thresholds.shape + scores.shape[:-1].
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ParameterError(f"threshold must be in (0, 1], got {threshold}")
+    thresholds = np.asarray(threshold, dtype=np.float64)
+    for theta in thresholds if thresholds.ndim else [threshold]:
+        if not 0.0 < theta <= 1.0:
+            raise ParameterError(f"threshold must be in (0, 1], got {theta}")
     scores = np.asarray(scores)
     visual = np.asarray(visual, dtype=bool)
     out = []
@@ -361,14 +376,16 @@ def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold: float):
         vals = np.sort(scores[..., mask], axis=-1)[..., ::-1]
         cum = np.cumsum(vals, axis=-1)
         if cum.shape[-1] == 0:
-            out.append(np.zeros(cum.shape[:-1], dtype=np.int64))
+            out.append(np.zeros(thresholds.shape + cum.shape[:-1], dtype=np.int64))
             continue
         total = cum[..., -1:]
         # On a non-decreasing cumsum, the count of entries below the target
         # is the left insertion point of the target.
-        count = (cum < threshold * total).sum(axis=-1, dtype=np.int64) + 1
+        count = np.array([(cum < theta * total).sum(axis=-1, dtype=np.int64) + 1
+                          for theta in thresholds.reshape(-1)], dtype=np.int64)
+        count = count.reshape(thresholds.shape + cum.shape[:-1])
         out.append(np.where(total[..., 0] > 0, count, 0))
-    if scores.ndim == 1:
+    if scores.ndim == 1 and thresholds.ndim == 0:
         return int(out[0]), int(out[1])
     return out[0], out[1]
 

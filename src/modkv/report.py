@@ -11,7 +11,7 @@ import json
 import os
 
 from .errors import ParameterError
-from .files import write_atomic
+from .files import atomic_file
 from .trace import FORMAT_VERSION
 
 FORMATS = ("csv", "json")
@@ -36,28 +36,45 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def render_table(rows: list[dict], columns: list[str], fmt: str) -> bytes:
-    """Render rows (in order) to CSV or JSON bytes.
+def _table_pieces(rows: list[dict], columns: list[str], fmt: str):
+    """The table's bytes as a run of pieces: the header, then each row.
 
     Columns are emitted in the given order with format_version prepended;
-    missing cells are empty/null.
+    missing cells are empty/null. CSV is one line per piece. JSON is `[`,
+    the rows' objects joined by `,`, then `]` and a newline, byte for byte
+    the stdlib's rendering of the whole list. The format is checked at once,
+    before any piece is made.
     """
     if fmt not in FORMATS:
         raise ParameterError(f"format must be one of {FORMATS}, got {fmt!r}")
     cols = ["format_version", *columns]
-    if fmt == "csv":
-        lines = [",".join(_csv_field(c) for c in cols)]
-        for row in rows:
-            rec = {"format_version": FORMAT_VERSION, **row}
-            lines.append(",".join(_csv_field(_cell(rec.get(c))) for c in cols))
-        lines.append("")
-        return "\n".join(lines).encode("utf-8")
-    out = [
-        {c: ({"format_version": FORMAT_VERSION, **row}).get(c) for c in cols}
-        for row in rows
-    ]
-    return json.dumps(out, separators=(",", ":"), ensure_ascii=True).encode("ascii") + b"\n"
+
+    def pieces():
+        records = ({c: ({"format_version": FORMAT_VERSION, **row}).get(c) for c in cols}
+                   for row in rows)
+        if fmt == "csv":
+            yield (",".join(_csv_field(c) for c in cols) + "\n").encode("utf-8")
+            for rec in records:
+                yield (",".join(_csv_field(_cell(v)) for v in rec.values()) + "\n").encode("utf-8")
+            return
+        yield b"["
+        for k, rec in enumerate(records):
+            if k:
+                yield b","
+            yield json.dumps(rec, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+        yield b"]\n"
+
+    return pieces()
+
+
+def render_table(rows: list[dict], columns: list[str], fmt: str) -> bytes:
+    """Render rows (in order) to CSV or JSON bytes (see _table_pieces)."""
+    return b"".join(_table_pieces(rows, columns, fmt))
 
 
 def write_table(path: str | os.PathLike, rows: list[dict], columns: list[str], fmt: str) -> None:
-    write_atomic(path, render_table(rows, columns, fmt))
+    """Write the rendered table atomically, one piece at a time, so that no
+    more than one row's text is held at once."""
+    pieces = _table_pieces(rows, columns, fmt)
+    with atomic_file(path) as fh:
+        fh.writelines(pieces)

@@ -42,12 +42,16 @@ is byte-identical in either.
   accepts any cut, even one inside a float.
 
 The text loader reads the JSON in chunks and parses one value at a time with
-the stdlib scanner, so no whole-document object is built. It is therefore
-stricter than a whole-document parse: ``header`` and ``format_version`` must
-come before ``prefill`` and ``decode``, and a field that appears twice in an
-object is an error. Each head's decoded bytes go through the same checks as
-the binary container's. Version 1 text, which spelled each score as a JSON
-number, is no longer read: its ``format_version`` is refused.
+the stdlib scanner, so no whole-document object is built. Base64 payload
+strings skip the scanner: each is sliced from the pending text at its closing
+quote and strict-decoded, and the scanner parses only a payload that is not a
+plain string of strict base64, to decode its escapes or name its fault. The
+loader is therefore stricter than a whole-document parse: ``header`` and
+``format_version`` must come before ``prefill`` and ``decode``, and a field
+that appears twice in an object is an error. Each head's decoded bytes go
+through the same checks as the binary container's. Version 1 text, which
+spelled each score as a JSON number, is no longer read: its
+``format_version`` is refused.
 """
 
 from __future__ import annotations
@@ -537,6 +541,41 @@ class _JsonReader:
                 self._pos = end
                 return obj
 
+    def base64_string(self) -> bytes | None:
+        """The decoded bytes of the next value if it is a string of strict
+        base64; otherwise None, with the value left for `value` to parse.
+
+        The pending text is searched once from the opening quote for the
+        closing quote or a backslash, with a refill only while neither has
+        been found, so a payload is read no further than `value` reads a good
+        string. The slice up to a closing quote is decoded with
+        `binascii.a2b_base64` in strict mode, which also refuses a control or
+        non-ASCII character: searching for those too would take longer than
+        the JSON scanner does. Any other value, an escape, a slice that is not
+        strict base64, or the end of the file returns None, and the caller's
+        `value` names the fault.
+        """
+        if self.peek() != '"':
+            return None
+        scanned = 1  # characters from self._pos on already searched
+        while True:
+            start = self._pos + scanned
+            quote = self._buf.find('"', start)
+            stop = len(self._buf) if quote < 0 else quote
+            if self._buf.find("\\", start, stop) >= 0:
+                return None
+            if quote >= 0:
+                break
+            scanned = stop - self._pos
+            if not self._refill():
+                return None
+        try:
+            raw = binascii.a2b_base64(self._buf[self._pos + 1:quote], strict_mode=True)
+        except (binascii.Error, ValueError):
+            return None
+        self._pos = quote + 1
+        return raw
+
     def items(self, count: int | None, what: str):
         """Yield 0, 1, ... before each item of the array that comes next,
         for the caller to parse; FormatError(what) unless the value is an
@@ -617,20 +656,26 @@ def _text_header(obj) -> TraceHeader:
 def _read_base64(reader: _JsonReader, where: str, count: int) -> bytes:
     """Parse a list of base64 strings at `where` whose decoded bytes, joined,
     are `count` float32 scores; return those bytes. The list may be cut
-    anywhere. A list that runs past the expected size fails at once."""
+    anywhere. A list that runs past the expected size fails at once.
+
+    Each piece is strict-decoded straight from the pending text; only a
+    piece that is not a plain string of strict base64 goes through the JSON
+    scanner, which decodes its escapes or names its fault."""
     want = 4 * count
     pieces, got = [], 0
     for k in reader.items(None, f"{where} must be a list of base64 strings"):
-        piece = reader.value()
-        if not isinstance(piece, str):
-            raise FormatError(
-                f"{where}[{k}] must be a base64 string, got {type(piece).__name__}"
-            )
-        try:
-            raw = base64.b64decode(piece, validate=True)
-        except (binascii.Error, ValueError) as exc:
-            raise FormatError(f"{where}[{k}] is not base64: {exc}") from None
-        del piece  # held no longer than its bytes
+        raw = reader.base64_string()
+        if raw is None:
+            piece = reader.value()
+            if not isinstance(piece, str):
+                raise FormatError(
+                    f"{where}[{k}] must be a base64 string, got {type(piece).__name__}"
+                )
+            try:
+                raw = base64.b64decode(piece, validate=True)
+            except (binascii.Error, ValueError) as exc:
+                raise FormatError(f"{where}[{k}] is not base64: {exc}") from None
+            del piece  # held no longer than its bytes
         got += len(raw)
         if got > want:
             raise FormatError(f"{where} holds more than {want} bytes ({count} float32 scores)")

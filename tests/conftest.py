@@ -1,5 +1,7 @@
 """Shared builders for hand-written traces and generated fixtures."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,17 @@ def dense(trace, rows=None):
     for l, hd in np.ndindex(h.num_layers, h.num_heads):
         prefill[l, hd] = trace.head_rows(l, hd, first)
     return AttentionTrace(h, prefill, trace.decode, first)
+
+
+def traced_peak(fn):
+    """`fn()` and the peak of the memory Python allocated while it ran, in
+    bytes, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def top_by_rank(scores, candidates, quota):

@@ -8,10 +8,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import make_trace, uniform_rows
 import modkv
+import modkv.policy as policy_module
 from modkv import SyntheticTraceSpec, load_trace, save_trace
 from modkv.cli import build_policy_spec, effective_options, main, make_parser
 from oracles import (
@@ -484,6 +486,26 @@ class TestSweep:
             argv += ["--policy", policy]
         assert run(*argv) == 0
         assert sorted(calls) == [(20, 5), (20, 8), (24, 5), (24, 8)]
+
+    def test_coverage_counts_sort_once_per_row_count(self, demo_trace, tmp_path, monkeypatch):
+        """A sweep takes every threshold's coverage needs from one sort per
+        trace and proxy row count."""
+        calls = []
+        original = policy_module.coverage_counts
+
+        def counting(scores, visual, threshold):
+            calls.append(sorted(np.atleast_1d(threshold).tolist()))
+            return original(scores, visual, threshold)
+
+        monkeypatch.setattr(policy_module, "coverage_counts", counting)
+        assert run("sweep", "--trace", str(demo_trace), "--budget", "0.1,0.3",
+                   "--thetas", "0.5,0.7,0.9", "--policy", "adaptive",
+                   "--policy", "proportional", "--policy", "adaptive:proxy_count=4,theta=0.6",
+                   "--policy", "recent_window", "--out", str(tmp_path / "sw")) == 0
+        assert sorted(calls) == [[0.5, 0.7, 0.9], [0.6]]
+        # Per budget: three thetas for each thresholded policy (the override
+        # pins its theta at every grid point) and one baseline row.
+        assert len(read_csv(tmp_path / "sw" / "compare.csv")) == 2 * (3 * 3 + 1)
 
 
 class TestConfigPrecedence:

@@ -11,6 +11,7 @@ warning text and order, retained masses, and whole SimReports.
 import numpy as np
 import pytest
 
+import modkv.policy as policy_module
 import oracles
 from conftest import labels_from
 from modkv import (
@@ -18,6 +19,7 @@ from modkv import (
     BaselineConfig,
     BaselineKind,
     EvictionMask,
+    ParameterError,
     PolicyConfig,
     PolicyMode,
     ProxyConfig,
@@ -309,6 +311,58 @@ def test_vectorised_coverage_counts_match_per_head_counts():
                     want = oracles.reference_coverage_counts(scores[l, hd], visual, theta)
                     assert (kv[l, hd], kt[l, hd]) == want
                     assert coverage_counts(scores[l, hd], visual, theta) == want
+
+
+def test_coverage_counts_over_many_thresholds_equal_one_threshold_at_a_time():
+    """One sort for many thresholds gives, bit for bit, each threshold's own
+    counts: on tie-heavy scores, empty pools and heads with no mass."""
+    rng = np.random.default_rng(43)
+    grid = np.array([0.05, 0.5, 0.7, 0.9, 0.9, 0.999, 1.0])
+    for n in (1, 2, 9, 40, 257):
+        scores = np.round(rng.random((3, 4, n)) * 4) / 4  # many ties and zeros
+        scores[1, 2] = 0.0  # a head with no mass at all
+        scores[2, 0, : n // 2] = 0.0
+        for visual in (rng.random(n) < 0.5, np.zeros(n, bool), np.ones(n, bool)):
+            kv, kt = coverage_counts(scores, visual, grid)
+            assert kv.shape == kt.shape == (grid.size, 3, 4)
+            assert kv.dtype == kt.dtype == np.int64
+            for k, theta in enumerate(grid):
+                want_v, want_t = coverage_counts(scores, visual, float(theta))
+                assert np.array_equal(kv[k], want_v) and np.array_equal(kt[k], want_t)
+                for l, hd in np.ndindex(3, 4):
+                    row = coverage_counts(scores[l, hd], visual, grid)
+                    assert (row[0][k], row[1][k]) == coverage_counts(scores[l, hd], visual, theta)
+
+
+@pytest.mark.parametrize("grid", [[0.9, 1.2], [0.0], [float("nan"), 0.5]])
+def test_every_threshold_of_many_is_checked(grid):
+    with pytest.raises(ParameterError, match=r"threshold must be in \(0, 1\]"):
+        coverage_counts(np.ones(3), np.zeros(3, bool), np.array(grid))
+
+
+def test_tables_fill_many_thresholds_from_one_sort(monkeypatch):
+    """`fill_needs` sorts once per row count; `needs` then reads what it
+    built, equal to what a table built one threshold at a time holds."""
+    rng = np.random.default_rng(47)
+    trace = quantised_trace(rng, 3, 4, 30, rng.random(30) < 0.4)
+    calls = []
+    real = policy_module.coverage_counts
+
+    def spy(scores, visual, threshold):
+        calls.append(np.ndim(threshold))
+        return real(scores, visual, threshold)
+
+    monkeypatch.setattr(policy_module, "coverage_counts", spy)
+    tables = TraceTables(trace)
+    tables.fill_needs(8, THETAS)
+    tables.fill_needs(8, THETAS[:2])  # built already: no second sort
+    assert calls == [1]
+    vis = trace.header.modality_labels
+    for theta in THETAS:
+        got = tables.needs(8, theta)
+        want = real(tables.importance(8), vis, theta)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+    assert calls == [1]
 
 
 def test_rank_prefixes_are_the_top_by_importance_sets():

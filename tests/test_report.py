@@ -3,12 +3,15 @@
 import csv
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import traced_peak
 from modkv import ParameterError
-from modkv.report import FORMAT_VERSION, render_table, write_table
+from modkv.report import FORMAT_VERSION, FORMATS, render_table, write_table
 
 ROWS = [
     {"name": "a", "mass": 0.5, "note": None, "flag": True},
@@ -130,3 +133,55 @@ def test_write_table_is_atomic_and_complete(tmp_path):
     write_table(p, ROWS, COLS, "csv")
     assert p.read_bytes() == render_table(ROWS, COLS, "csv")
     assert not (tmp_path / "out.csv.tmp").exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables)
+def test_streamed_tables_equal_the_rendered_ones(table):
+    columns, cells = table
+    rows = [dict(zip(columns, values)) for values in cells]
+    with tempfile.TemporaryDirectory() as folder:
+        for fmt in FORMATS:
+            path = os.path.join(folder, f"t.{fmt}")
+            write_table(path, rows, columns, fmt)
+            with open(path, "rb") as fh:
+                assert fh.read() == render_table(rows, columns, fmt)
+
+
+class Unrenderable:
+    """A cell that neither `str` nor the JSON encoder can spell."""
+
+    def __str__(self):
+        raise RuntimeError("cannot render this cell")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_row_that_fails_partway_leaves_the_old_file_and_no_temporary(tmp_path, fmt):
+    path = tmp_path / f"out.{fmt}"
+    write_table(path, ROWS, COLS, fmt)
+    old = path.read_bytes()
+    # Rows well past the writer's buffer go to the temporary file first.
+    wide = [{"name": "w", "note": "x" * 4096}] * 64
+    with pytest.raises((RuntimeError, TypeError)):
+        write_table(path, wide + [{"name": Unrenderable()}] + ROWS, COLS, fmt)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == [path.name]
+
+
+def test_writing_a_wide_csv_holds_about_one_row(tmp_path):
+    """A table as wide as a sweep's compare.csv, 110 rows of about 30 KB of
+    warning text, is written without its whole text in memory: the rows
+    exist before tracing starts, and writing them peaks far below the
+    rendered size."""
+    warning = ";".join(f"layer {l} head {h}: pinned proxy tokens exceed text allocation"
+                       for l in range(4) for h in range(128))
+    rows = [{"name": f"cell{k}", "mass": k / 110, "note": warning, "flag": k % 2 == 0}
+            for k in range(110)]
+    size = len(render_table(rows, COLS, "csv"))
+    assert size >= 3_000_000
+    _, peak = traced_peak(lambda: write_table(tmp_path / "wide.csv", rows, COLS, "csv"))
+    assert (tmp_path / "wide.csv").stat().st_size == size
+    # One row is about 30 KB of text and as much again encoded (68 KB
+    # measured); rendering the whole table at once held its lines, their
+    # join and the encoded bytes, three times the size.
+    assert peak < size // 8

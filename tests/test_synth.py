@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import modkv.synth as synth
+import oracles
 from conftest import dense, small_spec
 from modkv import ParameterError, SyntheticTraceSpec, generate_synthetic, load_trace, save_trace
 from modkv.synth import _SyntheticTrace
@@ -257,6 +259,36 @@ def test_row_chunked_blocks_and_files_equal_reference():
         assert_packed_rows_equal_reference(trace, ref, 0, 1, start, stop)
     assert trace_to_binary(trace) == reference_trace_to_binary(ref)
     assert trace_to_text(trace) == reference_trace_to_text_v2(ref)
+
+
+@pytest.mark.parametrize("n, mix", [(256, 0.5), (300, 0.3), (701, 0.6)])
+def test_decode_scale_pool_sums_equal_the_references_per_head_sums(monkeypatch, n, mix):
+    """The float64 pool sums behind each decode step's scales are, bit for
+    bit, the per-head sums of each head's own contiguous pool. Rounding the
+    rows to float32 can hide a 1-ulp change in a scale, so the sums are
+    compared where they are handed to `_rebalance_scales`."""
+    L, H, T = 2, 5, 3
+    spec = SyntheticTraceSpec(L, H, n, T, skew=1.1, modality_mix=mix,
+                              head_preference_bias=(0.1, 0.9, 0.3, 0.7, 0.5), seed=n)
+    got, want = [], []
+
+    def spy(record, real):
+        def rebalance(sum_v, sum_t, bias):
+            record.append(np.broadcast_arrays(sum_v, sum_t))
+            return real(sum_v, sum_t, bias)
+        return rebalance
+
+    monkeypatch.setattr(synth, "_rebalance_scales", spy(got, synth._rebalance_scales))
+    monkeypatch.setattr(oracles, "reference_rebalance_scales",
+                        spy(want, oracles.reference_rebalance_scales))
+    generate_synthetic(spec)
+    oracles.reference_generate_synthetic(spec)
+    # The library passes one layer's (H, 1) visual and (T, H, 1) text sums;
+    # the reference one (layer, head, step) at a time.
+    got = np.array([[v[..., 0], t[..., 0]] for v, t in got])  # (L, 2, T, H)
+    want = np.array([[v, t] for v, t in want]).reshape(L, H, T, 2)
+    assert got.shape == (L, 2, T, H)
+    assert got.transpose(0, 3, 2, 1).view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("name", ["gen.mkvt", "gen.json"])

@@ -3,7 +3,6 @@
 import base64
 import json
 import os
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import modkv.trace as trace_module
-from conftest import dense, make_trace, uniform_rows
+from conftest import dense, make_trace, traced_peak, uniform_rows
 from modkv import (
     AttentionTrace,
     BaselineConfig,
@@ -653,6 +652,88 @@ class TestTextV2Loader:
                                        chunk or trace_module._TEXT_CHUNK):
                     assert trace_from_text(data) == mixed_trace
                     assert trace_from_text(data, rows=8) == dense(mixed_trace, 8)
+
+
+@pytest.fixture(params=[None, 7], ids=["default_chunk", "chunk7"])
+def text_chunk(request, monkeypatch):
+    """The text loader's read size: its default, or one that cuts every
+    payload string across many reads."""
+    if request.param is not None:
+        monkeypatch.setattr(trace_module, "_TEXT_CHUNK", request.param)
+    return request.param
+
+
+def payload_middle(data, path):
+    """The character offset of the middle of the first base64 string at
+    `path` (prefill or decode indices) in the document `data`."""
+    doc = json.loads(data)
+    for key in path:
+        doc = doc[key]
+    start = data.index(b'"' + doc[0].encode("ascii") + b'"') + 1
+    return start + len(doc[0]) // 2
+
+
+class TestPayloadStrings:
+    """Payload strings are strict-decoded from the pending text; anything
+    else goes through the JSON scanner and loads, or fails, as it did when
+    every payload was scanned."""
+
+    def test_plain_payloads_skip_the_json_scanner(self, text_chunk, mixed_trace, monkeypatch):
+        parsed = []
+        raw_decode = json.JSONDecoder.raw_decode
+
+        def spy(self, s, idx=0):
+            obj, end = raw_decode(self, s, idx)
+            parsed.append(obj)
+            return obj, end
+
+        monkeypatch.setattr(json.JSONDecoder, "raw_decode", spy)
+        data = trace_to_text(mixed_trace)
+        for rows in (None, 8):
+            assert trace_from_text(data, rows=rows) == dense(mixed_trace, rows)
+        # The scanner parsed field names, the version and the header only.
+        assert parsed and all(not isinstance(obj, str) or len(obj) < 16 for obj in parsed)
+
+    @pytest.mark.parametrize("char, escape", [("/", "\\/"), ("A", "\\u0041")],
+                             ids=["solidus", "unicode"])
+    def test_escaped_payloads_load_alike(self, text_chunk, mixed_trace, char, escape):
+        data = trace_to_text(mixed_trace)
+        # Neither character appears outside the payloads.
+        escaped = data.replace(char.encode(), escape.encode())
+        assert data.count(char.encode()) > 10 and json.loads(escaped) == json.loads(data)
+        for rows in (None, 8):
+            got = trace_from_text(escaped, rows=rows)
+            assert got == dense(mixed_trace, rows) == reference_trace_from_text(escaped, rows=rows)
+
+    @pytest.mark.parametrize("path, where", [
+        (("prefill", 1, 0), "prefill[1][0][0]"),
+        (("decode", 1), "decode[1][0]"),
+    ], ids=["prefill", "decode"])
+    @pytest.mark.parametrize("fault, message", [
+        ("\\q", "not a valid text trace: Invalid \\escape at character {at}"),
+        ("\n", "not a valid text trace: Invalid control character at at character {at}"),
+        ("é", "{where} is not base64: string argument should contain only ASCII characters"),
+    ], ids=["bad_escape", "control", "non_ascii"])
+    def test_a_fault_partway_through_a_payload_is_named(self, text_chunk, mixed_trace, path,
+                                                        where, fault, message):
+        data = trace_to_text(mixed_trace)
+        at = payload_middle(data, path)
+        bad = data[:at] + fault.encode("utf-8") + data[at:]
+        for rows in (None, 8):
+            with pytest.raises(FormatError) as err:
+                trace_from_text(bad, rows=rows)
+            assert str(err.value) == message.format(at=at, where=where)
+
+    @pytest.mark.parametrize("piece, kind", [
+        (0.5, "float"), (None, "NoneType"), (True, "bool"), (["AAAA"], "list"), ({}, "dict"),
+    ], ids=["float", "null", "bool", "list", "object"])
+    def test_a_piece_that_is_not_a_string_is_named(self, text_chunk, mixed_trace, piece, kind):
+        doc = json.loads(trace_to_text(mixed_trace))
+        doc["prefill"][0][1].insert(1, piece)
+        for rows in (None, 8):
+            with pytest.raises(FormatError) as err:
+                trace_from_text(json.dumps(doc).encode(), rows=rows)
+            assert str(err.value) == f"prefill[0][1][1] must be a base64 string, got {kind}"
 
 
 def tiny_v2_document():
@@ -1309,15 +1390,6 @@ def big_diagonal(tmp_path_factory):
     save_trace(trace, binary)
     save_trace(trace, text)
     return binary, text
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 MIB = 1 << 20
