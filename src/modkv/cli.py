@@ -432,20 +432,13 @@ def _run_grid(args: argparse.Namespace, thetas: list[float] | None) -> int:
                 cells.append([build_policy_spec(n, p, shared, budget) for n, p in cell])
     grid_specs = [spec for specs in cells for spec in specs]
     traces = _load_traces(args.trace, _rows_read(grid_specs))
-    # The coverage thresholds each proxy row count is planned at: one sort
-    # per row count gives the needs at all of them.
-    needed: dict[int, set[float]] = {}
-    for spec in grid_specs:
-        if isinstance(spec, PolicyConfig):
-            needed.setdefault(spec.proxy.proxy_count, set()).add(spec.coverage_threshold)
 
     rows, series = [], []
     for trace_name, trace in traces:
         # Every cell on this trace reuses one set of rankings; rebinding on
         # the next trace frees them.
         tables = TraceTables(trace)
-        for count, thresholds in needed.items():
-            tables.fill_needs(count, thresholds)
+        tables.fill_needs(grid_specs)
         for specs in cells:
             for rep in compare(trace, specs, tables=tables):
                 rows.append(_report_rows(trace_name, rep))

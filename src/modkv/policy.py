@@ -187,7 +187,8 @@ class TraceTables:
     * `importance`: column sums over the last proxy or observation rows,
       (L, H, n) float64, per row count;
     * `needs`: coverage counts (visual, text), each (L, H) int64, per row
-      count and threshold; `fill_needs` builds many thresholds from one sort;
+      count and threshold; `fill_needs` builds a grid's from one sort per
+      row count;
     * `pool_mass`: importance mass (visual, text), each (L, H) float64, per
       row count;
     * `modality_ranks` and `token_ranks`: int32 ranks within the modality
@@ -230,15 +231,27 @@ class TraceTables:
 
     def needs(self, count: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-head coverage counts (visual, text), each (L, H) int64."""
-        key = ("needs", self._rows(count), threshold)
+        rows = self._rows(count)
+        key = ("needs", rows, threshold)
         if key not in self._tables:
-            self.fill_needs(count, [threshold])
+            self._build_needs(rows, [threshold])
         return self._tables[key]
 
-    def fill_needs(self, count: int, thresholds) -> None:
-        """Build `needs` for every threshold in `thresholds` not built yet,
-        from one sort of each pool: a sweep over thresholds sorts once."""
-        rows = self._rows(count)
+    def fill_needs(self, specs) -> None:
+        """Build the `needs` that `plan_budgets` will ask for on behalf of
+        each `PolicyConfig` in `specs` (other specs are skipped), from one
+        sort of each pool per row count: a sweep over thresholds sorts once."""
+        wanted: dict[int, set[float]] = {}
+        for spec in specs:
+            if isinstance(spec, PolicyConfig):
+                rows = self._rows(spec.proxy.proxy_count)
+                wanted.setdefault(rows, set()).add(spec.coverage_threshold)
+        for rows, thresholds in wanted.items():
+            self._build_needs(rows, thresholds)
+
+    def _build_needs(self, rows: int, thresholds) -> None:
+        """Build `needs` at `rows` for every threshold not built yet, from
+        one `coverage_counts` call."""
         todo = sorted({float(t) for t in thresholds if ("needs", rows, t) not in self._tables})
         if todo:
             vis = self.trace.header.modality_labels

@@ -548,8 +548,8 @@ class _JsonReader:
         The pending text is searched once from the opening quote for the
         closing quote or a backslash, with a refill only while neither has
         been found, so a payload is read no further than `value` reads a good
-        string. The slice up to a closing quote is decoded with
-        `binascii.a2b_base64` in strict mode, which also refuses a control or
+        string. The slice up to a closing quote is decoded with the caller's
+        own `base64.b64decode(validate=True)`, which also refuses a control or
         non-ASCII character: searching for those too would take longer than
         the JSON scanner does. Any other value, an escape, a slice that is not
         strict base64, or the end of the file returns None, and the caller's
@@ -570,7 +570,7 @@ class _JsonReader:
             if not self._refill():
                 return None
         try:
-            raw = binascii.a2b_base64(self._buf[self._pos + 1:quote], strict_mode=True)
+            raw = base64.b64decode(self._buf[self._pos + 1:quote], validate=True)
         except (binascii.Error, ValueError):
             return None
         self._pos = quote + 1

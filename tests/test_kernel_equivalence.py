@@ -340,29 +340,34 @@ def test_every_threshold_of_many_is_checked(grid):
         coverage_counts(np.ones(3), np.zeros(3, bool), np.array(grid))
 
 
-def test_tables_fill_many_thresholds_from_one_sort(monkeypatch):
-    """`fill_needs` sorts once per row count; `needs` then reads what it
-    built, equal to what a table built one threshold at a time holds."""
+def test_tables_fill_a_grids_needs_from_one_sort_per_row_count(monkeypatch):
+    """`fill_needs` sorts once per row count the specs' proxies read, after
+    clamping to the prompt; `needs` then reads what it built, equal to what
+    a table built one threshold at a time holds."""
     rng = np.random.default_rng(47)
     trace = quantised_trace(rng, 3, 4, 30, rng.random(30) < 0.4)
     calls = []
     real = policy_module.coverage_counts
 
     def spy(scores, visual, threshold):
-        calls.append(np.ndim(threshold))
+        calls.append(len(threshold))
         return real(scores, visual, threshold)
 
     monkeypatch.setattr(policy_module, "coverage_counts", spy)
+    # Proxy counts 40 and 50 both clamp to the 30-row prompt.
+    wanted = [(8, theta) for theta in THETAS] + [(40, 0.6), (50, 0.8)]
+    specs = [PolicyConfig(0.3, theta, ProxyConfig(count)) for count, theta in wanted]
+    specs.append(BaselineConfig(BaselineKind.CUMULATIVE_TOPK, 0.3))
     tables = TraceTables(trace)
-    tables.fill_needs(8, THETAS)
-    tables.fill_needs(8, THETAS[:2])  # built already: no second sort
-    assert calls == [1]
+    tables.fill_needs(specs)
+    tables.fill_needs(specs[:2])  # built already: no second sort
+    assert sorted(calls) == [2, len(THETAS)]
     vis = trace.header.modality_labels
-    for theta in THETAS:
-        got = tables.needs(8, theta)
-        want = real(tables.importance(8), vis, theta)
+    for count, theta in wanted:
+        got = tables.needs(count, theta)
+        want = real(tables.importance(count), vis, theta)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
-    assert calls == [1]
+    assert len(calls) == 2
 
 
 def test_rank_prefixes_are_the_top_by_importance_sets():

@@ -694,6 +694,28 @@ class TestPayloadStrings:
         # The scanner parsed field names, the version and the header only.
         assert parsed and all(not isinstance(obj, str) or len(obj) < 16 for obj in parsed)
 
+    def test_every_payload_goes_through_one_decoder(self, text_chunk, mixed_trace, monkeypatch):
+        """Plain and escaped payloads alike are decoded by
+        `base64.b64decode(validate=True)`, so both paths accept the same
+        strings on every supported Python."""
+        calls = []
+        b64decode = base64.b64decode
+
+        def spy(s, *args, **kwargs):
+            calls.append((args, kwargs))
+            return b64decode(s, *args, **kwargs)
+
+        monkeypatch.setattr(base64, "b64decode", spy)
+        data = trace_to_text(mixed_trace)
+        doc = json.loads(data)
+        pieces = sum(len(head) for layer in doc["prefill"] for head in layer)
+        pieces += sum(len(step) for step in doc["decode"])
+        for rows in (None, 8):
+            for text in (data, data.replace(b"/", b"\\/")):
+                calls.clear()
+                assert trace_from_text(text, rows=rows) == dense(mixed_trace, rows)
+                assert calls == [((), {"validate": True})] * pieces
+
     @pytest.mark.parametrize("char, escape", [("/", "\\/"), ("A", "\\u0041")],
                              ids=["solidus", "unicode"])
     def test_escaped_payloads_load_alike(self, text_chunk, mixed_trace, char, escape):
