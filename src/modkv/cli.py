@@ -5,10 +5,12 @@ statistics), run (one policy end to end, emitting plan/mask/report), compare
 (policies x budgets on a set of traces), and sweep (compare extended with a
 threshold grid).
 
-Value precedence is flags > config file (--config, JSON) > built-in defaults.
-The default output directory may also come from the MODKV_OUT environment
-variable; an explicit --out wins. Exit codes: 0 success, 2 parameter or
-configuration error, 3 trace/data error, 4 internal failure.
+A subcommand's flags are its options: each flag gives an option's default,
+its key in a --config file (JSON) and the type its value is parsed with.
+Value precedence is flags > config file > flag defaults. The default output
+directory may also come from the MODKV_OUT environment variable; an explicit
+--out wins. Exit codes: 0 success, 2 parameter or configuration error, 3
+trace/data error, 4 internal failure.
 """
 
 from __future__ import annotations
@@ -22,46 +24,14 @@ from pathlib import Path
 from .baselines import BaselineConfig, BaselineKind
 from .errors import FormatError, ModkvError, ParameterError, ValidationError
 from .importance import ProxyConfig, head_text_share, sparsity_curve
-from .files import write_atomic
-from .policy import (
-    PolicyConfig,
-    PolicyMode,
-    TraceTables,
-    save_mask,
-    save_plan,
-)
-from .report import write_table
+from .files import canonical_json, write_atomic
+from .policy import PolicyConfig, PolicyMode, TraceTables, save_mask, save_plan
+from .report import FORMATS, write_table
 from .simulate import SimReport, _report, compare, make_mask, memory_model_rows, replay
 from .synth import SyntheticTraceSpec, generate_synthetic
 from .trace import AttentionTrace, load_trace, save_trace
 
 ENV_OUT = "MODKV_OUT"
-
-BASELINE_NAMES = {kind.value for kind in BaselineKind}
-POLICY_NAMES = {mode.value for mode in PolicyMode} | BASELINE_NAMES
-
-DEFAULTS = {
-    "layers": 2,
-    "heads": 2,
-    "prompt_len": 64,
-    "decode_steps": 4,
-    "skew": 1.2,
-    "modality_mix": 0.5,
-    "head_bias": "0.5",
-    "seed": 0,
-    "name": "trace",
-    "trace_format": "text",
-    "budget": "0.05,0.1,0.2,0.4,0.6",
-    "theta": 0.9,
-    "thetas": "0.5,0.7,0.9",
-    "proxy_count": 8,
-    "mode": "adaptive",
-    "head_normalize": True,
-    "min_keep": 0,
-    "pin_proxy": True,
-    "policy": [],
-    "format": "csv",
-}
 
 
 def _parse_bool(text: str) -> bool:
@@ -70,27 +40,61 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ParameterError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _parse_float_list(text: str) -> list[float]:
+# The threshold policies' settings, key: (type, default, help). Each is a
+# flag of run, compare and sweep (sweep fans theta over --thetas instead)
+# and a per-policy override key, parsed with the same type.
+POLICY_SETTINGS = {
+    "theta": (float, PolicyConfig.coverage_threshold,
+              "coverage threshold for the adaptive policies"),
+    "proxy_count": (int, ProxyConfig.proxy_count, "proxy rows for importance"),
+    "head_normalize": (_parse_bool, PolicyConfig.head_normalize_compensation,
+                       "normalize budget compensation by head count"),
+    "min_keep": (int, PolicyConfig.min_keep_per_modality, "per-modality keep floor"),
+    "pin_proxy": (_parse_bool, PolicyConfig.pin_proxy_tokens, "always keep proxy tokens"),
+}
+
+# The override keys each policy reads (NAME:key=val), with their types: a
+# baseline's are the BaselineConfig fields its rule uses.
+OVERRIDE_KEYS = {
+    BaselineKind.RECENT_WINDOW.value: {},
+    BaselineKind.SINK_WINDOW.value: {"sink_count": int},
+    BaselineKind.CUMULATIVE_TOPK.value: {"observation_window": int},
+    BaselineKind.FIXED_PRIORITY.value: {"observation_window": int, "text_priority_frac": float},
+    **{mode.value: {k: kind for k, (kind, _, _) in POLICY_SETTINGS.items()}
+       for mode in PolicyMode},
+}
+BASELINE_NAMES = {kind.value for kind in BaselineKind}
+
+
+def _parse_value(kind, value, key: str):
+    """`value` parsed with an option's type; a bad value is a parameter
+    error naming `key`."""
     try:
-        values = [float(x) for x in str(text).split(",") if x.strip() != ""]
+        return kind(str(value))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ParameterError(f"bad value for {key}: {exc}") from None
+
+
+def _float_list(opts: dict, key: str) -> list[float]:
+    text = opts[key]
+    try:
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ParameterError(f"expected a comma-separated number list, got {text!r}") from None
+        raise ParameterError(f"{key}: expected a comma-separated number list, got {text!r}") from None
     if not values:
-        raise ParameterError(f"empty number list: {text!r}")
+        raise ParameterError(f"{key}: empty number list: {text!r}")
     return values
 
 
 def _parse_policy_arg(text: str) -> tuple[str, dict]:
     """Parse NAME[:key=val,key=val] into (name, overrides)."""
-    name, _, rest = str(text).partition(":")
+    name, _, rest = text.partition(":")
     name = name.strip()
-    if name not in POLICY_NAMES:
-        raise ParameterError(
-            f"unknown policy {name!r}; choose from {sorted(POLICY_NAMES)}"
-        )
+    if name not in OVERRIDE_KEYS:
+        raise ParameterError(f"unknown policy {name!r}; choose from {sorted(OVERRIDE_KEYS)}")
     params: dict = {}
     if rest:
         for piece in rest.split(","):
@@ -101,41 +105,27 @@ def _parse_policy_arg(text: str) -> tuple[str, dict]:
     return name, params
 
 
-def _coerce(value: str, like) -> object:
-    if isinstance(like, bool):
-        return _parse_bool(value)
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return value
-
-
 def build_policy_spec(name: str, params: dict, shared: dict, budget: float):
-    """Materialize one policy config from its name, per-policy overrides, and
-    the shared flag values."""
-    def pick(key, default):
-        raw = params.get(key)
-        if raw is None:
-            return default
-        return _coerce(raw, default)
-
+    """Materialize one policy config from its name, its overrides (parsed
+    with their keys' types) and the shared flag values."""
+    keys = OVERRIDE_KEYS[name]
+    values = {}
+    for key, raw in params.items():
+        if key not in keys:
+            raise ParameterError(f"policy {name!r} takes no key {key!r}; "
+                                 f"it takes {sorted(keys) or 'none'}")
+        values[key] = _parse_value(keys[key], raw, f"{name}:{key}")
     if name in BASELINE_NAMES:
-        return BaselineConfig(
-            kind=BaselineKind(name),
-            budget_frac=budget,
-            sink_count=pick("sink_count", BaselineConfig.sink_count),
-            observation_window=pick("observation_window", BaselineConfig.observation_window),
-            text_priority_frac=pick("text_priority_frac", BaselineConfig.text_priority_frac),
-        )
+        return BaselineConfig(kind=BaselineKind(name), budget_frac=budget, **values)
+    s = {**shared, **values}
     return PolicyConfig(
         budget_frac=budget,
-        coverage_threshold=pick("theta", float(shared["theta"])),
-        proxy=ProxyConfig(pick("proxy_count", int(shared["proxy_count"]))),
+        coverage_threshold=s["theta"],
+        proxy=ProxyConfig(s["proxy_count"]),
         mode=PolicyMode(name),
-        head_normalize_compensation=pick("head_normalize", bool(shared["head_normalize"])),
-        min_keep_per_modality=pick("min_keep", int(shared["min_keep"])),
-        pin_proxy_tokens=pick("pin_proxy", bool(shared["pin_proxy"])),
+        head_normalize_compensation=s["head_normalize"],
+        min_keep_per_modality=s["min_keep"],
+        pin_proxy_tokens=s["pin_proxy"],
     )
 
 
@@ -143,43 +133,29 @@ def build_policy_spec(name: str, params: dict, shared: dict, budget: float):
 # argument plumbing
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or '.')")
-    p.add_argument("--seed", type=int, help="seed recorded in the effective config")
+def _add_setting(p: argparse.ArgumentParser, key: str) -> None:
+    kind, default, text = POLICY_SETTINGS[key]
+    p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=default,
+                   metavar="BOOL" if kind is _parse_bool else None, help=text)
 
 
 def _add_table_flags(p: argparse.ArgumentParser) -> None:
-    """Shared flags plus those of the subcommands that read traces and
-    write tables."""
-    _add_shared_flags(p)
-    p.add_argument("--format", choices=["csv", "json"], help="table format")
+    """The flags of the subcommands that read traces and write tables."""
+    p.add_argument("--format", choices=FORMATS, default="csv", help="table format")
     p.add_argument("--trace", action="append", required=True, help="trace file; repeatable")
+    p.add_argument("--budget", default="0.05,0.1,0.2,0.4,0.6",
+                   help="comma-separated budget fractions")
 
 
-def _add_policy_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--policy",
-        action="append",
-        metavar="NAME[:key=val,...]",
-        help="policy to evaluate; repeatable",
-    )
-    p.add_argument("--budget", help="comma-separated budget fractions")
-    p.add_argument("--theta", type=float, help="coverage threshold for the adaptive policies")
-    p.add_argument("--proxy-count", type=int, dest="proxy_count", help="proxy rows for importance")
-    p.add_argument("--mode", choices=["adaptive", "proportional"], help="default policy mode")
-    p.add_argument(
-        "--head-normalize",
-        dest="head_normalize",
-        type=_parse_bool,
-        metavar="BOOL",
-        help="normalize budget compensation by head count",
-    )
-    p.add_argument("--min-keep", dest="min_keep", type=int, help="per-modality keep floor")
-    p.add_argument(
-        "--pin-proxy", dest="pin_proxy", type=_parse_bool, metavar="BOOL",
-        help="always keep proxy tokens",
-    )
+def _add_policy_flags(p: argparse.ArgumentParser, *settings: str) -> None:
+    _add_table_flags(p)
+    p.add_argument("--policy", action="append", default=[], metavar="NAME[:key=val,...]",
+                   help="policy to evaluate; repeatable")
+    p.add_argument("--mode", choices=[mode.value for mode in PolicyMode],
+                   default=PolicyMode.ADAPTIVE.value,
+                   help="policy mode evaluated when no --policy is given")
+    for key in settings:
+        _add_setting(p, key)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -189,66 +165,102 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="generate a synthetic trace")
-    _add_shared_flags(g)
-    g.add_argument("--name", help="output file stem (default 'trace')")
-    g.add_argument("--trace-format", dest="trace_format", choices=["text", "binary"])
-    g.add_argument("--layers", type=int)
-    g.add_argument("--heads", type=int)
-    g.add_argument("--prompt-len", dest="prompt_len", type=int)
-    g.add_argument("--decode-steps", dest="decode_steps", type=int)
-    g.add_argument("--skew", type=float)
-    g.add_argument("--modality-mix", dest="modality_mix", type=float)
-    g.add_argument(
-        "--head-bias", dest="head_bias",
-        help="visual share per head: one value or a comma list",
-    )
+    def command(name: str, text: str) -> argparse.ArgumentParser:
+        # No abbreviations: sweep would otherwise read --theta as --thetas.
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.add_argument("--config", help="JSON file of this command's options (flags override it)")
+        p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or '.')")
+        return p
 
-    a = sub.add_parser("analyze", help="sparsity curve and head modality shares")
+    g = command("generate", "generate a synthetic trace")
+    g.add_argument("--seed", type=int, default=0, help="generator seed")
+    g.add_argument("--name", default="trace", help="output file stem")
+    g.add_argument("--trace-format", dest="trace_format", choices=["text", "binary"],
+                   default="text")
+    g.add_argument("--layers", type=int, default=2)
+    g.add_argument("--heads", type=int, default=2)
+    g.add_argument("--prompt-len", dest="prompt_len", type=int, default=64)
+    g.add_argument("--decode-steps", dest="decode_steps", type=int, default=4)
+    g.add_argument("--skew", type=float, default=1.2)
+    g.add_argument("--modality-mix", dest="modality_mix", type=float, default=0.5)
+    g.add_argument("--head-bias", dest="head_bias", default="0.5",
+                   help="visual share per head: one value or a comma list")
+
+    a = command("analyze", "sparsity curve and head modality shares")
     _add_table_flags(a)
-    a.add_argument("--budget", help="comma-separated budget fractions for the curve")
-    a.add_argument("--proxy-count", dest="proxy_count", type=int)
+    _add_setting(a, "proxy_count")
 
-    r = sub.add_parser("run", help="run one policy, emitting plan, mask, and report")
-    _add_table_flags(r)
-    _add_policy_flags(r)
-
-    c = sub.add_parser("compare", help="compare policies across budgets")
-    _add_table_flags(c)
-    _add_policy_flags(c)
-
-    s = sub.add_parser("sweep", help="compare across budgets and thresholds")
-    _add_table_flags(s)
-    _add_policy_flags(s)
-    s.add_argument("--thetas", help="comma-separated coverage thresholds")
+    _add_policy_flags(command("run", "run one policy, emitting plan, mask, and report"),
+                      *POLICY_SETTINGS)
+    _add_policy_flags(command("compare", "compare policies across budgets"),
+                      *POLICY_SETTINGS)
+    s = command("sweep", "compare across budgets and thresholds")
+    _add_policy_flags(s, *(key for key in POLICY_SETTINGS if key != "theta"))
+    s.add_argument("--thetas", default="0.5,0.7,0.9", help="comma-separated coverage thresholds")
 
     return parser
 
 
+def _read_config(path: str, command: argparse.ArgumentParser) -> dict:
+    """The config file's options, each parsed with its flag's type. Its keys
+    are the command's flag destinations other than config, out and trace."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            loaded = json.load(fh)
+    except OSError as exc:
+        raise ParameterError(f"cannot read config {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParameterError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ParameterError(f"config {path} must hold a JSON object")
+    actions = {a.dest: a for a in command._actions
+               if a.dest not in ("help", "config", "out", "trace")}
+    unknown = set(loaded) - set(actions)
+    if unknown:
+        raise ParameterError(
+            f"unknown config keys: {sorted(unknown)}; {command.prog} takes {sorted(actions)}"
+        )
+    values = {}
+    for key, value in loaded.items():
+        action = actions[key]
+        if key == "policy":
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise ParameterError(f"config key 'policy' must be a list of strings, got {value!r}")
+        elif isinstance(value, (str, int, float)):
+            value = _parse_value(action.type or str, value, f"config key {key!r}")
+        else:
+            raise ParameterError(f"bad value for config key {key!r}: {value!r}")
+        if action.choices and value not in action.choices:
+            raise ParameterError(
+                f"bad value for config key {key!r}: {value!r}; choose from {action.choices}"
+            )
+        values[key] = value
+    return values
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse the command line. A --config file's options become the
+    command's flag defaults and the line is parsed again, so flags win."""
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        command = parser._subparsers._group_actions[0].choices[args.command]
+        values = _read_config(args.config, command)
+        # --policy flags append to the default list, so the file's list
+        # stands only where no --policy flag is given.
+        policies = values.pop("policy", None)
+        command.set_defaults(**values)
+        args = parser.parse_args(argv)
+        if policies is not None and not args.policy:
+            args.policy = policies
+    return args
+
+
 def effective_options(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, and explicit flags (flags win)."""
-    opts = dict(DEFAULTS)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        try:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ParameterError(f"cannot read config {cfg_path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"config {cfg_path} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise ParameterError(f"config {cfg_path} must hold a JSON object")
-        unknown = set(loaded) - set(DEFAULTS)
-        if unknown:
-            raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-        opts.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("command", "config", "trace", "out"):
-            continue
-        if value is not None and (key != "policy" or value):
-            opts[key] = value
-    opts["out"] = getattr(args, "out", None) or os.environ.get(ENV_OUT) or "."
+    """The command's resolved options: every flag value but --config and
+    --trace, and the output directory."""
+    opts = {k: v for k, v in vars(args).items() if k not in ("command", "config", "trace")}
+    opts["out"] = args.out or os.environ.get(ENV_OUT) or "."
     return opts
 
 
@@ -258,8 +270,7 @@ def _echo_config(out_dir: Path, command: str, opts: dict, traces: list[str]) -> 
         "options": {k: opts[k] for k in sorted(opts)},
         "traces": traces,
     }
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=False).encode("utf-8") + b"\n"
-    write_atomic(out_dir / "effective_config.json", body)
+    write_atomic(out_dir / "effective_config.json", canonical_json(payload) + b"\n")
 
 
 def _prepare_out(opts: dict) -> Path:
@@ -286,13 +297,6 @@ def _rows_read(specs) -> int:
     """Prefill rows the specs read between them: the most proxy or
     observation-window rows any of them uses, and at least one."""
     return max([1, *(spec.prefill_rows for spec in specs)])
-
-
-def _policy_list(opts: dict) -> list[tuple[str, dict]]:
-    raw = opts["policy"]
-    if not raw:
-        raw = [opts["mode"], "recent_window", "cumulative_topk"]
-    return [_parse_policy_arg(p) for p in raw]
 
 
 def _report_rows(name: str, rep: SimReport) -> dict:
@@ -322,18 +326,18 @@ SERIES_COLUMNS = ["trace", "policy", "budget_frac", "theta", "step", "retained_m
 def cmd_generate(args: argparse.Namespace) -> int:
     opts = effective_options(args)
     out_dir = _prepare_out(opts)
-    bias = _parse_float_list(str(opts["head_bias"]))
+    bias = _float_list(opts, "head_bias")
     if len(bias) == 1:
-        bias = bias * int(opts["heads"])
+        bias = bias * opts["heads"]
     spec = SyntheticTraceSpec(
-        num_layers=int(opts["layers"]),
-        num_heads=int(opts["heads"]),
-        prompt_len=int(opts["prompt_len"]),
-        num_decode_steps=int(opts["decode_steps"]),
-        skew=float(opts["skew"]),
-        modality_mix=float(opts["modality_mix"]),
+        num_layers=opts["layers"],
+        num_heads=opts["heads"],
+        prompt_len=opts["prompt_len"],
+        num_decode_steps=opts["decode_steps"],
+        skew=opts["skew"],
+        modality_mix=opts["modality_mix"],
         head_preference_bias=tuple(bias),
-        seed=int(opts["seed"]),
+        seed=opts["seed"],
     )
     trace = generate_synthetic(spec)
     binary = opts["trace_format"] == "binary"
@@ -348,8 +352,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     opts = effective_options(args)
     out_dir = _prepare_out(opts)
     traces = _load_traces(args.trace)
-    fracs = _parse_float_list(str(opts["budget"]))
-    proxy = ProxyConfig(int(opts["proxy_count"]))
+    fracs = _float_list(opts, "budget")
+    proxy = ProxyConfig(opts["proxy_count"])
     fmt = opts["format"]
 
     curve_rows, share_rows = [], []
@@ -380,7 +384,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     opts = effective_options(args)
     out_dir = _prepare_out(opts)
-    budgets = _parse_float_list(str(opts["budget"]))
+    budgets = _float_list(opts, "budget")
     if len(budgets) != 1:
         raise ParameterError(
             f"run takes exactly one --budget value, got {len(budgets)}: {opts['budget']}"
@@ -409,20 +413,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_grid(args: argparse.Namespace, thetas: list[float] | None) -> int:
+def cmd_grid(args: argparse.Namespace) -> int:
+    """compare, and sweep: compare with each threshold policy fanned over
+    --thetas."""
     opts = effective_options(args)
     out_dir = _prepare_out(opts)
-    budgets = _parse_float_list(str(opts["budget"]))
-    theta_grid = thetas if thetas is not None else [None]
-    policies = _policy_list(opts)
+    budgets = _float_list(opts, "budget")
+    theta_grid = _float_list(opts, "thetas") if "thetas" in opts else [None]
+    policies = [_parse_policy_arg(p) for p in
+                opts["policy"] or [opts["mode"], "recent_window", "cumulative_topk"]]
     fmt = opts["format"]
 
     cells = []
     for budget in budgets:
         for grid_index, theta in enumerate(theta_grid):
-            shared = dict(opts)
-            if theta is not None:
-                shared["theta"] = theta
+            shared = opts if theta is None else {**opts, "theta": theta}
             # Baselines ignore the coverage threshold, so evaluate them
             # only at the first grid point.
             cell = policies if grid_index == 0 else [
@@ -472,26 +477,16 @@ def _run_grid(args: argparse.Namespace, thetas: list[float] | None) -> int:
     return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    return _run_grid(args, None)
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    opts = effective_options(args)
-    return _run_grid(args, _parse_float_list(str(opts["thetas"])))
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "generate": cmd_generate,
         "analyze": cmd_analyze,
         "run": cmd_run,
-        "compare": cmd_compare,
-        "sweep": cmd_sweep,
+        "compare": cmd_grid,
+        "sweep": cmd_grid,
     }
     try:
+        args = parse_args(argv)
         return handlers[args.command](args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

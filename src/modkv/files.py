@@ -1,4 +1,5 @@
-"""Atomic file output shared by every writer in the package.
+"""File output shared by every writer in the package: the atomic writer and
+the canonical JSON rendering.
 
 A file is written under a unique temporary name in its target directory and
 renamed over the target, so readers see the old file or the whole new one,
@@ -8,6 +9,7 @@ and two runs writing into one directory never share a temporary file.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import tempfile
 from collections.abc import Iterator
@@ -48,3 +50,9 @@ def write_atomic(path: str | os.PathLike, payload: bytes) -> None:
     """Write `payload` to `path` atomically (see atomic_file)."""
     with atomic_file(path) as fh:
         fh.write(payload)
+
+
+def canonical_json(obj) -> bytes:
+    """`obj` as compact ASCII JSON: no spaces after separators, non-ASCII
+    characters escaped, keys in insertion order."""
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii")

@@ -19,7 +19,6 @@ against the text allocation) since they anchor the question being answered.
 from __future__ import annotations
 
 import enum
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -27,7 +26,7 @@ import numpy as np
 
 from .allocation import round_half_up
 from .errors import ParameterError, ValidationError
-from .files import write_atomic
+from .files import canonical_json, write_atomic
 from .importance import ProxyConfig, proxy_importance_matrix
 from .trace import FORMAT_VERSION, AttentionTrace
 
@@ -587,10 +586,6 @@ def build_masks(
 # serialization (same canonical-text conventions as the trace container)
 
 
-def _dump_canonical(obj: dict) -> bytes:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii") + b"\n"
-
-
 def plan_to_obj(plan: BudgetPlan) -> dict:
     return {
         "format_version": FORMAT_VERSION,
@@ -609,7 +604,7 @@ def plan_to_obj(plan: BudgetPlan) -> dict:
 
 
 def save_plan(plan: BudgetPlan, path: str | os.PathLike) -> None:
-    write_atomic(path, _dump_canonical(plan_to_obj(plan)))
+    write_atomic(path, canonical_json(plan_to_obj(plan)) + b"\n")
 
 
 def mask_to_obj(mask: EvictionMask) -> dict:
@@ -623,4 +618,4 @@ def mask_to_obj(mask: EvictionMask) -> dict:
 
 
 def save_mask(mask: EvictionMask, path: str | os.PathLike) -> None:
-    write_atomic(path, _dump_canonical(mask_to_obj(mask)))
+    write_atomic(path, canonical_json(mask_to_obj(mask)) + b"\n")

@@ -7,11 +7,10 @@ same inputs emit byte-identical files.
 
 from __future__ import annotations
 
-import json
 import os
 
 from .errors import ParameterError
-from .files import atomic_file
+from .files import atomic_file, canonical_json
 from .trace import FORMAT_VERSION
 
 FORMATS = ("csv", "json")
@@ -61,7 +60,7 @@ def _table_pieces(rows: list[dict], columns: list[str], fmt: str):
         for k, rec in enumerate(records):
             if k:
                 yield b","
-            yield json.dumps(rec, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+            yield canonical_json(rec)
         yield b"]\n"
 
     return pieces()

@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, ParameterError, ValidationError
-from .files import atomic_file
+from .files import atomic_file, canonical_json
 
 # Reports, plans, masks and the binary container.
 FORMAT_VERSION = 1
@@ -390,10 +390,6 @@ def _row_chunks(n: int):
 # text container
 
 
-def _json(obj) -> bytes:
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True).encode("ascii")
-
-
 def _write_base64(fh, payloads) -> None:
     """Write a JSON list of the base64 of each float32 array in `payloads`."""
     fh.write(b"[")
@@ -416,7 +412,8 @@ def _write_text(trace: AttentionTrace, fh) -> None:
         "T": h.num_decode_steps,
         "modality_labels": h.label_strings(),
     }
-    fh.write(b'{"format_version":' + _json(TEXT_FORMAT_VERSION) + b',"header":' + _json(header))
+    fh.write(b'{"format_version":' + canonical_json(TEXT_FORMAT_VERSION)
+             + b',"header":' + canonical_json(header))
     fh.write(b',"prefill":[')
     chunks = list(_row_chunks(h.prompt_len))
     for l in range(h.num_layers):

@@ -592,3 +592,145 @@ class TestPolicySpecParsing:
             ["sweep", "--trace", "t.json", "--thetas", "0.4,0.6"]
         )
         assert effective_options(args)["thetas"] == "0.4,0.6"
+
+
+def exit_code(*argv):
+    """main's return code, or the code argparse exits with."""
+    try:
+        return run(*argv)
+    except SystemExit as err:
+        return err.code
+
+
+def command_parser(command):
+    (subparsers,) = make_parser()._subparsers._group_actions
+    return subparsers.choices[command]
+
+
+# Arguments each subcommand needs besides --out, and a key that is an option
+# of some other subcommand only.
+COMMAND_ARGS = {
+    "generate": ((), "budget"),
+    "analyze": (("--budget", "0.2"), "seed"),
+    "run": (("--policy", "adaptive", "--budget", "0.2"), "thetas"),
+    "compare": (("--budget", "0.2"), "layers"),
+    "sweep": (("--budget", "0.2", "--thetas", "0.5"), "theta"),
+}
+
+
+class TestOptionTable:
+    """Each subcommand accepts exactly the options it reads, from flags,
+    config files and per-policy overrides alike."""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_echoed_options_are_the_subcommands_flags(self, demo_trace, tmp_path, command):
+        extra, _ = COMMAND_ARGS[command]
+        traces = () if command == "generate" else ("--trace", str(demo_trace))
+        out = tmp_path / command
+        assert run(command, *traces, *extra, "--out", str(out)) == 0
+        echoed = json.loads((out / "effective_config.json").read_text())
+        dests = {a.dest for a in command_parser(command)._actions if a.option_strings}
+        assert set(echoed["options"]) == dests - {"help", "config", "trace"} | {"out"}
+        assert ("seed" in echoed["options"]) == (command == "generate")
+        assert ("thetas" in echoed["options"]) == (command == "sweep")
+        assert ("theta" in echoed["options"]) == (command in ("run", "compare"))
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    def test_config_key_of_another_subcommand_is_rejected(self, demo_trace, tmp_path,
+                                                          capsys, command):
+        extra, key = COMMAND_ARGS[command]
+        traces = () if command == "generate" else ("--trace", str(demo_trace))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: "1"}))
+        out = tmp_path / command
+        assert run(command, *traces, *extra, "--config", str(cfg), "--out", str(out)) == 2
+        assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_boolean_is_parsed_like_the_flag(self, demo_trace, tmp_path):
+        """"false" in a config file unpins the proxy tokens, as
+        --pin-proxy false does (bool("false") would keep them pinned)."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pin_proxy": "false"}))
+        outs = {name: tmp_path / name for name in ("config", "flag", "default")}
+        base = ("compare", "--trace", str(demo_trace), "--budget", "0.2")
+        assert run(*base, "--config", str(cfg), "--out", str(outs["config"])) == 0
+        assert run(*base, "--pin-proxy", "false", "--out", str(outs["flag"])) == 0
+        assert run(*base, "--out", str(outs["default"])) == 0
+        tables = {name: (out / "compare.csv").read_bytes() for name, out in outs.items()}
+        assert tables["config"] == tables["flag"] != tables["default"]
+        echoed = json.loads((outs["config"] / "effective_config.json").read_text())
+        assert echoed["options"]["pin_proxy"] is False
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"pin_proxy": "maybe"}, "config key 'pin_proxy': expected a boolean, got 'maybe'"),
+        ({"proxy_count": "abc"}, "config key 'proxy_count'"),
+        ({"proxy_count": [8]}, "config key 'proxy_count'"),
+        ({"format": "xml"}, "config key 'format': 'xml'"),
+        ({"policy": "adaptive"}, "config key 'policy' must be a list of strings"),
+        ({"budget": "x"}, "budget: expected a comma-separated number list"),
+    ], ids=["bool", "int", "list", "choice", "policy", "budget"])
+    def test_bad_config_value_names_its_key(self, demo_trace, tmp_path, capsys, doc,
+                                             fragment):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run("compare", "--trace", str(demo_trace), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")) == 2
+        assert fragment in capsys.readouterr().err
+
+    def test_policy_flags_replace_the_config_files_policies(self, demo_trace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"policy": ["adaptive", "recent_window"], "budget": "0.2"}))
+        for out, extra, policies in (
+            (tmp_path / "cfg", (), {"adaptive", "recent_window"}),
+            (tmp_path / "flag", ("--policy", "cumulative_topk"), {"cumulative_topk"}),
+        ):
+            assert run("compare", "--trace", str(demo_trace), "--config", str(cfg), *extra,
+                       "--out", str(out)) == 0
+            assert {r["policy"] for r in read_csv(out / "compare.csv")} == policies
+
+    def test_sweep_does_not_read_theta_as_thetas(self, demo_trace, tmp_path, capsys):
+        """sweep has --thetas but no --theta: an abbreviation would silently
+        run a one-point grid."""
+        out = tmp_path / "sw"
+        assert exit_code("sweep", "--trace", str(demo_trace), "--budget", "0.2",
+                         "--theta", "0.3", "--out", str(out)) == 2
+        assert "unrecognized arguments: --theta 0.3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "run", "compare", "sweep"])
+    def test_seed_belongs_to_generate_only(self, demo_trace, tmp_path, capsys, command):
+        assert exit_code(command, "--trace", str(demo_trace), "--seed", "3",
+                         "--out", str(tmp_path / "o")) == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--pin-proxy", "--head-normalize"])
+    def test_bad_boolean_flag_is_a_usage_error(self, demo_trace, tmp_path, capsys, flag):
+        assert exit_code("compare", "--trace", str(demo_trace), flag, "maybe",
+                         "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: modkv compare")
+        assert f"argument {flag}: expected a boolean, got 'maybe'" in err
+
+    @pytest.mark.parametrize("policy, fragment", [
+        ("adaptive:proxy_count=abc", "bad value for adaptive:proxy_count: invalid literal"),
+        ("adaptive:pin_proxy=maybe", "bad value for adaptive:pin_proxy: expected a boolean"),
+        ("sink_window:sink_count=1.5", "bad value for sink_window:sink_count"),
+    ], ids=["int", "bool", "baseline"])
+    def test_bad_override_value_is_a_parameter_error(self, demo_trace, tmp_path, capsys,
+                                                     policy, fragment):
+        assert run("compare", "--trace", str(demo_trace), "--policy", policy,
+                   "--out", str(tmp_path / "o")) == 2
+        assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy", [
+        "adaptive:thta=0.5", "sink_window:theta=0.3", "recent_window:sink_count=2",
+        "cumulative_topk:text_priority_frac=0.5", "proportional:observation_window=4",
+    ])
+    def test_override_key_the_policy_does_not_read_is_rejected(self, demo_trace, tmp_path,
+                                                               capsys, policy):
+        name, _, rest = policy.partition(":")
+        key = rest.partition("=")[0]
+        assert run("sweep", "--trace", str(demo_trace), "--policy", policy,
+                   "--out", str(tmp_path / "o")) == 2
+        assert f"policy {name!r} takes no key {key!r}" in capsys.readouterr().err

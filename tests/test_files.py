@@ -1,12 +1,13 @@
 """Atomic writer tests."""
 
+import json
 import os
 
 import pytest
 
 from conftest import dense, small_spec
 from modkv import AttentionTrace, ParameterError, generate_synthetic, save_trace
-from modkv.files import atomic_file, write_atomic
+from modkv.files import atomic_file, canonical_json, write_atomic
 
 
 def test_writes_the_payload_and_leaves_no_temporary(tmp_path):
@@ -109,3 +110,12 @@ def test_failed_trace_saves_keep_the_old_file(tmp_path, name):
         save_trace(failing, target)
     assert target.read_bytes() == b"old"
     assert os.listdir(tmp_path) == [name]
+
+
+def test_canonical_json_is_compact_escaped_ascii():
+    """The one JSON rendering behind traces, plans, masks, JSON tables and
+    effective_config.json: no spaces, keys in insertion order, non-ASCII
+    escaped."""
+    obj = {"b": [1, 0.5, None, True], "a": "é"}
+    assert canonical_json(obj) == b'{"b":[1,0.5,null,true],"a":"\\u00e9"}'
+    assert canonical_json(obj) == json.dumps(obj, separators=(",", ":")).encode("ascii")
