@@ -78,16 +78,15 @@ class BaselineConfig:
         return min(max(round_half_up(self.budget_frac * prompt_len), 1), prompt_len)
 
 
-def baseline_mask(
-    trace: AttentionTrace, cfg: BaselineConfig, *, tables: TraceTables | None = None
-) -> EvictionMask:
+def baseline_mask(tables: TraceTables | AttentionTrace, cfg: BaselineConfig) -> EvictionMask:
     """Build the keep-vectors for one baseline policy.
 
     The score-driven baselines keep prefixes of rankings from `tables`,
-    shared with other policies run on the same trace; without it they are
-    computed for this call.
+    shared with other policies run on the same trace; given the trace
+    itself, they are computed for this call.
     """
-    h = trace.header
+    tables = TraceTables.of(tables)
+    h = tables.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
     budget = cfg.kept_per_head(n)
     keep = np.zeros((L, H, n), dtype=bool)
@@ -106,8 +105,6 @@ def baseline_mask(
         keep[:, :, n - (budget - cfg.sink_count):] = True
         return EvictionMask(policy=cfg.name, keep=keep)
 
-    if tables is None:
-        tables = TraceTables(trace)
     if cfg.kind is BaselineKind.CUMULATIVE_TOPK:
         keep = tables.token_ranks(cfg.observation_window) < budget
         return EvictionMask(policy=cfg.name, keep=keep)

@@ -282,21 +282,23 @@ def _prepare_out(opts: dict) -> Path:
     return out_dir
 
 
-def _load_traces(paths: list[str], rows: int | None = None) -> list[tuple[str, AttentionTrace]]:
-    """Load every trace, keeping the last `rows` prefill rows (None: all)."""
+def _load_traces(paths: list[str]) -> list[tuple[str, AttentionTrace]]:
+    """Load every trace whole."""
     loaded = []
     for p in paths:
         try:
-            loaded.append((Path(p).stem, load_trace(p, rows=rows)))
+            loaded.append((Path(p).stem, load_trace(p)))
         except OSError as exc:
             raise FormatError(f"cannot read trace {p}: {exc}") from None
     return loaded
 
 
-def _rows_read(specs) -> int:
-    """Prefill rows the specs read between them: the most proxy or
-    observation-window rows any of them uses, and at least one."""
-    return max([1, *(spec.prefill_rows for spec in specs)])
+def _load_tables(path: str, specs) -> TraceTables:
+    """The tables `specs` read of the trace at `path`, holding no trace."""
+    try:
+        return TraceTables.load(path, specs)
+    except OSError as exc:
+        raise FormatError(f"cannot read trace {path}: {exc}") from None
 
 
 def _report_rows(name: str, rep: SimReport) -> dict:
@@ -395,18 +397,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     budget = budgets[0]
     name, params = _parse_policy_arg(policies[0])
     spec = build_policy_spec(name, params, opts, budget)
-    traces = _load_traces(args.trace, _rows_read([spec]))
     fmt = opts["format"]
 
     rows = []
-    for trace_name, trace in traces:
-        tables = TraceTables(trace)
-        mask, plan, warnings = make_mask(trace, spec, tables=tables)
+    for path in args.trace:
+        trace_name = Path(path).stem
+        tables = _load_tables(path, [spec])
+        mask, plan, warnings = make_mask(tables, spec)
         if plan is not None:
             save_plan(plan, out_dir / f"{trace_name}__{name}_plan.json")
         save_mask(mask, out_dir / f"{trace_name}__{name}_mask.json")
-        rep = _report(spec, mask, warnings, replay(trace, mask, tables=tables))
+        rep = _report(spec, mask, warnings, replay(tables, mask))
         rows.append(_report_rows(trace_name, rep))
+        # Free this trace's tables before the next trace is loaded.
+        del tables
     write_table(out_dir / f"report.{fmt}", rows, COMPARE_COLUMNS, fmt)
     _echo_config(out_dir, "run", opts, args.trace)
     print(f"wrote {out_dir / f'report.{fmt}'}")
@@ -436,16 +440,15 @@ def cmd_grid(args: argparse.Namespace) -> int:
             if cell:
                 cells.append([build_policy_spec(n, p, shared, budget) for n, p in cell])
     grid_specs = [spec for specs in cells for spec in specs]
-    traces = _load_traces(args.trace, _rows_read(grid_specs))
 
     rows, series = [], []
-    for trace_name, trace in traces:
-        # Every cell on this trace reuses one set of rankings; rebinding on
-        # the next trace frees them.
-        tables = TraceTables(trace)
+    for path in args.trace:
+        trace_name = Path(path).stem
+        # Every cell on this trace reuses one set of rankings.
+        tables = _load_tables(path, grid_specs)
         tables.fill_needs(grid_specs)
         for specs in cells:
-            for rep in compare(trace, specs, tables=tables):
+            for rep in compare(tables, specs):
                 rows.append(_report_rows(trace_name, rep))
                 for step, mass in enumerate(rep.per_step_retained_mass):
                     series.append(
@@ -458,6 +461,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
                             "retained_mass": mass,
                         }
                     )
+        # Free this trace's tables before the next trace is loaded.
+        del tables
     rows.sort(
         key=lambda r: (
             r["trace"], r["budget_frac"], -r["mean_retained_mass"], r["policy"],

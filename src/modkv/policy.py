@@ -28,7 +28,7 @@ from .allocation import round_half_up
 from .errors import ParameterError, ValidationError
 from .files import canonical_json, write_atomic
 from .importance import ProxyConfig, proxy_importance_matrix
-from .trace import FORMAT_VERSION, AttentionTrace
+from .trace import FORMAT_VERSION, AttentionTrace, load_trace
 
 
 class PolicyMode(enum.Enum):
@@ -200,14 +200,48 @@ class TraceTables:
       (L, H, S, n) float64 table, with their decode-token mass and their
       totals, each (S, L, H).
 
-    Each table is built on first use and lives as long as this object: make
-    one per trace, pass it down to `compare` and the planners, and drop it
-    to free them. The trace must not change while its tables are in use.
+    Each table lives as long as this object: make one per trace, pass it
+    first to `compare`, `simulate`, `plan_budgets`, `build_masks`,
+    `baseline_mask` or `replay`, and drop it to free them.
+    `TraceTables(trace)` keeps its trace and builds each table on first use;
+    the trace must not change while its tables are in use.
+    `TraceTables.load(path, specs)` builds what `specs` read from the trace
+    file and keeps no trace.
     """
 
     def __init__(self, trace: AttentionTrace):
-        self.trace = trace
+        self.trace: AttentionTrace | None = trace
+        self.header = trace.header
+        self.num_steps = len(trace.decode)
         self._tables: dict = {}
+
+    @classmethod
+    def of(cls, source: TraceTables | AttentionTrace) -> TraceTables:
+        """`source` if it is tables, else new tables of the trace `source`."""
+        return source if isinstance(source, cls) else cls(source)
+
+    @classmethod
+    def load(cls, path: str | os.PathLike, specs) -> TraceTables:
+        """The tables of the trace file at `path` for the policies in
+        `specs`, holding no trace.
+
+        The file is loaded with the last prefill rows the specs read (the
+        largest `spec.prefill_rows`, at least one), and `importance` is built
+        at each of their row counts. The trace is then dropped, which frees
+        its prefill rows, and the `decode` table is filled one step at a
+        time, each float32 step freed once it is copied. Importance at any
+        other row count raises ParameterError.
+        """
+        counts = [spec.prefill_rows for spec in specs]
+        trace = load_trace(path, rows=max([1, *counts]))
+        tables = cls(trace)
+        for count in counts:
+            if count:
+                tables.importance(count)
+        steps = trace.decode
+        tables.trace = trace = None
+        tables._tables[("decode",)] = tables._stack_decode(steps)
+        return tables
 
     def _get(self, key, build):
         if key not in self._tables:
@@ -215,7 +249,7 @@ class TraceTables:
         return self._tables[key]
 
     def _rows(self, count: int) -> int:
-        return min(count, self.trace.header.prompt_len)
+        return min(count, self.header.prompt_len)
 
     def importance(self, count: int) -> np.ndarray:
         """Column sums over the last `count` prefill rows, (L, H, n) float64.
@@ -223,10 +257,14 @@ class TraceTables:
         Proxy importance and the baselines' window scores are this one table.
         """
         rows = self._rows(count)
-        return self._get(
-            ("importance", rows),
-            lambda: proxy_importance_matrix(self.trace, ProxyConfig(rows)),
-        )
+        key = ("importance", rows)
+        if key not in self._tables and self.trace is None:
+            held = sorted(k[1] for k in self._tables if k[0] == "importance")
+            raise ParameterError(
+                f"importance over {rows} prefill rows requested; these tables were "
+                f"loaded with importance over {held} rows only"
+            )
+        return self._get(key, lambda: proxy_importance_matrix(self.trace, ProxyConfig(rows)))
 
     def needs(self, count: int, threshold: float) -> tuple[np.ndarray, np.ndarray]:
         """Per-head coverage counts (visual, text), each (L, H) int64."""
@@ -253,7 +291,7 @@ class TraceTables:
         one `coverage_counts` call."""
         todo = sorted({float(t) for t in thresholds if ("needs", rows, t) not in self._tables})
         if todo:
-            vis = self.trace.header.modality_labels
+            vis = self.header.modality_labels
             need_v, need_t = coverage_counts(self.importance(rows), vis, np.array(todo))
             for theta, v, t in zip(todo, need_v, need_t):
                 self._tables[("needs", rows, theta)] = (v, t)
@@ -261,7 +299,7 @@ class TraceTables:
     def pool_mass(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-head importance mass (visual, text), each (L, H) float64."""
         rows = self._rows(count)
-        vis = self.trace.header.modality_labels
+        vis = self.header.modality_labels
 
         def build():
             scores = self.importance(rows)
@@ -278,7 +316,7 @@ class TraceTables:
         The last `pinned` positions belong to neither pool.
         """
         rows = self._rows(count)
-        vis = self.trace.header.modality_labels
+        vis = self.header.modality_labels
         head = vis[: vis.size - pinned]
         return self._get(
             ("modality_ranks", rows, pinned),
@@ -290,7 +328,7 @@ class TraceTables:
     def token_ranks(self, count: int) -> np.ndarray:
         """Ranks over all prompt positions as one pool, (L, H, n)."""
         rows = self._rows(count)
-        n = self.trace.header.prompt_len
+        n = self.header.prompt_len
         return self._get(
             ("token_ranks", rows),
             lambda: pool_ranks(self.importance(rows), (np.arange(n),)),
@@ -337,22 +375,24 @@ class TraceTables:
         """The decode steps as float64: their prompt columns, (L, H, S, n)
         and contiguous, then their mass on decode tokens and their totals,
         both (S, L, H)."""
-        h = self.trace.header
-        L, H, n = h.num_layers, h.num_heads, h.prompt_len
-        S = len(self.trace.decode)
+        return self._get(("decode",), lambda: self._stack_decode(list(self.trace.decode)))
 
-        def build():
-            prompt = np.empty((L, H, S, n), dtype=np.float64)
-            tail = np.empty((S, L, H), dtype=np.float64)
-            total = np.empty((S, L, H), dtype=np.float64)
-            for s, vec in enumerate(self.trace.decode):
-                v = vec.astype(np.float64)
-                prompt[:, :, s] = v[:, :, :n]
-                tail[s] = v[:, :, n:].sum(axis=2)
-                total[s] = v.sum(axis=2)
-            return prompt, tail, total
-
-        return self._get(("decode",), build)
+    def _stack_decode(self, steps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The `decode` table of the float32 `steps`. Each entry of the list
+        is cleared once copied, so a step that only the list holds is freed
+        before the next is read."""
+        h = self.header
+        L, H, n, S = h.num_layers, h.num_heads, h.prompt_len, self.num_steps
+        prompt = np.empty((L, H, S, n), dtype=np.float64)
+        tail = np.empty((S, L, H), dtype=np.float64)
+        total = np.empty((S, L, H), dtype=np.float64)
+        for s in range(S):
+            v = steps[s].astype(np.float64)
+            steps[s] = None
+            prompt[:, :, s] = v[:, :, :n]
+            tail[s] = v[:, :, n:].sum(axis=2)
+            total[s] = v.sum(axis=2)
+        return prompt, tail, total
 
 
 # ---------------------------------------------------------------------------
@@ -464,17 +504,15 @@ def _proportional_split(
 # planner
 
 
-def plan_budgets(
-    trace: AttentionTrace, cfg: PolicyConfig, *, tables: TraceTables | None = None
-) -> BudgetPlan:
+def plan_budgets(tables: TraceTables | AttentionTrace, cfg: PolicyConfig) -> BudgetPlan:
     """Plan per-(layer, head, modality) retention for a whole trace.
 
     `tables` shares importance and coverage counts with other policies run
-    on the same trace; without it they are computed for this call.
+    on the same trace; given the trace itself, they are computed for this
+    call.
     """
-    if tables is None:
-        tables = TraceTables(trace)
-    h = trace.header
+    tables = TraceTables.of(tables)
+    h = tables.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
     vis = h.modality_labels
     n_vis = int(vis.sum())
@@ -528,28 +566,24 @@ def plan_budgets(
 
 
 def build_masks(
-    trace: AttentionTrace,
-    plan: BudgetPlan,
-    cfg: PolicyConfig,
-    *,
-    tables: TraceTables | None = None,
+    tables: TraceTables | AttentionTrace, plan: BudgetPlan, cfg: PolicyConfig
 ) -> EvictionMask:
     """Materialize the plan into keep-vectors.
 
     Per (layer, head) and per modality the kept set is the top tokens by
     importance, sized by the plan's allocation: a prefix of that modality's
-    ranking. Pinned proxy tokens are kept first and charged against the text
-    allocation.
+    ranking from `tables` (or from tables built for this call, given the
+    trace itself). Pinned proxy tokens are kept first and charged against
+    the text allocation.
     """
-    h = trace.header
+    tables = TraceTables.of(tables)
+    h = tables.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
     if plan.prompt_len != n or plan.alloc_visual.shape != (L, H):
         raise ValidationError(
             f"plan shape {plan.alloc_visual.shape}/{plan.prompt_len} does not "
             f"match trace ({L}, {H})/{n}"
         )
-    if tables is None:
-        tables = TraceTables(trace)
     vis = h.modality_labels
     n_vis = int(vis.sum())
     n_txt = n - n_vis

@@ -55,9 +55,7 @@ class SimReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def replay(
-    trace: AttentionTrace, mask: EvictionMask, *, tables: TraceTables | None = None
-) -> list[float]:
+def replay(tables: TraceTables | AttentionTrace, mask: EvictionMask) -> list[float]:
     """Retained attention mass per decode step, averaged over (layer, head).
 
     A step's retained mass for one (layer, head) is the share of the recorded
@@ -67,18 +65,18 @@ def replay(
     everything yields exactly 1.0 regardless of float32 storage noise.
 
     `tables` shares the stacked float64 decode table and its totals with
-    other replays of the same trace.
+    other replays of the same trace; given the trace itself, they are built
+    for this call.
     """
-    h = trace.header
+    tables = TraceTables.of(tables)
+    h = tables.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
     if mask.keep.shape != (L, H, n):
         raise ValidationError(
             f"mask shape {mask.keep.shape} does not match trace ({L}, {H}, {n})"
         )
     if mask.keep.all():
-        return [1.0] * len(trace.decode)
-    if tables is None:
-        tables = TraceTables(trace)
+        return [1.0] * tables.num_steps
     prompt, tail, denom = tables.decode()
     # Each (layer, head, step) sum runs the same contiguous sum of products
     # over the n prompt columns as an einsum over one step would, so the
@@ -105,15 +103,16 @@ def memory_model_rows(budget_fracs) -> list[tuple[float, float, float | None]]:
 
 
 def make_mask(
-    trace: AttentionTrace, spec: PolicySpec, *, tables: TraceTables | None = None
+    tables: TraceTables | AttentionTrace, spec: PolicySpec
 ) -> tuple[EvictionMask, BudgetPlan | None, list[str]]:
     """Build the keep-vectors for any policy spec; returns (mask, plan,
     warnings), where plan is None for a baseline."""
+    tables = TraceTables.of(tables)
     if isinstance(spec, PolicyConfig):
-        plan = plan_budgets(trace, spec, tables=tables)
-        mask = build_masks(trace, plan, spec, tables=tables)
+        plan = plan_budgets(tables, spec)
+        mask = build_masks(tables, plan, spec)
         return mask, plan, plan.warnings + mask.warnings
-    mask = baseline_mask(trace, spec, tables=tables)
+    mask = baseline_mask(tables, spec)
     return mask, None, list(mask.warnings)
 
 
@@ -137,32 +136,30 @@ def _report(spec: PolicySpec, mask: EvictionMask, warnings: list[str],
     )
 
 
-def simulate(
-    trace: AttentionTrace, spec: PolicySpec, *, tables: TraceTables | None = None
-) -> SimReport:
-    """Plan, mask, and replay one policy against one trace."""
-    if tables is None:
-        tables = TraceTables(trace)
-    mask, _, warnings = make_mask(trace, spec, tables=tables)
-    return _report(spec, mask, warnings, replay(trace, mask, tables=tables))
+def simulate(tables: TraceTables | AttentionTrace, spec: PolicySpec) -> SimReport:
+    """Plan, mask, and replay one policy against one trace's tables (or the
+    trace itself)."""
+    tables = TraceTables.of(tables)
+    mask, _, warnings = make_mask(tables, spec)
+    return _report(spec, mask, warnings, replay(tables, mask))
 
 
-def compare(trace: AttentionTrace, specs, *, tables: TraceTables | None = None) -> list[SimReport]:
+def compare(tables: TraceTables | AttentionTrace, specs) -> list[SimReport]:
     """Run several policies on one trace.
 
     Reports come back sorted by mean retained mass (descending), name as the
     tie-break. A policy that raises a ModkvError (a bad parameter for this
     trace, say) is reported with zero mass and the error in its warnings; it
     does not abort the batch. Any other exception is a bug and propagates.
-    The policies share `tables`, or one set built for this call.
+    The policies share `tables`, or, given the trace itself, one set built
+    for this call.
     """
-    h = trace.header
-    if tables is None:
-        tables = TraceTables(trace)
+    tables = TraceTables.of(tables)
+    h = tables.header
     reports = []
     for spec in specs:
         try:
-            reports.append(simulate(trace, spec, tables=tables))
+            reports.append(simulate(tables, spec))
         except ModkvError as exc:
             reports.append(
                 SimReport(

@@ -485,10 +485,13 @@ class _JsonReader:
                 text = self._utf8.decode(chunk, final=self._eof)
             except UnicodeDecodeError as exc:
                 raise FormatError(f"not a valid text trace: {exc}") from None
+            del chunk
         if not text:
             return False
         self._dropped += self._pos
-        self._buf = self._buf[self._pos:] + text
+        # The consumed text is freed before the rest is joined to the new.
+        rest, self._buf = self._buf[self._pos:], ""
+        self._buf = rest + text
         self._pos = 0
         return True
 
@@ -650,16 +653,19 @@ def _text_header(obj) -> TraceHeader:
         raise FormatError(f"bad header: {exc}") from None
 
 
-def _read_base64(reader: _JsonReader, where: str, count: int) -> bytes:
+def _read_base64(reader: _JsonReader, where: str, count: int) -> bytes | bytearray:
     """Parse a list of base64 strings at `where` whose decoded bytes, joined,
     are `count` float32 scores; return those bytes. The list may be cut
     anywhere. A list that runs past the expected size fails at once.
 
     Each piece is strict-decoded straight from the pending text; only a
     piece that is not a plain string of strict base64 goes through the JSON
-    scanner, which decodes its escapes or names its fault."""
+    scanner, which decodes its escapes or names its fault. A list of one
+    piece returns that piece's bytes. A longer list is copied, one piece at
+    a time as each is decoded, into one writable buffer of all `count`
+    scores, so no more than one piece is held beside it."""
     want = 4 * count
-    pieces, got = [], 0
+    first, buf, got = b"", None, 0
     for k in reader.items(None, f"{where} must be a list of base64 strings"):
         raw = reader.base64_string()
         if raw is None:
@@ -673,14 +679,22 @@ def _read_base64(reader: _JsonReader, where: str, count: int) -> bytes:
             except (binascii.Error, ValueError) as exc:
                 raise FormatError(f"{where}[{k}] is not base64: {exc}") from None
             del piece  # held no longer than its bytes
-        got += len(raw)
-        if got > want:
+        end = got + len(raw)
+        if end > want:
             raise FormatError(f"{where} holds more than {want} bytes ({count} float32 scores)")
-        pieces.append(raw)
+        if k == 0:
+            first = raw
+        else:
+            if buf is None:
+                buf = bytearray(want)
+                memoryview(buf)[:got] = first
+                first = b""
+            memoryview(buf)[got:end] = raw
+        got = end
+        del raw  # not held while the next piece is decoded
     if got != want:
         raise FormatError(f"{where} holds {got} bytes, expected {want} ({count} float32 scores)")
-    # A single piece is joined without a copy.
-    return b"".join(pieces)
+    return first if buf is None else buf
 
 
 def _read_prefill_v2(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) -> None:
@@ -700,8 +714,10 @@ def _read_decode_v2(reader: _JsonReader, s: int, header: TraceHeader) -> np.ndar
     """Parse version 2 decode step `s`, (L, H, n + s) float32."""
     shape = (header.num_layers, header.num_heads, header.prompt_len + s)
     raw = _read_base64(reader, f"decode[{s}]", shape[0] * shape[1] * shape[2])
-    # A copy, writable as the binary loader's arrays are.
-    return np.frombuffer(raw, "<f4").reshape(shape).copy()
+    step = np.frombuffer(raw, "<f4").reshape(shape)
+    # Writable, as the binary loader's arrays are: a step of one piece is
+    # read-only bytes, so it alone is copied.
+    return step if step.flags.writeable else step.copy()
 
 
 # A file that gives its version late, or not at all, is refused before any

@@ -384,7 +384,8 @@ class TestPrefillRows:
 
         outputs = {}
         for name, loader in (("partial", spy), ("full", full)):
-            monkeypatch.setattr(cli, "load_trace", loader)
+            # compare loads through TraceTables.load.
+            monkeypatch.setattr(policy_module, "load_trace", loader)
             outputs[name] = tmp_path / name
             assert run("compare", "--trace", trace, *self.POLICIES,
                        "--budget", "0.1,0.3", "--out", str(outputs[name])) == 0
@@ -403,7 +404,9 @@ class TestPrefillRows:
             seen.append(rows)
             return original(path, rows=rows)
 
-        monkeypatch.setattr(cli, "load_trace", spy)
+        # analyze loads in the CLI, sweep and run through TraceTables.load.
+        for module in (cli, policy_module):
+            monkeypatch.setattr(module, "load_trace", spy)
         assert run("sweep", "--trace", str(demo_trace), "--policy", "recent_window",
                    "--policy", "sink_window:sink_count=1", "--budget", "0.2",
                    "--out", str(tmp_path / "sw1")) == 0

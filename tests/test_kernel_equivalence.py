@@ -143,10 +143,10 @@ def test_plans_and_masks_match_the_per_head_path(kind):
         for cfg in policy_grid(n):
             want = oracles.reference_plan(trace, cfg)
             # Shared tables (as in a grid) and fresh ones must agree.
-            for shared in (tables, None):
-                plan = plan_budgets(trace, cfg, tables=shared)
+            for source in (tables, trace):
+                plan = plan_budgets(source, cfg)
                 assert_same_plan(plan, want)
-                mask = build_masks(trace, plan, cfg, tables=shared)
+                mask = build_masks(source, plan, cfg)
                 ref = oracles.reference_masks(trace, want, cfg)
                 assert np.array_equal(mask.keep, ref.keep)
                 assert mask.warnings == ref.warnings
@@ -161,8 +161,8 @@ def test_score_driven_baselines_match_the_per_head_path(kind):
         tables = TraceTables(trace)
         for cfg in baseline_grid(n):
             want = oracles.reference_baseline_mask(trace, cfg)
-            for shared in (tables, None):
-                got = baseline_mask(trace, cfg, tables=shared)
+            for source in (tables, trace):
+                got = baseline_mask(source, cfg)
                 assert np.array_equal(got.keep, want.keep)
                 assert got.warnings == want.warnings == []
 
@@ -187,7 +187,7 @@ def test_budget_recurrence_matches_the_scalar_oracle_where_it_branches():
                             cfg = PolicyConfig(budget_frac=frac, coverage_threshold=theta,
                                                mode=mode, min_keep_per_modality=min_keep,
                                                head_normalize_compensation=head_normalize)
-                            plan = plan_budgets(trace, cfg, tables=tables)
+                            plan = plan_budgets(tables, cfg)
                             assert_same_plan(plan, oracles.reference_plan(trace, cfg))
                             budgets.append(plan.layer_budget)
                             if any("clamped up to floor" in w for w in plan.warnings):
@@ -228,7 +228,7 @@ def test_reports_match_across_a_theta_sweep():
                 PolicyConfig(budget_frac=budget, coverage_threshold=theta,
                              mode=PolicyMode.PROPORTIONAL),
             ] + [BaselineConfig(kind, budget, sink_count=1) for kind in BaselineKind]
-            got = compare(trace, specs, tables=tables)
+            got = compare(tables, specs)
             want = sorted(
                 (oracles.reference_simulate(trace, s) for s in specs),
                 key=lambda r: (-r.mean_retained_mass, r.policy),
@@ -281,7 +281,7 @@ def test_wide_grids_match_the_per_step_replay(n):
                 for mode in modes:
                     spec = PolicyConfig(budget_frac=budget, coverage_threshold=theta,
                                         mode=mode, min_keep_per_modality=min_keep)
-                    got = simulate(trace, spec, tables=tables)
+                    got = simulate(tables, spec)
                     assert_same_report(got, oracles.reference_simulate(trace, spec))
                     kinds = "".join("s" if "spilled" in w else "c" if "floor" in w else ""
                                     for w in got.warnings)
@@ -293,7 +293,7 @@ def test_wide_grids_match_the_per_step_replay(n):
         masks += [rng.random(shape) < p for p in (0.1, 0.5, 0.9)]
         for keep in masks:
             mask = EvictionMask("random", keep)
-            assert replay(trace, mask, tables=tables) == oracles.reference_replay(trace, mask)
+            assert replay(tables, mask) == oracles.reference_replay(trace, mask)
     # Some plan's clamp warning sat between two layers' spill warnings.
     assert interleaved
 

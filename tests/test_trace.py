@@ -653,6 +653,17 @@ class TestTextV2Loader:
                     assert trace_from_text(data) == mixed_trace
                     assert trace_from_text(data, rows=8) == dense(mixed_trace, 8)
 
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_decode_steps_load_writable(self, layers):
+        """Decode steps are writable, as the binary loader's are, whether a
+        step is written as one payload string (one layer) or as several."""
+        spec = SyntheticTraceSpec(layers, 2, 24, 2, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=0.5, seed=2)
+        trace = generate_synthetic(spec)
+        loaded = trace_from_text(trace_to_text(trace))
+        assert all(step.flags.writeable for step in loaded.decode)
+        assert loaded == dense(trace)
+
 
 @pytest.fixture(params=[None, 7], ids=["default_chunk", "chunk7"])
 def text_chunk(request, monkeypatch):
@@ -1478,10 +1489,28 @@ class TestBoundedMemory:
         monkeypatch.setattr(json, "loads", no_whole_document)
         trace, peak = traced_peak(lambda: load_trace(text, rows=8))
         assert trace == load_trace(binary, rows=8)
-        # One head's bytes are 2 MiB, as pieces and joined, and the text held
-        # at a time up to about 3 MiB; the file is 43 MiB and the dense cube
-        # 64 MiB.
+        # One head's bytes are 2 MiB, and the text held at a time up to
+        # about 3 MiB; the file is 43 MiB and the dense cube 64 MiB.
         assert peak < 16 * MIB
+
+    def test_text_head_of_many_pieces_is_held_once(self, tmp_path):
+        """A head written in 16 pieces is decoded piece by piece into one
+        buffer: the load holds one head's bytes, not its pieces and their
+        join as well."""
+        n = 2048
+        assert len(list(trace_module._row_chunks(n))) == 16
+        spec = SyntheticTraceSpec(1, 2, n, 2, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=(0.1, 0.9), seed=3)
+        path = tmp_path / "pieces.json"
+        trace = generate_synthetic(spec)
+        save_trace(trace, path)
+        loaded, peak = traced_peak(lambda: load_trace(path, rows=8))
+        assert loaded == dense(trace, 8)
+        triangle = 4 * (n * (n + 1) // 2)  # 8.0 MiB
+        piece = 4 * (n - 128) * 128 + 4 * 128 * 129 // 2  # the last 128 rows, 0.97 MiB
+        # The reader's pending text reaches about 2 MiB, and a refill holds
+        # it with its copy and the text read: about 5 MiB at most.
+        assert peak < triangle + piece + 5 * MIB
 
     def test_generated_trace_simulates_without_its_dense_cube(self):
         bias = (0.1, 0.9, 0.9, 0.1, 0.1, 0.1, 0.9, 0.9)
