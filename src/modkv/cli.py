@@ -407,7 +407,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         if plan is not None:
             save_plan(plan, out_dir / f"{trace_name}__{name}_plan.json")
         save_mask(mask, out_dir / f"{trace_name}__{name}_mask.json")
-        rep = _report(spec, mask, warnings, replay(tables, mask))
+        rep = _report(spec, mask.kept_counts(), warnings, replay(tables, mask))
         rows.append(_report_rows(trace_name, rep))
         # Free this trace's tables before the next trace is loaded.
         del tables

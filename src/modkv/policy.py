@@ -28,7 +28,7 @@ from .allocation import round_half_up
 from .errors import ParameterError, ValidationError
 from .files import canonical_json, write_atomic
 from .importance import ProxyConfig, proxy_importance_matrix
-from .trace import FORMAT_VERSION, AttentionTrace, load_trace
+from .trace import FORMAT_VERSION, AttentionTrace, TraceHeader, load_trace
 
 
 class PolicyMode(enum.Enum):
@@ -84,6 +84,10 @@ class PolicyConfig:
     def prefill_rows(self) -> int:
         """Trailing prefill rows this policy reads: its proxy rows."""
         return self.proxy.proxy_count
+
+    def pinned(self, prompt_len: int) -> int:
+        """Proxy tokens this policy pins on a prompt of `prompt_len` tokens."""
+        return self.proxy.effective(prompt_len) if self.pin_proxy_tokens else 0
 
 
 @dataclass
@@ -196,6 +200,9 @@ class TraceTables:
     * `budget_path`: the layer-budget recurrence (`BudgetPath`), per row
       count, threshold, initial budget, head normalization and floor, so the
       adaptive and proportional cells of one (theta, budget) share it;
+    * `replayed`: a mask's kept counts, (L, H) int32, and its per-step
+      retained masses, per proxy row count, pinned count and allocation, so
+      a grid builds and replays each distinct keep-set once;
     * `decode`: the decode steps' prompt columns stacked as one contiguous
       (L, H, S, n) float64 table, with their decode-token mass and their
       totals, each (S, L, H).
@@ -370,6 +377,22 @@ class TraceTables:
             return BudgetPath(layer_budget, deviation, clamps)
 
         return self._get(("budget_path", rows, threshold, budget0, head_normalize, floor), build)
+
+    def replayed(self, plan: BudgetPlan, cfg: PolicyConfig, build):
+        """`build()`'s kept counts and per-step masses for the mask that
+        `build_masks(self, plan, cfg)` makes, built on first use.
+
+        The key is exactly what `build_masks` reads of `plan` and `cfg`: the
+        proxy row count, the pinned count, and both (L, H) allocations. A
+        planner allocates at most the prompt length, which the int32 ranks
+        already bound, so the key holds the allocations as int32 exactly.
+        Cells that repeat an allocation (adaptive at every budget below 1,
+        say) share one entry. The memo must stay small: an entry holds no
+        keep array and no warnings, only what `build` returns and its key.
+        """
+        key = ("replayed", self._rows(cfg.proxy.proxy_count), cfg.pinned(self.header.prompt_len),
+               *(a.astype(np.int32).tobytes() for a in (plan.alloc_visual, plan.alloc_text)))
+        return self._get(key, build)
 
     def decode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The decode steps as float64: their prompt columns, (L, H, S, n)
@@ -565,6 +588,27 @@ def plan_budgets(tables: TraceTables | AttentionTrace, cfg: PolicyConfig) -> Bud
 # masks
 
 
+def _pinning(header: TraceHeader, plan: BudgetPlan,
+             cfg: PolicyConfig) -> tuple[int, np.ndarray, list[str]]:
+    """What pinning the proxy tokens does to `plan`: the pinned count, the
+    (L, H) heads whose allocation covers every token (they evict nothing
+    and get no pinning arithmetic), and a warning for each other head whose
+    text allocation is below the pinned count."""
+    n = header.prompt_len
+    n_vis = int(header.modality_labels.sum())
+    p_eff = cfg.pinned(n)
+    full = (plan.alloc_visual >= n_vis) & (plan.alloc_text >= n - n_vis)
+    if not p_eff:
+        return p_eff, full, []
+    short = ~full & (plan.alloc_text < p_eff)
+    ls, hs = np.nonzero(short)
+    warnings = [
+        f"layer {l} head {hd}: {p_eff} pinned proxy tokens exceed text allocation {q}"
+        for l, hd, q in zip(ls.tolist(), hs.tolist(), plan.alloc_text[short].tolist())
+    ]
+    return p_eff, full, warnings
+
+
 def build_masks(
     tables: TraceTables | AttentionTrace, plan: BudgetPlan, cfg: PolicyConfig
 ) -> EvictionMask:
@@ -585,29 +629,15 @@ def build_masks(
             f"match trace ({L}, {H})/{n}"
         )
     vis = h.modality_labels
-    n_vis = int(vis.sum())
-    n_txt = n - n_vis
-    p_eff = cfg.proxy.effective(n) if cfg.pin_proxy_tokens else 0
-    quota_v = plan.alloc_visual
-    quota_t = plan.alloc_text
-    # An allocation covering every token evicts nothing, and gets no
-    # proxy-pinning arithmetic.
-    full = (quota_v >= n_vis) & (quota_t >= n_txt)
-
-    warnings: list[str] = []
-    if p_eff:
-        short = ~full & (quota_t < p_eff)
-        ls, hs = np.nonzero(short)
-        warnings = [
-            f"layer {l} head {hd}: {p_eff} pinned proxy tokens exceed text allocation {q}"
-            for l, hd, q in zip(ls.tolist(), hs.tolist(), quota_t[short].tolist())
-        ]
-        quota_t = np.maximum(quota_t - p_eff, 0)
+    p_eff, full, warnings = _pinning(h, plan, cfg)
     ranks = tables.modality_ranks(cfg.proxy.proxy_count, p_eff)
     # Compare in the ranks' int32. Only pinned positions rank n, and they
     # are kept below, so a quota above n keeps what a quota of n keeps. Two
     # comparisons masked by modality are cheaper than a broadcast np.where.
-    quota_v, quota_t = (np.minimum(q, n).astype(np.int32) for q in (quota_v, quota_t))
+    quota_v, quota_t = (
+        np.minimum(q, n).astype(np.int32)
+        for q in (plan.alloc_visual, np.maximum(plan.alloc_text - p_eff, 0))
+    )
     keep = ranks < quota_v[..., None]
     keep &= vis
     keep |= (ranks < quota_t[..., None]) & ~vis

@@ -19,6 +19,7 @@ from .policy import (
     EvictionMask,
     PolicyConfig,
     TraceTables,
+    _pinning,
     build_masks,
     plan_budgets,
 )
@@ -85,7 +86,8 @@ def replay(tables: TraceTables | AttentionTrace, mask: EvictionMask) -> list[flo
     kept = np.einsum("lhsn,lhn->lhs", prompt, mask.keep.astype(np.float64))
     numer = np.ascontiguousarray(kept.transpose(2, 0, 1)) + tail
     ratio = np.clip(np.divide(numer, denom, out=np.ones_like(numer), where=denom > 0), 0.0, 1.0)
-    return [float(np.mean(step)) for step in ratio]
+    # One row per step: each row's mean sums as np.mean over that step does.
+    return ratio.reshape(tables.num_steps, L * H).mean(axis=1).tolist()
 
 
 def estimate_memory(kept_counts: np.ndarray, bytes_per_token: int = DEFAULT_BYTES_PER_TOKEN) -> int:
@@ -120,10 +122,9 @@ def _theta(spec: PolicySpec) -> float | None:
     return spec.coverage_threshold if isinstance(spec, PolicyConfig) else None
 
 
-def _report(spec: PolicySpec, mask: EvictionMask, warnings: list[str],
+def _report(spec: PolicySpec, kept: np.ndarray, warnings: list[str],
             per_step: list[float]) -> SimReport:
-    """The SimReport of `spec`, given its mask and its replayed masses."""
-    kept = mask.kept_counts()
+    """The SimReport of `spec`, given its kept counts and replayed masses."""
     return SimReport(
         policy=spec.name,
         budget_frac=spec.budget_frac,
@@ -136,12 +137,39 @@ def _report(spec: PolicySpec, mask: EvictionMask, warnings: list[str],
     )
 
 
+def _mask_replay(tables: TraceTables, plan: BudgetPlan,
+                 cfg: PolicyConfig) -> tuple[np.ndarray, list[float], list[str]]:
+    """Kept counts, per-step masses and mask warnings of `plan` under `cfg`.
+
+    `build_masks` and `replay` run once per distinct keep-set on `tables`;
+    a repeat reuses their counts and masses and rebuilds the warnings.
+    Counts never exceed the prompt length, so they are stored as int32;
+    each caller gets its own int64 copy of them and its own list of masses.
+    """
+    warnings = None
+
+    def build():
+        nonlocal warnings
+        mask = build_masks(tables, plan, cfg)
+        warnings = mask.warnings
+        return mask.kept_counts().astype(np.int32), tuple(replay(tables, mask))
+
+    kept, per_step = tables.replayed(plan, cfg, build)
+    if warnings is None:
+        warnings = _pinning(tables.header, plan, cfg)[2]
+    return kept.astype(np.int64), list(per_step), warnings
+
+
 def simulate(tables: TraceTables | AttentionTrace, spec: PolicySpec) -> SimReport:
     """Plan, mask, and replay one policy against one trace's tables (or the
     trace itself)."""
     tables = TraceTables.of(tables)
-    mask, _, warnings = make_mask(tables, spec)
-    return _report(spec, mask, warnings, replay(tables, mask))
+    if isinstance(spec, PolicyConfig):
+        plan = plan_budgets(tables, spec)
+        kept, per_step, warnings = _mask_replay(tables, plan, spec)
+        return _report(spec, kept, plan.warnings + warnings, per_step)
+    mask = baseline_mask(tables, spec)
+    return _report(spec, mask.kept_counts(), list(mask.warnings), replay(tables, mask))
 
 
 def compare(tables: TraceTables | AttentionTrace, specs) -> list[SimReport]:

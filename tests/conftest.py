@@ -55,6 +55,18 @@ def dense(trace, rows=None):
     return AttentionTrace(h, prefill, trace.decode, first)
 
 
+def assert_same_report(got, want):
+    """Two SimReports agree field by field, floats and arrays bit for bit."""
+    assert (got.policy, got.budget_frac, got.theta) == (want.policy, want.budget_frac, want.theta)
+    assert [m.hex() for m in got.per_step_retained_mass] == [
+        m.hex() for m in want.per_step_retained_mass]
+    assert got.mean_retained_mass.hex() == want.mean_retained_mass.hex()
+    a, b = got.kept_counts, want.kept_counts
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    assert got.memory_bytes_est == want.memory_bytes_est
+    assert got.warnings == want.warnings
+
+
 def traced_peak(fn):
     """`fn()` and the peak of the memory Python allocated while it ran, in
     bytes, as tracemalloc counts it."""

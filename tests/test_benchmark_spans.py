@@ -4,7 +4,9 @@ A traced benchmark run fails a job that records no call of a span it expects
 (`expected_spans` in `perfbench/run.py`). Here one `compare` and one `sweep`
 job run under `perfbench/traced_job.py` and `traced_problem` judges their
 summaries, so a refactor that stops calling a traced layer fails the suite,
-not only a traced benchmark run. The test only reads `perfbench/`.
+not only a traced benchmark run. The sweep must also replay each distinct
+keep-set once, however many cells repeat it. The test only reads
+`perfbench/`.
 """
 
 import importlib.util
@@ -15,11 +17,14 @@ from pathlib import Path
 
 import pytest
 
-from modkv.cli import main
+from modkv import PolicyConfig, PolicyMode, build_masks, load_trace, plan_budgets
+from modkv.cli import BASELINE_NAMES, main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 POLICIES = ("adaptive", "proportional", "recent_window", "sink_window",
             "cumulative_topk", "fixed_priority")
+SWEEP_BUDGETS = (0.2, 0.4)
+SWEEP_THETAS = (0.5, 0.9)
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +53,31 @@ def tiny_trace(tmp_path_factory):
     return out / "trace.mkvt"
 
 
+def sweep_cells(path) -> tuple[int, int, int]:
+    """(baseline cells, threshold cells, distinct keep-sets) of the test's
+    sweep on the trace at `path`. Each baseline cell is its own keep-set;
+    threshold cells that keep the same positions are one."""
+    trace = load_trace(path)
+    keeps = set()
+    baselines = thresholds = 0
+    for budget in SWEEP_BUDGETS:
+        for index, theta in enumerate(SWEEP_THETAS):
+            for name in POLICIES:
+                if name in BASELINE_NAMES:
+                    # Baselines ignore theta: a sweep runs them once a budget.
+                    baselines += index == 0
+                    continue
+                thresholds += 1
+                spec = PolicyConfig(budget, theta, mode=PolicyMode(name))
+                keeps.add(build_masks(trace, plan_budgets(trace, spec), spec).keep.tobytes())
+    return baselines, thresholds, baselines + len(keeps)
+
+
 @pytest.mark.parametrize("kind, extra", [
     ("compare", ("--budget", "0.1,0.2")),
     ("sweep", (*(a for p in POLICIES for a in ("--policy", p)),
-               "--budget", "0.2,0.4", "--thetas", "0.5,0.9")),
+               "--budget", ",".join(map(str, SWEEP_BUDGETS)),
+               "--thetas", ",".join(map(str, SWEEP_THETAS)))),
 ])
 def test_traced_grid_job_records_every_expected_span(bench, tiny_trace, tmp_path, kind, extra):
     out = tmp_path / kind
@@ -66,3 +92,12 @@ def test_traced_grid_job_records_every_expected_span(bench, tiny_trace, tmp_path
     job = bench.Job(kind, argv, out, reads="binary")
     assert bench.traced_problem(summary, job) is None
     assert summary["failed_cells"] == 0
+    if kind == "sweep":
+        # Adaptive keeps its coverage needs at both budgets, so the sweep
+        # replays fewer keep-sets than it has cells.
+        baselines, thresholds, distinct = sweep_cells(tiny_trace)
+        assert distinct < baselines + thresholds
+        calls = {name: summary["spans"][name]["calls"] for name in
+                 ("simulate.replay", "policy.plan_budgets", "baselines.baseline_mask")}
+        assert calls == {"simulate.replay": distinct, "policy.plan_budgets": thresholds,
+                         "baselines.baseline_mask": baselines}

@@ -13,7 +13,7 @@ import pytest
 
 import modkv.policy as policy_module
 import oracles
-from conftest import labels_from
+from conftest import assert_same_report, labels_from
 from modkv import (
     AttentionTrace,
     BaselineConfig,
@@ -87,17 +87,6 @@ def assert_same_plan(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
-    assert got.warnings == want.warnings
-
-
-def assert_same_report(got, want):
-    assert got.policy == want.policy
-    assert got.budget_frac == want.budget_frac
-    assert got.theta == want.theta
-    assert got.per_step_retained_mass == want.per_step_retained_mass
-    assert got.mean_retained_mass == want.mean_retained_mass
-    assert np.array_equal(got.kept_counts, want.kept_counts)
-    assert got.memory_bytes_est == want.memory_bytes_est
     assert got.warnings == want.warnings
 
 

@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import dense, make_trace, small_spec, uniform_rows
 from modkv import (
+    AttentionTrace,
     BaselineConfig,
     BaselineKind,
     EvictionMask,
     PolicyConfig,
     PolicyMode,
     ProxyConfig,
+    TraceHeader,
     ValidationError,
     compare,
     estimate_memory,
@@ -106,6 +108,40 @@ class TestReplay:
     def test_no_decode_steps_is_an_empty_series(self):
         t = make_trace(uniform_rows(4))
         assert replay(t, full_mask(t)) == []
+
+    @pytest.mark.parametrize("steps, layers, heads", [
+        (0, 1, 1), (0, 3, 5), (1, 1, 1), (1, 3, 5), (2, 5, 7), (4, 3, 11), (3, 8, 8),
+        (2, 9, 15), (1, 16, 17),
+    ])
+    def test_step_means_are_bitwise_the_per_step_mean(self, steps, layers, heads):
+        """Each step's (layer, head) ratios span 40 binades, so any other
+        summation order than np.mean's over one step would change the bits."""
+        rng = np.random.default_rng(steps * 1000 + layers * 30 + heads)
+        n = 2
+        prefill = np.zeros((layers, heads, n, n), dtype=np.float32)
+        prefill[:, :, 0, 0] = 1.0
+        prefill[:, :, 1] = 0.5
+        decode = []
+        for s in range(steps):
+            step = np.zeros((layers, heads, n + s), dtype=np.float32)
+            binade = rng.integers(-40, 0, (layers, heads))
+            step[..., 0] = rng.random((layers, heads)) * 2.0 ** binade
+            step[..., 1] = 1.0 - step[..., 0]
+            decode.append(step)
+        header = TraceHeader(layers, heads, n, steps, np.zeros(n, dtype=bool))
+        trace = AttentionTrace(header, prefill, decode)
+        trace.validate()
+        keep = np.zeros((layers, heads, n), dtype=bool)
+        keep[..., 0] = True
+        mask = EvictionMask(policy="first", keep=keep)
+        got = replay(trace, mask)
+        want = []
+        for step in trace.decode:
+            v = step.astype(np.float64)
+            want.append(float(np.mean(np.clip(v[..., 0] / v.sum(axis=2), 0.0, 1.0))))
+        assert len(got) == steps
+        assert [m.hex() for m in got] == [m.hex() for m in want]
+        assert got == oracles.reference_replay(trace, mask)
 
 
 class TestMemoryModel:

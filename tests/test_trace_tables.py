@@ -1,17 +1,23 @@
-"""Tables loaded from a trace file: `TraceTables.load`.
+"""Tables loaded from a trace file (`TraceTables.load`), and the replay memo
+the tables hold (`TraceTables.replayed`).
 
 A `run`, `compare` or `sweep` job keeps only the tables its policies read.
 The loaded tables must equal, bit for bit, those of an in-memory trace
 loaded with the same rows, while the trace itself is gone; and a job over
-several traces must hold one trace's tables at a time.
+several traces must hold one trace's tables at a time. Cells that repeat an
+allocation must share one mask and one replay, report exactly what fresh
+tables report, and hold nothing more than counts and masses.
 """
 
+import importlib
+import tracemalloc
 import weakref
 
+import numpy as np
 import pytest
 
 import modkv.policy as policy_module
-from conftest import small_spec, traced_peak
+from conftest import assert_same_report, small_spec, traced_peak
 from modkv import (
     BaselineConfig,
     BaselineKind,
@@ -25,6 +31,7 @@ from modkv import (
     load_trace,
     plan_budgets,
     save_trace,
+    simulate,
 )
 from modkv.cli import main
 
@@ -123,3 +130,172 @@ def test_a_sweep_holds_one_traces_tables_at_a_time(tmp_path):
     one = peak(paths[:1], tmp_path / "one")
     two = peak(paths, tmp_path / "two")
     assert two <= 1.10 * one, (one, two)
+
+
+# ---------------------------------------------------------------------------
+# the replay memo: one build_masks and one replay per distinct keep-set
+
+
+simulate_module = importlib.import_module("modkv.simulate")
+
+BUDGETS = (0.05, 0.1, 0.2, 0.4, 0.6)
+MEMO_GRID = [
+    PolicyConfig(budget, theta, ProxyConfig(5), mode=mode)
+    for budget in BUDGETS for theta in (0.5, 0.9) for mode in PolicyMode
+]
+
+
+@pytest.fixture(scope="module")
+def memo_trace():
+    return generate_synthetic(small_spec(7, layers=3, heads=4, prompt_len=N, steps=3,
+                                         bias=(0.1, 0.9, 0.3, 0.7)))
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap each named function of modkv.simulate with a call counter."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(simulate_module, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate_module, name, spy)
+    return calls
+
+
+def allocation_key(trace, spec):
+    """What build_masks reads of a spec's plan, computed on fresh tables."""
+    plan = plan_budgets(trace, spec)
+    return (min(spec.proxy.proxy_count, N), spec.pinned(N),
+            plan.alloc_visual.tobytes(), plan.alloc_text.tobytes())
+
+
+def test_a_grid_builds_and_replays_each_distinct_allocation_once(memo_trace, monkeypatch):
+    distinct = {allocation_key(memo_trace, spec) for spec in MEMO_GRID}
+    # Adaptive retains its coverage needs at every budget below 1.
+    assert len(distinct) < len(MEMO_GRID)
+    calls = count_calls(monkeypatch, "build_masks", "replay", "plan_budgets")
+    tables = TraceTables(memo_trace)
+    for spec in MEMO_GRID:
+        simulate(tables, spec)
+    assert calls == {"build_masks": len(distinct), "replay": len(distinct),
+                     "plan_budgets": len(MEMO_GRID)}
+    # Baselines are replayed every time.
+    baseline = BaselineConfig(BaselineKind.CUMULATIVE_TOPK, 0.2)
+    simulate(tables, baseline)
+    simulate(tables, baseline)
+    assert calls["replay"] == len(distinct) + 2
+
+
+def test_a_shared_grid_reports_what_fresh_tables_report(memo_trace):
+    specs = MEMO_GRID + [
+        PolicyConfig(0.1, 0.9, ProxyConfig(N + 5)),
+        PolicyConfig(0.1, 0.9, ProxyConfig(12), pin_proxy_tokens=False),
+        PolicyConfig(0.2, 0.7, ProxyConfig(5), min_keep_per_modality=3),
+        PolicyConfig(1.0, 0.7, ProxyConfig(5), mode=PolicyMode.PROPORTIONAL),
+        BaselineConfig(BaselineKind.RECENT_WINDOW, 0.2),
+    ]
+    got = compare(TraceTables(memo_trace), specs * 2)
+    want = compare(memo_trace, specs * 2)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert_same_report(a, b)
+
+
+@pytest.mark.parametrize("first, second", [
+    # The same proxy rows, pinned or not.
+    ({"proxy": ProxyConfig(5)}, {"proxy": ProxyConfig(5), "pin_proxy_tokens": False}),
+    # Nothing pinned, ranked from other proxy rows.
+    ({"proxy": ProxyConfig(5), "pin_proxy_tokens": False},
+     {"proxy": ProxyConfig(12), "pin_proxy_tokens": False}),
+    # A proxy count clamped to the prompt.
+    ({"proxy": ProxyConfig(5)}, {"proxy": ProxyConfig(N + 9)}),
+])
+def test_specs_that_read_the_same_allocation_differently_do_not_share(memo_trace, monkeypatch,
+                                                                       first, second):
+    """The planner is held to one allocation, so only the knobs that
+    build_masks also reads tell the two cells apart."""
+    first, second = (PolicyConfig(0.2, 0.9, **kwargs) for kwargs in (first, second))
+    plan = plan_budgets(memo_trace, first)
+    real = simulate_module.plan_budgets
+
+    def fixed(tables, cfg):
+        out = real(tables, cfg)
+        out.alloc_visual, out.alloc_text = plan.alloc_visual.copy(), plan.alloc_text.copy()
+        return out
+
+    monkeypatch.setattr(simulate_module, "plan_budgets", fixed)
+    want = [simulate(TraceTables(memo_trace), spec) for spec in (first, second)]
+    assert want[0].per_step_retained_mass != want[1].per_step_retained_mass
+    calls = count_calls(monkeypatch, "build_masks", "replay")
+    tables = TraceTables(memo_trace)
+    got = [simulate(tables, spec) for spec in (first, second, first, second)]
+    assert calls == {"build_masks": 2, "replay": 2}
+    for rep, ref in zip(got, want * 2):
+        assert_same_report(rep, ref)
+
+
+def test_clamped_proxy_counts_share_one_entry(memo_trace, monkeypatch):
+    calls = count_calls(monkeypatch, "replay")
+    tables = TraceTables(memo_trace)
+    a = simulate(tables, PolicyConfig(0.2, 0.9, ProxyConfig(N + 5)))
+    b = simulate(tables, PolicyConfig(0.2, 0.9, ProxyConfig(N + 9)))
+    assert calls["replay"] == 1
+    assert_same_report(a, b)
+
+
+def test_reports_from_one_table_share_no_array(memo_trace):
+    tables = TraceTables(memo_trace)
+    reps = [simulate(tables, spec) for spec in MEMO_GRID * 2]
+    for i, a in enumerate(reps):
+        for b in reps[i + 1:]:
+            assert not np.shares_memory(a.kept_counts, b.kept_counts)
+            assert a.per_step_retained_mass is not b.per_step_retained_mass
+            assert a.warnings is not b.warnings
+    want = simulate(TraceTables(memo_trace), MEMO_GRID[0])
+    # A caller that edits its report leaves the next cell's alone.
+    reps[0].kept_counts[...] = 0
+    reps[0].per_step_retained_mass.clear()
+    reps[0].warnings.append("edited")
+    assert_same_report(simulate(tables, MEMO_GRID[0]), want)
+
+
+def test_the_memo_holds_counts_and_masses_only():
+    """Under tracemalloc, a grid whose other tables are built already grows
+    by no more than the memo's entries: per distinct keep-set, at most 8
+    bytes of kept counts per (layer, head), the two int32 allocations in its
+    key and the per-step masses. A keep array (n bytes per head) or the
+    proportional cells' pinned-proxy warnings (one per head here) would not
+    fit."""
+    L, H, n, S = 8, 8, 128, 4
+    trace = generate_synthetic(small_spec(3, layers=L, heads=H, prompt_len=n, steps=S,
+                                          bias=(0.1, 0.9) * (H // 2)))
+    specs = [PolicyConfig(budget / 100, theta, mode=mode)
+             for budget in range(2, 42, 2) for theta in (0.6, 0.9) for mode in PolicyMode]
+    tables = TraceTables(trace)
+    tables.fill_needs(specs)
+    tables.decode()
+    for spec in specs:
+        plan_budgets(tables, spec)
+        tables.modality_ranks(spec.proxy.proxy_count, spec.pinned(n))
+    distinct = len({
+        (plan.alloc_visual.tobytes(), plan.alloc_text.tobytes())
+        for plan in (plan_budgets(tables, spec) for spec in specs)
+    })
+
+    warned = 0
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for spec in specs:
+            warned += sum("pinned proxy" in w for w in simulate(tables, spec).warnings)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert warned >= 10 * L * H
+    # Past the arrays' bytes: about 1 KiB of objects per entry, and the
+    # growth of the table dict.
+    per_entry = 8 * L * H + 2 * 4 * L * H + 32 * S + 1024
+    assert held <= distinct * per_entry + 16384, (held, distinct)
