@@ -29,7 +29,7 @@ from .policy import PolicyConfig, PolicyMode, TraceTables, save_mask, save_plan
 from .report import FORMATS, write_table
 from .simulate import SimReport, _report, compare, make_mask, memory_model_rows, replay
 from .synth import SyntheticTraceSpec, generate_synthetic
-from .trace import AttentionTrace, load_trace, save_trace
+from .trace import load_trace, save_trace
 
 ENV_OUT = "MODKV_OUT"
 
@@ -282,21 +282,11 @@ def _prepare_out(opts: dict) -> Path:
     return out_dir
 
 
-def _load_traces(paths: list[str]) -> list[tuple[str, AttentionTrace]]:
-    """Load every trace whole."""
-    loaded = []
-    for p in paths:
-        try:
-            loaded.append((Path(p).stem, load_trace(p)))
-        except OSError as exc:
-            raise FormatError(f"cannot read trace {p}: {exc}") from None
-    return loaded
-
-
-def _load_tables(path: str, specs) -> TraceTables:
-    """The tables `specs` read of the trace at `path`, holding no trace."""
+def _load(load, path: str, *args, **kwargs):
+    """`load(path, ...)`, a trace loader, with an OSError raised as a
+    FormatError naming the trace."""
     try:
-        return TraceTables.load(path, specs)
+        return load(path, *args, **kwargs)
     except OSError as exc:
         raise FormatError(f"cannot read trace {path}: {exc}") from None
 
@@ -353,27 +343,33 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     opts = effective_options(args)
     out_dir = _prepare_out(opts)
-    traces = _load_traces(args.trace)
     fracs = _float_list(opts, "budget")
     proxy = ProxyConfig(opts["proxy_count"])
     fmt = opts["format"]
 
     curve_rows, share_rows = [], []
-    for name, trace in traces:
-        for frac, group, share in sparsity_curve(trace, fracs, proxy):
-            curve_rows.append(
-                {"trace": name, "group": group, "budget_frac": frac, "retained_share": share}
+    for path in args.trace:
+        name = Path(path).stem
+
+        def share(header, layer, head, block):
+            share_rows.append(
+                {
+                    "trace": name,
+                    "layer": layer,
+                    "head": head,
+                    "text_share": head_text_share(block, header.text_mask, layer, head),
+                }
             )
-        for l in range(trace.header.num_layers):
-            for hd in range(trace.header.num_heads):
-                share_rows.append(
-                    {
-                        "trace": name,
-                        "layer": l,
-                        "head": hd,
-                        "text_share": head_text_share(trace, l, hd),
-                    }
-                )
+
+        # Each head's share is taken while the loader checks that head; the
+        # trace keeps only the proxy rows.
+        trace = _load(load_trace, path, rows=proxy.proxy_count, on_head=share)
+        for frac, group, retained in sparsity_curve(trace, fracs, proxy):
+            curve_rows.append(
+                {"trace": name, "group": group, "budget_frac": frac, "retained_share": retained}
+            )
+        # Free this trace before the next is loaded.
+        del trace
     write_table(out_dir / f"sparsity.{fmt}", curve_rows,
                 ["trace", "group", "budget_frac", "retained_share"], fmt)
     write_table(out_dir / f"head_shares.{fmt}", share_rows,
@@ -402,7 +398,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows = []
     for path in args.trace:
         trace_name = Path(path).stem
-        tables = _load_tables(path, [spec])
+        tables = _load(TraceTables.load, path, [spec])
         mask, plan, warnings = make_mask(tables, spec)
         if plan is not None:
             save_plan(plan, out_dir / f"{trace_name}__{name}_plan.json")
@@ -445,7 +441,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     for path in args.trace:
         trace_name = Path(path).stem
         # Every cell on this trace reuses one set of rankings.
-        tables = _load_tables(path, grid_specs)
+        tables = _load(TraceTables.load, path, grid_specs)
         tables.fill_needs(grid_specs)
         for specs in cells:
             for rep in compare(tables, specs):

@@ -60,23 +60,30 @@ def proxy_importance_matrix(trace: AttentionTrace, proxy: ProxyConfig | None = N
     return out
 
 
-def head_text_share(trace: AttentionTrace, layer: int, head: int) -> float:
-    """Share of this head's total prefill mass landing on text tokens.
+def head_text_share(rows: np.ndarray, text_mask: np.ndarray, layer: int, head: int) -> float:
+    """Share of one head's total prefill mass landing on text tokens.
+
+    `rows` is the head's whole (n, n) prefill block: the float64 buffer a
+    loader hands its `on_head` consumer, or `trace.head_rows(layer, head)`.
+    It is summed as a C-contiguous float64 array, so both give the same bits.
+    `text_mask` is the header's; `layer` and `head` name the head in errors.
 
     Prefill-only by design: it characterizes the prompt-processing pass, and
     appending decode steps to a trace must not change it.
     """
-    h = trace.header
-    if not (0 <= layer < h.num_layers and 0 <= head < h.num_heads):
+    n = text_mask.shape[0]
+    if rows.shape != (n, n):
         raise ParameterError(
-            f"(layer, head) = ({layer}, {head}) out of range for "
-            f"({h.num_layers}, {h.num_heads})"
+            f"head ({layer}, {head}): expected its whole ({n}, {n}) prefill block, "
+            f"got rows of shape {rows.shape}"
         )
-    block = trace.head_rows(layer, head).astype(np.float64)
+    block = np.ascontiguousarray(rows, dtype=np.float64)
     total = block.sum()
     if total <= 0:
         raise ValidationError(f"head ({layer}, {head}) carries no attention mass")
-    return float(block[:, h.text_mask].sum() / total)
+    # The same (n, k) array as block[:, text_mask], gathered several times
+    # faster.
+    return float(np.compress(text_mask, block, axis=1).sum() / total)
 
 
 def sparsity_curve(

@@ -9,19 +9,21 @@ A trace holds prompt rows ``first_row..n-1`` of each (layer, head). With the
 default ``first_row = 0`` that is the whole causal prefill cube. The loaders
 can keep only the last rows, which are all that importance and the
 score-driven baselines read: they stream the file, check every row of every
-head in blocks of at most 2**16 packed scores, and keep the tail. The binary
-loader reads each block straight from the file, so it holds no buffer that
-grows as n**2 beyond the rows it keeps. Every other reader of prefill rows,
-here and in the rest of the package, reads one head at a time. Importance
-asks ``AttentionTrace.head_rows`` for the proxy rows, validation and
-equality for the rows held, and ``head_text_share`` for the whole (n, n)
-block, which it sums as float64. The writers ask
+head in blocks of at most 2**16 packed scores, and keep the tail. A reader
+of every row, such as ``head_text_share``, gets each head from the loader's
+``on_head`` consumer instead: one reused float64 (n, n) buffer, filled from
+the blocks as they are checked. The binary loader reads each block straight
+from the file, so it holds no buffer that grows as n**2 beyond the rows it
+keeps and, with ``on_head``, that one head buffer. Every other reader of
+prefill rows, here and in the rest of the package, reads one head at a time.
+Importance asks ``AttentionTrace.head_rows`` for the proxy rows, and
+validation and equality for the rows held. The writers ask
 ``AttentionTrace.packed_rows`` for one chunk of a head's packed causal
 triangle at a time, about 1 MiB of float32. A row below ``first_row`` is a
-ParameterError in both. So a trace that computes its rows on demand, as the
-synthetic generator's does, is simulated, compared and written without its
-dense cube ever being built, and simulated and written without even one
-whole (n, n) block.
+ParameterError in both. So a loaded trace is analyzed without its dense cube
+ever being built, and a trace that computes its rows on demand, as the
+synthetic generator's does, is simulated, compared and written without it,
+and simulated and written without even one whole (n, n) block.
 
 Two interchangeable containers are supported and sniffed by magic bytes.
 Both store scores as little-endian float32, so a save/load/save round trip
@@ -320,9 +322,14 @@ class _PrefillTail:
     A head's bad row sum is raised only once all its scores are checked, so
     failures name the same (layer, head, row) that AttentionTrace.validate
     would on the dense cube.
+
+    With `whole`, each head's rows are also written as float64 into `whole`,
+    one reused, C-contiguous (n, n) buffer whose upper triangle stays zero:
+    once `add` returns, it holds that head's dense block until the next
+    head is added.
     """
 
-    def __init__(self, L: int, H: int, n: int, rows: int | None):
+    def __init__(self, L: int, H: int, n: int, rows: int | None, whole: bool = False):
         if rows is not None and int(rows) < 1:
             raise ParameterError(f"rows must be >= 1, got {rows}")
         kept = n if rows is None else min(int(rows), n)
@@ -345,12 +352,17 @@ class _PrefillTail:
         # The kept rows' entries in a (kept, n) block, in packed order.
         self._tail_mask = np.tri(kept, n, self.first_row, dtype=bool)
         self.prefill = np.zeros((L, H, kept, n), dtype=np.float32)
+        self.whole = np.zeros((n, n), dtype=np.float64) if whole else None
+        # Per block, its rows' entries in columns 0..stop-1, in packed order.
+        self._lower = [np.tri(stop - start, stop, start, dtype=bool)
+                       for start, stop in self.blocks] if whole else None
 
     def add(self, layer: int, head: int, read) -> None:
-        """Check one head and keep its last rows. `read(lo, hi)` returns
-        packed scores lo..hi-1 as float32, one block at a time."""
+        """Check one head, keep its last rows and, with `whole`, fill
+        `whole`. `read(lo, hi)` returns packed scores lo..hi-1 as float32,
+        one block at a time."""
         bad_sum = None
-        for start, stop in self.blocks:
+        for k, (start, stop) in enumerate(self.blocks):
             lo = int(self.starts[start])
             scores = read(lo, int(self.starts[stop]))
             # The minimum of scores holding a NaN is NaN, which fails too.
@@ -368,6 +380,9 @@ class _PrefillTail:
                     bad_sum = ValidationError(
                         f"row sum {sums[j]:.6g} at ({layer}, {head}, {start + j})"
                     )
+                if self.whole is not None:
+                    # Columns from stop on stay zero.
+                    self.whole[start:stop, :stop][self._lower[k]] = wide
             keep = max(start, self.first_row)
             if keep < stop:
                 rows = slice(keep - self.first_row, stop - self.first_row)
@@ -697,9 +712,11 @@ def _read_base64(reader: _JsonReader, where: str, count: int) -> bytes | bytearr
     return first if buf is None else buf
 
 
-def _read_prefill_v2(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail) -> None:
+def _read_prefill_v2(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail,
+                     on_head) -> None:
     """Parse a version 2 prefill one head at a time, passing each head's
-    packed triangle to `tail`."""
+    packed triangle to `tail`, and then, unless `on_head` is None, its
+    dense block to `on_head`."""
     L, H = header.num_layers, header.num_heads
     for l in reader.items(L, f"prefill must be a list of {L} layers"):
         for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
@@ -708,6 +725,8 @@ def _read_prefill_v2(reader: _JsonReader, header: TraceHeader, tail: _PrefillTai
             tail.add(l, hd, lambda lo, hi: tri[lo:hi])
             # Free the head before the next is read.
             del raw, tri
+            if on_head is not None:
+                on_head(header, l, hd, tail.whole)
 
 
 def _read_decode_v2(reader: _JsonReader, s: int, header: TraceHeader) -> np.ndarray:
@@ -725,14 +744,14 @@ def _read_decode_v2(reader: _JsonReader, s: int, header: TraceHeader) -> np.ndar
 _LATE_VERSION = f"format_version {TEXT_FORMAT_VERSION} must come before prefill and decode"
 
 
-def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
+def trace_from_text(data, rows: int | None = None, on_head=None) -> AttentionTrace:
     """Parse a text container, version 2, from bytes or an open binary file.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head); None
-    keeps all of them. Every row is checked either way. The document is read
-    in chunks and parsed one value at a time (a base64 string), so no
-    whole-document object is built; `header` and `format_version` must
-    therefore come before `prefill` and `decode`.
+    keeps all of them. Every row is checked either way. `on_head` is as in
+    `load_trace`. The document is read in chunks and parsed one value at a
+    time (a base64 string), so no whole-document object is built; `header`
+    and `format_version` must therefore come before `prefill` and `decode`.
     """
     if isinstance(data, (bytes, bytearray)):
         data = io.BytesIO(data)
@@ -752,9 +771,10 @@ def trace_from_text(data, rows: int | None = None) -> AttentionTrace:
                 raise FormatError(f"unsupported format_version {version!r}")
         elif key == "header":
             header = _text_header(reader.value())
-            tail = _PrefillTail(header.num_layers, header.num_heads, header.prompt_len, rows)
+            tail = _PrefillTail(header.num_layers, header.num_heads, header.prompt_len, rows,
+                                on_head is not None)
         elif key == "prefill":
-            _read_prefill_v2(reader, header, tail)
+            _read_prefill_v2(reader, header, tail, on_head)
         elif key == "decode":
             T = header.num_decode_steps
             for s in reader.items(T, f"decode must be a list of {T} steps"):
@@ -815,13 +835,14 @@ def _fill(fh, buf: np.ndarray, what: str) -> None:
         got += count
 
 
-def trace_from_binary(data, rows: int | None = None) -> AttentionTrace:
+def trace_from_binary(data, rows: int | None = None, on_head=None) -> AttentionTrace:
     """Parse a binary container from bytes or an open binary file.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head); None
-    keeps all of them. The length is checked against the header first; the
-    prefill is then read one block of rows at a time, straight from the file
-    into one reused block buffer, and every row of every head is checked.
+    keeps all of them. `on_head` is as in `load_trace`. The length is checked
+    against the header first; the prefill is then read one block of rows at
+    a time, straight from the file into one reused block buffer, and every
+    row of every head is checked.
     """
     if isinstance(data, (bytes, bytearray)):
         fh, size = io.BytesIO(data), len(data)
@@ -854,7 +875,7 @@ def trace_from_binary(data, rows: int | None = None) -> AttentionTrace:
     bits = np.unpackbits(packed, bitorder="little")[:n].astype(bool)
     header = TraceHeader(L, H, n, T, bits)
 
-    tail = _PrefillTail(L, H, n, rows)
+    tail = _PrefillTail(L, H, n, rows, on_head is not None)
     block = np.empty(tail.block_size, dtype="<f4")
 
     def read(lo: int, hi: int) -> np.ndarray:
@@ -864,6 +885,8 @@ def trace_from_binary(data, rows: int | None = None) -> AttentionTrace:
     for l in range(L):
         for hd in range(H):
             tail.add(l, hd, read)
+            if on_head is not None:
+                on_head(header, l, hd, tail.whole)
     decode = []
     for s in range(T):
         vec = np.empty((L, H, n + s), dtype="<f4")
@@ -893,7 +916,8 @@ def save_trace(trace: AttentionTrace, path: str | os.PathLike, *, binary: bool |
         (_write_binary if binary else _write_text)(trace, fh)
 
 
-def load_trace(path: str | os.PathLike, rows: int | None = None) -> AttentionTrace:
+def load_trace(path: str | os.PathLike, rows: int | None = None,
+               on_head=None) -> AttentionTrace:
     """Read a trace, sniffing the container by magic bytes, and validate it.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head), as
@@ -901,10 +925,18 @@ def load_trace(path: str | os.PathLike, rows: int | None = None) -> AttentionTra
     the dense cube. Every row is checked either way, and the file is streamed
     rather than read whole: a binary file one block of rows at a time, a text
     file one head at a time.
+
+    `on_head(header, layer, head, block)`, unless None, is called for each
+    head in (layer, head) order once all its rows are checked. `block` is
+    the head's dense (n, n) prefill block as float64, a buffer that the next
+    head overwrites. So a statistic over every row is taken while the file
+    streams, without the dense cube being kept. A fault found after a head
+    was passed on, in a later head or a decode step, is still raised. With
+    None the loader does no more work than keeping its rows.
     """
     with open(path, "rb") as fh:
         binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC
         fh.seek(0)
         if binary:
-            return trace_from_binary(fh, rows)
-        return trace_from_text(fh, rows)
+            return trace_from_binary(fh, rows, on_head)
+        return trace_from_text(fh, rows, on_head)

@@ -14,7 +14,8 @@ import pytest
 from conftest import make_trace, uniform_rows
 import modkv
 import modkv.policy as policy_module
-from modkv import SyntheticTraceSpec, load_trace, save_trace
+import modkv.trace as trace_module
+from modkv import ProxyConfig, SyntheticTraceSpec, load_trace, save_trace, sparsity_curve
 from modkv.cli import build_policy_spec, effective_options, main, make_parser
 from oracles import (
     reference_generate_synthetic,
@@ -400,9 +401,9 @@ class TestPrefillRows:
         original = cli.load_trace
         seen = []
 
-        def spy(path, rows=None):
+        def spy(path, rows=None, **kwargs):
             seen.append(rows)
-            return original(path, rows=rows)
+            return original(path, rows=rows, **kwargs)
 
         # analyze loads in the CLI, sweep and run through TraceTables.load.
         for module in (cli, policy_module):
@@ -414,7 +415,47 @@ class TestPrefillRows:
                    "--policy", "fixed_priority:observation_window=12",
                    "--budget", "0.2", "--out", str(tmp_path / "run1")) == 0
         assert run("analyze", "--trace", str(demo_trace), "--out", str(tmp_path / "an")) == 0
-        assert seen == [1, 12, None]
+        # analyze keeps its proxy rows, 8 by default.
+        assert seen == [1, 12, 8]
+
+
+class TestAnalyzeStreams:
+    def test_shares_and_curves_match_the_dense_path(self, tmp_path):
+        """analyze takes each head's text share from the loader's head
+        buffer and keeps only the proxy rows. Its tables equal, bit for bit,
+        what the dense cube of each trace gives: two traces of n = 600, one
+        per container, where a head spans several loader blocks, and one of
+        n = 5, below --proxy-count, all in one run."""
+        assert 600 * 601 // 2 > 2 * trace_module._BLOCK_SCORES
+        shape = ["--layers", "2", "--heads", "2", "--decode-steps", "2",
+                 "--head-bias", "0.2,0.7", "--out", str(tmp_path)]
+        assert run("generate", *shape, "--name", "wide_binary", "--prompt-len", "600",
+                   "--seed", "3", "--trace-format", "binary") == 0
+        assert run("generate", *shape, "--name", "wide_text", "--prompt-len", "600",
+                   "--seed", "4") == 0
+        assert run("generate", *shape, "--name", "short", "--prompt-len", "5", "--seed", "5") == 0
+        paths = [tmp_path / "wide_binary.mkvt", tmp_path / "wide_text.json",
+                 tmp_path / "short.json"]
+        out = tmp_path / "an"
+        assert run("analyze", *(a for p in paths for a in ("--trace", str(p))),
+                   "--format", "json", "--budget", "0.1,0.5", "--out", str(out)) == 0
+
+        want_shares, want_curve = [], []
+        for path in paths:
+            trace = load_trace(path)
+            assert trace.first_row == 0
+            mask = trace.header.text_mask
+            for l, hd in np.ndindex(2, 2):
+                block = trace.head_rows(l, hd).astype(np.float64)
+                want_shares.append([path.stem, l, hd, float(block[:, mask].sum() / block.sum())])
+            want_curve += [[path.stem, group, frac, share] for frac, group, share
+                           in sparsity_curve(trace, [0.1, 0.5], ProxyConfig())]
+        shares = json.loads((out / "head_shares.json").read_text())
+        curve = json.loads((out / "sparsity.json").read_text())
+        assert [[r["trace"], r["layer"], r["head"], r["text_share"].hex()] for r in shares] == [
+            [*row[:3], row[3].hex()] for row in want_shares]
+        assert [[r["trace"], r["group"], r["budget_frac"], r["retained_share"].hex()]
+                for r in curve] == [[*row[:3], row[3].hex()] for row in want_curve]
 
 
 REPORT_FILES = ["compare.csv", "series.csv", "memory_model.csv", "sparsity.csv",

@@ -98,32 +98,48 @@ class TestPoolMass:
             assert mass_v + mass_t == pytest.approx(total, abs=1e-9)
 
 
+def text_share(trace, layer, head):
+    """`head_text_share` of one head of a trace in memory."""
+    return head_text_share(trace.head_rows(layer, head), trace.header.text_mask, layer, head)
+
+
 class TestHeadTextShare:
     def test_all_text_share_is_one(self, text_only_trace):
         for l in range(2):
             for hd in range(2):
-                assert head_text_share(text_only_trace, l, hd) == 1.0
+                assert text_share(text_only_trace, l, hd) == 1.0
 
     def test_visual_leaning_head_leaves_small_text_share(self):
         spec = small_spec(17, layers=1, heads=1, prompt_len=600, steps=0,
                           skew=1.0, mix=0.5, bias=0.8)
         t = generate_synthetic(spec)
-        assert head_text_share(t, 0, 0) == pytest.approx(0.2, abs=0.05)
+        assert text_share(t, 0, 0) == pytest.approx(0.2, abs=0.05)
 
     def test_share_ignores_decode_steps(self):
         bare = generate_synthetic(small_spec(23, steps=0))
         talky = generate_synthetic(small_spec(23, steps=3))
-        assert head_text_share(bare, 1, 1) == head_text_share(talky, 1, 1)
+        assert text_share(bare, 1, 1) == text_share(talky, 1, 1)
+
+    def test_float32_rows_and_float64_block_give_the_same_bits(self, mixed_trace):
+        rows = mixed_trace.head_rows(1, 0)
+        mask = mixed_trace.header.text_mask
+        assert head_text_share(rows, mask, 1, 0).hex() == head_text_share(
+            rows.astype(np.float64), mask, 1, 0).hex()
 
     def test_zero_mass_head_rejected(self):
-        t = make_trace([[1.0], [0.5, 0.5]], labels="tt", validate=False)
+        t = make_trace([[1.0], [0.5, 0.5]], labels="tt", tile=(2, 3), validate=False)
         t.prefill[...] = 0.0
-        with pytest.raises(ValidationError):
-            head_text_share(t, 0, 0)
+        with pytest.raises(ValidationError, match=r"head \(1, 2\) carries no attention mass"):
+            text_share(t, 1, 2)
 
-    def test_out_of_range_rejected(self, mixed_trace):
-        with pytest.raises(ParameterError):
-            head_text_share(mixed_trace, 5, 0)
+    def test_rows_short_of_the_whole_block_rejected(self, mixed_trace):
+        """Rows that are not the head's whole (n, n) block, such as the
+        proxy rows a partial load keeps, would give a share of those rows
+        only."""
+        mask = mixed_trace.header.text_mask
+        for rows in (mixed_trace.head_rows(1, 0, 16), mixed_trace.head_rows(1, 0)[:, :-1]):
+            with pytest.raises(ParameterError, match=r"head \(1, 0\): expected its whole"):
+                head_text_share(rows, mask, 1, 0)
 
 
 class TestSparsityCurve:

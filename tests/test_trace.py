@@ -1247,11 +1247,37 @@ class TestPrefillBlocks:
             edited.validate()
         write, load = CONTAINERS[kind]
         data = write(edited)
-        for rows in (None, 8):
+        seen = []
+        for rows, on_head in [(None, None), (8, None),
+                              (8, lambda header, l, hd, block: seen.append((l, hd)))]:
             with pytest.raises(ValidationError) as err:
-                load(data, rows)
+                load(data, rows, on_head)
             assert str(err.value) == str(by_validate.value)
         assert f"(0, 1, {row})" in str(by_validate.value)
+        # A head reaches on_head only once all its rows are checked.
+        assert seen == [(0, 0)]
+
+    @pytest.mark.parametrize("kind", list(CONTAINERS))
+    def test_on_head_gets_each_heads_dense_block(self, case, kind):
+        """A loader's on_head consumer gets every head, in (layer, head)
+        order, as the float64 of its dense rows in one reused C-contiguous
+        buffer, and the loaded trace is the one a load without it gives."""
+        trace, _ = case
+        write, load = CONTAINERS[kind]
+        data = write(trace)
+        seen, buffers = [], set()
+
+        def on_head(header, layer, head, block):
+            assert header == trace.header
+            assert block.dtype == np.float64 and block.flags.c_contiguous
+            buffers.add(id(block))
+            seen.append((layer, head, block.copy()))
+
+        assert load(data, 8, on_head) == load(data, 8)
+        assert [(l, hd) for l, hd, _ in seen] == [(0, 0), (0, 1)]
+        assert len(buffers) == 1
+        for l, hd, block in seen:
+            assert block.tobytes() == trace.head_rows(l, hd).astype(np.float64).tobytes()
 
 
 class TestStreamedBinaryFile:
@@ -1385,7 +1411,7 @@ class TestPartialTraceConsumers:
     def test_whole_cube_consumers_refuse_a_partial_trace(self, mixed_trace):
         part = dense(mixed_trace, 8)
         for consumer in (trace_to_binary, trace_to_text,
-                         lambda t: head_text_share(t, 0, 0)):
+                         lambda t: head_text_share(t.head_rows(0, 0), t.header.text_mask, 0, 0)):
             with pytest.raises(ParameterError, match="prompt row 0 requested"):
                 consumer(part)
 
@@ -1443,6 +1469,38 @@ class TestBoundedMemory:
         # cube 64 MiB.
         assert peak < 16 * MIB
         assert peak < 4 * (1024 * 1025 // 2)
+
+    @pytest.mark.parametrize("container", ["binary", "text"])
+    def test_analyze_holds_one_head_not_the_cube(self, big_diagonal, tmp_path, container):
+        path = big_diagonal[0 if container == "binary" else 1]
+        code, peak = traced_peak(
+            lambda: cli_main(["analyze", "--trace", str(path), "--out", str(tmp_path)]))
+        assert code == 0
+        n = 1024
+        head = 8 * n * n  # one head's float64 block: 8 MiB
+        # Its text columns, the copy head_text_share sums: 5.3 MiB.
+        text_columns = 8 * n * int(np.count_nonzero(np.arange(n) % 3))
+        proxy = 4 * 4 * 8 * n * 4  # the 8 proxy rows kept: 512 KiB
+        # The text loader also holds one head's packed float32 bytes, 2 MiB.
+        packed = 4 * (n * (n + 1) // 2) if container == "text" else 0
+        # The dense cube is 64 MiB.
+        assert peak < head + text_columns + proxy + packed + 4 * MIB
+
+    def test_analyze_holds_one_trace_at_a_time(self, big_diagonal, tmp_path):
+        """analyze over two traces peaks no higher than over the first of
+        them, give or take 10%: each trace is freed before the next loads."""
+        binary, text = big_diagonal
+
+        def peak(traces, out):
+            argv = ["analyze", *(a for p in traces for a in ("--trace", str(p))),
+                    "--out", str(out)]
+            code, peak_bytes = traced_peak(lambda: cli_main(argv))
+            assert code == 0
+            return peak_bytes
+
+        one = peak([text], tmp_path / "one")
+        two = peak([text, binary], tmp_path / "two")
+        assert two <= 1.10 * one, (one, two)
 
     @pytest.mark.parametrize("name", ["gen.mkvt", "gen.json"])
     def test_generated_save_builds_no_dense_cube(self, tmp_path, name):
