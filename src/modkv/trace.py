@@ -45,15 +45,19 @@ is byte-identical in either.
 
 The text loader reads the JSON in chunks and parses one value at a time with
 the stdlib scanner, so no whole-document object is built. Base64 payload
-strings skip the scanner: each is sliced from the pending text at its closing
-quote and strict-decoded, and the scanner parses only a payload that is not a
-plain string of strict base64, to decode its escapes or name its fault. The
-loader is therefore stricter than a whole-document parse: ``header`` and
-``format_version`` must come before ``prefill`` and ``decode``, and a field
-that appears twice in an object is an error. Each head's decoded bytes go
-through the same checks as the binary container's. Version 1 text, which
-spelled each score as a JSON number, is no longer read: its
-``format_version`` is refused.
+strings skip the scanner: each is found in the pending text by its closing
+quote and decoded there by ``_b64decode``, which takes a long payload 128 Ki
+characters at a time through a numpy word kernel and the rest through
+``binascii``. It accepts exactly the strings that
+``base64.b64decode(validate=True)`` accepts, with the same bytes, and any
+other goes to that function for its error. The scanner parses only a payload
+that is not a plain string of strict base64, to decode its escapes or name
+its fault, and the same decoder decodes it. The loader is therefore stricter
+than a whole-document parse: ``header`` and ``format_version`` must come
+before ``prefill`` and ``decode``, and a field that appears twice in an
+object is an error. Each head's decoded bytes go through the same checks as
+the binary container's. Version 1 text, which spelled each score as a JSON
+number, is no longer read: its ``format_version`` is refused.
 """
 
 from __future__ import annotations
@@ -405,6 +409,97 @@ def _row_chunks(n: int):
 # text container
 
 
+# Each byte's sextet in the standard base64 alphabet, 0xFF for any other byte.
+_B64_SEXTETS = bytes(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/".find(c) & 0xFF
+    for c in range(256)
+)
+# `_b64decode` takes payloads of at least this many characters (and at least
+# 16) to its numpy kernel; below it, `binascii` is faster than the kernel's
+# fixed cost.
+_B64_KERNEL_MIN = 1 << 14
+# The kernel decodes this many characters of text at a time, 96 KiB of bytes.
+_B64_SPAN = 1 << 17
+# The last 16 to 28 characters of a payload, where padding may occur, go to
+# `binascii`.
+_B64_TAIL = 16
+
+
+def _b64decode(text: str, start: int = 0, stop: int | None = None) -> bytes | bytearray:
+    """The bytes `base64.b64decode(text[start:stop], validate=True)` returns
+    (a bytearray where the kernel decoded them), or the error it raises. A
+    payload the kernel takes is read from `text` span by span, not sliced."""
+    if stop is None:
+        stop = len(text)
+    size = stop - start
+    if size >= _B64_KERNEL_MIN and size % 4 == 0:
+        raw = _b64_kernel(text, start, stop)
+        if raw is not None:
+            return raw
+    return base64.b64decode(text[start:stop], validate=True)
+
+
+def _b64_kernel(text: str, start: int, stop: int) -> bytearray | None:
+    """Decode `text[start:stop]`, a multiple of 4 characters, or return None
+    for any text that is not strict base64 and ASCII, for `base64` to name
+    its fault.
+
+    All but the last `_B64_TAIL` to `_B64_TAIL + 12` characters are a
+    multiple of 16 characters, which decode without padding, span by span:
+    `bytes.translate` maps each character to its sextet, and each `<u4`
+    word of four sextets s0..s3 becomes the 24 bits s0 s1 s2 s3. Each 16
+    characters' four such words are packed big-endian into three output
+    words, which one byteswap turns into the output bytes. Every temporary
+    is one span long. `binascii` decodes the rest strictly, padding and all.
+    """
+    body = stop - start - _B64_TAIL - (stop - start) % 16
+    try:
+        tail = binascii.a2b_base64(text[start + body:stop].encode("ascii"), strict_mode=True)
+    except ValueError:
+        return None
+    out = bytearray(body // 4 * 3 + len(tail))
+    out[body // 4 * 3:] = tail
+    words = np.frombuffer(out, "<u4", body // 16 * 3)
+    lanes = np.empty(min(body, _B64_SPAN) // 4, np.uint32)
+    spare = np.empty_like(lanes)
+    for lo in range(0, body, _B64_SPAN):
+        hi = min(lo + _B64_SPAN, body)
+        try:
+            sextets = text[start + lo:start + hi].encode("ascii").translate(_B64_SEXTETS)
+        except UnicodeEncodeError:
+            return None
+        if sextets.find(b"\xff") >= 0:
+            return None
+        quads = np.frombuffer(sextets, "<u4")  # s0 | s1 << 8 | s2 << 16 | s3 << 24
+        v, t = lanes[:quads.size], spare[:quads.size]
+        # Each 16-bit lane: s0 << 6 | s1, and s2 << 6 | s3.
+        np.bitwise_and(quads, 0x00FF00FF, out=v)
+        np.left_shift(v, 6, out=v)
+        np.right_shift(quads, 8, out=t)
+        np.bitwise_and(t, 0x00FF00FF, out=t)
+        np.bitwise_or(v, t, out=v)
+        # The 24 bits: the low lane << 12 | the high lane.
+        np.right_shift(v, 16, out=t)
+        np.bitwise_and(v, 0xFFFF, out=v)
+        np.left_shift(v, 12, out=v)
+        np.bitwise_or(v, t, out=v)
+        # Four 24-bit groups a, b, c, d per 16 characters: a << 8 | b >> 16,
+        # b << 16 | c >> 8 and c << 24 | d.
+        g = v.reshape(-1, 4)
+        o = words[lo // 16 * 3:hi // 16 * 3].reshape(-1, 3)
+        t = t[:len(g)]
+        np.left_shift(g[:, 0], 8, out=o[:, 0])
+        np.right_shift(g[:, 1], 16, out=t)
+        np.bitwise_or(o[:, 0], t, out=o[:, 0])
+        np.left_shift(g[:, 1], 16, out=o[:, 1])
+        np.right_shift(g[:, 2], 8, out=t)
+        np.bitwise_or(o[:, 1], t, out=o[:, 1])
+        np.left_shift(g[:, 2], 24, out=o[:, 2])
+        np.bitwise_or(o[:, 2], g[:, 3], out=o[:, 2])
+        o.byteswap(inplace=True)
+    return out
+
+
 def _write_base64(fh, payloads) -> None:
     """Write a JSON list of the base64 of each float32 array in `payloads`."""
     fh.write(b"[")
@@ -563,12 +658,12 @@ class _JsonReader:
         The pending text is searched once from the opening quote for the
         closing quote or a backslash, with a refill only while neither has
         been found, so a payload is read no further than `value` reads a good
-        string. The slice up to a closing quote is decoded with the caller's
-        own `base64.b64decode(validate=True)`, which also refuses a control or
-        non-ASCII character: searching for those too would take longer than
-        the JSON scanner does. Any other value, an escape, a slice that is not
-        strict base64, or the end of the file returns None, and the caller's
-        `value` names the fault.
+        string. The text up to a closing quote is decoded in place with
+        `_b64decode`, the decoder `_read_base64` also uses, which refuses a
+        control or non-ASCII character too: searching for those as well would
+        take longer than the JSON scanner does. Any other value, an escape,
+        text that is not strict base64, or the end of the file returns None,
+        and the caller's `value` names the fault.
         """
         if self.peek() != '"':
             return None
@@ -585,7 +680,7 @@ class _JsonReader:
             if not self._refill():
                 return None
         try:
-            raw = base64.b64decode(self._buf[self._pos + 1:quote], validate=True)
+            raw = _b64decode(self._buf, self._pos + 1, quote)
         except (binascii.Error, ValueError):
             return None
         self._pos = quote + 1
@@ -673,12 +768,13 @@ def _read_base64(reader: _JsonReader, where: str, count: int) -> bytes | bytearr
     are `count` float32 scores; return those bytes. The list may be cut
     anywhere. A list that runs past the expected size fails at once.
 
-    Each piece is strict-decoded straight from the pending text; only a
-    piece that is not a plain string of strict base64 goes through the JSON
-    scanner, which decodes its escapes or names its fault. A list of one
-    piece returns that piece's bytes. A longer list is copied, one piece at
-    a time as each is decoded, into one writable buffer of all `count`
-    scores, so no more than one piece is held beside it."""
+    Each piece is decoded by `_b64decode` straight from the pending text;
+    only a piece that is not a plain string of strict base64 goes through the
+    JSON scanner, which decodes its escapes or names its fault, and then
+    through `_b64decode` too. A list of one piece returns that piece's bytes.
+    A longer list is copied, one piece at a time as each is decoded, into one
+    writable buffer of all `count` scores, so no more than one piece is held
+    beside it."""
     want = 4 * count
     first, buf, got = b"", None, 0
     for k in reader.items(None, f"{where} must be a list of base64 strings"):
@@ -690,7 +786,7 @@ def _read_base64(reader: _JsonReader, where: str, count: int) -> bytes | bytearr
                     f"{where}[{k}] must be a base64 string, got {type(piece).__name__}"
                 )
             try:
-                raw = base64.b64decode(piece, validate=True)
+                raw = _b64decode(piece)
             except (binascii.Error, ValueError) as exc:
                 raise FormatError(f"{where}[{k}] is not base64: {exc}") from None
             del piece  # held no longer than its bytes
@@ -734,8 +830,8 @@ def _read_decode_v2(reader: _JsonReader, s: int, header: TraceHeader) -> np.ndar
     shape = (header.num_layers, header.num_heads, header.prompt_len + s)
     raw = _read_base64(reader, f"decode[{s}]", shape[0] * shape[1] * shape[2])
     step = np.frombuffer(raw, "<f4").reshape(shape)
-    # Writable, as the binary loader's arrays are: a step of one piece is
-    # read-only bytes, so it alone is copied.
+    # Writable, as the binary loader's arrays are: a step of one piece that
+    # `base64` decoded is read-only bytes, so it alone is copied.
     return step if step.flags.writeable else step.copy()
 
 

@@ -6,12 +6,22 @@ step in one sum of products over a stacked table. Here every one of their
 outputs is compared, exactly, with the per-head loops and the per-step
 replay they replaced (`oracles.reference_*`): plan arrays, keep masks,
 warning text and order, retained masses, and whole SimReports.
+
+The text loader's base64 word kernel, `trace._b64decode`, is compared with
+`base64.b64decode(validate=True)` the same way: equal bytes, or the same
+exception type and message, on valid, mutated and fixed-length payloads.
 """
+
+import base64
+import string
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import modkv.policy as policy_module
+import modkv.trace as trace_module
 import oracles
 from conftest import assert_same_report, labels_from
 from modkv import (
@@ -399,3 +409,122 @@ def test_vectorised_split_matches_largest_remainder_split():
             exact = (np.asarray(weights, dtype=np.float64) / sum(weights)) * total
             leftovers.add(int(total - np.floor(exact).sum()))
     assert leftovers == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the base64 word kernel
+
+SPAN = trace_module._B64_SPAN
+ALPHABET = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+# Characters that are not base64 data: punctuation, controls, padding and
+# non-ASCII of each UTF-8 width.
+FOREIGN = ["$", "-", "_", ".", " ", "\n", "\t", "\x00", "\x7f", "=", "\x80", "é", "€",
+           "\U0001F600"]
+# The shortest payload the kernel takes: its default, or 32 characters, so
+# that short payloads take it as well.
+KERNELS = pytest.mark.parametrize("kernel", [None, 32], ids=["default_kernel", "kernel32"])
+
+
+def decode_outcome(decode, text):
+    try:
+        return bytes(decode(text))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_decodes_alike(text, kernel):
+    """`_b64decode` of `text`, alone and in place inside a longer string,
+    returns the bytes `base64.b64decode(validate=True)` returns or raises
+    its error."""
+    want = decode_outcome(lambda s: base64.b64decode(s, validate=True), text)
+    pending = '["' + text + '"]'
+    with mock.patch.object(trace_module, "_B64_KERNEL_MIN",
+                           kernel or trace_module._B64_KERNEL_MIN):
+        assert decode_outcome(trace_module._b64decode, text) == want
+        in_place = decode_outcome(
+            lambda s: trace_module._b64decode(pending, 2, 2 + len(s)), text)
+        assert in_place == want
+
+
+def b64(raw):
+    return base64.b64encode(raw).decode("ascii")
+
+
+# Byte counts from 0 to about 3 spans of text: a whole number of spans, then
+# up to one more, which tends to be short.
+SIZES = st.builds(lambda spans, chars: (spans * SPAN + chars) * 3 // 4,
+                  st.integers(0, 2), st.integers(0, SPAN))
+
+
+@KERNELS
+@settings(max_examples=60, deadline=None)
+@given(size=SIZES, seed=st.integers(0, 2 ** 32 - 1))
+def test_b64decode_matches_base64_on_random_bytes(kernel, size, seed):
+    assert_decodes_alike(b64(np.random.default_rng(seed).bytes(size)), kernel)
+
+
+@KERNELS
+@settings(max_examples=150, deadline=None)
+@given(
+    size=SIZES,
+    seed=st.integers(0, 2 ** 32 - 1),
+    mutation=st.sampled_from(["replace", "drop", "extra", "leading_pad", "strip_pad",
+                              "over_pad", "data_after_pad"]),
+    where=st.integers(0, 40) | st.integers(0, 2 ** 32 - 1),
+    from_end=st.booleans(),
+    char=st.sampled_from(FOREIGN),
+)
+def test_b64decode_matches_base64_on_mutated_encodings(kernel, size, seed, mutation, where,
+                                                       from_end, char):
+    raw = np.random.default_rng(seed).bytes(size)
+    text = b64(raw)
+    at = where % (len(text) + 1)
+    if from_end:
+        at = len(text) - at
+    if mutation == "replace":
+        text = text[:at] + char + text[at + 1:]
+    elif mutation == "drop":
+        text = text[:at] + text[at + 1:]
+    elif mutation == "extra":
+        text = text[:at] + ALPHABET[where % 64] + text[at:]
+    elif mutation == "leading_pad":
+        text = "=" + text[1:]
+    elif mutation == "strip_pad":
+        text = text.rstrip("=")
+    elif mutation == "over_pad":
+        text += "=" * (1 + where % 2)
+    else:
+        # Two encodings joined: the first one's padding, if it has any, is
+        # followed by data.
+        cut = at * 3 // 4
+        text = b64(raw[:cut]) + b64(raw[cut:])
+    assert_decodes_alike(text, kernel)
+
+
+def test_b64decode_matches_base64_at_every_short_and_span_length():
+    """Every length from 0 to 64 characters, with the kernel taking payloads
+    of 32 characters and more, and every length around one span with its
+    default: the kernel leaves the last 16 to 28 characters to `binascii`,
+    so a payload it takes in two spans begins at SPAN + 32 characters. Each
+    text is tried valid, with each padding its length allows, and with a
+    foreign character at the ends and the edges of the tail."""
+    rng = np.random.default_rng(7)
+    for lengths, kernel, foreign in ((range(65), 32, FOREIGN),
+                                     (range(SPAN - 16, SPAN + 33), None, ["$", "=", "é"])):
+        for length in lengths:
+            if length % 4:
+                texts = ["".join(rng.choice(list(ALPHABET), length))]
+            else:
+                # No padding, then "=" and "==".
+                texts = [b64(rng.bytes(length // 4 * 3 - pad))
+                         for pad in range(3 if length else 1)]
+            for text in texts:
+                assert len(text) == length
+                assert_decodes_alike(text, kernel)
+                # The first and a middle character, the last one before the
+                # tail, and the tail's first, middle and last ones.
+                for at in {0, length // 2, length - 29, length - 17, length - 16,
+                           length - 3, length - 1}:
+                    if 0 <= at < length:
+                        for char in foreign:
+                            assert_decodes_alike(text[:at] + char + text[at + 1:], kernel)

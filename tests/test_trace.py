@@ -674,6 +674,15 @@ def text_chunk(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=[None, 32], ids=["default_kernel", "kernel32"])
+def b64_kernel(request, monkeypatch):
+    """The shortest payload the base64 word kernel takes: its default, or
+    32 characters, so that nearly every payload of a small trace takes it."""
+    if request.param is not None:
+        monkeypatch.setattr(trace_module, "_B64_KERNEL_MIN", request.param)
+    return request.param
+
+
 def payload_middle(data, path):
     """The character offset of the middle of the first base64 string at
     `path` (prefill or decode indices) in the document `data`."""
@@ -705,27 +714,49 @@ class TestPayloadStrings:
         # The scanner parsed field names, the version and the header only.
         assert parsed and all(not isinstance(obj, str) or len(obj) < 16 for obj in parsed)
 
-    def test_every_payload_goes_through_one_decoder(self, text_chunk, mixed_trace, monkeypatch):
-        """Plain and escaped payloads alike are decoded by
-        `base64.b64decode(validate=True)`, so both paths accept the same
-        strings on every supported Python."""
-        calls = []
-        b64decode = base64.b64decode
+    def test_every_payload_goes_through_one_decoder(self, text_chunk, b64_kernel, mixed_trace,
+                                                    monkeypatch):
+        """Plain and escaped payloads alike are decoded by `_b64decode`, one
+        call per piece, so both paths accept the same strings."""
+        decoded = []
+        b64decode = trace_module._b64decode
 
-        def spy(s, *args, **kwargs):
-            calls.append((args, kwargs))
-            return b64decode(s, *args, **kwargs)
+        def spy(text, start=0, stop=None):
+            decoded.append(text[start:stop])
+            return b64decode(text, start, stop)
 
-        monkeypatch.setattr(base64, "b64decode", spy)
+        monkeypatch.setattr(trace_module, "_b64decode", spy)
         data = trace_to_text(mixed_trace)
         doc = json.loads(data)
-        pieces = sum(len(head) for layer in doc["prefill"] for head in layer)
-        pieces += sum(len(step) for step in doc["decode"])
+        pieces = [piece for layer in doc["prefill"] for head in layer for piece in head]
+        pieces += [piece for step in doc["decode"] for piece in step]
         for rows in (None, 8):
             for text in (data, data.replace(b"/", b"\\/")):
-                calls.clear()
+                decoded.clear()
                 assert trace_from_text(text, rows=rows) == dense(mixed_trace, rows)
-                assert calls == [((), {"validate": True})] * pieces
+                assert decoded == pieces
+
+    @pytest.mark.parametrize("at", ["first_span", "later_span", "tail"])
+    def test_a_fault_in_any_span_of_a_long_payload_is_named(self, at):
+        """A payload of several kernel spans fails alike wherever its one
+        invalid character is: in the first span, a later one, or the last
+        characters, which `binascii` decodes."""
+        spec = SyntheticTraceSpec(1, 1, 512, 1, skew=1.2, modality_mix=0.5,
+                                  head_preference_bias=0.5, seed=4)
+        data = trace_to_text(generate_synthetic(spec))
+        payload = json.loads(data)["prefill"][0][0]
+        assert len(payload) == 1 and len(payload[0]) > 3 * trace_module._B64_SPAN
+        start = data.index(payload[0].encode("ascii"))
+        offset = {"first_span": 1000,
+                  "later_span": 2 * trace_module._B64_SPAN + 5,
+                  "tail": len(payload[0]) - 5}[at]
+        bad = bytearray(data)
+        bad[start + offset] = ord("$")  # the length stays a multiple of 4
+        for rows in (None, 8):
+            with pytest.raises(FormatError) as err:
+                trace_from_text(bytes(bad), rows=rows)
+            assert str(err.value) == (
+                "prefill[0][0][0] is not base64: Only base64 data is allowed")
 
     @pytest.mark.parametrize("char, escape", [("/", "\\/"), ("A", "\\u0041")],
                              ids=["solidus", "unicode"])
@@ -1550,6 +1581,17 @@ class TestBoundedMemory:
         # One head's bytes are 2 MiB, and the text held at a time up to
         # about 3 MiB; the file is 43 MiB and the dense cube 64 MiB.
         assert peak < 16 * MIB
+
+    def test_a_long_payload_decodes_span_by_span(self):
+        """Decoding an 8 MiB payload holds its decoded bytes and a few spans
+        of scratch: no temporary grows with the payload beyond one ASCII copy
+        of its text."""
+        raw = np.random.default_rng(0).bytes(6 * MIB)
+        text = base64.b64encode(raw).decode("ascii")
+        assert len(text) == 8 * MIB
+        got, peak = traced_peak(lambda: trace_module._b64decode(text))
+        assert got == raw
+        assert peak <= len(raw) + len(text) + MIB
 
     def test_text_head_of_many_pieces_is_held_once(self, tmp_path):
         """A head written in 16 pieces is decoded piece by piece into one
