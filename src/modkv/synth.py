@@ -19,11 +19,16 @@ the bias contract holds for decode rows too.
 
 Everything is a pure function of the SyntheticTraceSpec fields (including
 the 64-bit seed): equal specs yield bit-identical traces. A generated trace
-stores per-head weight vectors, not prefill rows, and works a layer at a
-time: decode rows and row factors take O(H·n) beside the weights. One kernel
-computes a chunk of rows over the columns they can reach: `packed_rows`
-gathers its lower triangle for the writers, and `head_rows` zero-pads it to
-full rows for every other reader.
+stores per-head weight vectors, not prefill or decode rows, and works a
+layer at a time. For the prefill, the first read of a layer builds its row
+factors, O(H·n); one kernel computes a chunk of rows over the columns they
+can reach, `packed_rows` gathers its lower triangle for the writers, and
+`head_rows` zero-pads it to full rows for every other reader. For the
+decode, `generate_synthetic` keeps each (layer, step, head)'s two pool
+scales and each head's bulk mass, and `decode_rows` rebuilds one layer of
+one step, `(H, n + s)`, from them and the weights. So `generate` holds the
+O(L·H·n) weights, the O(L·T·H) scales and one such block, and no decode
+step. The `decode` list is built only when an in-process reader asks for it.
 """
 
 from __future__ import annotations
@@ -109,23 +114,74 @@ def _rebalance_scales(sum_v: np.ndarray, sum_t: np.ndarray,
     return scale_v, scale_t
 
 
+def _decode_prompt(u: np.ndarray, bulk: np.ndarray, anchor_width: int) -> np.ndarray:
+    """A layer's (H, n) decode weights over the prompt: each head's weights
+    `u` with the question anchor bump, a share of its bulk mass `bulk`
+    (H, 1), added to its last `anchor_width` positions."""
+    w_prompt = u.copy()
+    w_prompt[:, u.shape[-1] - anchor_width:] += QUESTION_ANCHOR_WEIGHT * bulk / anchor_width
+    return w_prompt
+
+
+def _history(bulk: np.ndarray, step: int) -> np.ndarray:
+    """A layer's (H, step) decode weights over the tokens generated before
+    decode step `step`, decaying with age from each head's bulk mass."""
+    ages = np.arange(step - 1, -1, -1, dtype=np.float64)
+    return DECODE_HISTORY_WEIGHT * bulk * DECODE_HISTORY_DECAY ** ages
+
+
 class _SyntheticTrace(AttentionTrace):
-    """A generated trace whose prefill rows are computed on demand.
+    """A generated trace whose prefill and decode rows are computed on demand.
 
     Prefill row i of head (l, h) is a closed-form function of the head's
     weight vector, so only the weights `(L, H, n)` are kept and no prefill
     array is stored. The first read of a layer builds its heads' row factors,
-    O(H·n), and keeps them until another layer is read.
+    O(H·n), and keeps them until another layer is read. One layer of a
+    decode step is rebuilt from the weights, each head's bulk mass and the
+    step's two pool scales whenever it is read, until `decode` is read.
     """
 
     def __init__(self, header: TraceHeader, weights: np.ndarray, bias: np.ndarray,
-                 decode: list[np.ndarray]):
+                 bulk: np.ndarray, scales: np.ndarray):
         self.header = header
-        self.decode = decode
         self.first_row = 0
         self._weights = weights
         self._bias = bias
+        self._bulk = bulk
+        self._scales = scales
+        self._decode = None
         self._layer = self._factors = None
+
+    @property
+    def decode(self) -> list[np.ndarray]:
+        """Every decode step, built on first access and kept: from then on
+        it is what `decode_rows` reads, so an edit to it is saved."""
+        if self._decode is None:
+            h = self.header
+            self._decode = [np.stack([self._decode_block(s, l) for l in range(h.num_layers)])
+                            for s in range(h.num_decode_steps)]
+        return self._decode
+
+    @decode.setter
+    def decode(self, steps: list[np.ndarray]) -> None:
+        self._decode = steps
+
+    def _decode_block(self, step: int, layer: int) -> np.ndarray:
+        """One layer of decode step `step`, (H, n + step) float32: the prompt
+        and history weights, each modality scaled by the step's pool scale."""
+        vis, n = self.header.modality_labels, self.header.prompt_len
+        bulk = self._bulk[layer, :, None]
+        w_prompt = _decode_prompt(self._weights[layer], bulk, min(QUESTION_ANCHOR_WIDTH, n))
+        sv, st = self._scales[layer, :, step, :, None]
+        rows = np.empty((self.header.num_heads, n + step), dtype="<f4")
+        rows[:, :n] = np.where(vis, sv * w_prompt, st * w_prompt)
+        rows[:, n:] = st * _history(bulk, step)
+        return rows
+
+    def decode_rows(self, step: int, layer: int) -> np.ndarray:
+        if self._decode is not None:
+            return super().decode_rows(step, layer)
+        return self._decode_block(step, layer)
 
     def _block(self, layer: int, head: int, start: int, stop: int) -> np.ndarray:
         """Prefill rows start..stop-1 of one head over columns 0..stop-1, as
@@ -167,8 +223,9 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:
     """Generate a trace satisfying every AttentionTrace invariant.
 
     The returned trace keeps each head's weight vector and computes prefill
-    rows when they are read, so neither saving nor simulating it builds the
-    dense cube.
+    rows and decode blocks when they are read, so neither saving nor
+    simulating it builds the dense cube, and saving it builds no decode step
+    beyond the one layer being written.
     """
     L, H = spec.num_layers, spec.num_heads
     n, T = spec.prompt_len, spec.num_decode_steps
@@ -183,7 +240,9 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:
     anchor_width = min(QUESTION_ANCHOR_WIDTH, n)
     bias = np.array(spec.head_preference_bias, dtype=np.float64)[:, None]
     weights = np.empty((L, H, n), dtype=np.float64)
-    decode = [np.empty((L, H, n + s), dtype=np.float32) for s in range(T)]
+    bulks = np.empty((L, H), dtype=np.float64)
+    # Each (layer, step, head)'s visual and text pool scales.
+    scales = np.empty((L, 2, T, H), dtype=np.float64)
 
     for l in range(L):
         for u in weights[l]:  # head by head: the draw order fixes the bytes
@@ -194,18 +253,16 @@ def generate_synthetic(spec: SyntheticTraceSpec) -> AttentionTrace:
 
         if T:
             # Every sum runs over contiguous rows, so each head's sums are
-            # the pairwise sums of its own 1-d row.
+            # the pairwise sums of its own 1-d row. Each step's history is
+            # summed and dropped before the next is built.
             bulk = weights[l].sum(axis=-1, keepdims=True)
-            w_prompt = weights[l].copy()
-            w_prompt[:, n - anchor_width:] += QUESTION_ANCHOR_WEIGHT * bulk / anchor_width
-            ages = [np.arange(s - 1, -1, -1, dtype=np.float64) for s in range(T)]
-            hists = [DECODE_HISTORY_WEIGHT * bulk * DECODE_HISTORY_DECAY ** a for a in ages]
+            w_prompt = _decode_prompt(weights[l], bulk, anchor_width)
             scale_v, scale_t = _rebalance_scales(
                 w_prompt.compress(vis, axis=-1).sum(axis=-1, keepdims=True),
                 w_prompt.compress(txt, axis=-1).sum(axis=-1, keepdims=True)
-                + np.array([hist.sum(axis=-1, keepdims=True) for hist in hists]), bias)
-            for rows, sv, st, hist in zip(decode, scale_v, scale_t, hists):
-                rows[l, :, :n] = np.where(vis, sv * w_prompt, st * w_prompt)
-                rows[l, :, n:] = st * hist
+                + np.array([_history(bulk, s).sum(axis=-1, keepdims=True) for s in range(T)]),
+                bias)
+            bulks[l] = bulk[:, 0]
+            scales[l] = scale_v[..., 0], scale_t[..., 0]
 
-    return _SyntheticTrace(header, weights, bias, decode)
+    return _SyntheticTrace(header, weights, bias, bulks, scales)

@@ -23,7 +23,10 @@ triangle at a time, about 1 MiB of float32. A row below ``first_row`` is a
 ParameterError in both. So a loaded trace is analyzed without its dense cube
 ever being built, and a trace that computes its rows on demand, as the
 synthetic generator's does, is simulated, compared and written without it,
-and simulated and written without even one whole (n, n) block.
+and simulated and written without even one whole (n, n) block. The writers
+likewise take each decode step one layer at a time from
+``AttentionTrace.decode_rows``, so a generated trace is written without its
+decode steps being built.
 
 Two interchangeable containers are supported and sniffed by magic bytes.
 Both store scores as little-endian float32, so a save/load/save round trip
@@ -190,7 +193,9 @@ class AttentionTrace:
             causal cube.
 
     Read prefill rows through `head_rows`, never `prefill`: a generated trace
-    computes its rows and stores no prefill array.
+    computes its rows and stores no prefill array. The writers read decode
+    steps through `decode_rows`, one layer at a time: a generated trace
+    computes those blocks too and builds `decode` only when it is read.
     """
 
     header: TraceHeader
@@ -286,6 +291,11 @@ class AttentionTrace:
         lower = np.tri(stop - start, stop, start, dtype=bool)
         rows = self.head_rows(layer, head, start, stop)[:, :stop]
         return np.ascontiguousarray(rows[lower], dtype="<f4")
+
+    def decode_rows(self, step: int, layer: int) -> np.ndarray:
+        """One layer of decode step `step`, (H, n + step), as little-endian
+        float32."""
+        return np.ascontiguousarray(self.decode[step][layer], dtype="<f4")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
@@ -534,10 +544,10 @@ def _write_text(trace: AttentionTrace, fh) -> None:
             _write_base64(fh, (trace.packed_rows(l, hd, *rows) for rows in chunks))
         fh.write(b"]")
     fh.write(b'],"decode":[')
-    for s, vec in enumerate(trace.decode):
+    for s in range(h.num_decode_steps):
         if s:
             fh.write(b",")
-        _write_base64(fh, (np.ascontiguousarray(layer, dtype="<f4") for layer in vec))
+        _write_base64(fh, (trace.decode_rows(s, l) for l in range(h.num_layers)))
     fh.write(b"]}\n")
 
 
@@ -899,7 +909,8 @@ def trace_from_text(data, rows: int | None = None, on_head=None) -> AttentionTra
 
 def _write_binary(trace: AttentionTrace, fh) -> None:
     """Write the binary container, each (layer, head)'s packed triangle one
-    `_row_chunks` chunk at a time."""
+    `_row_chunks` chunk at a time, then each decode step one layer at a
+    time."""
     h = trace.header
     L, H, n, T = h.num_layers, h.num_heads, h.prompt_len, h.num_decode_steps
     fh.write(BINARY_MAGIC)
@@ -909,8 +920,9 @@ def _write_binary(trace: AttentionTrace, fh) -> None:
         for hd in range(H):
             for start, stop in _row_chunks(n):
                 fh.write(trace.packed_rows(l, hd, start, stop).data)
-    for vec in trace.decode:
-        fh.write(np.ascontiguousarray(vec, dtype="<f4").data)
+    for s in range(T):
+        for l in range(L):
+            fh.write(trace.decode_rows(s, l).data)
 
 
 def trace_to_binary(trace: AttentionTrace) -> bytes:
@@ -1004,7 +1016,8 @@ def save_trace(trace: AttentionTrace, path: str | os.PathLike, *, binary: bool |
     """Write a trace. Format comes from `binary` or, when None, the suffix
     (``.mkvt`` means binary, anything else text, version 2). The write is
     atomic and streams about 1 MiB of one head's packed triangle at a time
-    from `trace.packed_rows`."""
+    from `trace.packed_rows`, then one layer of a decode step at a time from
+    `trace.decode_rows`."""
     path = os.fspath(path)
     if binary is None:
         binary = path.endswith(".mkvt")

@@ -246,9 +246,29 @@ def test_rows_read_in_any_order_equal_reference(spec):
             assert rows.dtype == expected.dtype and rows.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("spec", COHERENCE_SPECS.values(), ids=COHERENCE_SPECS.keys())
+def test_decode_blocks_read_in_any_order_equal_reference(spec):
+    """Decode blocks read in shuffled (step, layer) order, alternating between
+    two generated traces, are byte for byte the dense reference generator's
+    steps, and no read builds a trace's `decode` list."""
+    other = dataclasses.replace(spec, seed=spec.seed + 1)
+    pairs = [(generate_synthetic(s), reference_generate_synthetic(s)) for s in (spec, other)]
+    reads = [(s, l) for s in range(spec.num_decode_steps) for l in range(spec.num_layers)]
+    rng = random.Random(spec.seed)
+    orders = [rng.sample(reads, len(reads)) for _ in pairs]
+    for step_reads in zip(*orders):
+        for (trace, ref), (s, l) in zip(pairs, step_reads):
+            block = trace.decode_rows(s, l)
+            expected = ref.decode[s][l]
+            assert block.dtype == np.dtype("<f4") and block.shape == expected.shape
+            assert block.tobytes() == expected.tobytes() == ref.decode_rows(s, l).tobytes()
+    assert all(trace._decode is None for trace, _ in pairs)
+
+
 def test_row_chunked_blocks_and_files_equal_reference():
-    # 2**18 // 700 = 374 rows a chunk, so the writers take each head in two.
-    spec = small_spec(11, layers=1, prompt_len=700, steps=1)
+    # 2**18 // 700 = 374 rows a chunk, so the writers take each head in two;
+    # each decode step is written one layer at a time.
+    spec = small_spec(11, layers=2, prompt_len=700, steps=3)
     trace = generate_synthetic(spec)
     ref = reference_generate_synthetic(spec)
     for start, stop in ((0, 700), (0, 1), (100, 375), (374, 700), (699, 700)):
@@ -305,6 +325,41 @@ def test_saving_a_generated_trace_reads_only_packed_rows(tmp_path, monkeypatch, 
     save_trace(trace, tmp_path / name)
     monkeypatch.undo()
     assert load_trace(tmp_path / name) == reference_generate_synthetic(spec)
+
+
+@pytest.mark.parametrize("name", ["gen.mkvt", "gen.json"])
+def test_saving_a_generated_trace_builds_no_decode_list(tmp_path, monkeypatch, name):
+    """The writers take one layer of a decode step at a time from
+    `decode_rows`; the trace's list of whole decode steps is never built."""
+    spec = small_spec(14, layers=3, prompt_len=40, steps=4)
+    trace = generate_synthetic(spec)
+
+    def no_decode_list(self):
+        raise AssertionError("a writer built a generated trace's decode list")
+
+    monkeypatch.setattr(_SyntheticTrace, "decode", property(no_decode_list))
+    save_trace(trace, tmp_path / name)
+    monkeypatch.undo()
+    assert trace._decode is None
+    assert load_trace(tmp_path / name) == reference_generate_synthetic(spec)
+
+
+@pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
+def test_an_edit_to_a_generated_decode_step_is_saved(tmp_path, binary):
+    """Once read, a generated trace's `decode` list is what the writers save,
+    so an in-place edit reaches the file as it would for a loaded trace."""
+    spec = small_spec(15, layers=2, prompt_len=30, steps=3)
+    trace = generate_synthetic(spec)
+    row = trace.decode[2][1, 0]
+    row[[3, 31]] = row[[31, 3]]  # a swap keeps the row a probability vector
+    assert row[3] != row[31]
+    path = tmp_path / "edited"
+    save_trace(trace, path, binary=binary)
+    render = reference_trace_to_binary if binary else reference_trace_to_text_v2
+    assert path.read_bytes() == render(trace) != render(reference_generate_synthetic(spec))
+    loaded = load_trace(path)
+    assert loaded == trace
+    assert loaded.decode[2][1, 0].tobytes() == row.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

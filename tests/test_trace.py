@@ -1560,7 +1560,7 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("name", ["gen.mkvt", "gen.json"])
     def test_generated_save_keeps_one_layer_of_factors(self, tmp_path, name):
         """Saving a generated trace holds the row factors of one layer at a
-        time: beyond the trace's own weight and decode arrays, which exist
+        time: beyond the trace's own weights and decode scales, which exist
         before tracing starts, the peak grows with H·n, not with L·H·n."""
         L, H, n = 32, 16, 256
         spec = SyntheticTraceSpec(L, H, n, 2, skew=1.2, modality_mix=0.5,
@@ -1572,6 +1572,25 @@ class TestBoundedMemory:
         # packed rows) 448.5 KiB. Factors kept for every layer would take
         # 2 MiB: their (L, H, n, 2) float32 scale table alone is 1 MiB.
         assert peak < 4 * L * H * n * 2
+
+    @pytest.mark.parametrize("name", ["gen.mkvt", "gen.json"])
+    def test_generate_and_save_do_not_grow_with_decode_steps(self, tmp_path, name):
+        """Generating and saving a trace holds one layer of one decode step at
+        a time: 256 decode steps peak less than 256 KiB above one step."""
+        path = tmp_path / name
+
+        def peak(steps):
+            spec = SyntheticTraceSpec(2, 4, 128, steps, skew=1.2, modality_mix=0.5,
+                                      head_preference_bias=(0.1, 0.9, 0.1, 0.9), seed=3)
+            return traced_peak(lambda: save_trace(generate_synthetic(spec), path))[1]
+
+        peak(2)  # first calls allocate caches that later calls reuse
+        one, many = peak(1), peak(256)
+        # Holding the 256 steps would take 2.0 MiB of float32, and every
+        # step's history at once 1.0 MiB of float64; one layer of the last
+        # step is 6 KiB, and the pool scales kept for every (layer, step,
+        # head) 32 KiB.
+        assert many - one < 256 * 1024, (one, many)
 
     def test_text_v2_partial_load_builds_no_dense_cube(self, big_diagonal, monkeypatch):
         binary, text = big_diagonal
