@@ -27,7 +27,15 @@ from .importance import ProxyConfig, head_text_share, sparsity_curve
 from .files import canonical_json, write_atomic
 from .policy import PolicyConfig, PolicyMode, TraceTables, save_mask, save_plan
 from .report import FORMATS, write_table
-from .simulate import SimReport, _report, compare, make_mask, memory_model_rows, replay
+from .simulate import (
+    SimReport,
+    _report,
+    compare,
+    make_mask,
+    memory_model_rows,
+    replay,
+    settle,
+)
 from .synth import SyntheticTraceSpec, generate_synthetic
 from .trace import load_trace, save_trace
 
@@ -361,15 +369,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 }
             )
 
-        # Each head's share is taken while the loader checks that head; the
-        # trace keeps only the proxy rows.
-        trace = _load(load_trace, path, rows=proxy.proxy_count, on_head=share)
-        for frac, group, retained in sparsity_curve(trace, fracs, proxy):
-            curve_rows.append(
-                {"trace": name, "group": group, "budget_frac": frac, "retained_share": retained}
-            )
-        # Free this trace before the next is loaded.
-        del trace
+        def curve(trace):
+            for frac, group, retained in sparsity_curve(trace, fracs, proxy):
+                curve_rows.append(
+                    {"trace": name, "group": group, "budget_frac": frac,
+                     "retained_share": retained}
+                )
+
+        # Each head's share is taken while the loader checks that head, and
+        # the curve once every head is checked, from the proxy rows, which
+        # are all the trace keeps. Each decode step is checked and dropped.
+        _load(load_trace, path, rows=proxy.proxy_count, on_head=share, on_prefill=curve)
     write_table(out_dir / f"sparsity.{fmt}", curve_rows,
                 ["trace", "group", "budget_frac", "retained_share"], fmt)
     write_table(out_dir / f"head_shares.{fmt}", share_rows,
@@ -398,15 +408,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows = []
     for path in args.trace:
         trace_name = Path(path).stem
-        tables = _load(TraceTables.load, path, [spec])
-        mask, plan, warnings = make_mask(tables, spec)
+        done = []
+
+        def evaluate(tables, specs, steps):
+            mask, plan, warnings = make_mask(tables, spec)
+            done.extend((mask, plan, warnings, replay(tables, mask, steps)))
+
+        # The mask is replayed while the file streams; plan and mask are
+        # written once the whole trace has been checked.
+        _load(TraceTables.load, path, [spec], evaluate)
+        mask, plan, warnings, per_step = done
         if plan is not None:
             save_plan(plan, out_dir / f"{trace_name}__{name}_plan.json")
         save_mask(mask, out_dir / f"{trace_name}__{name}_mask.json")
-        rep = _report(spec, mask.kept_counts(), warnings, replay(tables, mask))
-        rows.append(_report_rows(trace_name, rep))
-        # Free this trace's tables before the next trace is loaded.
-        del tables
+        rows.append(_report_rows(trace_name, _report(spec, mask.kept_counts(), warnings,
+                                                     per_step)))
     write_table(out_dir / f"report.{fmt}", rows, COMPARE_COLUMNS, fmt)
     _echo_config(out_dir, "run", opts, args.trace)
     print(f"wrote {out_dir / f'report.{fmt}'}")
@@ -440,9 +456,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
     rows, series = [], []
     for path in args.trace:
         trace_name = Path(path).stem
-        # Every cell on this trace reuses one set of rankings.
-        tables = _load(TraceTables.load, path, grid_specs)
-        tables.fill_needs(grid_specs)
+        # Every cell on this trace reuses one set of rankings, and is
+        # settled in one pass over its decode steps while the file streams.
+        tables = _load(TraceTables.load, path, grid_specs, settle)
         for specs in cells:
             for rep in compare(tables, specs):
                 rows.append(_report_rows(trace_name, rep))

@@ -200,27 +200,31 @@ class TraceTables:
     * `budget_path`: the layer-budget recurrence (`BudgetPath`), per row
       count, threshold, initial budget, head normalization and floor, so the
       adaptive and proportional cells of one (theta, budget) share it;
-    * `replayed`: a mask's kept counts, (L, H) int32, and its per-step
-      retained masses, per proxy row count, pinned count and allocation, so
-      a grid builds and replays each distinct keep-set once;
-    * `decode`: the decode steps' prompt columns stacked as one contiguous
-      (L, H, S, n) float64 table, with their decode-token mass and their
-      totals, each (S, L, H).
+    * `replayed`: per keep-set key (`keep_key`), what `simulate` measured of
+      the keep-set: its kept counts, (L, H) int32, and its per-step retained
+      masses, so a grid builds and replays each distinct keep-set once;
+    * `settled`: per spec that `simulate.settle` evaluated, its outcome, for
+      `compare` and `simulate` to report once the decode steps are gone.
+
+    No table holds a decode step: `simulate.replay` reads the steps one at a
+    time, from the trace or from the loader.
 
     Each table lives as long as this object: make one per trace, pass it
     first to `compare`, `simulate`, `plan_budgets`, `build_masks`,
     `baseline_mask` or `replay`, and drop it to free them.
     `TraceTables(trace)` keeps its trace and builds each table on first use;
     the trace must not change while its tables are in use.
-    `TraceTables.load(path, specs)` builds what `specs` read from the trace
-    file and keeps no trace.
+    `TraceTables.load(path, specs, settle)` builds what `specs` read from the
+    trace file, evaluates them while the file streams, and keeps no trace.
     """
 
     def __init__(self, trace: AttentionTrace):
         self.trace: AttentionTrace | None = trace
         self.header = trace.header
-        self.num_steps = len(trace.decode)
+        self.num_steps = trace.header.num_decode_steps
         self._tables: dict = {}
+        self.replayed: dict = {}
+        self.settled: dict = {}
 
     @classmethod
     def of(cls, source: TraceTables | AttentionTrace) -> TraceTables:
@@ -228,27 +232,43 @@ class TraceTables:
         return source if isinstance(source, cls) else cls(source)
 
     @classmethod
-    def load(cls, path: str | os.PathLike, specs) -> TraceTables:
+    def load(cls, path: str | os.PathLike, specs, settle=None) -> TraceTables:
         """The tables of the trace file at `path` for the policies in
         `specs`, holding no trace.
 
-        The file is loaded with the last prefill rows the specs read (the
-        largest `spec.prefill_rows`, at least one), and `importance` is built
-        at each of their row counts. The trace is then dropped, which frees
-        its prefill rows, and the `decode` table is filled one step at a
-        time, each float32 step freed once it is copied. Importance at any
-        other row count raises ParameterError.
+        The file is read once. It is loaded with the last prefill rows the
+        specs read (the largest `spec.prefill_rows`, at least one). Once they
+        are checked, `importance` is built at each of the specs' row counts
+        and the trace is dropped, which frees its rows before the first
+        decode step is read. Then `settle(tables, specs, steps)`, unless
+        None, is called with an iterator over the checked decode steps:
+        `simulate.settle` plans, masks and replays every spec on them. Steps
+        it does not take are checked and dropped. Importance at any other row
+        count raises ParameterError.
         """
         counts = [spec.prefill_rows for spec in specs]
-        trace = load_trace(path, rows=max([1, *counts]))
-        tables = cls(trace)
-        for count in counts:
-            if count:
-                tables.importance(count)
-        steps = trace.decode
-        tables.trace = trace = None
-        tables._tables[("decode",)] = tables._stack_decode(steps)
-        return tables
+        loaded = []
+
+        def on_prefill(trace):
+            tables = cls(trace)
+            for count in counts:
+                if count:
+                    tables.importance(count)
+            tables.trace = None
+            loaded.append(tables)
+
+        def on_decode(steps):
+            settle(loaded[0], specs, steps)
+
+        load_trace(path, rows=max([1, *counts]), on_prefill=on_prefill,
+                   on_decode=None if settle is None else on_decode)
+        return loaded[0]
+
+    def release_prefill(self) -> None:
+        """Drop every table built from prefill rows: importance and all that
+        is built from it. `replayed` and `settled` stay. A table asked for
+        again is rebuilt from the trace, or, with no trace, refused."""
+        self._tables.clear()
 
     def _get(self, key, build):
         if key not in self._tables:
@@ -268,8 +288,8 @@ class TraceTables:
         if key not in self._tables and self.trace is None:
             held = sorted(k[1] for k in self._tables if k[0] == "importance")
             raise ParameterError(
-                f"importance over {rows} prefill rows requested; these tables were "
-                f"loaded with importance over {held} rows only"
+                f"importance over {rows} prefill rows requested; these tables hold "
+                f"importance over {held} rows only"
             )
         return self._get(key, lambda: proxy_importance_matrix(self.trace, ProxyConfig(rows)))
 
@@ -378,44 +398,25 @@ class TraceTables:
 
         return self._get(("budget_path", rows, threshold, budget0, head_normalize, floor), build)
 
-    def replayed(self, plan: BudgetPlan, cfg: PolicyConfig, build):
-        """`build()`'s kept counts and per-step masses for the mask that
-        `build_masks(self, plan, cfg)` makes, built on first use.
+    def keep_key(self, plan: BudgetPlan, cfg: PolicyConfig) -> tuple:
+        """The key in `replayed` of the keep-set that
+        `build_masks(self, plan, cfg)` makes.
 
-        The key is exactly what `build_masks` reads of `plan` and `cfg`: the
+        It is exactly what `build_masks` reads of `plan` and `cfg`: the
         proxy row count, the pinned count, and both (L, H) allocations. A
         planner allocates at most the prompt length, which the int32 ranks
         already bound, so the key holds the allocations as int32 exactly.
         Cells that repeat an allocation (adaptive at every budget below 1,
-        say) share one entry. The memo must stay small: an entry holds no
-        keep array and no warnings, only what `build` returns and its key.
+        say) share one entry.
         """
-        key = ("replayed", self._rows(cfg.proxy.proxy_count), cfg.pinned(self.header.prompt_len),
-               *(a.astype(np.int32).tobytes() for a in (plan.alloc_visual, plan.alloc_text)))
-        return self._get(key, build)
+        return (self._rows(cfg.proxy.proxy_count), cfg.pinned(self.header.prompt_len),
+                *(a.astype(np.int32).tobytes() for a in (plan.alloc_visual, plan.alloc_text)))
 
-    def decode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The decode steps as float64: their prompt columns, (L, H, S, n)
-        and contiguous, then their mass on decode tokens and their totals,
-        both (S, L, H)."""
-        return self._get(("decode",), lambda: self._stack_decode(list(self.trace.decode)))
-
-    def _stack_decode(self, steps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The `decode` table of the float32 `steps`. Each entry of the list
-        is cleared once copied, so a step that only the list holds is freed
-        before the next is read."""
-        h = self.header
-        L, H, n, S = h.num_layers, h.num_heads, h.prompt_len, self.num_steps
-        prompt = np.empty((L, H, S, n), dtype=np.float64)
-        tail = np.empty((S, L, H), dtype=np.float64)
-        total = np.empty((S, L, H), dtype=np.float64)
-        for s in range(S):
-            v = steps[s].astype(np.float64)
-            steps[s] = None
-            prompt[:, :, s] = v[:, :, :n]
-            tail[s] = v[:, :, n:].sum(axis=2)
-            total[s] = v.sum(axis=2)
-        return prompt, tail, total
+    def key_allocations(self, key: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """The (visual, text) allocations a `keep_key` holds, each (L, H)
+        int32, read from the key without a copy."""
+        shape = (self.header.num_layers, self.header.num_heads)
+        return tuple(np.frombuffer(a, np.int32).reshape(shape) for a in key[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -588,23 +589,23 @@ def plan_budgets(tables: TraceTables | AttentionTrace, cfg: PolicyConfig) -> Bud
 # masks
 
 
-def _pinning(header: TraceHeader, plan: BudgetPlan,
+def _pinning(header: TraceHeader, alloc_visual: np.ndarray, alloc_text: np.ndarray,
              cfg: PolicyConfig) -> tuple[int, np.ndarray, list[str]]:
-    """What pinning the proxy tokens does to `plan`: the pinned count, the
-    (L, H) heads whose allocation covers every token (they evict nothing
-    and get no pinning arithmetic), and a warning for each other head whose
-    text allocation is below the pinned count."""
+    """What pinning the proxy tokens does to a plan's (L, H) allocations: the
+    pinned count, the heads whose allocation covers every token (they evict
+    nothing and get no pinning arithmetic), and a warning for each other
+    head whose text allocation is below the pinned count."""
     n = header.prompt_len
     n_vis = int(header.modality_labels.sum())
     p_eff = cfg.pinned(n)
-    full = (plan.alloc_visual >= n_vis) & (plan.alloc_text >= n - n_vis)
+    full = (alloc_visual >= n_vis) & (alloc_text >= n - n_vis)
     if not p_eff:
         return p_eff, full, []
-    short = ~full & (plan.alloc_text < p_eff)
+    short = ~full & (alloc_text < p_eff)
     ls, hs = np.nonzero(short)
     warnings = [
         f"layer {l} head {hd}: {p_eff} pinned proxy tokens exceed text allocation {q}"
-        for l, hd, q in zip(ls.tolist(), hs.tolist(), plan.alloc_text[short].tolist())
+        for l, hd, q in zip(ls.tolist(), hs.tolist(), alloc_text[short].tolist())
     ]
     return p_eff, full, warnings
 
@@ -629,7 +630,7 @@ def build_masks(
             f"match trace ({L}, {H})/{n}"
         )
     vis = h.modality_labels
-    p_eff, full, warnings = _pinning(h, plan, cfg)
+    p_eff, full, warnings = _pinning(h, plan.alloc_visual, plan.alloc_text, cfg)
     ranks = tables.modality_ranks(cfg.proxy.proxy_count, p_eff)
     # Compare in the ranks' int32. Only pinned positions rank n, and they
     # are kept below, so a quota above n keeps what a quota of n keeps. Two

@@ -26,7 +26,15 @@ synthetic generator's does, is simulated, compared and written without it,
 and simulated and written without even one whole (n, n) block. The writers
 likewise take each decode step one layer at a time from
 ``AttentionTrace.decode_rows``, so a generated trace is written without its
-decode steps being built.
+decode steps being built, and ``AttentionTrace.decode_steps`` builds one
+whole step at a time from them.
+
+A loader can also stream the decode steps instead of keeping them. Both
+containers store them after the prefill. Given ``on_prefill`` or
+``on_decode``, the loader hands the checked trace, holding its kept rows and
+no steps, to ``on_prefill`` and lets it go; it then hands ``on_decode`` an
+iterator over the steps, each checked before it is yielded. So a reader that
+replays every step holds one step at a time.
 
 Two interchangeable containers are supported and sniffed by magic bytes.
 Both store scores as little-endian float32, so a save/load/save round trip
@@ -57,10 +65,12 @@ other goes to that function for its error. The scanner parses only a payload
 that is not a plain string of strict base64, to decode its escapes or name
 its fault, and the same decoder decodes it. The loader is therefore stricter
 than a whole-document parse: ``header`` and ``format_version`` must come
-before ``prefill`` and ``decode``, and a field that appears twice in an
-object is an error. Each head's decoded bytes go through the same checks as
-the binary container's. Version 1 text, which spelled each score as a JSON
-number, is no longer read: its ``format_version`` is refused.
+before ``prefill`` and ``decode``, ``prefill`` before ``decode`` (as the
+writer puts them, so that the steps can be streamed), and a field that
+appears twice in an object is an error. Each head's decoded bytes go
+through the same checks as the binary container's. Version 1 text, which
+spelled each score as a JSON number, is no longer read: its
+``format_version`` is refused.
 """
 
 from __future__ import annotations
@@ -188,29 +198,34 @@ class AttentionTrace:
             probability vector over positions 0..i (zero beyond i).
         decode: list of float32 arrays, one per decode step; step s (0-based)
             has shape (L, H, n + s), a probability vector over the prompt plus
-            the s decode tokens generated before it.
+            the s decode tokens generated before it. None for a trace a
+            loader handed to `on_prefill`: it streamed the steps instead.
         first_row: the first prompt row held; 0 (the default) holds the dense
             causal cube.
 
     Read prefill rows through `head_rows`, never `prefill`: a generated trace
     computes its rows and stores no prefill array. The writers read decode
-    steps through `decode_rows`, one layer at a time: a generated trace
-    computes those blocks too and builds `decode` only when it is read.
+    steps through `decode_rows`, one layer at a time, and replay through
+    `decode_steps`, one step at a time: a generated trace computes those
+    blocks too and builds `decode` only when it is read.
     """
 
     header: TraceHeader
     prefill: np.ndarray = field(repr=False)
-    decode: list[np.ndarray]
+    decode: list[np.ndarray] | None
     first_row: int = 0
 
     def __post_init__(self):
         self.prefill = np.ascontiguousarray(self.prefill, dtype=np.float32)
-        self.decode = [np.ascontiguousarray(d, dtype=np.float32) for d in self.decode]
+        if self.decode is not None:
+            self.decode = [np.ascontiguousarray(d, dtype=np.float32) for d in self.decode]
 
     def validate(self) -> None:
         """Check every structural invariant, raising ValidationError with the
         offending (layer, head, row) coordinates on the first failure. Rows
-        are reported as prompt rows, whatever `first_row` is."""
+        are reported as prompt rows, whatever `first_row` is. A trace whose
+        `decode` is None has no steps to check: its loader checks each step
+        as it streams it."""
         h = self.header
         L, H, n = h.num_layers, h.num_heads, h.prompt_len
         first = self.first_row
@@ -223,7 +238,7 @@ class AttentionTrace:
                 f"prefill shape {stored.shape} does not match header "
                 f"({L}, {H}, {n - first}, {n})"
             )
-        if len(self.decode) != h.num_decode_steps:
+        if self.decode is not None and len(self.decode) != h.num_decode_steps:
             raise ValidationError(
                 f"decode has {len(self.decode)} steps, header says {h.num_decode_steps}"
             )
@@ -251,22 +266,12 @@ class AttentionTrace:
                 raise ValidationError(
                     f"row sum {sums[j]:.6g} at ({l}, {hd}, {first + j})"
                 )
-        for s, vec in enumerate(self.decode):
+        for s, vec in enumerate(self.decode or ()):
             if vec.shape != (L, H, n + s):
                 raise ValidationError(
                     f"decode step {s} has shape {vec.shape}, expected ({L}, {H}, {n + s})"
                 )
-            ok = vec >= 0
-            if not ok.all():
-                l, hd, c = np.argwhere(~ok)[0]
-                raise _bad_score(vec[l, hd, c], f"decode step {s}, ({l}, {hd})")
-            dsums = vec.sum(axis=2, dtype=np.float64)
-            ok = np.abs(dsums - 1.0) <= ROW_SUM_TOL
-            if not ok.all():
-                l, hd = np.argwhere(~ok)[0]
-                raise ValidationError(
-                    f"row sum {dsums[l, hd]:.6g} at decode step {s}, ({l}, {hd})"
-                )
+            _check_step(s, vec)
 
     def head_rows(self, layer: int, head: int, start: int = 0,
                   stop: int | None = None) -> np.ndarray:
@@ -297,6 +302,17 @@ class AttentionTrace:
         float32."""
         return np.ascontiguousarray(self.decode[step][layer], dtype="<f4")
 
+    def decode_steps(self):
+        """Yield each decode step, (L, H, n + s) float32, built from
+        `decode_rows` one layer at a time, so a generated trace builds one
+        step at a time and no `decode` list."""
+        h = self.header
+        for s in range(h.num_decode_steps):
+            step = np.empty((h.num_layers, h.num_heads, h.prompt_len + s), dtype="<f4")
+            for l in range(h.num_layers):
+                step[l] = self.decode_rows(s, l)
+            yield step
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, AttentionTrace):
             return NotImplemented
@@ -309,8 +325,9 @@ class AttentionTrace:
                                other.head_rows(l, hd, other.first_row))
                 for l, hd in np.ndindex(h.num_layers, h.num_heads)
             )
-            and len(self.decode) == len(other.decode)
-            and all(np.array_equal(a, b) for a, b in zip(self.decode, other.decode))
+            and (self.decode is None) == (other.decode is None)
+            and len(self.decode or ()) == len(other.decode or ())
+            and all(np.array_equal(a, b) for a, b in zip(self.decode or (), other.decode or ()))
         )
 
 
@@ -318,6 +335,20 @@ def _bad_score(value, where: str) -> ValidationError:
     """The error for a score that is not >= 0: negative or NaN."""
     kind = "NaN" if np.isnan(value) else "negative"
     return ValidationError(f"{kind} score at {where}")
+
+
+def _check_step(s: int, vec: np.ndarray) -> None:
+    """Check the scores of decode step `s`, (L, H, n + s): each is >= 0 and
+    each (layer, head) vector sums to one within ROW_SUM_TOL in float64."""
+    # The minimum of scores holding a NaN is NaN, which fails too.
+    if not vec.min() >= 0:
+        l, hd, c = np.argwhere(~(vec >= 0))[0]
+        raise _bad_score(vec[l, hd, c], f"decode step {s}, ({l}, {hd})")
+    sums = vec.sum(axis=2, dtype=np.float64)
+    ok = np.abs(sums - 1.0) <= ROW_SUM_TOL
+    if not ok.all():
+        l, hd = np.argwhere(~ok)[0]
+        raise ValidationError(f"row sum {sums[l, hd]:.6g} at decode step {s}, ({l}, {hd})")
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +435,40 @@ class _PrefillTail:
                     scores[self.starts[keep] - lo:]
         if bad_sum is not None:
             raise bad_sum
+
+    def take(self) -> np.ndarray:
+        """The kept rows, which the tail then lets go, with its head
+        buffer."""
+        prefill = self.prefill
+        self.prefill = self.whole = self._lower = None
+        return prefill
+
+
+def _hand_over(header: TraceHeader, tail: _PrefillTail, steps, on_prefill,
+               on_decode) -> AttentionTrace | None:
+    """End a load once every prefill row is checked: the trace of the rows
+    `tail` kept, checked by `validate`, and the decode steps, each checked
+    as the iterator `steps` yields it.
+
+    With neither hook, the trace keeps the steps and is returned. Otherwise
+    it holds none: it goes to `on_prefill` and is let go before the first
+    step is read, so its rows live only as long as `on_prefill` keeps them.
+    The steps go to `on_decode`, and any step it leaves (every step, without
+    it) is checked and dropped. None is then returned.
+    """
+    trace = AttentionTrace(header, tail.take(), None, tail.first_row)
+    trace.validate()
+    if on_prefill is None and on_decode is None:
+        trace.decode = list(steps)
+        return trace
+    if on_prefill is not None:
+        on_prefill(trace)
+    del trace
+    if on_decode is not None:
+        on_decode(steps)
+    for _ in steps:
+        pass
+    return None
 
 
 def _row_chunks(n: int):
@@ -835,14 +900,17 @@ def _read_prefill_v2(reader: _JsonReader, header: TraceHeader, tail: _PrefillTai
                 on_head(header, l, hd, tail.whole)
 
 
-def _read_decode_v2(reader: _JsonReader, s: int, header: TraceHeader) -> np.ndarray:
-    """Parse version 2 decode step `s`, (L, H, n + s) float32."""
-    shape = (header.num_layers, header.num_heads, header.prompt_len + s)
-    raw = _read_base64(reader, f"decode[{s}]", shape[0] * shape[1] * shape[2])
-    step = np.frombuffer(raw, "<f4").reshape(shape)
-    # Writable, as the binary loader's arrays are: a step of one piece that
-    # `base64` decoded is read-only bytes, so it alone is copied.
-    return step if step.flags.writeable else step.copy()
+def _text_steps(reader: _JsonReader, header: TraceHeader):
+    """Parse a version 2 decode list, yielding each step, (L, H, n + s)
+    float32, once its scores are checked."""
+    L, H, n, T = header.num_layers, header.num_heads, header.prompt_len, header.num_decode_steps
+    for s in reader.items(T, f"decode must be a list of {T} steps"):
+        raw = _read_base64(reader, f"decode[{s}]", L * H * (n + s))
+        step = np.frombuffer(raw, "<f4").reshape(L, H, n + s)
+        _check_step(s, step)
+        # Writable, as the binary loader's arrays are: a step of one piece
+        # that `base64` decoded is read-only bytes, so it alone is copied.
+        yield step if step.flags.writeable else step.copy()
 
 
 # A file that gives its version late, or not at all, is refused before any
@@ -850,21 +918,23 @@ def _read_decode_v2(reader: _JsonReader, s: int, header: TraceHeader) -> np.ndar
 _LATE_VERSION = f"format_version {TEXT_FORMAT_VERSION} must come before prefill and decode"
 
 
-def trace_from_text(data, rows: int | None = None, on_head=None) -> AttentionTrace:
+def trace_from_text(data, rows: int | None = None, on_head=None, on_prefill=None,
+                    on_decode=None) -> AttentionTrace | None:
     """Parse a text container, version 2, from bytes or an open binary file.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head); None
-    keeps all of them. Every row is checked either way. `on_head` is as in
-    `load_trace`. The document is read in chunks and parsed one value at a
-    time (a base64 string), so no whole-document object is built; `header`
-    and `format_version` must therefore come before `prefill` and `decode`.
+    keeps all of them. Every row is checked either way. `on_head`,
+    `on_prefill` and `on_decode` are as in `load_trace`. The document is read
+    in chunks and parsed one value at a time (a base64 string), so no
+    whole-document object is built; `header` and `format_version` must
+    therefore come before `prefill` and `decode`, and `prefill` before
+    `decode`.
     """
     if isinstance(data, (bytes, bytearray)):
         data = io.BytesIO(data)
     reader = _JsonReader(data)
-    header = tail = version = None
+    header = tail = version = trace = None
     seen = set()
-    decode = []
     for key in reader.fields("top-level value must be an object"):
         if key in ("prefill", "decode"):
             if header is None:
@@ -882,9 +952,9 @@ def trace_from_text(data, rows: int | None = None, on_head=None) -> AttentionTra
         elif key == "prefill":
             _read_prefill_v2(reader, header, tail, on_head)
         elif key == "decode":
-            T = header.num_decode_steps
-            for s in reader.items(T, f"decode must be a list of {T} steps"):
-                decode.append(_read_decode_v2(reader, s, header))
+            if "prefill" not in seen:
+                raise FormatError("prefill must come before decode")
+            trace = _hand_over(header, tail, _text_steps(reader, header), on_prefill, on_decode)
         else:
             reader.value()  # an unknown field is ignored
         seen.add(key)
@@ -892,9 +962,6 @@ def trace_from_text(data, rows: int | None = None, on_head=None) -> AttentionTra
     for key in ("format_version", "header", "prefill", "decode"):
         if key not in seen:
             raise FormatError(f"missing field {key}")
-
-    trace = AttentionTrace(header, tail.prefill, decode, tail.first_row)
-    trace.validate()
     return trace
 
 
@@ -943,14 +1010,16 @@ def _fill(fh, buf: np.ndarray, what: str) -> None:
         got += count
 
 
-def trace_from_binary(data, rows: int | None = None, on_head=None) -> AttentionTrace:
+def trace_from_binary(data, rows: int | None = None, on_head=None, on_prefill=None,
+                      on_decode=None) -> AttentionTrace | None:
     """Parse a binary container from bytes or an open binary file.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head); None
-    keeps all of them. `on_head` is as in `load_trace`. The length is checked
-    against the header first; the prefill is then read one block of rows at
-    a time, straight from the file into one reused block buffer, and every
-    row of every head is checked.
+    keeps all of them. `on_head`, `on_prefill` and `on_decode` are as in
+    `load_trace`. The length is checked against the header first; the
+    prefill is then read one block of rows at a time, straight from the file
+    into one reused block buffer, and every row of every head is checked.
+    Each decode step is read into its own array and checked.
     """
     if isinstance(data, (bytes, bytearray)):
         fh, size = io.BytesIO(data), len(data)
@@ -995,16 +1064,18 @@ def trace_from_binary(data, rows: int | None = None, on_head=None) -> AttentionT
             tail.add(l, hd, read)
             if on_head is not None:
                 on_head(header, l, hd, tail.whole)
-    decode = []
-    for s in range(T):
-        vec = np.empty((L, H, n + s), dtype="<f4")
-        _fill(fh, vec, "decode scores")
-        decode.append(vec)
+
+    def steps():
+        for s in range(T):
+            step = np.empty((L, H, n + s), dtype="<f4")
+            _fill(fh, step, "decode scores")
+            _check_step(s, step)
+            yield step
+            del step  # freed, once the consumer lets it go, before the next is read
+
+    trace = _hand_over(header, tail, steps(), on_prefill, on_decode)
     if fh.read(1):
         raise FormatError(f"file grew while it was read (expected {want} bytes)")
-
-    trace = AttentionTrace(header, tail.prefill, decode, tail.first_row)
-    trace.validate()
     return trace
 
 
@@ -1025,8 +1096,8 @@ def save_trace(trace: AttentionTrace, path: str | os.PathLike, *, binary: bool |
         (_write_binary if binary else _write_text)(trace, fh)
 
 
-def load_trace(path: str | os.PathLike, rows: int | None = None,
-               on_head=None) -> AttentionTrace:
+def load_trace(path: str | os.PathLike, rows: int | None = None, on_head=None,
+               on_prefill=None, on_decode=None) -> AttentionTrace | None:
     """Read a trace, sniffing the container by magic bytes, and validate it.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head), as
@@ -1042,10 +1113,20 @@ def load_trace(path: str | os.PathLike, rows: int | None = None,
     streams, without the dense cube being kept. A fault found after a head
     was passed on, in a later head or a decode step, is still raised. With
     None the loader does no more work than keeping its rows.
+
+    With `on_prefill` or `on_decode`, the decode steps are streamed, not
+    kept, and None is returned. `on_prefill(trace)`, unless None, is called
+    once every prefill row is checked, with the trace: its kept rows, checked
+    by `AttentionTrace.validate`, and no decode steps (`decode` is None). The
+    loader lets the trace go before it reads the first step, so its rows
+    live only as long as `on_prefill` keeps them. `on_decode(steps)`, unless
+    None, is then called with an iterator that yields each decode step in
+    order, a fresh (L, H, n + s) float32 array, once its scores are checked.
+    Steps it does not take, every step without it, are read, checked and
+    dropped once it returns, so a fault in any step is raised.
     """
     with open(path, "rb") as fh:
         binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC
         fh.seek(0)
-        if binary:
-            return trace_from_binary(fh, rows, on_head)
-        return trace_from_text(fh, rows, on_head)
+        load = trace_from_binary if binary else trace_from_text
+        return load(fh, rows, on_head, on_prefill, on_decode)

@@ -4,9 +4,9 @@ A traced benchmark run fails a job that records no call of a span it expects
 (`expected_spans` in `perfbench/run.py`). Here one `compare` and one `sweep`
 job run under `perfbench/traced_job.py` and `traced_problem` judges their
 summaries, so a refactor that stops calling a traced layer fails the suite,
-not only a traced benchmark run. The sweep must also replay each distinct
-keep-set once, however many cells repeat it. The test only reads
-`perfbench/`.
+not only a traced benchmark run. The sweep must also plan each threshold
+cell once and build each distinct keep-set once, however many cells repeat
+it. The test only reads `perfbench/`.
 """
 
 import importlib.util
@@ -94,10 +94,14 @@ def test_traced_grid_job_records_every_expected_span(bench, tiny_trace, tmp_path
     assert summary["failed_cells"] == 0
     if kind == "sweep":
         # Adaptive keeps its coverage needs at both budgets, so the sweep
-        # replays fewer keep-sets than it has cells.
+        # builds fewer keep-sets than it has cells, and replays them all in
+        # one pass over the trace's decode steps.
         baselines, thresholds, distinct = sweep_cells(tiny_trace)
         assert distinct < baselines + thresholds
         calls = {name: summary["spans"][name]["calls"] for name in
-                 ("simulate.replay", "policy.plan_budgets", "baselines.baseline_mask")}
-        assert calls == {"simulate.replay": distinct, "policy.plan_budgets": thresholds,
-                         "baselines.baseline_mask": baselines}
+                 ("simulate.replay", "policy.plan_budgets", "policy.build_masks",
+                  "baselines.baseline_mask")}
+        assert calls["policy.build_masks"] + calls["baselines.baseline_mask"] == distinct
+        assert calls["baselines.baseline_mask"] == baselines
+        assert calls["policy.plan_budgets"] == thresholds
+        assert calls["simulate.replay"] == 1

@@ -11,11 +11,18 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import make_trace, uniform_rows
+from conftest import make_trace, small_spec, traced_peak, uniform_rows
 import modkv
 import modkv.policy as policy_module
 import modkv.trace as trace_module
-from modkv import ProxyConfig, SyntheticTraceSpec, load_trace, save_trace, sparsity_curve
+from modkv import (
+    ProxyConfig,
+    SyntheticTraceSpec,
+    generate_synthetic,
+    load_trace,
+    save_trace,
+    sparsity_curve,
+)
 from modkv.cli import build_policy_spec, effective_options, main, make_parser
 from oracles import (
     reference_generate_synthetic,
@@ -376,12 +383,12 @@ class TestPrefillRows:
         original = cli.load_trace
         seen = []
 
-        def spy(path, rows=None):
+        def spy(path, rows=None, **kwargs):
             seen.append(rows)
-            return original(path, rows=rows)
+            return original(path, rows=rows, **kwargs)
 
-        def full(path, rows=None):
-            return original(path)
+        def full(path, rows=None, **kwargs):
+            return original(path, **kwargs)
 
         outputs = {}
         for name, loader in (("partial", spy), ("full", full)):
@@ -420,6 +427,22 @@ class TestPrefillRows:
 
 
 class TestAnalyzeStreams:
+    @pytest.mark.parametrize("name", ["t.mkvt", "t.json"])
+    def test_analyze_holds_no_decode_step(self, tmp_path, name):
+        """Under tracemalloc, analyze of a trace with 64 decode steps peaks
+        within 256 KiB of the same analyze with 4 steps: each step is checked
+        and dropped. Holding the 64 steps would take 2.2 MiB more."""
+        peaks = {}
+        for steps in (4, 64):
+            path = tmp_path / f"{steps}" / name
+            path.parent.mkdir()
+            save_trace(generate_synthetic(small_spec(8, layers=4, heads=4, prompt_len=512,
+                                                     steps=steps)), path)
+            code, peaks[steps] = traced_peak(
+                lambda: main(["analyze", "--trace", str(path), "--out", str(path.parent)]))
+            assert code == 0
+        assert peaks[64] <= peaks[4] + 256 * 1024, peaks
+
     def test_shares_and_curves_match_the_dense_path(self, tmp_path):
         """analyze takes each head's text share from the loader's head
         buffer and keeps only the proxy rows. Its tables equal, bit for bit,

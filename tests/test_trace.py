@@ -875,6 +875,9 @@ MALFORMED_V2 = {
                              FormatError, "format_version 2 must come before prefill and decode"),
     "version_last": (reorder("header", "prefill", "decode", "format_version"), FormatError,
                      "format_version 2 must come before prefill and decode"),
+    # The decode steps are streamed, so they must follow the prefill.
+    "decode_before_prefill": (reorder("format_version", "header", "decode", "prefill"),
+                              FormatError, "prefill must come before decode"),
     "version_3": (put(["format_version"], 3), FormatError, "unsupported format_version 3"),
     "version_2.0": (put(["format_version"], 2.0), FormatError, "unsupported format_version 2.0"),
     "version_string": (put(["format_version"], "2"), FormatError,

@@ -3,9 +3,11 @@ the tables hold (`TraceTables.replayed`).
 
 A `run`, `compare` or `sweep` job keeps only the tables its policies read.
 The loaded tables must equal, bit for bit, those of an in-memory trace
-loaded with the same rows, while the trace itself is gone; and a job over
-several traces must hold one trace's tables at a time. Cells that repeat an
-allocation must share one mask and one replay, report exactly what fresh
+loaded with the same rows, while the trace itself is gone, and report what
+that trace reports although its decode steps were replayed while the file
+streamed; a job over several traces must hold one trace's tables at a time,
+and a job over many decode steps no more than one step. Cells that repeat
+an allocation must share one mask and one replay, report exactly what fresh
 tables report, and hold nothing more than counts and masses.
 """
 
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 
 import modkv.policy as policy_module
+import oracles
 from conftest import assert_same_report, small_spec, traced_peak
 from modkv import (
     BaselineConfig,
@@ -34,6 +37,7 @@ from modkv import (
     simulate,
 )
 from modkv.cli import main
+from modkv.simulate import settle
 
 N = 40
 SPECS = [
@@ -60,17 +64,29 @@ def same_bits(a, b):
 
 
 def test_load_lets_the_trace_go(trace_file, monkeypatch):
-    loaded = []
+    """The trace the loader hands over, with its rows, is freed before the
+    first decode step is read."""
+    loaded, alive = [], []
     real = policy_module.load_trace
 
-    def spy(path, rows=None):
-        trace = real(path, rows=rows)
-        loaded.append(weakref.ref(trace))
-        return trace
+    def spy(path, rows=None, on_prefill=None, on_decode=None, **kwargs):
+        def prefill(trace):
+            loaded.append(weakref.ref(trace))
+            on_prefill(trace)
+
+        def decode(steps):
+            def watched():
+                for step in steps:
+                    alive.append(loaded[0]() is not None)
+                    yield step
+            on_decode(watched())
+
+        return real(path, rows=rows, on_prefill=prefill, on_decode=decode, **kwargs)
 
     monkeypatch.setattr(policy_module, "load_trace", spy)
-    tables = TraceTables.load(trace_file, SPECS)
+    tables = TraceTables.load(trace_file, SPECS, settle)
     assert len(loaded) == 1
+    assert alive == [False] * 4
     assert loaded[0]() is None
     assert tables.trace is None
     assert tables.num_steps == 4 and tables.header.prompt_len == N
@@ -88,13 +104,18 @@ def test_loaded_tables_equal_those_of_the_loaded_trace(trace_file):
         for got, ref in zip(tables.needs(spec.proxy.proxy_count, spec.coverage_threshold),
                             want.needs(spec.proxy.proxy_count, spec.coverage_threshold)):
             assert same_bits(got, ref)
-    for got, ref in zip(tables.decode(), want.decode()):
-        assert same_bits(got, ref)
+    # The masses replayed while the file streamed equal, bit for bit, those
+    # replayed from the loaded trace's steps. Settling drops the prefill
+    # tables, which every cell has been planned from.
+    tables = TraceTables.load(trace_file, SPECS, settle)
+    assert not tables._tables
     got = compare(tables, SPECS)
     ref = compare(want, SPECS)
-    assert [(r.policy, r.per_step_retained_mass, r.warnings) for r in got] == [
-        (r.policy, r.per_step_retained_mass, r.warnings) for r in ref
-    ]
+    assert len(got) == len(ref) == len(SPECS)
+    for a, b in zip(got, ref):
+        assert_same_report(a, b)
+    for spec in SPECS:
+        assert_same_report(simulate(tables, spec), simulate(want, spec))
 
 
 def test_loaded_tables_refuse_a_row_count_they_were_not_built_for(trace_file):
@@ -276,7 +297,6 @@ def test_the_memo_holds_counts_and_masses_only():
              for budget in range(2, 42, 2) for theta in (0.6, 0.9) for mode in PolicyMode]
     tables = TraceTables(trace)
     tables.fill_needs(specs)
-    tables.decode()
     for spec in specs:
         plan_budgets(tables, spec)
         tables.modality_ranks(spec.proxy.proxy_count, spec.pinned(n))
@@ -299,3 +319,43 @@ def test_the_memo_holds_counts_and_masses_only():
     # growth of the table dict.
     per_entry = 8 * L * H + 2 * 4 * L * H + 32 * S + 1024
     assert held <= distinct * per_entry + 16384, (held, distinct)
+
+
+# ---------------------------------------------------------------------------
+# one decode step at a time
+
+
+def test_simulating_a_generated_trace_builds_no_decode_list():
+    """A generated trace is replayed through `decode_rows`, one step at a
+    time: neither `simulate` nor `compare` builds its `decode` list, and
+    both report what the per-step reference path reports."""
+    trace = generate_synthetic(small_spec(11, layers=3, heads=2, prompt_len=N, steps=5,
+                                          bias=(0.2, 0.8)))
+    spec = PolicyConfig(0.2, 0.7, ProxyConfig(5))
+    got = [simulate(trace, spec), *compare(trace, SPECS)]
+    assert trace._decode is None
+    want = [oracles.reference_simulate(trace, spec),
+            *sorted((oracles.reference_simulate(trace, s) for s in SPECS),
+                    key=lambda r: (-r.mean_retained_mass, r.policy))]
+    for a, b in zip(got, want):
+        assert_same_report(a, b)
+
+
+def test_a_compare_holds_one_decode_step_at_a_time(tmp_path):
+    """Under tracemalloc, `compare` of a trace with 256 decode steps peaks
+    no higher than the same compare of a 4-step trace of that shape, plus
+    1 KiB per step and cell (a mass and a series row take well under that)
+    and 256 KiB of slack. Holding the steps, as float32 or as a float64
+    table, would take 6 to 8 MiB more."""
+    L, H, n = 4, 4, 256
+    argv = ["compare", "--policy", "adaptive", "--policy", "recent_window", "--budget", "0.2"]
+    peaks = {}
+    for steps in (4, 256):
+        path = tmp_path / f"t{steps}.mkvt"
+        save_trace(generate_synthetic(small_spec(5, layers=L, heads=H, prompt_len=n,
+                                                 steps=steps, bias=(0.2, 0.8, 0.4, 0.6))),
+                   path)
+        code, peaks[steps] = traced_peak(
+            lambda: main([*argv, "--trace", str(path), "--out", str(tmp_path / f"o{steps}")]))
+        assert code == 0
+    assert peaks[256] <= peaks[4] + 2 * 256 * 1024 + 256 * 1024, peaks
