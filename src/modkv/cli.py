@@ -299,6 +299,20 @@ def _load(load, path: str, *args, **kwargs):
         raise FormatError(f"cannot read trace {path}: {exc}") from None
 
 
+def _trace_names(paths: list[str]) -> list[str]:
+    """Each trace's name in report rows and output file names: its file
+    stem. Two traces of one stem would share rows and files, so they are a
+    parameter error naming both paths."""
+    seen: dict[str, str] = {}
+    for path in paths:
+        name = Path(path).stem
+        if name in seen:
+            raise ParameterError(f"traces {seen[name]} and {path} have the same name "
+                                 f"{name!r}; give each trace its own file stem")
+        seen[name] = path
+    return list(seen)
+
+
 def _report_rows(name: str, rep: SimReport) -> dict:
     return {
         "trace": name,
@@ -308,13 +322,14 @@ def _report_rows(name: str, rep: SimReport) -> dict:
         "mean_retained_mass": rep.mean_retained_mass,
         "total_kept_tokens": int(rep.kept_counts.sum()),
         "memory_bytes_est": rep.memory_bytes_est,
+        "status": rep.status,
         "warnings": ";".join(rep.warnings),
     }
 
 
 COMPARE_COLUMNS = [
     "trace", "policy", "budget_frac", "theta", "mean_retained_mass",
-    "total_kept_tokens", "memory_bytes_est", "warnings",
+    "total_kept_tokens", "memory_bytes_est", "status", "warnings",
 ]
 SERIES_COLUMNS = ["trace", "policy", "budget_frac", "theta", "step", "retained_mass"]
 
@@ -350,14 +365,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     opts = effective_options(args)
+    names = _trace_names(args.trace)
     out_dir = _prepare_out(opts)
     fracs = _float_list(opts, "budget")
     proxy = ProxyConfig(opts["proxy_count"])
     fmt = opts["format"]
 
     curve_rows, share_rows = [], []
-    for path in args.trace:
-        name = Path(path).stem
+    for path, name in zip(args.trace, names):
 
         def share(header, layer, head, block):
             share_rows.append(
@@ -391,6 +406,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     opts = effective_options(args)
+    names = _trace_names(args.trace)
     out_dir = _prepare_out(opts)
     budgets = _float_list(opts, "budget")
     if len(budgets) != 1:
@@ -406,8 +422,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     fmt = opts["format"]
 
     rows = []
-    for path in args.trace:
-        trace_name = Path(path).stem
+    for path, trace_name in zip(args.trace, names):
         done = []
 
         def evaluate(tables, specs, steps):
@@ -433,6 +448,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     """compare, and sweep: compare with each threshold policy fanned over
     --thetas."""
     opts = effective_options(args)
+    names = _trace_names(args.trace)
     out_dir = _prepare_out(opts)
     budgets = _float_list(opts, "budget")
     theta_grid = _float_list(opts, "thetas") if "thetas" in opts else [None]
@@ -454,8 +470,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     grid_specs = [spec for specs in cells for spec in specs]
 
     rows, series = [], []
-    for path in args.trace:
-        trace_name = Path(path).stem
+    for path, trace_name in zip(args.trace, names):
         # Every cell on this trace reuses one set of rankings, and is
         # settled in one pass over its decode steps while the file streams.
         tables = _load(TraceTables.load, path, grid_specs, settle)

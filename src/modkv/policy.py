@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .allocation import round_half_up
 from .errors import ParameterError, ValidationError
 from .files import canonical_json, write_atomic
 from .importance import ProxyConfig, proxy_importance_matrix
-from .trace import FORMAT_VERSION, AttentionTrace, TraceHeader, load_trace
+from .trace import FORMAT_VERSION, AttentionTrace, load_trace
 
 
 class PolicyMode(enum.Enum):
@@ -90,6 +91,112 @@ class PolicyConfig:
         return self.proxy.effective(prompt_len) if self.pin_proxy_tokens else 0
 
 
+# ---------------------------------------------------------------------------
+# warnings
+
+# Each warning code and its text: the planner's initial-budget clamp, its
+# spills over a pool that is too small, its layer-budget floor clamp, and the
+# mask's pinned proxy tokens beyond a head's text allocation. A
+# `budget_floor_clamped` occurrence's layer is the one whose budget update
+# fell below the floor; its text names the layer the budget enters.
+_WARNING_TEXT = {
+    "initial_budget_clamped": "initial budget {value} clamped up to {limit}",
+    "visual_spill": "layer {layer} head {head}: visual allocation exceeded {limit} visual "
+                    "tokens, spilled {value} to text",
+    "text_spill": "layer {layer} head {head}: text allocation exceeded {limit} text "
+                  "tokens, spilled {value} to visual",
+    "budget_floor_clamped": "layer {next_layer}: budget {value:.3f} clamped up to floor "
+                            "{limit:.3f}",
+    "pinned_over_text": "layer {layer} head {head}: {limit} pinned proxy tokens exceed "
+                        "text allocation {value}",
+}
+WARNING_CODES = tuple(_WARNING_TEXT)
+
+
+@dataclass
+class CodedWarning:
+    """Every occurrence of one warning code in a plan or a mask, as data.
+
+    `layer`, `head` and `value` hold one entry per occurrence, in (layer,
+    head) order; `limit` is the number every occurrence's text shares (the
+    pool size, the floor, the pinned count). An occurrence with no layer or
+    head has layer -1 or head 0.
+    """
+
+    code: str
+    limit: int | float
+    layer: np.ndarray
+    head: np.ndarray
+    value: np.ndarray
+
+    def __post_init__(self):
+        self.layer = np.asarray(self.layer, dtype=np.int64)
+        self.head = np.asarray(self.head, dtype=np.int64)
+        self.value = np.asarray(self.value)
+
+    def __len__(self) -> int:
+        return len(self.layer)
+
+    def lines(self, stop: int | None = None) -> list[str]:
+        """The text of the first `stop` occurrences (None: of all)."""
+        text = _WARNING_TEXT[self.code]
+        return [text.format(layer=l, next_layer=l + 1, head=h, value=v, limit=self.limit)
+                for l, h, v in zip(self.layer[:stop].tolist(), self.head[:stop].tolist(),
+                                   self.value[:stop].tolist())]
+
+    def order(self) -> np.ndarray:
+        """Each occurrence's place among a plan's warnings, (3, count): by
+        layer, a layer's spills before the floor clamp of the budget it
+        hands on, then by head."""
+        tie = int(self.code == "budget_floor_clamped")
+        return np.stack([self.layer, np.full(len(self), tie), self.head])
+
+
+class Warnings(Sequence):
+    """The warnings of a plan or a mask: its `CodedWarning`s, read as a
+    sequence of text lines.
+
+    A line is formatted only when it is read, so a plan that is summarized
+    (`summary`) and never written formats one line per code, however many
+    heads warn.
+    """
+
+    __slots__ = ("coded",)
+
+    def __init__(self, coded=()):
+        self.coded = tuple(c for c in coded if len(c))
+
+    def __len__(self) -> int:
+        return sum(len(c) for c in self.coded)
+
+    def _lines(self) -> list[str]:
+        if not self.coded:
+            return []
+        keys = np.concatenate([c.order() for c in self.coded], axis=1)
+        lines = [line for c in self.coded for line in c.lines()]
+        return [lines[k] for k in np.lexsort(keys[::-1]).tolist()]
+
+    def __getitem__(self, index):
+        return self._lines()[index]
+
+    def __iter__(self):
+        return iter(self._lines())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Warnings, list, tuple)):
+            return self._lines() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Warnings({self._lines()!r})"
+
+    def summary(self) -> list[str]:
+        """One entry per code, `<code> x<count> (first: <first line>)`, in the
+        order the codes first occur among the lines."""
+        coded = sorted(self.coded, key=lambda c: tuple(c.order()[:, 0].tolist()))
+        return [f"{c.code} x{len(c)} (first: {c.lines(1)[0]})" for c in coded]
+
+
 @dataclass
 class BudgetPlan:
     """Planner output: budgets, deviations, and integer allocations.
@@ -98,7 +205,8 @@ class BudgetPlan:
     deviation[l] sums, over heads, how far that layer's coverage needs sit
     above (+) or below (-) the budget. The last entry is the residual left
     after the final layer. Allocations are the retained token counts per
-    (layer, head, modality).
+    (layer, head, modality). warnings are the planner's `Warnings`: its
+    initial-budget clamp, spills and floor clamps.
     """
 
     mode: PolicyMode
@@ -110,7 +218,7 @@ class BudgetPlan:
     alloc_text: np.ndarray
     need_visual: np.ndarray
     need_text: np.ndarray
-    warnings: list[str] = field(default_factory=list)
+    warnings: Sequence[str] = field(default_factory=Warnings)
 
     @property
     def final_residual(self) -> float:
@@ -122,11 +230,12 @@ class BudgetPlan:
 
 @dataclass
 class EvictionMask:
-    """Per-(layer, head) boolean keep-vectors over prompt positions."""
+    """Per-(layer, head) boolean keep-vectors over prompt positions, and
+    the mask's `Warnings` (pinned proxy tokens beyond a text allocation)."""
 
     policy: str
     keep: np.ndarray
-    warnings: list[str] = field(default_factory=list)
+    warnings: Sequence[str] = field(default_factory=Warnings)
 
     def __post_init__(self):
         self.keep = np.asarray(self.keep, dtype=bool)
@@ -172,13 +281,14 @@ class BudgetPath:
     """The layer-budget recurrence of one planner configuration.
 
     layer_budget[l] is the per-head budget entering layer l and deviation[l]
-    that layer's summed need above it, as in `BudgetPlan`. clamps holds
-    (l, warning) for every update after layer l that fell below the floor.
+    that layer's summed need above it, as in `BudgetPlan`. clamps holds the
+    `budget_floor_clamped` warnings: each layer l whose update fell below the
+    floor, and the value it fell to.
     """
 
     layer_budget: np.ndarray
     deviation: np.ndarray
-    clamps: list[tuple[int, str]]
+    clamps: CodedWarning
 
 
 class TraceTables:
@@ -201,8 +311,9 @@ class TraceTables:
       count, threshold, initial budget, head normalization and floor, so the
       adaptive and proportional cells of one (theta, budget) share it;
     * `replayed`: per keep-set key (`keep_key`), what `simulate` measured of
-      the keep-set: its kept counts, (L, H) int32, and its per-step retained
-      masses, so a grid builds and replays each distinct keep-set once;
+      the keep-set: its kept counts, (L, H) int32, its mask's warning
+      summary and its per-step retained masses, so a grid builds and replays
+      each distinct keep-set once;
     * `settled`: per spec that `simulate.settle` evaluated, its outcome, for
       `compare` and `simulate` to report once the decode steps are gone.
 
@@ -376,7 +487,7 @@ class TraceTables:
             L, H = need_v.shape
             layer_budget = np.zeros(L, dtype=np.float64)
             deviation = np.zeros(L, dtype=np.float64)
-            clamps = []
+            clamped, raws = [], []
             budget = float(budget0)
             for l in range(L):
                 layer_budget[l] = budget
@@ -389,11 +500,12 @@ class TraceTables:
                     remaining = L - l - 1
                     raw = budget - deviation[l] / (H * remaining if head_normalize else remaining)
                     if raw < floor:
-                        clamps.append(
-                            (l, f"layer {l + 1}: budget {raw:.3f} clamped up to floor {floor:.3f}")
-                        )
+                        clamped.append(l)
+                        raws.append(raw)
                         raw = floor
                     budget = raw
+            clamps = CodedWarning("budget_floor_clamped", floor, clamped, [0] * len(clamped),
+                                  np.array(raws, dtype=np.float64))
             return BudgetPath(layer_budget, deviation, clamps)
 
         return self._get(("budget_path", rows, threshold, budget0, head_normalize, floor), build)
@@ -411,12 +523,6 @@ class TraceTables:
         """
         return (self._rows(cfg.proxy.proxy_count), cfg.pinned(self.header.prompt_len),
                 *(a.astype(np.int32).tobytes() for a in (plan.alloc_visual, plan.alloc_text)))
-
-    def key_allocations(self, key: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """The (visual, text) allocations a `keep_key` holds, each (L, H)
-        int32, read from the key without a copy."""
-        shape = (self.header.num_layers, self.header.num_heads)
-        return tuple(np.frombuffer(a, np.int32).reshape(shape) for a in key[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -498,30 +604,21 @@ def _split_by_preference(
 
 def _proportional_split(
     pool_mass: tuple[np.ndarray, np.ndarray], layer_budget: np.ndarray, n_vis: int, n_txt: int
-) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
+) -> tuple[np.ndarray, np.ndarray, CodedWarning, CodedWarning]:
     """Every layer's budget split by modality preference, with what spills
     over a pool that is too small moved to the other: (alloc_visual,
-    alloc_text, [(layer, warning)]) in (layer, head) order."""
+    alloc_text, visual spills, text spills)."""
     n = n_vis + n_txt
     mass_v, mass_t = pool_mass
     totals = np.array([min(round_half_up(b), n) for b in layer_budget], dtype=np.int64)
     av, at = _split_by_preference(mass_v, mass_t, n_vis, n_txt, totals[:, None])
     over_v = av > n_vis
     over_t = ~over_v & (at > n_txt)
-    spills = []
-    over = over_v | over_t
-    ls, hs = np.nonzero(over)
-    for l, hd, visual, a_v, a_t in zip(ls.tolist(), hs.tolist(), over_v[over].tolist(),
-                                       av[over].tolist(), at[over].tolist()):
-        if visual:
-            spills.append((l, f"layer {l} head {hd}: visual allocation exceeded "
-                              f"{n_vis} visual tokens, spilled {a_v - n_vis} to text"))
-        else:
-            spills.append((l, f"layer {l} head {hd}: text allocation exceeded "
-                              f"{n_txt} text tokens, spilled {a_t - n_txt} to visual"))
+    spills = (CodedWarning("visual_spill", n_vis, *np.nonzero(over_v), av[over_v] - n_vis),
+              CodedWarning("text_spill", n_txt, *np.nonzero(over_t), at[over_t] - n_txt))
     alloc_v = np.where(over_v, n_vis, np.where(over_t, np.minimum(av + at - n_txt, n_vis), av))
     alloc_t = np.where(over_t, n_txt, np.where(over_v, np.minimum(at + av - n_vis, n_txt), at))
-    return alloc_v, alloc_t, spills
+    return alloc_v, alloc_t, *spills
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +638,11 @@ def plan_budgets(tables: TraceTables | AttentionTrace, cfg: PolicyConfig) -> Bud
     vis = h.modality_labels
     n_vis = int(vis.sum())
     n_txt = n - n_vis
-    warnings: list[str] = []
+    warnings = []
 
     budget0 = round_half_up(cfg.budget_frac * n)
     if budget0 < 1:
-        warnings.append(f"initial budget {budget0} clamped up to 1")
+        warnings.append(CodedWarning("initial_budget_clamped", 1, [-1], [0], [budget0]))
         budget0 = 1
     floor = 2.0 * cfg.min_keep_per_modality
 
@@ -555,21 +652,18 @@ def plan_budgets(tables: TraceTables | AttentionTrace, cfg: PolicyConfig) -> Bud
     )
     path = tables.budget_path(cfg.proxy.proxy_count, cfg.coverage_threshold, budget0,
                               cfg.head_normalize_compensation, floor)
-    spills: list[tuple[int, str]] = []
     if cfg.budget_frac >= 1.0:
         # A full budget evicts nothing, whatever the coverage needs.
         alloc_v = np.full((L, H), n_vis, dtype=np.int64)
         alloc_t = np.full((L, H), n_txt, dtype=np.int64)
     elif cfg.mode is PolicyMode.PROPORTIONAL:
-        alloc_v, alloc_t, spills = _proportional_split(
+        alloc_v, alloc_t, *spills = _proportional_split(
             tables.pool_mass(cfg.proxy.proxy_count), path.layer_budget, n_vis, n_txt
         )
+        warnings += spills
     else:
         alloc_v, alloc_t = need_v, need_t
-    # A layer's spill warnings come before the clamp of the budget it hands
-    # on; the sort is stable, so heads keep their order within a layer.
-    merged = [(l, 0, w) for l, w in spills] + [(l, 1, w) for l, w in path.clamps]
-    warnings += [w for _, _, w in sorted(merged, key=lambda e: e[:2])]
+    warnings.append(path.clamps)
 
     return BudgetPlan(
         mode=cfg.mode,
@@ -581,33 +675,12 @@ def plan_budgets(tables: TraceTables | AttentionTrace, cfg: PolicyConfig) -> Bud
         alloc_text=np.maximum(alloc_t, min(cfg.min_keep_per_modality, n_txt)),
         need_visual=need_v,
         need_text=need_t,
-        warnings=warnings,
+        warnings=Warnings(warnings),
     )
 
 
 # ---------------------------------------------------------------------------
 # masks
-
-
-def _pinning(header: TraceHeader, alloc_visual: np.ndarray, alloc_text: np.ndarray,
-             cfg: PolicyConfig) -> tuple[int, np.ndarray, list[str]]:
-    """What pinning the proxy tokens does to a plan's (L, H) allocations: the
-    pinned count, the heads whose allocation covers every token (they evict
-    nothing and get no pinning arithmetic), and a warning for each other
-    head whose text allocation is below the pinned count."""
-    n = header.prompt_len
-    n_vis = int(header.modality_labels.sum())
-    p_eff = cfg.pinned(n)
-    full = (alloc_visual >= n_vis) & (alloc_text >= n - n_vis)
-    if not p_eff:
-        return p_eff, full, []
-    short = ~full & (alloc_text < p_eff)
-    ls, hs = np.nonzero(short)
-    warnings = [
-        f"layer {l} head {hd}: {p_eff} pinned proxy tokens exceed text allocation {q}"
-        for l, hd, q in zip(ls.tolist(), hs.tolist(), alloc_text[short].tolist())
-    ]
-    return p_eff, full, warnings
 
 
 def build_masks(
@@ -630,7 +703,14 @@ def build_masks(
             f"match trace ({L}, {H})/{n}"
         )
     vis = h.modality_labels
-    p_eff, full, warnings = _pinning(h, plan.alloc_visual, plan.alloc_text, cfg)
+    n_vis = int(vis.sum())
+    p_eff = cfg.pinned(n)
+    # Heads whose allocation covers every token evict nothing and get no
+    # pinning arithmetic; each other head whose text allocation is below the
+    # pinned count warns.
+    full = (plan.alloc_visual >= n_vis) & (plan.alloc_text >= n - n_vis)
+    short = ~full & (plan.alloc_text < p_eff)
+    pinned = CodedWarning("pinned_over_text", p_eff, *np.nonzero(short), plan.alloc_text[short])
     ranks = tables.modality_ranks(cfg.proxy.proxy_count, p_eff)
     # Compare in the ranks' int32. Only pinned positions rank n, and they
     # are kept below, so a quota above n keeps what a quota of n keeps. Two
@@ -644,7 +724,7 @@ def build_masks(
     keep |= (ranks < quota_t[..., None]) & ~vis
     keep[:, :, n - p_eff:] = True
     keep[full] = True
-    return EvictionMask(policy=cfg.name, keep=keep, warnings=warnings)
+    return EvictionMask(policy=cfg.name, keep=keep, warnings=Warnings([pinned]))
 
 
 # ---------------------------------------------------------------------------

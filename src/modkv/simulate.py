@@ -19,7 +19,6 @@ from .policy import (
     EvictionMask,
     PolicyConfig,
     TraceTables,
-    _pinning,
     build_masks,
     plan_budgets,
 )
@@ -43,7 +42,12 @@ PolicySpec = PolicyConfig | BaselineConfig
 class SimReport:
     """Outcome of replaying one policy against one trace.
 
-    theta is the policy's coverage threshold, None for a baseline.
+    theta is the policy's coverage threshold, None for a baseline. warnings
+    holds one entry per warning code the plan and mask raised,
+    `<code> x<count> (first: <first line>)` (see `Warnings.summary`); the
+    per-head lines are in the plan's and the mask's own warnings. status is
+    "ok", or "failed" for a policy that raised a ModkvError in `compare`,
+    whose warnings are then only `policy failed: <error>`.
     """
 
     policy: str
@@ -54,6 +58,7 @@ class SimReport:
     kept_counts: np.ndarray
     memory_bytes_est: int
     warnings: list[str] = field(default_factory=list)
+    status: str = "ok"
 
 
 # `replay` multiplies a keep-set into a step's prompt columns this many
@@ -158,14 +163,15 @@ def make_mask(
     tables: TraceTables | AttentionTrace, spec: PolicySpec
 ) -> tuple[EvictionMask, BudgetPlan | None, list[str]]:
     """Build the keep-vectors for any policy spec; returns (mask, plan,
-    warnings), where plan is None for a baseline."""
+    warnings), where plan is None for a baseline and warnings is the plan's
+    and the mask's warning summary, as a SimReport holds it."""
     tables = TraceTables.of(tables)
     if isinstance(spec, PolicyConfig):
         plan = plan_budgets(tables, spec)
         mask = build_masks(tables, plan, spec)
-        return mask, plan, plan.warnings + mask.warnings
+        return mask, plan, plan.warnings.summary() + mask.warnings.summary()
     mask = baseline_mask(tables, spec)
-    return mask, None, list(mask.warnings)
+    return mask, None, mask.warnings.summary()
 
 
 def _theta(spec: PolicySpec) -> float | None:
@@ -189,22 +195,25 @@ def _report(spec: PolicySpec, kept: np.ndarray, warnings: list[str],
 
 class _KeepSet:
     """One distinct keep-set of an evaluation: its kept counts, (L, H)
-    int32, its keep-vectors packed along positions until it is replayed, and
-    then its per-step retained masses."""
+    int32, its mask's warning summary, its keep-vectors packed along
+    positions until it is replayed, and then its per-step retained masses.
+    A mask's warnings depend only on what its key holds, so every cell that
+    shares the keep-set shares the summary."""
 
-    __slots__ = ("kept", "packed", "masses")
+    __slots__ = ("kept", "warnings", "packed", "masses")
 
     def __init__(self, mask: EvictionMask):
         # Counts never exceed the prompt length, so int32 holds them.
         self.kept = mask.kept_counts().astype(np.int32)
+        self.warnings = tuple(mask.warnings.summary())
         self.packed = np.packbits(mask.keep, axis=-1)
         self.masses = None
 
 
 def _plan_cell(tables: TraceTables, spec: PolicySpec, fresh: dict) -> tuple:
-    """Phase 1 of one cell: `spec`'s keep-set, the warnings of its plan, and
-    for a threshold policy its keep-set's key, from which the pinned-proxy
-    warnings are rebuilt when it is reported.
+    """Phase 1 of one cell: `spec`'s keep-set and its plan's warning
+    summary, so that an outcome's size does not grow with the heads that
+    warn.
 
     A threshold policy is planned, and `build_masks` runs only for a
     keep-set that neither `tables.replayed` nor `fresh` holds. A baseline's
@@ -217,10 +226,9 @@ def _plan_cell(tables: TraceTables, spec: PolicySpec, fresh: dict) -> tuple:
         entry = tables.replayed.get(key) or fresh.get(key)
         if entry is None:
             entry = fresh[key] = _KeepSet(build_masks(tables, plan, spec))
-        return entry, plan.warnings, key
-    mask = baseline_mask(tables, spec)
-    entry = fresh[("baseline", len(fresh))] = _KeepSet(mask)
-    return entry, mask.warnings, None
+        return entry, tuple(plan.warnings.summary())
+    entry = fresh[("baseline", len(fresh))] = _KeepSet(baseline_mask(tables, spec))
+    return entry, ()
 
 
 def _plan_cells(tables: TraceTables, specs) -> tuple[list, dict]:
@@ -261,8 +269,8 @@ def settle(tables: TraceTables, specs, steps=None) -> None:
     from one sort per row count (`TraceTables.fill_needs`), and builds each
     distinct keep-set once. The prefill-derived tables are then dropped
     (`TraceTables.release_prefill`), before phase 2 replays the keep-sets.
-    A kept outcome is the spec's keep-set and its plan's warnings, or the
-    ModkvError it raised, without its traceback.
+    A kept outcome is the spec's keep-set and its plan's warning summary, or
+    the ModkvError it raised, without its traceback.
     """
     tables.fill_needs(specs)
     outcomes, fresh = _plan_cells(tables, specs)
@@ -285,17 +293,13 @@ def _outcomes(tables: TraceTables, specs) -> list:
     return [next(planned) if outcome is None else outcome for outcome in outcomes]
 
 
-def _outcome_report(tables: TraceTables, spec: PolicySpec, outcome) -> SimReport:
-    """The report of a spec's `_plan_cell` outcome. A threshold policy's
-    pinned-proxy warnings are rebuilt from its keep-set's allocations
-    through `_pinning`, the helper `build_masks` also calls, so no outcome
-    holds them. Each report gets its own int64 copy of the counts and its
-    own lists."""
-    entry, warnings, key = outcome
-    if key is not None:
-        allocs = tables.key_allocations(key)
-        warnings = warnings + _pinning(tables.header, *allocs, spec)[2]
-    return _report(spec, entry.kept.astype(np.int64), list(warnings), list(entry.masses))
+def _outcome_report(spec: PolicySpec, outcome) -> SimReport:
+    """The report of a spec's `_plan_cell` outcome: its plan's warning
+    summary, then its mask's. Each report gets its own int64 copy of the
+    counts and its own lists."""
+    entry, warnings = outcome
+    return _report(spec, entry.kept.astype(np.int64), [*warnings, *entry.warnings],
+                   list(entry.masses))
 
 
 def simulate(tables: TraceTables | AttentionTrace, spec: PolicySpec) -> SimReport:
@@ -306,7 +310,7 @@ def simulate(tables: TraceTables | AttentionTrace, spec: PolicySpec) -> SimRepor
     (outcome,) = _outcomes(tables, [spec])
     if isinstance(outcome, ModkvError):
         raise outcome
-    return _outcome_report(tables, spec, outcome)
+    return _outcome_report(spec, outcome)
 
 
 def compare(tables: TraceTables | AttentionTrace, specs) -> list[SimReport]:
@@ -314,10 +318,10 @@ def compare(tables: TraceTables | AttentionTrace, specs) -> list[SimReport]:
 
     Reports come back sorted by mean retained mass (descending), name as the
     tie-break. A policy that raises a ModkvError (a bad parameter for this
-    trace, say) is reported with zero mass and the error in its warnings; it
-    does not abort the batch. Any other exception is a bug and propagates.
-    The policies share `tables`, or, given the trace itself, one set built
-    for this call. Every spec not settled on `tables` is planned and masked
+    trace, say) is reported with status "failed", zero mass and the error in
+    its warnings; it does not abort the batch. Any other exception is a bug
+    and propagates. The policies share `tables`, or, given the trace itself,
+    one set built for this call. Every spec not settled on `tables` is planned and masked
     first, and all their keep-sets are then replayed in one pass over the
     decode steps.
     """
@@ -336,8 +340,9 @@ def compare(tables: TraceTables | AttentionTrace, specs) -> list[SimReport]:
                     kept_counts=np.zeros((h.num_layers, h.num_heads), dtype=np.int64),
                     memory_bytes_est=0,
                     warnings=[f"policy failed: {outcome}"],
+                    status="failed",
                 )
             )
         else:
-            reports.append(_outcome_report(tables, spec, outcome))
+            reports.append(_outcome_report(spec, outcome))
     return sorted(reports, key=lambda r: (-r.mean_retained_mass, r.policy))

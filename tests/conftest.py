@@ -67,6 +67,14 @@ def assert_same_report(got, want):
     assert got.warnings == want.warnings
 
 
+def warning_count(report, code):
+    """The count a report's warning summary gives for `code`, 0 if none."""
+    for entry in report.warnings:
+        if entry.startswith(f"{code} x"):
+            return int(entry.split(" ", 2)[1][1:])
+    return 0
+
+
 def traced_peak(fn):
     """`fn()` and the peak of the memory Python allocated while it ran, in
     bytes, as tracemalloc counts it."""

@@ -428,12 +428,39 @@ def reference_replay(trace, mask):
     return out
 
 
+# The code of each per-head warning line, by a phrase only its lines hold.
+REFERENCE_WARNING_PHRASES = (
+    ("initial budget", "initial_budget_clamped"),
+    ("visual allocation exceeded", "visual_spill"),
+    ("text allocation exceeded", "text_spill"),
+    ("clamped up to floor", "budget_floor_clamped"),
+    ("pinned proxy tokens exceed", "pinned_over_text"),
+)
+
+
+def reference_warning_code(line):
+    (code,) = [code for phrase, code in REFERENCE_WARNING_PHRASES if phrase in line]
+    return code
+
+
+def reference_summary(lines):
+    """Per-head warning lines as a report holds them: one entry per code,
+    `<code> x<count> (first: <first line>)`, in the order the codes first
+    occur among the lines."""
+    counts, firsts = {}, {}
+    for line in lines:
+        code = reference_warning_code(line)
+        counts[code] = counts.get(code, 0) + 1
+        firsts.setdefault(code, line)
+    return [f"{code} x{count} (first: {firsts[code]})" for code, count in counts.items()]
+
+
 def reference_simulate(trace, spec):
     """plan -> mask -> replay along the per-head reference path."""
     if isinstance(spec, PolicyConfig):
         plan = reference_plan(trace, spec)
         mask = reference_masks(trace, plan, spec)
-        warnings = plan.warnings + mask.warnings
+        warnings = reference_summary(plan.warnings + mask.warnings)
     elif spec.kind in (BaselineKind.CUMULATIVE_TOPK, BaselineKind.FIXED_PRIORITY):
         mask = reference_baseline_mask(trace, spec)
         warnings = []

@@ -28,6 +28,7 @@ from oracles import (
     reference_generate_synthetic,
     reference_trace_to_binary,
     reference_trace_to_text_v2,
+    reference_warning_code,
 )
 
 
@@ -365,6 +366,94 @@ class TestCompare:
     def test_bad_policy_parameter_is_a_parameter_error(self, demo_trace, tmp_path):
         assert run("compare", "--trace", str(demo_trace),
                    "--policy", "adaptive:junk", "--out", str(tmp_path)) == 2
+
+
+class TestReports:
+    """The warnings and status columns of `run`, `compare` and `sweep`."""
+
+    @staticmethod
+    def generate(tmp_path, name, layers=3, heads=4, mix="0.5", bias=None):
+        bias = bias or ",".join(("0.1", "0.9")[h % 2] for h in range(heads))
+        assert run("generate", "--name", name, "--trace-format", "binary",
+                   "--layers", str(layers), "--heads", str(heads), "--prompt-len", "64",
+                   "--decode-steps", "2", "--modality-mix", mix, "--head-bias", bias,
+                   "--seed", "3", "--out", str(tmp_path)) == 0
+        return tmp_path / f"{name}.mkvt"
+
+    def test_summaries_count_the_lines_of_the_plan_and_mask_files(self, tmp_path):
+        """For cells that raise every code, each summary entry's count is the
+        number of that code's per-head lines in `run`'s plan and mask
+        files, and its first text is the first of them."""
+        cells = [
+            # Few visual tokens: spills to text, clamps and pinning.
+            ("0.05", "0.9", "proportional:min_keep=3", "0.005"),
+            # Few text tokens: spills to visual.
+            ("0.95", "0.1", "proportional:min_keep=3", "0.05"),
+            ("0.5", None, "adaptive", "0.05"),
+        ]
+        seen = set()
+        for k, (mix, bias, policy, budget) in enumerate(cells):
+            trace = self.generate(tmp_path, f"t{k}", mix=mix, bias=bias)
+            out = tmp_path / f"run{k}"
+            assert run("run", "--trace", str(trace), "--policy", policy, "--budget", budget,
+                       "--out", str(out)) == 0
+            name = policy.split(":")[0]
+            lines = []
+            for kind in ("plan", "mask"):
+                lines += json.loads((out / f"t{k}__{name}_{kind}.json").read_text())["warnings"]
+            (row,) = read_csv(out / "report.csv")
+            assert row["status"] == "ok"
+            codes = [reference_warning_code(line) for line in lines]
+            want = [f"{code} x{codes.count(code)} (first: {lines[codes.index(code)]})"
+                    for code in dict.fromkeys(codes)]
+            assert row["warnings"].split(";") == want
+            seen.update(codes)
+        assert seen == set(policy_module.WARNING_CODES)
+
+    def test_a_wide_sweep_writes_short_warnings(self, tmp_path):
+        """At 16x16 heads and budget 0.05 most heads warn, yet each row's
+        warnings stay within 300 bytes: one entry per code."""
+        trace = self.generate(tmp_path, "wide", layers=16, heads=16)
+        out = tmp_path / "sweep"
+        assert run("sweep", "--trace", str(trace), "--policy", "adaptive",
+                   "--policy", "proportional", "--policy", "recent_window",
+                   "--budget", "0.05", "--out", str(out)) == 0
+        rows = read_csv(out / "compare.csv")
+        assert len(rows) == 7
+        assert max(len(r["warnings"].encode()) for r in rows) <= 300
+        counts = [int(entry.split(" ", 2)[1][1:]) for r in rows if r["warnings"]
+                  for entry in r["warnings"].split(";")]
+        assert max(counts) > 16 * 16 / 2
+
+    def test_a_failed_cell_has_status_failed(self, demo_trace, tmp_path):
+        out = tmp_path / "failed"
+        assert run("compare", "--trace", str(demo_trace), "--policy", "sink_window:sink_count=40",
+                   "--policy", "recent_window", "--budget", "0.2", "--out", str(out)) == 0
+        rows = {r["policy"]: r for r in read_csv(out / "compare.csv")}
+        failed = rows["sink_window"]
+        assert failed["status"] == "failed"
+        assert failed["warnings"] == "policy failed: sink_count 40 must not exceed the budget 6"
+        assert failed["mean_retained_mass"] == "0.0"
+        assert rows["recent_window"]["status"] == "ok"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("run", ("--budget", "0.2")),
+    ("compare", ()),
+    ("sweep", ()),
+    ("analyze", ()),
+])
+def test_two_traces_of_one_stem_are_refused_before_loading(tmp_path, capsys, command, extra):
+    """Rows and `run`'s files are named by the trace's stem, so two traces
+    of one stem are a parameter error naming both, before either is read:
+    neither path exists here, and no output directory is made."""
+    first, second = tmp_path / "a" / "x.mkvt", tmp_path / "b" / "x.json"
+    out = tmp_path / "out"
+    assert run(command, "--trace", str(first), "--trace", str(second), *extra,
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert str(first) in err and str(second) in err
+    assert not out.exists()
 
 
 class TestPrefillRows:

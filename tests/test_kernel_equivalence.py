@@ -283,7 +283,7 @@ def test_wide_grids_match_the_per_step_replay(n):
                     got = simulate(tables, spec)
                     assert_same_report(got, oracles.reference_simulate(trace, spec))
                     kinds = "".join("s" if "spilled" in w else "c" if "floor" in w else ""
-                                    for w in got.warnings)
+                                    for w in plan_budgets(tables, spec).warnings)
                     interleaved |= "scs" in kinds
         tables = TraceTables(trace)
         h = trace.header

@@ -226,8 +226,11 @@ class TestSimulateAndCompare:
         reports = compare(mixed_trace, [good, bad])
         by_name = {r.policy: r for r in reports}
         assert by_name["sink_window"].mean_retained_mass == 0.0
-        assert any("policy failed" in w for w in by_name["sink_window"].warnings)
+        assert by_name["sink_window"].warnings == [
+            "policy failed: sink_count 12 must not exceed the budget 2"]
+        assert by_name["sink_window"].status == "failed"
         assert by_name["recent_window"].warnings == []
+        assert by_name["recent_window"].status == "ok"
 
     def test_a_bug_in_a_policy_is_not_swallowed(self, mixed_trace, monkeypatch):
         """Only package errors become failure rows; anything else is a bug."""

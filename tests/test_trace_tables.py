@@ -20,7 +20,7 @@ import pytest
 
 import modkv.policy as policy_module
 import oracles
-from conftest import assert_same_report, small_spec, traced_peak
+from conftest import assert_same_report, dense, small_spec, traced_peak, warning_count
 from modkv import (
     BaselineConfig,
     BaselineKind,
@@ -310,7 +310,7 @@ def test_the_memo_holds_counts_and_masses_only():
     try:
         before = tracemalloc.get_traced_memory()[0]
         for spec in specs:
-            warned += sum("pinned proxy" in w for w in simulate(tables, spec).warnings)
+            warned += warning_count(simulate(tables, spec), "pinned_over_text")
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -319,6 +319,38 @@ def test_the_memo_holds_counts_and_masses_only():
     # growth of the table dict.
     per_entry = 8 * L * H + 2 * 4 * L * H + 32 * S + 1024
     assert held <= distinct * per_entry + 16384, (held, distinct)
+
+
+def test_a_grids_outcomes_grow_by_a_fixed_size_per_cell():
+    """Under tracemalloc, the outcomes `settle` keeps grow by as many bytes
+    per cell at 16x16 heads as at 4x4, give or take 64, although every head
+    of every cell warns: an outcome holds one summary entry per warning
+    code, and no per-head line or array. The cells' budgets round to one
+    per-head budget, so they share one plan's allocations and one keep-set,
+    and only the outcomes grow with the cell count."""
+    specs = [PolicyConfig(0.2 + k / 10**5, mode=PolicyMode.PROPORTIONAL,
+                          min_keep_per_modality=3) for k in range(40)]
+    per_cell = {}
+    for size in (4, 16):
+        trace = dense(generate_synthetic(
+            small_spec(3, layers=size, heads=size, prompt_len=64, mix=0.05, bias=0.9)))
+        # A first grid fills numpy's and the trace's caches.
+        settle(TraceTables(trace), specs[:1])
+        held = {}
+        for count in (8, 40):
+            tables = TraceTables(trace)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                settle(tables, specs[:count])
+                held[count] = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert len(tables.replayed) == 1
+        spills = [w for w in plan_budgets(trace, specs[0]).warnings if "spilled" in w]
+        assert len(spills) == size * size
+        per_cell[size] = (held[40] - held[8]) / 32
+    assert per_cell[16] <= per_cell[4] + 64, per_cell
 
 
 # ---------------------------------------------------------------------------
