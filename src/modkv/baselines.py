@@ -77,6 +77,16 @@ class BaselineConfig:
     def kept_per_head(self, prompt_len: int) -> int:
         return min(max(round_half_up(self.budget_frac * prompt_len), 1), prompt_len)
 
+    def check(self, prompt_len: int) -> None:
+        """Raise ParameterError if no trace of `prompt_len` tokens can take
+        these settings: a sink_count above the budget. The header alone
+        decides it, so `run` checks before the file streams."""
+        budget = self.kept_per_head(prompt_len)
+        if self.kind is BaselineKind.SINK_WINDOW and self.sink_count > budget:
+            raise ParameterError(
+                f"sink_count {self.sink_count} must not exceed the budget {budget}"
+            )
+
 
 def baseline_mask(tables: TraceTables | AttentionTrace, cfg: BaselineConfig) -> EvictionMask:
     """Build the keep-vectors for one baseline policy.
@@ -88,6 +98,7 @@ def baseline_mask(tables: TraceTables | AttentionTrace, cfg: BaselineConfig) -> 
     tables = TraceTables.of(tables)
     h = tables.header
     L, H, n = h.num_layers, h.num_heads, h.prompt_len
+    cfg.check(n)
     budget = cfg.kept_per_head(n)
     keep = np.zeros((L, H, n), dtype=bool)
 
@@ -96,10 +107,6 @@ def baseline_mask(tables: TraceTables | AttentionTrace, cfg: BaselineConfig) -> 
         return EvictionMask(policy=cfg.name, keep=keep)
 
     if cfg.kind is BaselineKind.SINK_WINDOW:
-        if cfg.sink_count > budget:
-            raise ParameterError(
-                f"sink_count {cfg.sink_count} must not exceed the budget {budget}"
-            )
         # sink_count == budget leaves an empty recent window.
         keep[:, :, : cfg.sink_count] = True
         keep[:, :, n - (budget - cfg.sink_count):] = True
@@ -117,5 +124,5 @@ def baseline_mask(tables: TraceTables | AttentionTrace, cfg: BaselineConfig) -> 
     want_vis = min(budget - want_text, n_vis)
     want_text = min(budget - want_vis, n - n_vis)
     ranks = tables.modality_ranks(cfg.observation_window)
-    keep = ranks < np.where(vis, want_vis, want_text)
+    keep = ranks < np.where(vis, want_vis, want_text).astype(ranks.dtype)
     return EvictionMask(policy=cfg.name, keep=keep)

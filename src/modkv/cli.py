@@ -421,6 +421,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = build_policy_spec(name, params, opts, budget)
     fmt = opts["format"]
 
+    def check(header):
+        if isinstance(spec, BaselineConfig):
+            spec.check(header.prompt_len)
+
     rows = []
     for path, trace_name in zip(args.trace, names):
         done = []
@@ -429,9 +433,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             mask, plan, warnings = make_mask(tables, spec)
             done.extend((mask, plan, warnings, replay(tables, mask, steps)))
 
+        # A spec the header rules out is refused before the prefill streams.
         # The mask is replayed while the file streams; plan and mask are
         # written once the whole trace has been checked.
-        _load(TraceTables.load, path, [spec], evaluate)
+        _load(TraceTables.load, path, [spec], evaluate, check)
         mask, plan, warnings, per_step = done
         if plan is not None:
             save_plan(plan, out_dir / f"{trace_name}__{name}_plan.json")

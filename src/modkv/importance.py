@@ -8,6 +8,7 @@ here; that scorer belongs to the heavy-hitter baseline.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ class ProxyConfig:
 
 
 def proxy_importance_matrix(trace: AttentionTrace, proxy: ProxyConfig | None = None) -> np.ndarray:
-    """Importance for every (layer, head); shape (L, H, n), float64.
+    """Importance for every (layer, head) the trace holds; shape (L, H, n),
+    or (1, H, n) for a trace of one layer, float64.
 
     Column sums over the proxy rows, accumulated in float64 in ascending row
     order (a fixed order keeps results bit-stable between runs). Only the
@@ -54,9 +56,10 @@ def proxy_importance_matrix(trace: AttentionTrace, proxy: ProxyConfig | None = N
             f"{p} proxy rows requested, but the trace holds only the last {held} "
             f"prefill rows"
         )
-    out = np.empty((h.num_layers, h.num_heads, n), dtype=np.float64)
-    for l, hd in np.ndindex(h.num_layers, h.num_heads):
-        out[l, hd] = trace.head_rows(l, hd, n - p).astype(np.float64).sum(axis=0)
+    layers = trace.layers
+    out = np.empty((len(layers), h.num_heads, n), dtype=np.float64)
+    for (k, l), hd in itertools.product(enumerate(layers), range(h.num_heads)):
+        out[k, hd] = trace.head_rows(l, hd, n - p).astype(np.float64).sum(axis=0)
     return out
 
 

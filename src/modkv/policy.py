@@ -29,7 +29,7 @@ from .allocation import round_half_up
 from .errors import ParameterError, ValidationError
 from .files import canonical_json, write_atomic
 from .importance import ProxyConfig, proxy_importance_matrix
-from .trace import FORMAT_VERSION, AttentionTrace, load_trace
+from .trace import FORMAT_VERSION, AttentionTrace, TraceHeader, load_trace
 
 
 class PolicyMode(enum.Enum):
@@ -259,20 +259,27 @@ def pool_ranks(scores: np.ndarray, pools) -> np.ndarray:
     position-index arrays; a position in no pool gets rank n, which no quota
     reaches.
 
-    Ranks are int32, half the bytes of int64 for every mask comparison; a
-    prompt of 2**31 tokens is far beyond any trace that fits in memory.
+    Ranks are int16 below 2**15 tokens, which holds every rank up to n, and
+    int32 from there: a quarter or half the bytes of int64, for the table
+    and for every mask comparison. A prompt of 2**31 tokens is far beyond
+    any trace that fits in memory. The pools are sorted one layer (index
+    along the first axis) at a time, so the sort's temporaries are one
+    layer's; a 1-d `scores` is sorted whole.
     """
     n = scores.shape[-1]
-    ranks = np.full(scores.shape, n, dtype=np.int32)
+    ranks = np.full(scores.shape, n, dtype=np.int16 if n < 1 << 15 else np.int32)
+    layers = list(zip(scores, ranks)) if scores.ndim > 1 else [(scores, ranks)]
     for idx in pools:
         if idx.size == 0:
             continue
-        # A stable ascending sort of the negated, reversed pool orders by
-        # score descending with the later position first among equals.
-        order = idx.size - 1 - np.argsort(-scores[..., idx[::-1]], axis=-1, kind="stable")
-        sub = np.empty(order.shape, dtype=np.int32)
-        np.put_along_axis(sub, order, np.arange(idx.size, dtype=np.int32), axis=-1)
-        ranks[..., idx] = sub
+        places = np.arange(idx.size, dtype=ranks.dtype)
+        for part, out in layers:
+            # A stable ascending sort of the negated, reversed pool orders by
+            # score descending with the later position first among equals.
+            order = idx.size - 1 - np.argsort(-part[..., idx[::-1]], axis=-1, kind="stable")
+            sub = np.empty(order.shape, dtype=ranks.dtype)
+            np.put_along_axis(sub, order, places, axis=-1)
+            out[..., idx] = sub
     return ranks
 
 
@@ -304,9 +311,9 @@ class TraceTables:
       row count;
     * `pool_mass`: importance mass (visual, text), each (L, H) float64, per
       row count;
-    * `modality_ranks` and `token_ranks`: int32 ranks within the modality
-      pools or over all positions, (L, H, n), per row count (and pinned
-      tail);
+    * `modality_ranks` and `token_ranks`: ranks within the modality pools
+      or over all positions, (L, H, n), int16 below 2**15 tokens and int32
+      from there (`pool_ranks`), per row count (and pinned tail);
     * `budget_path`: the layer-budget recurrence (`BudgetPath`), per row
       count, threshold, initial budget, head normalization and floor, so the
       adaptive and proportional cells of one (theta, budget) share it;
@@ -325,14 +332,20 @@ class TraceTables:
     `baseline_mask` or `replay`, and drop it to free them.
     `TraceTables(trace)` keeps its trace and builds each table on first use;
     the trace must not change while its tables are in use.
-    `TraceTables.load(path, specs, settle)` builds what `specs` read from the
-    trace file, evaluates them while the file streams, and keeps no trace.
+    `TraceTables(header)` holds no trace: `load` fills its importance as the
+    file streams.
+    `TraceTables.load(path, specs, settle)` builds importance a layer at a
+    time as the trace file streams, evaluates the specs on the decode steps
+    while they stream, and keeps no trace. `simulate.settle` builds every
+    table the specs read and drops importance before it plans a cell, and
+    drops the rest before it replays the keep-sets, so a grid job holds each
+    prefill-derived table only while its next stage reads it.
     """
 
-    def __init__(self, trace: AttentionTrace):
-        self.trace: AttentionTrace | None = trace
-        self.header = trace.header
-        self.num_steps = trace.header.num_decode_steps
+    def __init__(self, source: AttentionTrace | TraceHeader):
+        self.trace = source if isinstance(source, AttentionTrace) else None
+        self.header = source if self.trace is None else source.header
+        self.num_steps = self.header.num_decode_steps
         self._tables: dict = {}
         self.replayed: dict = {}
         self.settled: dict = {}
@@ -343,37 +356,55 @@ class TraceTables:
         return source if isinstance(source, cls) else cls(source)
 
     @classmethod
-    def load(cls, path: str | os.PathLike, specs, settle=None) -> TraceTables:
+    def load(cls, path: str | os.PathLike, specs, settle=None, check=None) -> TraceTables:
         """The tables of the trace file at `path` for the policies in
         `specs`, holding no trace.
 
         The file is read once. It is loaded with the last prefill rows the
-        specs read (the largest `spec.prefill_rows`, at least one). Once they
-        are checked, `importance` is built at each of the specs' row counts
-        and the trace is dropped, which frees its rows before the first
-        decode step is read. Then `settle(tables, specs, steps)`, unless
-        None, is called with an iterator over the checked decode steps:
-        `simulate.settle` plans, masks and replays every spec on them. Steps
-        it does not take are checked and dropped. Importance at any other row
-        count raises ParameterError.
+        specs read (the largest `spec.prefill_rows`, at least one), and
+        `importance` is built at each of the specs' row counts one layer at
+        a time, from the loader's trace of each checked layer (`on_layer`),
+        so no (L, H, rows, n) array of kept rows is built. `check(header)`,
+        unless None, is called once the header is read, before any prefill
+        row, to refuse a spec that the header alone rules out. Then
+        `settle(tables, specs, steps)`, unless None, is called with an
+        iterator over the checked decode steps: `simulate.settle` plans,
+        masks and replays every spec on them. Steps it does not take are
+        checked and dropped. Importance at any other row count raises
+        ParameterError.
         """
-        counts = [spec.prefill_rows for spec in specs]
+        counts = {spec.prefill_rows for spec in specs} - {0}
         loaded = []
 
-        def on_prefill(trace):
-            tables = cls(trace)
-            for count in counts:
-                if count:
-                    tables.importance(count)
-            tables.trace = None
+        def on_header(header):
+            if check is not None:
+                check(header)
+            tables = cls(header)
+            # Importance is allocated before the prefill streams: allocated
+            # among the text reader's buffers, it raised a text compare's
+            # peak RSS by more than 1 MiB.
+            for rows in {tables._rows(count) for count in counts}:
+                tables._tables[("importance", rows)] = np.empty(
+                    (header.num_layers, header.num_heads, header.prompt_len), dtype=np.float64)
             loaded.append(tables)
+
+        def on_layer(trace):
+            for (_, rows), scores in loaded[0]._tables.items():
+                scores[trace.layer] = proxy_importance_matrix(trace, ProxyConfig(rows))[0]
 
         def on_decode(steps):
             settle(loaded[0], specs, steps)
 
-        load_trace(path, rows=max([1, *counts]), on_prefill=on_prefill,
+        load_trace(path, rows=max([1, *counts]), on_header=on_header, on_layer=on_layer,
                    on_decode=None if settle is None else on_decode)
         return loaded[0]
+
+    def release_importance(self) -> None:
+        """Drop `importance`, keeping the tables built from it. Importance
+        asked for again is rebuilt from the trace, or, with no trace,
+        refused."""
+        for key in [key for key in self._tables if key[0] == "importance"]:
+            del self._tables[key]
 
     def release_prefill(self) -> None:
         """Drop every table built from prefill rows: importance and all that
@@ -516,8 +547,9 @@ class TraceTables:
 
         It is exactly what `build_masks` reads of `plan` and `cfg`: the
         proxy row count, the pinned count, and both (L, H) allocations. A
-        planner allocates at most the prompt length, which the int32 ranks
-        already bound, so the key holds the allocations as int32 exactly.
+        planner allocates at most the prompt length, which the ranks'
+        dtype already bounds, so the key holds the allocations as int32
+        exactly.
         Cells that repeat an allocation (adaptive at every budget below 1,
         say) share one entry.
         """
@@ -540,6 +572,8 @@ def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold):
     `scores` has shape (..., n); the counts are taken along the last axis.
     `threshold` is a float, or a 1-d array of them: each pool is sorted once
     for all of them, and every count is the one its threshold alone gives.
+    Scores of two or more dimensions are sorted one layer (index along the
+    first axis) at a time, so the sort's temporaries are one layer's.
 
     Returns:
         (visual_count, text_count): for a float threshold, two ints for a 1-d
@@ -553,20 +587,21 @@ def coverage_counts(scores: np.ndarray, visual: np.ndarray, threshold):
             raise ParameterError(f"threshold must be in (0, 1], got {theta}")
     scores = np.asarray(scores)
     visual = np.asarray(visual, dtype=bool)
+    lead = scores.shape[:-1]
     out = []
     for mask in (visual, ~visual):
-        vals = np.sort(scores[..., mask], axis=-1)[..., ::-1]
-        cum = np.cumsum(vals, axis=-1)
-        if cum.shape[-1] == 0:
-            out.append(np.zeros(thresholds.shape + cum.shape[:-1], dtype=np.int64))
-            continue
-        total = cum[..., -1:]
-        # On a non-decreasing cumsum, the count of entries below the target
-        # is the left insertion point of the target.
-        count = np.array([(cum < theta * total).sum(axis=-1, dtype=np.int64) + 1
-                          for theta in thresholds.reshape(-1)], dtype=np.int64)
-        count = count.reshape(thresholds.shape + cum.shape[:-1])
-        out.append(np.where(total[..., 0] > 0, count, 0))
+        count = np.zeros((thresholds.size, *lead), dtype=np.int64)
+        # One index per layer, or () for 1-d scores.
+        for layer in np.ndindex(lead[:1]) if mask.any() else ():
+            vals = np.sort(scores[layer][..., mask], axis=-1)[..., ::-1]
+            cum = np.cumsum(vals, axis=-1)
+            total = cum[..., -1:]
+            for t, theta in enumerate(thresholds.reshape(-1)):
+                # On a non-decreasing cumsum, the count of entries below the
+                # target is the left insertion point of the target.
+                below = (cum < theta * total).sum(axis=-1, dtype=np.int64)
+                count[(t, *layer)] = np.where(total[..., 0] > 0, below + 1, 0)
+        out.append(count.reshape(thresholds.shape + lead))
     if scores.ndim == 1 and thresholds.ndim == 0:
         return int(out[0]), int(out[1])
     return out[0], out[1]
@@ -712,11 +747,12 @@ def build_masks(
     short = ~full & (plan.alloc_text < p_eff)
     pinned = CodedWarning("pinned_over_text", p_eff, *np.nonzero(short), plan.alloc_text[short])
     ranks = tables.modality_ranks(cfg.proxy.proxy_count, p_eff)
-    # Compare in the ranks' int32. Only pinned positions rank n, and they
-    # are kept below, so a quota above n keeps what a quota of n keeps. Two
-    # comparisons masked by modality are cheaper than a broadcast np.where.
+    # Compare in the ranks' dtype, which holds n. Only pinned positions
+    # rank n, and they are kept below, so a quota above n keeps what a quota
+    # of n keeps. Two comparisons masked by modality are cheaper than a
+    # broadcast np.where.
     quota_v, quota_t = (
-        np.minimum(q, n).astype(np.int32)
+        np.minimum(q, n).astype(ranks.dtype)
         for q in (plan.alloc_visual, np.maximum(plan.alloc_text - p_eff, 0))
     )
     keep = ranks < quota_v[..., None]

@@ -12,12 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import BaselineConfig, baseline_mask
+from .baselines import BaselineConfig, BaselineKind, baseline_mask
 from .errors import ModkvError, ParameterError, ValidationError
 from .policy import (
     BudgetPlan,
     EvictionMask,
     PolicyConfig,
+    PolicyMode,
     TraceTables,
     build_masks,
     plan_budgets,
@@ -61,9 +62,10 @@ class SimReport:
     status: str = "ok"
 
 
-# `replay` multiplies a keep-set into a step's prompt columns this many
-# float64 scores at a time (512 KiB), so that the block of the step and the
-# keep-set's block stay in cache for every keep-set.
+# `replay` converts a step to float64 and multiplies a keep-set into its
+# prompt columns in blocks of rows of this many prompt scores (512 KiB as
+# float64), or two rows if a row is longer, so that the block of the step and
+# the keep-set's block stay in cache for every keep-set.
 _REPLAY_BLOCK = 1 << 16
 
 
@@ -82,8 +84,11 @@ def replay(tables: TraceTables | AttentionTrace, masks, steps=None):
     (L, H, n + s) float32, as a loader's `on_decode` gets them; None reads
     them from the trace of `tables` through `decode_rows`. Each step is
     replayed on every keep-set before the next is read, so one step is held
-    at a time, as float64, with one block of one keep-set unpacked into
-    float64 beside it.
+    at a time. It is converted to float64 one block of rows at a time, and
+    each block is replayed on every keep-set, with that block of one
+    keep-set unpacked into float64 beside it. Each row's sums run over the
+    same contiguous row as a whole-step conversion's would, so the masses
+    are bit-identical to a per-step replay.
     """
     tables = TraceTables.of(tables)
     h = tables.header
@@ -113,28 +118,34 @@ def replay(tables: TraceTables | AttentionTrace, masks, steps=None):
                 "loaded; only the specs settled then can be replayed"
             )
         steps = tables.trace.decode_steps()
-    # Every buffer is allocated once: the widest step as float64, one block
-    # of a keep-set, and each keep-set's kept mass and ratio per (layer, head).
-    wide = np.empty(rows * (n + max(tables.num_steps - 1, 0)), dtype=np.float64)
-    block = min(rows, max(1, _REPLAY_BLOCK // n))
+    # Every buffer is allocated once: one block of the widest step as
+    # float64, one block of a keep-set, each keep-set's kept mass and ratio
+    # per (layer, head), and each (layer, head)'s total.
+    block = min(rows, max(2, _REPLAY_BLOCK // n))
+    wide = np.empty(block * (n + max(tables.num_steps - 1, 0)), dtype=np.float64)
     unpacked = np.empty((block, n), dtype=np.float64)
     numer = np.empty((len(live), rows), dtype=np.float64)
     ratio = np.empty_like(numer)
+    denom = np.empty(rows, dtype=np.float64)
     for step in steps:
-        v = wide[:step.size].reshape(step.shape)
-        np.copyto(v, step)
-        del step  # not held while the next is read
-        prompt = v[:, :, :n].reshape(rows, n)
+        step = step.reshape(rows, -1)
         for lo in range(0, rows, block):
             hi = min(lo + block, rows)
+            # einsum sums a lone row in another order than a row among
+            # others, as a whole step's einsum sums it. So a last block of
+            # one row takes the row before it along, which it recomputes.
+            lo = min(lo, max(hi - 2, 0))
+            v = wide[:(hi - lo) * step.shape[1]].reshape(hi - lo, -1)
+            np.copyto(v, step[lo:hi])
             for i, k in enumerate(live):
                 np.copyto(unpacked[:hi - lo], np.unpackbits(keeps[k][lo:hi], axis=-1, count=n))
                 # Each row runs the same contiguous sum of products over the
                 # n prompt columns as an einsum over the whole step would, so
                 # the sums are bit-identical to a per-step replay.
-                np.einsum("rn,rn->r", prompt[lo:hi], unpacked[:hi - lo], out=numer[i, lo:hi])
-        numer += v[:, :, n:].sum(axis=2).reshape(rows)
-        denom = v.sum(axis=2).reshape(rows)
+                np.einsum("rn,rn->r", v[:, :n], unpacked[:hi - lo], out=numer[i, lo:hi])
+            numer[:, lo:hi] += v[:, n:].sum(axis=1)
+            v.sum(axis=1, out=denom[lo:hi])
+        del step  # not held while the next is read
         ratio.fill(1.0)
         np.divide(numer, denom, out=ratio, where=denom > 0)
         np.clip(ratio, 0.0, 1.0, out=ratio)
@@ -259,20 +270,41 @@ def _replay_fresh(tables: TraceTables, fresh: dict, steps) -> None:
             tables.replayed[key] = entry
 
 
+def _fill_tables(tables: TraceTables, specs) -> None:
+    """Build every table that planning and masking `specs` read: the
+    coverage needs of every threshold from one sort per row count
+    (`TraceTables.fill_needs`), the proportional cells' pool mass, and the
+    modality and token ranks."""
+    tables.fill_needs(specs)
+    n = tables.header.prompt_len
+    for spec in specs:
+        if isinstance(spec, PolicyConfig):
+            if spec.mode is PolicyMode.PROPORTIONAL:
+                tables.pool_mass(spec.proxy.proxy_count)
+            tables.modality_ranks(spec.proxy.proxy_count, spec.pinned(n))
+        elif spec.kind is BaselineKind.CUMULATIVE_TOPK:
+            tables.token_ranks(spec.observation_window)
+        elif spec.kind is BaselineKind.FIXED_PRIORITY:
+            tables.modality_ranks(spec.observation_window)
+
+
 def settle(tables: TraceTables, specs, steps=None) -> None:
     """Evaluate every spec in `specs` on `tables` in one pass over the
     decode steps `steps` (see `replay`), and keep each spec's outcome in
     `tables.settled`, so that `compare` and `simulate` report it once the
     steps are gone. `TraceTables.load` calls it while the file streams.
 
-    Phase 1 plans every cell, with the coverage needs of every threshold
-    from one sort per row count (`TraceTables.fill_needs`), and builds each
-    distinct keep-set once. The prefill-derived tables are then dropped
+    First every table the specs read is built (`_fill_tables`) and
+    importance, which only those tables read, is dropped
+    (`TraceTables.release_importance`), so the keep-sets never pile up
+    beside it. Phase 1 then plans every cell and builds each distinct
+    keep-set once. The other prefill-derived tables are then dropped
     (`TraceTables.release_prefill`), before phase 2 replays the keep-sets.
     A kept outcome is the spec's keep-set and its plan's warning summary, or
     the ModkvError it raised, without its traceback.
     """
-    tables.fill_needs(specs)
+    _fill_tables(tables, specs)
+    tables.release_importance()
     outcomes, fresh = _plan_cells(tables, specs)
     tables.release_prefill()
     _replay_fresh(tables, fresh, steps)

@@ -145,6 +145,7 @@ class _SyntheticTrace(AttentionTrace):
                  bulk: np.ndarray, scales: np.ndarray):
         self.header = header
         self.first_row = 0
+        self.layer = None
         self._weights = weights
         self._bias = bias
         self._bulk = bulk

@@ -9,7 +9,10 @@ A trace holds prompt rows ``first_row..n-1`` of each (layer, head). With the
 default ``first_row = 0`` that is the whole causal prefill cube. The loaders
 can keep only the last rows, which are all that importance and the
 score-driven baselines read: they stream the file, check every row of every
-head in blocks of at most 2**16 packed scores, and keep the tail. A reader
+head in blocks of at most 2**16 packed scores, and keep the tail, one layer
+at a time. Each layer's kept rows go to the loader's ``on_layer`` consumer as
+a trace of that layer alone (``layer`` set), in one reused buffer, so a
+reader that works a layer at a time holds no (L, H, rows, n) tail. A reader
 of every row, such as ``head_text_share``, gets each head from the loader's
 ``on_head`` consumer instead: one reused float64 (n, n) buffer, filled from
 the blocks as they are checked. The binary loader reads each block straight
@@ -30,11 +33,11 @@ decode steps being built, and ``AttentionTrace.decode_steps`` builds one
 whole step at a time from them.
 
 A loader can also stream the decode steps instead of keeping them. Both
-containers store them after the prefill. Given ``on_prefill`` or
-``on_decode``, the loader hands the checked trace, holding its kept rows and
-no steps, to ``on_prefill`` and lets it go; it then hands ``on_decode`` an
-iterator over the steps, each checked before it is yielded. So a reader that
-replays every step holds one step at a time.
+containers store them after the prefill. Given ``on_layer``, ``on_prefill``
+or ``on_decode``, the loader hands the checked trace, holding its kept rows
+and no steps, to ``on_prefill`` (if given) and lets it go; it then hands
+``on_decode`` an iterator over the steps, each checked before it is yielded.
+So a reader that replays every step holds one step at a time.
 
 Two interchangeable containers are supported and sniffed by magic bytes.
 Both store scores as little-endian float32, so a save/load/save round trip
@@ -80,6 +83,7 @@ import binascii
 import codecs
 import enum
 import io
+import itertools
 import json
 import os
 import re
@@ -202,6 +206,9 @@ class AttentionTrace:
             loader handed to `on_prefill`: it streamed the steps instead.
         first_row: the first prompt row held; 0 (the default) holds the dense
             causal cube.
+        layer: None (the default) holds every layer; a layer index holds
+            that layer only, as the loaders hand each layer on, and prefill
+            is then (1, H, n - first_row, n).
 
     Read prefill rows through `head_rows`, never `prefill`: a generated trace
     computes its rows and stores no prefill array. The writers read decode
@@ -214,29 +221,40 @@ class AttentionTrace:
     prefill: np.ndarray = field(repr=False)
     decode: list[np.ndarray] | None
     first_row: int = 0
+    layer: int | None = None
 
     def __post_init__(self):
         self.prefill = np.ascontiguousarray(self.prefill, dtype=np.float32)
         if self.decode is not None:
             self.decode = [np.ascontiguousarray(d, dtype=np.float32) for d in self.decode]
 
+    @property
+    def layers(self) -> range:
+        """The layers whose prefill rows the trace holds."""
+        if self.layer is None:
+            return range(self.header.num_layers)
+        return range(self.layer, self.layer + 1)
+
     def validate(self) -> None:
         """Check every structural invariant, raising ValidationError with the
         offending (layer, head, row) coordinates on the first failure. Rows
-        are reported as prompt rows, whatever `first_row` is. A trace whose
-        `decode` is None has no steps to check: its loader checks each step
-        as it streams it."""
+        are reported as prompt rows, whatever `first_row` is, and layers as
+        the header's, whatever `layer` is. A trace whose `decode` is None
+        has no steps to check: its loader checks each step as it streams
+        it."""
         h = self.header
         L, H, n = h.num_layers, h.num_heads, h.prompt_len
         first = self.first_row
         if not 0 <= first < n:
             raise ValidationError(f"first_row {first} out of range for prompt length {n}")
+        if self.layer is not None and not 0 <= self.layer < L:
+            raise ValidationError(f"layer {self.layer} out of range for {L} layers")
         # A generated trace computes its rows and stores no prefill array.
         stored = getattr(self, "prefill", None)
-        if stored is not None and stored.shape != (L, H, n - first, n):
+        if stored is not None and stored.shape != (len(self.layers), H, n - first, n):
             raise ValidationError(
                 f"prefill shape {stored.shape} does not match header "
-                f"({L}, {H}, {n - first}, {n})"
+                f"({len(self.layers)}, {H}, {n - first}, {n})"
             )
         if self.decode is not None and len(self.decode) != h.num_decode_steps:
             raise ValidationError(
@@ -244,7 +262,7 @@ class AttentionTrace:
             )
         # future[j, c]: column c lies after prompt row first + j.
         future = np.arange(n) > np.arange(first, n)[:, None]
-        for l, hd in np.ndindex(L, H):
+        for l, hd in itertools.product(self.layers, range(H)):
             rows = self.head_rows(l, hd, first)
             # Each check tests what a valid score satisfies (>= 0, within the
             # tolerance), so that NaN fails it.
@@ -276,13 +294,20 @@ class AttentionTrace:
     def head_rows(self, layer: int, head: int, start: int = 0,
                   stop: int | None = None) -> np.ndarray:
         """Prompt rows start..stop-1 of one (layer, head), (stop - start, n);
-        `stop` defaults to n. Rows are absolute: asking for a row below
-        `first_row` raises ParameterError."""
+        `stop` defaults to n. Rows and layers are absolute: asking for a row
+        below `first_row`, or a layer other than `layer`, raises
+        ParameterError."""
         if start < self.first_row:
             raise ParameterError(
                 f"prompt row {start} requested; this trace holds rows "
                 f"{self.first_row}..{self.header.prompt_len - 1} only"
             )
+        if self.layer is not None:
+            if layer != self.layer:
+                raise ParameterError(
+                    f"layer {layer} requested; this trace holds layer {self.layer} only"
+                )
+            layer = 0
         stop = self.header.prompt_len if stop is None else stop
         return self.prefill[layer, head, start - self.first_row:stop - self.first_row]
 
@@ -320,10 +345,11 @@ class AttentionTrace:
         return (
             h == other.header
             and self.first_row == other.first_row
+            and self.layer == other.layer
             and all(
                 np.array_equal(self.head_rows(l, hd, self.first_row),
                                other.head_rows(l, hd, other.first_row))
-                for l, hd in np.ndindex(h.num_layers, h.num_heads)
+                for l, hd in itertools.product(self.layers, range(h.num_heads))
             )
             and (self.decode is None) == (other.decode is None)
             and len(self.decode or ()) == len(other.decode or ())
@@ -357,7 +383,7 @@ def _check_step(s: int, vec: np.ndarray) -> None:
 
 class _PrefillTail:
     """Checks each head's packed causal triangle one block of rows at a time
-    and keeps its last rows.
+    and keeps its last rows, one layer at a time.
 
     A packed triangle holds row i's i + 1 scores right after rows 0..i-1, as
     the binary container stores them. `blocks` cuts rows 0..n-1 into runs of
@@ -368,13 +394,20 @@ class _PrefillTail:
     failures name the same (layer, head, row) that AttentionTrace.validate
     would on the dense cube.
 
+    The kept rows go into `prefill`, float32 with each row's upper
+    triangle zero: with `keep`, (L, H, rows, n), the rows of every layer,
+    which a loader returns or hands to `on_prefill`; without it,
+    (1, H, rows, n), one buffer that each layer reuses. Once a layer's heads
+    are added, `end_layer` hands its rows on as a trace of that layer.
+
     With `whole`, each head's rows are also written as float64 into `whole`,
     one reused, C-contiguous (n, n) buffer whose upper triangle stays zero:
     once `add` returns, it holds that head's dense block until the next
     head is added.
     """
 
-    def __init__(self, L: int, H: int, n: int, rows: int | None, whole: bool = False):
+    def __init__(self, L: int, H: int, n: int, rows: int | None, whole: bool = False,
+                 keep: bool = True):
         if rows is not None and int(rows) < 1:
             raise ParameterError(f"rows must be >= 1, got {rows}")
         kept = n if rows is None else min(int(rows), n)
@@ -396,16 +429,18 @@ class _PrefillTail:
         self._wide = np.empty(self.block_size, dtype=np.float64)
         # The kept rows' entries in a (kept, n) block, in packed order.
         self._tail_mask = np.tri(kept, n, self.first_row, dtype=bool)
-        self.prefill = np.zeros((L, H, kept, n), dtype=np.float32)
+        self._keep = keep
+        self.prefill = np.zeros((L if keep else 1, H, kept, n), dtype=np.float32)
         self.whole = np.zeros((n, n), dtype=np.float64) if whole else None
         # Per block, its rows' entries in columns 0..stop-1, in packed order.
         self._lower = [np.tri(stop - start, stop, start, dtype=bool)
                        for start, stop in self.blocks] if whole else None
 
     def add(self, layer: int, head: int, read) -> None:
-        """Check one head, keep its last rows and, with `whole`, fill
-        `whole`. `read(lo, hi)` returns packed scores lo..hi-1 as float32,
-        one block at a time."""
+        """Check one head, keep its last rows in `prefill` and, with
+        `whole`, fill `whole`. `read(lo, hi)` returns packed scores lo..hi-1
+        as float32, one block at a time."""
+        out = self.prefill[layer if self._keep else 0, head]
         bad_sum = None
         for k, (start, stop) in enumerate(self.blocks):
             lo = int(self.starts[start])
@@ -431,44 +466,60 @@ class _PrefillTail:
             keep = max(start, self.first_row)
             if keep < stop:
                 rows = slice(keep - self.first_row, stop - self.first_row)
-                self.prefill[layer, head, rows][self._tail_mask[rows]] = \
-                    scores[self.starts[keep] - lo:]
+                out[rows][self._tail_mask[rows]] = scores[self.starts[keep] - lo:]
         if bad_sum is not None:
             raise bad_sum
 
-    def take(self) -> np.ndarray:
-        """The kept rows, which the tail then lets go, with its head
-        buffer."""
-        prefill = self.prefill
+    def end_layer(self, header: TraceHeader, layer: int) -> AttentionTrace:
+        """The trace of `layer`'s kept rows once all its heads are added,
+        checked by `validate`. It shares `prefill`: without `keep`, the next
+        layer overwrites its rows."""
+        k = layer if self._keep else 0
+        trace = AttentionTrace(header, self.prefill[k:k + 1], None, self.first_row, layer)
+        trace.validate()
+        return trace
+
+    def take(self) -> np.ndarray | None:
+        """The kept rows of every layer (None without `keep`), which the tail
+        then lets go, with its head buffer."""
+        prefill = self.prefill if self._keep else None
         self.prefill = self.whole = self._lower = None
         return prefill
 
 
 def _hand_over(header: TraceHeader, tail: _PrefillTail, steps, on_prefill,
                on_decode) -> AttentionTrace | None:
-    """End a load once every prefill row is checked: the trace of the rows
-    `tail` kept, checked by `validate`, and the decode steps, each checked
+    """End a load once every prefill row is checked and every layer handed
+    on: the trace of the rows `tail` kept and the decode steps, each checked
     as the iterator `steps` yields it.
 
-    With neither hook, the trace keeps the steps and is returned. Otherwise
-    it holds none: it goes to `on_prefill` and is let go before the first
-    step is read, so its rows live only as long as `on_prefill` keeps them.
-    The steps go to `on_decode`, and any step it leaves (every step, without
-    it) is checked and dropped. None is then returned.
+    If the tail kept its rows (`_keeps_rows`) and not for `on_prefill`, no
+    hook streams the file: the trace keeps the steps and is returned.
+    Otherwise it holds none: it goes to `on_prefill`, if given, and is let
+    go before the first step is read, so its rows live only as long as
+    `on_prefill` keeps them. The steps go to `on_decode`, and any step it
+    leaves (every step, without it) is checked and dropped. None is then
+    returned.
     """
-    trace = AttentionTrace(header, tail.take(), None, tail.first_row)
-    trace.validate()
-    if on_prefill is None and on_decode is None:
+    prefill = tail.take()
+    if prefill is not None and on_prefill is None:
+        trace = AttentionTrace(header, prefill, None, tail.first_row)
         trace.decode = list(steps)
         return trace
     if on_prefill is not None:
-        on_prefill(trace)
-    del trace
+        on_prefill(AttentionTrace(header, prefill, None, tail.first_row))
+    del prefill
     if on_decode is not None:
         on_decode(steps)
     for _ in steps:
         pass
     return None
+
+
+def _keeps_rows(on_layer, on_prefill, on_decode) -> bool:
+    """Whether a load builds its kept trace: for `on_prefill`, or to return
+    it when no hook streams the file."""
+    return on_prefill is not None or (on_layer is None and on_decode is None)
 
 
 def _row_chunks(n: int):
@@ -884,10 +935,11 @@ def _read_base64(reader: _JsonReader, where: str, count: int) -> bytes | bytearr
 
 
 def _read_prefill_v2(reader: _JsonReader, header: TraceHeader, tail: _PrefillTail,
-                     on_head) -> None:
+                     on_head, on_layer) -> None:
     """Parse a version 2 prefill one head at a time, passing each head's
     packed triangle to `tail`, and then, unless `on_head` is None, its
-    dense block to `on_head`."""
+    dense block to `on_head`; once a layer's heads are in, its trace goes
+    to `on_layer`, unless None."""
     L, H = header.num_layers, header.num_heads
     for l in reader.items(L, f"prefill must be a list of {L} layers"):
         for hd in reader.items(H, f"prefill[{l}] must be a list of {H} heads"):
@@ -898,6 +950,9 @@ def _read_prefill_v2(reader: _JsonReader, header: TraceHeader, tail: _PrefillTai
             del raw, tri
             if on_head is not None:
                 on_head(header, l, hd, tail.whole)
+        layer = tail.end_layer(header, l)
+        if on_layer is not None:
+            on_layer(layer)
 
 
 def _text_steps(reader: _JsonReader, header: TraceHeader):
@@ -919,16 +974,17 @@ _LATE_VERSION = f"format_version {TEXT_FORMAT_VERSION} must come before prefill 
 
 
 def trace_from_text(data, rows: int | None = None, on_head=None, on_prefill=None,
-                    on_decode=None) -> AttentionTrace | None:
+                    on_decode=None, on_layer=None, on_header=None) -> AttentionTrace | None:
     """Parse a text container, version 2, from bytes or an open binary file.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head); None
     keeps all of them. Every row is checked either way. `on_head`,
-    `on_prefill` and `on_decode` are as in `load_trace`. The document is read
-    in chunks and parsed one value at a time (a base64 string), so no
-    whole-document object is built; `header` and `format_version` must
-    therefore come before `prefill` and `decode`, and `prefill` before
-    `decode`.
+    `on_prefill`, `on_decode`, `on_layer` and `on_header` are as in
+    `load_trace`; `on_header` is called once `prefill` is reached. The
+    document is read in chunks and parsed one value at a time (a base64
+    string), so no whole-document object is built; `header` and
+    `format_version` must therefore come before `prefill` and `decode`, and
+    `prefill` before `decode`.
     """
     if isinstance(data, (bytes, bytearray)):
         data = io.BytesIO(data)
@@ -948,9 +1004,12 @@ def trace_from_text(data, rows: int | None = None, on_head=None, on_prefill=None
         elif key == "header":
             header = _text_header(reader.value())
             tail = _PrefillTail(header.num_layers, header.num_heads, header.prompt_len, rows,
-                                on_head is not None)
+                                on_head is not None,
+                                _keeps_rows(on_layer, on_prefill, on_decode))
         elif key == "prefill":
-            _read_prefill_v2(reader, header, tail, on_head)
+            if on_header is not None:
+                on_header(header)
+            _read_prefill_v2(reader, header, tail, on_head, on_layer)
         elif key == "decode":
             if "prefill" not in seen:
                 raise FormatError("prefill must come before decode")
@@ -1011,15 +1070,17 @@ def _fill(fh, buf: np.ndarray, what: str) -> None:
 
 
 def trace_from_binary(data, rows: int | None = None, on_head=None, on_prefill=None,
-                      on_decode=None) -> AttentionTrace | None:
+                      on_decode=None, on_layer=None,
+                      on_header=None) -> AttentionTrace | None:
     """Parse a binary container from bytes or an open binary file.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head); None
-    keeps all of them. `on_head`, `on_prefill` and `on_decode` are as in
-    `load_trace`. The length is checked against the header first; the
-    prefill is then read one block of rows at a time, straight from the file
-    into one reused block buffer, and every row of every head is checked.
-    Each decode step is read into its own array and checked.
+    keeps all of them. `on_head`, `on_prefill`, `on_decode`, `on_layer` and
+    `on_header` are as in `load_trace`. The length is checked against the
+    header first, before `on_header` is called; the prefill is then read
+    one block of rows at a time, straight from the file into one reused
+    block buffer, and every row of every head is checked. Each decode step
+    is read into its own array and checked.
     """
     if isinstance(data, (bytes, bytearray)):
         fh, size = io.BytesIO(data), len(data)
@@ -1051,8 +1112,11 @@ def trace_from_binary(data, rows: int | None = None, on_head=None, on_prefill=No
     _fill(fh, packed, "modality labels")
     bits = np.unpackbits(packed, bitorder="little")[:n].astype(bool)
     header = TraceHeader(L, H, n, T, bits)
+    if on_header is not None:
+        on_header(header)
 
-    tail = _PrefillTail(L, H, n, rows, on_head is not None)
+    tail = _PrefillTail(L, H, n, rows, on_head is not None,
+                        _keeps_rows(on_layer, on_prefill, on_decode))
     block = np.empty(tail.block_size, dtype="<f4")
 
     def read(lo: int, hi: int) -> np.ndarray:
@@ -1064,6 +1128,10 @@ def trace_from_binary(data, rows: int | None = None, on_head=None, on_prefill=No
             tail.add(l, hd, read)
             if on_head is not None:
                 on_head(header, l, hd, tail.whole)
+        layer = tail.end_layer(header, l)
+        if on_layer is not None:
+            on_layer(layer)
+        del layer
 
     def steps():
         for s in range(T):
@@ -1097,7 +1165,8 @@ def save_trace(trace: AttentionTrace, path: str | os.PathLike, *, binary: bool |
 
 
 def load_trace(path: str | os.PathLike, rows: int | None = None, on_head=None,
-               on_prefill=None, on_decode=None) -> AttentionTrace | None:
+               on_prefill=None, on_decode=None, on_layer=None,
+               on_header=None) -> AttentionTrace | None:
     """Read a trace, sniffing the container by magic bytes, and validate it.
 
     `rows` keeps only the last `rows` prompt rows of each (layer, head), as
@@ -1105,6 +1174,19 @@ def load_trace(path: str | os.PathLike, rows: int | None = None, on_head=None,
     the dense cube. Every row is checked either way, and the file is streamed
     rather than read whole: a binary file one block of rows at a time, a text
     file one head at a time.
+
+    `on_header(header)`, unless None, is called once the header is read and
+    checked, before the first prefill row is read.
+
+    Each layer's kept rows are gathered in one reused (H, rows, n) float32
+    buffer, or, when the kept trace is returned or handed to `on_prefill`,
+    straight into its (L, H, rows, n) array. Once all its heads are
+    checked, the layer is checked by `AttentionTrace.validate` as a trace
+    of that layer alone (`layer` set, sharing those rows), and
+    `on_layer(trace)`, unless None, is called with it; in the reused buffer,
+    the next layer overwrites its rows. So a reader of the kept rows that
+    works a layer at a time, as `TraceTables.load` does, never holds them
+    all.
 
     `on_head(header, layer, head, block)`, unless None, is called for each
     head in (layer, head) order once all its rows are checked. `block` is
@@ -1114,14 +1196,15 @@ def load_trace(path: str | os.PathLike, rows: int | None = None, on_head=None,
     was passed on, in a later head or a decode step, is still raised. With
     None the loader does no more work than keeping its rows.
 
-    With `on_prefill` or `on_decode`, the decode steps are streamed, not
-    kept, and None is returned. `on_prefill(trace)`, unless None, is called
-    once every prefill row is checked, with the trace: its kept rows, checked
-    by `AttentionTrace.validate`, and no decode steps (`decode` is None). The
-    loader lets the trace go before it reads the first step, so its rows
-    live only as long as `on_prefill` keeps them. `on_decode(steps)`, unless
-    None, is then called with an iterator that yields each decode step in
-    order, a fresh (L, H, n + s) float32 array, once its scores are checked.
+    With `on_layer`, `on_prefill` or `on_decode`, the decode steps are
+    streamed, not kept, and None is returned. `on_prefill(trace)`, unless
+    None, is called once every prefill row is checked, with the trace: its
+    kept rows, each layer checked as above, and no decode steps (`decode` is
+    None). The loader lets the trace go before it reads the first step, so
+    its rows live only as long as `on_prefill` keeps them.
+    `on_decode(steps)`, unless None, is then called with an iterator that
+    yields each decode step in order, a fresh (L, H, n + s) float32 array,
+    once its scores are checked.
     Steps it does not take, every step without it, are read, checked and
     dropped once it returns, so a fault in any step is raised.
     """
@@ -1129,4 +1212,4 @@ def load_trace(path: str | os.PathLike, rows: int | None = None, on_head=None,
         binary = fh.read(len(BINARY_MAGIC)) == BINARY_MAGIC
         fh.seek(0)
         load = trace_from_binary if binary else trace_from_text
-        return load(fh, rows, on_head, on_prefill, on_decode)
+        return load(fh, rows, on_head, on_prefill, on_decode, on_layer, on_header)

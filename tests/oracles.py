@@ -233,6 +233,16 @@ def top_by_importance(scores, candidates, quota):
     return candidates[order[:quota]]
 
 
+def reference_pool_ranks(scores, pools):
+    """Each position's place within its pool in `top_by_importance` order,
+    for one head's 1-d scores; n for a position in no pool."""
+    n = scores.size
+    ranks = np.full(n, n, dtype=np.int64)
+    for pool in pools:
+        ranks[top_by_importance(scores, pool, pool.size)] = np.arange(pool.size)
+    return ranks
+
+
 def reference_coverage_counts(scores, visual, threshold):
     """Per-pool sort, sequential cumsum and left insertion point of the target."""
     out = []

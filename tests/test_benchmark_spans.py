@@ -1,12 +1,13 @@
 """The benchmark's traced-span contract, checked at a tiny shape.
 
 A traced benchmark run fails a job that records no call of a span it expects
-(`expected_spans` in `perfbench/run.py`). Here one `compare` and one `sweep`
-job run under `perfbench/traced_job.py` and `traced_problem` judges their
-summaries, so a refactor that stops calling a traced layer fails the suite,
-not only a traced benchmark run. The sweep must also plan each threshold
-cell once and build each distinct keep-set once, however many cells repeat
-it. The test only reads `perfbench/`.
+(`expected_spans` in `perfbench/run.py`). Here `compare` jobs on a binary and
+a text trace, a `sweep` job, and `analyze` jobs on both containers run under
+`perfbench/traced_job.py`, and `traced_problem` judges their summaries, so a
+refactor that stops calling a traced layer fails the suite, not only a
+traced benchmark run. The sweep must also plan each threshold cell once and
+build each distinct keep-set once, however many cells repeat it. The test
+only reads `perfbench/`.
 """
 
 import importlib.util
@@ -45,12 +46,14 @@ def bench():
 
 
 @pytest.fixture(scope="module")
-def tiny_trace(tmp_path_factory):
+def tiny_traces(tmp_path_factory):
+    """The test's trace in each container, by the `reads` a job of it has."""
     out = tmp_path_factory.mktemp("tiny")
-    assert main(["generate", "--trace-format", "binary", "--layers", "2", "--heads", "2",
-                 "--prompt-len", "64", "--decode-steps", "2", "--head-bias", "0.1,0.9",
-                 "--name", "trace", "--out", str(out)]) == 0
-    return out / "trace.mkvt"
+    for kind in ("binary", "text"):
+        assert main(["generate", "--trace-format", kind, "--layers", "2", "--heads", "2",
+                     "--prompt-len", "64", "--decode-steps", "2", "--head-bias", "0.1,0.9",
+                     "--name", "trace", "--out", str(out)]) == 0
+    return {"binary": out / "trace.mkvt", "text": out / "trace.json"}
 
 
 def sweep_cells(path) -> tuple[int, int, int]:
@@ -73,13 +76,18 @@ def sweep_cells(path) -> tuple[int, int, int]:
     return baselines, thresholds, baselines + len(keeps)
 
 
-@pytest.mark.parametrize("kind, extra", [
-    ("compare", ("--budget", "0.1,0.2")),
-    ("sweep", (*(a for p in POLICIES for a in ("--policy", p)),
-               "--budget", ",".join(map(str, SWEEP_BUDGETS)),
-               "--thetas", ",".join(map(str, SWEEP_THETAS)))),
+@pytest.mark.parametrize("kind, reads, extra", [
+    ("compare", "binary", ("--budget", "0.1,0.2")),
+    ("compare", "text", ("--budget", "0.1,0.2")),
+    ("sweep", "binary", (*(a for p in POLICIES for a in ("--policy", p)),
+                         "--budget", ",".join(map(str, SWEEP_BUDGETS)),
+                         "--thetas", ",".join(map(str, SWEEP_THETAS)))),
+    ("analyze", "binary", ()),
+    ("analyze", "text", ()),
 ])
-def test_traced_grid_job_records_every_expected_span(bench, tiny_trace, tmp_path, kind, extra):
+def test_traced_job_records_every_expected_span(bench, tiny_traces, tmp_path, kind, reads,
+                                                extra):
+    tiny_trace = tiny_traces[reads]
     out = tmp_path / kind
     argv = (kind, "--trace", str(tiny_trace), *extra, "--out", str(out))
     summary_path = tmp_path / f"{kind}.traced.json"
@@ -89,7 +97,7 @@ def test_traced_grid_job_records_every_expected_span(bench, tiny_trace, tmp_path
     )
     assert done.returncode == 0, done.stdout + done.stderr
     summary = json.loads(summary_path.read_text())
-    job = bench.Job(kind, argv, out, reads="binary")
+    job = bench.Job(kind, argv, out, reads=reads)
     assert bench.traced_problem(summary, job) is None
     assert summary["failed_cells"] == 0
     if kind == "sweep":

@@ -456,6 +456,39 @@ def test_two_traces_of_one_stem_are_refused_before_loading(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("trace_format", ["binary", "text"])
+def test_run_refuses_a_bad_baseline_before_the_prefill(tmp_path, capsys, monkeypatch,
+                                                    trace_format):
+    """`run` checks a baseline's header-only settings once the header is
+    read: a sink_count above the budget exits 2 with the error that
+    `compare` reports in its failed row, before any prefill row is read,
+    and so before a fault in a later layer is met."""
+    assert run("generate", "--name", "t", "--trace-format", trace_format,
+               "--out", str(tmp_path)) == 0
+    path = tmp_path / ("t.mkvt" if trace_format == "binary" else "t.json")
+    added = []
+    real = trace_module._PrefillTail.add
+
+    def spy(self, layer, head, read):
+        added.append((layer, head))
+        return real(self, layer, head, read)
+
+    monkeypatch.setattr(trace_module._PrefillTail, "add", spy)
+    argv = ("--policy", "sink_window:sink_count=40", "--budget", "0.2")
+    assert run("run", "--trace", str(path), *argv, "--out", str(tmp_path / "run")) == 2
+    assert capsys.readouterr().err == (
+        "parameter error: sink_count 40 must not exceed the budget 13\n")
+    assert added == []
+    assert not (tmp_path / "run" / "report.csv").exists()
+    if trace_format == "binary":
+        # A negative score in layer 1: the bad spec is still what is named.
+        trace = load_trace(path)
+        trace.prefill[1, 0, 5, 0] = -0.25
+        path.write_bytes(trace_module.trace_to_binary(trace))
+        assert run("run", "--trace", str(path), *argv, "--out", str(tmp_path / "bad")) == 2
+        assert run("compare", "--trace", str(path), *argv, "--out", str(tmp_path / "c")) == 3
+
+
 class TestPrefillRows:
     POLICIES = ("--policy", "adaptive:proxy_count=16",
                 "--policy", "cumulative_topk:observation_window=32",
@@ -612,8 +645,8 @@ class TestSweep:
 
     def test_importance_is_computed_once_per_trace_and_row_count(self, tmp_path, monkeypatch):
         """Every cell of a sweep reuses its trace's importance tables: one
-        computation per trace per distinct proxy count or observation
-        window."""
+        computation per trace, layer and distinct proxy count or
+        observation window, as each layer streams in."""
         traces = []
         for n in (24, 20):
             assert run("generate", "--name", f"t{n}", "--prompt-len", str(n),
@@ -624,7 +657,8 @@ class TestSweep:
         original = modkv.proxy_importance_matrix
 
         def counting(trace, proxy):
-            calls.append((trace.header.prompt_len, proxy.effective(trace.header.prompt_len)))
+            calls.append((trace.header.prompt_len, proxy.effective(trace.header.prompt_len),
+                          trace.layer))
             return original(trace, proxy)
 
         for module in list(sys.modules.values()):
@@ -641,7 +675,7 @@ class TestSweep:
                        "sink_window:sink_count=1"):
             argv += ["--policy", policy]
         assert run(*argv) == 0
-        assert sorted(calls) == [(20, 5), (20, 8), (24, 5), (24, 8)]
+        assert sorted(calls) == [(n, p, l) for n in (20, 24) for p in (5, 8) for l in (0, 1)]
 
     def test_coverage_counts_sort_once_per_row_count(self, demo_trace, tmp_path, monkeypatch):
         """A sweep takes every threshold's coverage needs from one sort per

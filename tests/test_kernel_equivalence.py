@@ -1,8 +1,9 @@
 """The rank-prefix kernel against the per-head reference path.
 
 The planner, masks and score-driven baselines are vectorised over (layer,
-head) and read rankings from per-trace tables; replay takes every decode
-step in one sum of products over a stacked table. Here every one of their
+head) and read rankings from per-trace tables; replay takes each decode
+step a block of rows at a time, in one sum of products per block. Here
+every one of their
 outputs is compared, exactly, with the per-head loops and the per-step
 replay they replaced (`oracles.reference_*`): plan arrays, keep masks,
 warning text and order, retained masses, and whole SimReports.
@@ -383,6 +384,85 @@ def test_rank_prefixes_are_the_top_by_importance_sets():
                         want = oracles.top_by_importance(scores[l, hd], pool, quota)
                         got = pool[ranks[l, hd, pool] < quota]
                         assert sorted(want.tolist()) == got.tolist()
+
+
+def last_row_trace(rng, layers, heads, n, steps):
+    """A trace holding only prompt row n - 1, a random causal row per head,
+    and decode steps whose scores spread over 40 binades, so that a replay
+    that summed a row in another order would differ."""
+    header = TraceHeader(layers, heads, n, steps, rng.random(n) < 0.4)
+    row = rng.random((layers, heads, 1, n))
+    decode = []
+    for s in range(steps):
+        shape = (layers, heads, n + s)
+        step = rng.random(shape) * 2.0 ** rng.integers(-40, 1, size=shape)
+        decode.append((step / step.sum(axis=2, keepdims=True)).astype(np.float32))
+    return AttentionTrace(header, (row / row.sum(axis=-1, keepdims=True)).astype(np.float32),
+                          decode, first_row=n - 1)
+
+
+@pytest.mark.parametrize("layers, heads, n, steps", [
+    (19, 19, 203, 3),  # 361 rows: blocks of 322, and n not a multiple of 8
+    (19, 19, 200, 1),  # blocks of 327 rows, n a multiple of 8
+    (1, 3, (1 << 16) + 5, 3),  # rows longer than a block: two a block, one left
+    (1, 3, (1 << 16) + 5, 1),
+    (1, 1, (1 << 16) + 5, 2),  # one row in all
+])
+def test_blockwise_replay_matches_the_per_step_replay(layers, heads, n, steps):
+    """Replay converts each step to float64 one block of rows at a time;
+    its masses, and whole reports, are bit-identical to the per-step
+    reference's, at the edges of the block cut."""
+    rng = np.random.default_rng(n + steps)
+    trace = last_row_trace(rng, layers, heads, n, steps)
+    shape = (layers, heads, n)
+    keeps = [rng.random(shape) < p for p in (0.1, 0.5, 0.9)] + [np.zeros(shape, dtype=bool)]
+    got = replay(TraceTables(trace), [np.packbits(keep, axis=-1) for keep in keeps])
+    for keep, masses in zip(keeps, got):
+        want = oracles.reference_replay(trace, EvictionMask("random", keep))
+        assert [m.hex() for m in masses] == [m.hex() for m in want]
+    specs = [PolicyConfig(0.3, 0.9, ProxyConfig(1), mode=mode) for mode in PolicyMode]
+    specs.append(BaselineConfig(BaselineKind.CUMULATIVE_TOPK, 0.3, observation_window=1))
+    tables = TraceTables(trace)
+    for spec in specs:
+        assert_same_report(simulate(tables, spec), oracles.reference_simulate(trace, spec))
+
+
+@pytest.mark.parametrize("n, dtype", [((1 << 15) - 1, np.int16), (1 << 15, np.int32)])
+def test_ranks_are_16_bit_below_2_15_tokens(n, dtype):
+    """`pool_ranks` is int16 while every rank up to n fits, else int32; both
+    equal the reference order's ranks, and masks and baselines built from
+    the 16-bit ranks keep what the same ranks as int32 keep."""
+    rng = np.random.default_rng(n)
+    scores = np.floor(rng.random((1, 1, n)) * 64)  # quantised: ties everywhere
+    visual = rng.random(n) < 0.4
+    for pools in ((np.flatnonzero(visual), np.flatnonzero(~visual)), (np.arange(n),)):
+        ranks = pool_ranks(scores, pools)
+        assert ranks.dtype == dtype
+        assert np.array_equal(ranks[0, 0], oracles.reference_pool_ranks(scores[0, 0], pools))
+    if dtype is np.int32:
+        return
+    header = TraceHeader(1, 1, n, 0, visual)
+    trace = AttentionTrace(header, (scores / scores.sum()).astype(np.float32)[:, :, None], [],
+                           first_row=n - 1)
+    specs = [PolicyConfig(budget, 0.7, ProxyConfig(1), mode=mode, pin_proxy_tokens=pin)
+             for budget in (0.05, 0.4, 0.9) for mode in PolicyMode for pin in (True, False)]
+    specs += [BaselineConfig(kind, budget, observation_window=1) for budget in (0.05, 0.4)
+              for kind in (BaselineKind.CUMULATIVE_TOPK, BaselineKind.FIXED_PRIORITY)]
+    narrow, wide = TraceTables(trace), TraceTables(trace)
+    for spec in specs:
+        if isinstance(spec, PolicyConfig):
+            plan = plan_budgets(narrow, spec)
+            got = build_masks(narrow, plan, spec)
+            key = ("modality_ranks", 1, spec.pinned(n))
+        else:
+            got = baseline_mask(narrow, spec)
+            key = (("token_ranks", 1) if spec.kind is BaselineKind.CUMULATIVE_TOPK
+                   else ("modality_ranks", 1, 0))
+        assert narrow._tables[key].dtype == np.int16
+        wide._tables[key] = narrow._tables[key].astype(np.int32)
+        want = (build_masks(wide, plan, spec) if isinstance(spec, PolicyConfig)
+                else baseline_mask(wide, spec))
+        assert np.array_equal(got.keep, want.keep)
 
 
 def test_vectorised_split_matches_largest_remainder_split():

@@ -1177,6 +1177,28 @@ class TestPartialLoad:
         with pytest.raises(ValidationError, match="first_row"):
             part.validate()
 
+    def test_a_trace_of_one_layer_names_the_headers_layer(self):
+        """A trace of one layer's rows, as a loader hands each layer on,
+        validates and reads that layer by its index in the header, and
+        refuses any other layer."""
+        t = make_trace(uniform_rows(5), labels=None, tile=(3, 2))
+        part = dense(t, 3)
+        one = AttentionTrace(t.header, part.prefill[1:2].copy(), None, part.first_row, layer=1)
+        one.validate()
+        assert list(one.layers) == [1]
+        assert np.array_equal(one.head_rows(1, 0, 2), part.head_rows(1, 0, 2))
+        with pytest.raises(ParameterError, match="layer 0 requested; this trace holds layer 1"):
+            one.head_rows(0, 0, 2)
+        assert one != part
+        one.prefill[0, 1, 1, 4] = 0.25
+        with pytest.raises(ValidationError, match=r"causality violated at \(1, 1, 3\)"):
+            one.validate()
+        for layer in (3, -1):
+            with pytest.raises(ValidationError, match=f"layer {layer} out of range"):
+                AttentionTrace(t.header, part.prefill[:1], None, 2, layer=layer).validate()
+        with pytest.raises(ValidationError, match=r"does not match header \(1, 2, 3, 5\)"):
+            AttentionTrace(t.header, part.prefill, None, 2, layer=0).validate()
+
 
 class _ReduceatSpy:
     """numpy as `modkv.trace` sees it, with a copy of every

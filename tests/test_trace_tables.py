@@ -64,30 +64,36 @@ def same_bits(a, b):
 
 
 def test_load_lets_the_trace_go(trace_file, monkeypatch):
-    """The trace the loader hands over, with its rows, is freed before the
-    first decode step is read."""
-    loaded, alive = [], []
+    """The loader hands each checked layer over as a trace of that layer
+    alone, all sharing one buffer, and builds no trace of every layer. No
+    layer's trace and not the buffer outlive the prefill: they are freed
+    before the first decode step is read."""
+    layers, buffers, refs, alive = [], set(), [], []
     real = policy_module.load_trace
 
-    def spy(path, rows=None, on_prefill=None, on_decode=None, **kwargs):
-        def prefill(trace):
-            loaded.append(weakref.ref(trace))
-            on_prefill(trace)
+    def spy(path, rows=None, on_layer=None, on_decode=None, **kwargs):
+        assert kwargs.get("on_prefill") is None
+
+        def layer(trace):
+            layers.append(trace.layer)
+            buffers.add(id(trace.prefill.base))
+            refs.extend((weakref.ref(trace), weakref.ref(trace.prefill.base)))
+            on_layer(trace)
 
         def decode(steps):
             def watched():
                 for step in steps:
-                    alive.append(loaded[0]() is not None)
+                    alive.append(any(ref() is not None for ref in refs))
                     yield step
             on_decode(watched())
 
-        return real(path, rows=rows, on_prefill=prefill, on_decode=decode, **kwargs)
+        return real(path, rows=rows, on_layer=layer, on_decode=decode, **kwargs)
 
     monkeypatch.setattr(policy_module, "load_trace", spy)
     tables = TraceTables.load(trace_file, SPECS, settle)
-    assert len(loaded) == 1
+    assert layers == [0, 1, 2]
+    assert len(buffers) == 1
     assert alive == [False] * 4
-    assert loaded[0]() is None
     assert tables.trace is None
     assert tables.num_steps == 4 and tables.header.prompt_len == N
 
@@ -129,6 +135,36 @@ def test_loaded_tables_refuse_a_row_count_they_were_not_built_for(trace_file):
     tables = TraceTables.load(trace_file, SPECS[-1:])
     with pytest.raises(ParameterError, match=r"\[\]"):
         tables.importance(1)
+
+
+@pytest.mark.parametrize("suffix, reader", [("mkvt", 1 << 19), ("json", 3 << 20)])
+def test_a_loaded_grid_holds_no_prefill_tail(tmp_path, suffix, reader):
+    """Under tracemalloc, `TraceTables.load` of a grid over 32 kept rows
+    peaks below what it must hold at one time or another: importance, its
+    16-bit rank tables, one layer's kept rows, one float32 decode step with
+    one float64 replay block of it and of a keep-set, and the reader's own
+    buffers (the binary reader's blocks, the text reader's pending text and
+    decoded head). The (L, H, rows, n) tail of kept rows, 8 MiB here, does
+    not fit beside them: a load that built it peaked about 6 MiB above the
+    bound."""
+    L, H, n, T, rows = 16, 16, 256, 2, 32
+    path = tmp_path / f"t.{suffix}"
+    save_trace(generate_synthetic(small_spec(4, layers=L, heads=H, prompt_len=n, steps=T,
+                                             bias=(0.1, 0.9) * (H // 2))), path)
+    specs = [PolicyConfig(budget, theta, ProxyConfig(rows), mode=mode)
+             for budget in (0.1, 0.2) for theta in (0.5, 0.9) for mode in PolicyMode]
+    specs += [BaselineConfig(kind, 0.2, observation_window=rows) for kind in BaselineKind
+              if kind is not BaselineKind.SINK_WINDOW]
+    settle(TraceTables(generate_synthetic(small_spec(4))), specs)  # numpy's caches
+    tables, peak = traced_peak(lambda: TraceTables.load(path, specs, settle))
+    assert len(tables.settled) == len(specs)
+    block = min(L * H, simulate_module._REPLAY_BLOCK // n)
+    bound = (L * H * n * 8  # importance
+             + 3 * L * H * n * 2  # modality ranks, pinned and not, and token ranks
+             + H * rows * n * 4  # one layer's kept rows
+             + L * H * (n + T - 1) * 4 + block * (2 * n + T - 1) * 8  # replay
+             + reader)
+    assert peak <= bound, (peak, bound)
 
 
 def test_a_sweep_holds_one_traces_tables_at_a_time(tmp_path):
